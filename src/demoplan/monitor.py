@@ -28,7 +28,7 @@ from .model import (
     check_atom_types,
     holds,
 )
-from .planner import DEFAULT_NODE_LIMIT, GroundedAction, Plan, plan
+from .planner import DEFAULT_NODE_LIMIT, GroundedAction, Plan, _Task, check_node_limit
 
 DROP_EFFECTS = "drop_effects"
 PERTURB = "perturb"
@@ -66,9 +66,11 @@ def faults_from_list(
     if not isinstance(raw, list):
         raise ParseError("fault file must hold a list of fault records")
     faults = []
-    for entry in raw:
+    for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or "step" not in entry or "mode" not in entry:
             raise ParseError(f"malformed fault record: {entry!r}")
+        if isinstance(entry["step"], bool) or not isinstance(entry["step"], int):
+            raise ParseError(f"fault record {i} {entry!r}: step must be an integer")
         adds = [atom_from_list(a, vocabulary) for a in entry.get("adds", [])]
         dels = [atom_from_list(a, vocabulary) for a in entry.get("dels", [])]
         if types is not None:
@@ -115,6 +117,7 @@ class MonitorConfig:
     def __post_init__(self):
         if self.max_replans < 0:
             raise ValidationError("max_replans must be >= 0")
+        check_node_limit(self.node_limit)
 
 
 @dataclass(frozen=True)
@@ -157,8 +160,12 @@ def execute(
     actions: Sequence[GroundedAction],
     config: MonitorConfig = MonitorConfig(),
 ) -> ExecutionLog:
-    """Run a plan to completion, replanning over ``actions`` on any surprise."""
+    """Run a plan to completion, replanning over ``actions`` on any surprise.
+
+    ``actions`` is compiled once; every replan searches that compiled task.
+    """
     goal = sorted(goal, key=Literal.sort_key)
+    task = _Task(actions)
     queue = list(initial_plan.actions)
     steps: list[StepRecord] = []
     replans: list[ReplanEvent] = []
@@ -171,13 +178,7 @@ def execute(
         replans_used += 1
         if replans_used > config.max_replans:
             return "replan budget exhausted"
-        new_plan = plan(
-            actions,
-            sim.current,
-            goal,
-            node_limit=config.node_limit,
-            heuristic=config.heuristic,
-        )
+        new_plan = task.search(sim.current, goal, config.node_limit, config.heuristic)
         if new_plan is None:
             return "no plan reaches the goal from the sensed state"
         replans.append(ReplanEvent(step_index, reason, new_plan))

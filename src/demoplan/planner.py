@@ -2,17 +2,21 @@
 
 Costs come from observation counts: cost(op) = max_count - count(op) + 1, so
 the most frequently demonstrated operator costs 1 and rarities cost more.
-Search is uniform-cost (A* with a zero heuristic) over closed-world states,
-with an optional admissible h_max heuristic that never changes the optimum.
-States are compiled to integer bitmasks internally; ties between equal-cost
-candidates resolve by (action name, bound objects) lexicographic order.
+A grounded action set is compiled once to integer bitmasks over the atoms its
+actions mention; a goal literal on any other atom is static and is decided
+against the initial state before searching. Search is uniform-cost (A* with a
+zero heuristic) over closed-world states, with an optional admissible h_max
+heuristic that never changes the optimum. h_max is computed cost level by
+cost level on one bitmask of the facts (atom true, atom false) reachable so far.
+Ties between equal-cost candidates resolve by (action name, bound objects)
+lexicographic order.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidEffect, SearchLimitExceeded, ValidationError
@@ -189,104 +193,142 @@ def task_from_docs(
     return actions, State.of(problem_doc.init), list(problem_doc.goal)
 
 
-@dataclass
+def check_node_limit(node_limit: int) -> None:
+    """Reject a node limit that is not a non-negative integer."""
+    if isinstance(node_limit, bool) or not isinstance(node_limit, int) or node_limit < 0:
+        raise ValidationError(f"node limit must be a non-negative integer, got {node_limit!r}")
+
+
 class _Task:
-    """The bitmask compilation of one planning problem."""
+    """A grounded action set compiled to bitmasks once, then searched many times.
 
-    index: dict[GroundAtom, int]
-    actions: list[GroundedAction]
-    pre_pos: list[int] = field(default_factory=list)
-    pre_neg: list[int] = field(default_factory=list)
-    add_mask: list[int] = field(default_factory=list)
-    del_mask: list[int] = field(default_factory=list)
+    Actions are kept in (name, objects) order, the tie-break order. Each of
+    the n atoms an action mentions gets one bit; any other atom is static.
+    A fact is a literal: bit i says atom i is true, bit n + i that it is false.
+    """
 
-    def mask(self, atoms: Iterable[GroundAtom]) -> int:
+    def __init__(self, actions: Iterable[GroundedAction]):
+        self.actions = sorted(actions, key=GroundedAction.sort_key)
+        self.index: dict[GroundAtom, int] = {}
+        masks = [
+            (
+                self._bits(l.atom for l in action.pre if l.positive),
+                self._bits(l.atom for l in action.pre if not l.positive),
+                self._bits(action.adds),
+                self._bits(action.dels),
+            )
+            for action in self.actions
+        ]
+        n = self.n = len(self.index)
+        self.all_atoms = (1 << n) - 1
+        # (precondition facts, add, del, cost) per action, and its delete
+        # relaxation (precondition facts, effect facts, cost) for h_max.
+        self.ops = [
+            (pos | neg << n, add, dele, action.cost)
+            for (pos, neg, add, dele), action in zip(masks, self.actions)
+        ]
+        self.relaxed = [(pre, add | dele << n, cost) for pre, add, dele, cost in self.ops]
+
+    def _bits(self, atoms: Iterable[GroundAtom]) -> int:
         m = 0
         for atom in atoms:
-            m |= 1 << self.index[atom]
+            m |= 1 << self.index.setdefault(atom, len(self.index))
         return m
 
+    def facts(self, state: int) -> int:
+        return state | (self.all_atoms ^ state) << self.n
 
-def _compile(actions: Sequence[GroundedAction], init: State, goal: Sequence[Literal]) -> _Task:
-    universe: set[GroundAtom] = set(init.true_atoms)
-    universe.update(l.atom for l in goal)
-    for action in actions:
-        universe.update(l.atom for l in action.pre)
-        universe.update(action.adds)
-        universe.update(action.dels)
-    ordered = sorted(universe, key=GroundAtom.sort_key)
-    task = _Task({atom: i for i, atom in enumerate(ordered)}, list(actions))
-    for action in actions:
-        task.pre_pos.append(task.mask(l.atom for l in action.pre if l.positive))
-        task.pre_neg.append(task.mask(l.atom for l in action.pre if not l.positive))
-        task.add_mask.append(task.mask(action.adds))
-        task.del_mask.append(task.mask(action.dels))
-    return task
+    def hmax(self, state: int, goal: int) -> float:
+        """h_max (Bonet & Geffner 2001) of ``state``, one cost level at a time.
 
+        ``reached`` holds the facts reachable within ``level``. An action
+        fires at the first level that reaches all its preconditions and adds
+        its effects at level + cost, so the first level that reaches every
+        goal fact is the max over goal facts of their cost.
+        """
+        reached = self.facts(state)
+        pending: dict[int, int] = {}
+        unfired = self.relaxed
+        level = 0
+        while reached & goal != goal:
+            waiting = []
+            for op in unfired:
+                pre, effects, cost = op
+                if reached & pre == pre:
+                    pending[level + cost] = pending.get(level + cost, 0) | effects
+                else:
+                    waiting.append(op)
+            unfired = waiting
+            new = 0
+            while not new:  # advance to the next level that reaches a new fact
+                if not pending:
+                    return float("inf")
+                level = min(pending)
+                new = pending.pop(level) & ~reached
+            reached |= new
+        return level
 
-def _hmax_table(task: _Task) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Static achiever/requirement lists over fact space (2 facts per atom)."""
-    n_facts = 2 * len(task.index)
-    needed_by: list[list[int]] = [[] for _ in range(n_facts)]
-    pre_counts: list[int] = []
-    achieves: list[list[int]] = [[] for _ in range(len(task.actions))]
-    for ai in range(len(task.actions)):
-        pre_facts = []
-        for bit in range(len(task.index)):
-            if task.pre_pos[ai] >> bit & 1:
-                pre_facts.append(2 * bit)
-            if task.pre_neg[ai] >> bit & 1:
-                pre_facts.append(2 * bit + 1)
-            if task.add_mask[ai] >> bit & 1:
-                achieves[ai].append(2 * bit)
-            if task.del_mask[ai] >> bit & 1:
-                achieves[ai].append(2 * bit + 1)
-        for fact in pre_facts:
-            needed_by[fact].append(ai)
-        pre_counts.append(len(pre_facts))
-    return needed_by, achieves, pre_counts
+    def search(
+        self,
+        init: State,
+        goal: Iterable[Literal],
+        node_limit: int = DEFAULT_NODE_LIMIT,
+        heuristic: str = "none",
+    ) -> Optional[Plan]:
+        """See ``plan``."""
+        if heuristic not in ("none", "hmax"):
+            raise ValidationError(f"unknown heuristic {heuristic!r}")
+        check_node_limit(node_limit)
+        goal_facts = 0
+        for lit in goal:
+            bit = self.index.get(lit.atom)
+            if bit is None:  # no action changes this atom
+                if not holds(init, lit):
+                    return None
+            else:
+                goal_facts |= 1 << (bit if lit.positive else bit + self.n)
+        start = 0
+        for atom in init.true_atoms:
+            if atom in self.index:
+                start |= 1 << self.index[atom]
 
-
-def _hmax(
-    task: _Task,
-    state: int,
-    goal_facts: list[int],
-    needed_by: list[list[int]],
-    achieves: list[list[int]],
-    pre_counts: list[int],
-) -> float:
-    """Admissible max-cost estimate over the delete relaxation in literal space."""
-    n_facts = 2 * len(task.index)
-    cost = [float("inf")] * n_facts
-    queue: list[tuple[float, int]] = []
-    for bit in range(len(task.index)):
-        fact = 2 * bit if state >> bit & 1 else 2 * bit + 1
-        cost[fact] = 0.0
-        queue.append((0.0, fact))
-    heapq.heapify(queue)
-    remaining = list(pre_counts)
-    for ai, need in enumerate(remaining):
-        if need == 0:
-            for fact in achieves[ai]:
-                if task.actions[ai].cost < cost[fact]:
-                    cost[fact] = float(task.actions[ai].cost)
-                    heapq.heappush(queue, (cost[fact], fact))
-    settled = [False] * n_facts
-    while queue:
-        c, fact = heapq.heappop(queue)
-        if settled[fact] or c > cost[fact]:
-            continue
-        settled[fact] = True
-        for ai in needed_by[fact]:
-            remaining[ai] -= 1
-            if remaining[ai] == 0:
-                # c is the costliest precondition: facts settle in cost order.
-                new_cost = c + task.actions[ai].cost
-                for out in achieves[ai]:
-                    if new_cost < cost[out]:
-                        cost[out] = new_cost
-                        heapq.heappush(queue, (new_cost, out))
-    return max((cost[f] for f in goal_facts), default=0.0)
+        hmax = self.hmax if heuristic == "hmax" else None
+        h0 = hmax(start, goal_facts) if hmax else 0
+        if h0 == float("inf"):
+            return None
+        dist: dict[int, int] = {start: 0}
+        parent: dict[int, tuple[int, int]] = {}
+        counter = itertools.count()
+        frontier: list[tuple[float, int, int, int]] = [(h0, next(counter), start, 0)]
+        expanded = 0
+        while frontier:
+            _, _, state, g = heapq.heappop(frontier)
+            if g > dist[state]:  # stale entry
+                continue
+            facts = self.facts(state)
+            if facts & goal_facts == goal_facts:
+                steps = []
+                while state != start:
+                    state, ai = parent[state]
+                    steps.append(self.actions[ai])
+                steps.reverse()
+                return Plan(tuple(steps), g)
+            expanded += 1
+            if expanded > node_limit:
+                raise SearchLimitExceeded(f"expanded more than {node_limit} states")
+            for ai, (pre, add, dele, cost) in enumerate(self.ops):
+                if facts & pre != pre:
+                    continue
+                successor = (state & ~dele) | add
+                new_g = g + cost
+                if new_g < dist.get(successor, float("inf")):
+                    h = hmax(successor, goal_facts) if hmax else 0
+                    if h == float("inf"):
+                        continue
+                    dist[successor] = new_g
+                    parent[successor] = (state, ai)
+                    heapq.heappush(frontier, (new_g + h, next(counter), successor, new_g))
+        return None
 
 
 def plan(
@@ -298,70 +340,11 @@ def plan(
 ) -> Optional[Plan]:
     """Optimal plan from init to goal, or None when the goal is unreachable.
 
-    Raises SearchLimitExceeded after expanding ``node_limit`` states.
+    A goal literal on an atom that no action mentions is decided against
+    ``init`` before any search. Raises SearchLimitExceeded after expanding
+    ``node_limit`` states.
     """
-    if heuristic not in ("none", "hmax"):
-        raise ValidationError(f"unknown heuristic {heuristic!r}")
-    goal = sorted(goal, key=Literal.sort_key)
-    ordered = sorted(actions, key=GroundedAction.sort_key)
-    task = _compile(ordered, init, goal)
-    goal_pos = task.mask(l.atom for l in goal if l.positive)
-    goal_neg = task.mask(l.atom for l in goal if not l.positive)
-    start = task.mask(init.true_atoms)
-
-    hmax_static = None
-    goal_facts: list[int] = []
-    if heuristic == "hmax":
-        hmax_static = _hmax_table(task)
-        for bit in range(len(task.index)):
-            if goal_pos >> bit & 1:
-                goal_facts.append(2 * bit)
-            if goal_neg >> bit & 1:
-                goal_facts.append(2 * bit + 1)
-
-    def estimate(state: int) -> float:
-        if hmax_static is None:
-            return 0.0
-        return _hmax(task, state, goal_facts, *hmax_static)
-
-    n = len(ordered)
-    dist: dict[int, int] = {start: 0}
-    parent: dict[int, tuple[int, int]] = {}
-    counter = itertools.count()
-    h0 = estimate(start)
-    frontier: list[tuple[float, int, int, int]] = []
-    if h0 != float("inf"):
-        frontier = [(h0, next(counter), start, 0)]
-    expanded = 0
-    while frontier:
-        _, _, state, g = heapq.heappop(frontier)
-        if g > dist[state]:  # stale entry
-            continue
-        if state & goal_pos == goal_pos and state & goal_neg == 0:
-            steps = []
-            cur = state
-            while cur != start:
-                prev, ai = parent[cur]
-                steps.append(ordered[ai])
-                cur = prev
-            steps.reverse()
-            return Plan(tuple(steps), g)
-        expanded += 1
-        if expanded > node_limit:
-            raise SearchLimitExceeded(f"expanded more than {node_limit} states")
-        for ai in range(n):
-            if state & task.pre_pos[ai] != task.pre_pos[ai] or state & task.pre_neg[ai]:
-                continue
-            successor = (state & ~task.del_mask[ai]) | task.add_mask[ai]
-            new_g = g + ordered[ai].cost
-            if new_g < dist.get(successor, float("inf")):
-                h = estimate(successor)
-                if h == float("inf"):
-                    continue
-                dist[successor] = new_g
-                parent[successor] = (state, ai)
-                heapq.heappush(frontier, (new_g + h, next(counter), successor, new_g))
-    return None
+    return _Task(actions).search(init, goal, node_limit, heuristic)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,55 @@ def dijkstra_plan(actions, init, goal):
     return None
 
 
+def hmax_reference(actions, atoms, goal):
+    """h_max (Bonet & Geffner 2001) by Knuth's generalised Dijkstra.
+
+    A fact is an ``(atom, value)`` pair, and every fact of the state
+    ``atoms`` costs 0.  Facts settle in cost order; an action fires once all
+    its precondition facts have settled, at the cost of the last one plus its
+    own cost, and offers that cost to each of its effect facts.  Returns the
+    max cost over goal facts, 0 for an empty goal, or infinity when a goal
+    fact is never reached.  Atoms are keyed by (name, args), which hashes
+    faster than the atom itself.
+    """
+    state = {atom.sort_key() for atom in atoms}
+    universe = set(state) | {lit.atom.sort_key() for lit in goal}
+    unmet = []
+    needed_by = {}
+    effects = []
+    tie = itertools.count()
+    heap = []
+    for i, act in enumerate(actions):
+        pre = [(lit.atom.sort_key(), lit.positive) for lit in act.pre]
+        effects.append(
+            [(atom.sort_key(), True) for atom in act.adds]
+            + [(atom.sort_key(), False) for atom in act.dels]
+        )
+        universe |= {key for key, _ in pre} | {key for key, _ in effects[i]}
+        unmet.append(len(pre))
+        for fact in pre:
+            needed_by.setdefault(fact, []).append(i)
+        if not pre:
+            heap += [(act.cost, next(tie), fact) for fact in effects[i]]
+    heap += [(0, next(tie), (key, key in state)) for key in universe]
+    heapq.heapify(heap)
+    cost = {}
+    while heap:
+        reached, _, fact = heapq.heappop(heap)
+        if fact in cost:
+            continue
+        cost[fact] = reached
+        for i in needed_by.get(fact, ()):
+            unmet[i] -= 1
+            if unmet[i] == 0:
+                for effect in effects[i]:
+                    heapq.heappush(heap, (reached + actions[i].cost, next(tie), effect))
+    return max(
+        (cost.get((lit.atom.sort_key(), lit.positive), float("inf")) for lit in goal),
+        default=0,
+    )
+
+
 def replay(plan_actions, init, goal):
     """Execute a plan literally; return (total_cost, final_atoms) or None.
 

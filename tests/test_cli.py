@@ -247,6 +247,11 @@ class TestPlan:
         assert code == EXIT_LIMIT
         assert "expanded more than" in capsys.readouterr().err
 
+    def test_negative_node_limit_exits_3(self, workspace, capsys):
+        code = main(_plan_args(workspace, "--goal", GOAL, "--node-limit", "-1"))
+        assert code == EXIT_INVALID
+        assert "node limit must be a non-negative integer" in capsys.readouterr().err
+
     def test_hmax_gives_the_same_cost(self, workspace, capsys):
         code = main(_plan_args(workspace, "--goal", GOAL, "--heuristic", "hmax"))
         assert code == EXIT_OK
@@ -279,6 +284,14 @@ class TestExecute:
         payload = json.loads(log_file.read_text())
         assert payload["outcome"] == "success"
         assert len(payload["replans"]) == 1
+
+    def test_non_integer_fault_step_exits_3(self, workspace, capsys, tmp_path):
+        faults = tmp_path / "faults.json"
+        faults.write_text(json.dumps([{"step": "1", "mode": "drop_effects"}]))
+        code = main(self._execute_args(workspace, "--faults", str(faults)))
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "fault record 0" in err and "step must be an integer" in err
 
     def test_zero_budget_exits_5(self, workspace, capsys, tmp_path):
         faults = tmp_path / "faults.json"

@@ -25,7 +25,7 @@ from demoplan.monitor import (
     log_to_dict,
 )
 from demoplan.planner import GroundedAction, Plan, plan
-from demoplan.synth import corpus_goals, initial_state
+from demoplan.synth import TABLE, YELLOW, corpus_goals, initial_state, stacking_vocabulary
 
 SIG = PredicateSignature("lit", ("Lamp",))
 VOCAB = Vocabulary((SIG,))
@@ -84,6 +84,10 @@ class TestFaults:
             faults_from_list("nope", VOCAB, TABLE)
         with pytest.raises(ParseError):
             faults_from_list([{"mode": "perturb"}], VOCAB, TABLE)
+        for step in ("1", 1.0, True):
+            record = {"step": 0, "mode": "drop_effects"}
+            with pytest.raises(ParseError, match="record 1"):
+                faults_from_list([record, {"step": step, "mode": "drop_effects"}], VOCAB, TABLE)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "faults.json"
@@ -230,6 +234,8 @@ class TestReporting:
     def test_config_rejects_negative_budget(self):
         with pytest.raises(ValidationError):
             MonitorConfig(max_replans=-1)
+        with pytest.raises(ValidationError):
+            MonitorConfig(node_limit=-1)
 
 
 class TestAgainstTheCorpus:
@@ -242,3 +248,25 @@ class TestAgainstTheCorpus:
         assert len(log.replans) == 1
         # the replan re-runs the grasp, so execution is one step longer
         assert len(log.steps) == len(first.actions) + 1
+
+    @pytest.mark.parametrize("heuristic", ["none", "hmax"])
+    def test_replans_equal_fresh_plans(self, corpus_actions, heuristic):
+        """execute compiles its actions once and searches that task on every
+        replan; no search may leave state behind for the next one."""
+        v = stacking_vocabulary()
+        knock_yellow = Fault(
+            2,
+            PERTURB,
+            dels=frozenset({v.atom("onTop", YELLOW, TABLE), v.atom("inTouch", YELLOW, TABLE)}),
+        )
+        config = MonitorConfig(heuristic=heuristic)
+        for name, goal in sorted(corpus_goals().items()):
+            first = plan(corpus_actions, initial_state(), goal, heuristic=heuristic)
+            faults = [Fault(0, DROP_EFFECTS), knock_yellow, Fault(5, DROP_EFFECTS)]
+            log = execute(first, WorldSim(initial_state(), faults), goal, corpus_actions, config)
+            assert log.succeeded, name
+            assert len(log.replans) == 3, name
+            for event in log.replans:
+                sensed = log.steps[event.step - 1].sensed
+                fresh = plan(corpus_actions, sensed, goal, heuristic=heuristic)
+                assert event.plan == fresh, (name, event.step)

@@ -27,6 +27,7 @@ from demoplan.planner import (
     CostModel,
     GroundedAction,
     Plan,
+    _Task,
     derive_costs,
     ground,
     ground_schemas,
@@ -40,7 +41,7 @@ from demoplan.planner import (
 from demoplan.synth import corpus_goals, initial_state, planning_objects
 
 from helpers import random_planning_instance
-from oracles import count_groundings, dijkstra_plan, replay
+from oracles import count_groundings, dijkstra_plan, hmax_reference, replay
 
 SIG = PredicateSignature("flag", ("Slot",))
 
@@ -203,6 +204,33 @@ class TestSearch:
         with pytest.raises(ValidationError):
             plan([], State(), [Literal(_atom(0))], heuristic="fancy")
 
+    def test_negative_node_limit_is_rejected(self):
+        with pytest.raises(ValidationError):
+            plan([], State(), [Literal(_atom(0))], node_limit=-1)
+
+    def test_static_goal_atoms_are_decided_before_search(self):
+        # No action mentions _atom(5). The toggle space has two states, so a
+        # search for the unreachable goal would exceed node_limit=1.
+        toggle = [
+            _action("on", [Literal(_atom(0), False)], [_atom(0)]),
+            _action("off", [Literal(_atom(0))], [], [_atom(0)]),
+        ]
+        for heuristic in ("none", "hmax"):
+            assert plan(toggle, State(), [Literal(_atom(5))], node_limit=1, heuristic=heuristic) is None
+            assert (
+                plan(toggle, State.of([_atom(5)]), [Literal(_atom(5), False)], node_limit=1, heuristic=heuristic)
+                is None
+            )
+            # a static goal literal that holds in init is simply satisfied
+            result = plan(
+                toggle,
+                State.of([_atom(5)]),
+                [Literal(_atom(5)), Literal(_atom(0))],
+                node_limit=1,
+                heuristic=heuristic,
+            )
+            assert [a.name for a in result.actions] == ["on"]
+
     @pytest.mark.parametrize("heuristic", ["none", "hmax"])
     def test_matches_reference_dijkstra(self, heuristic):
         rng = random.Random(101)
@@ -225,6 +253,59 @@ class TestSearch:
             blind = plan(corpus_actions, initial_state(), goal)
             informed = plan(corpus_actions, initial_state(), goal, heuristic="hmax")
             assert blind.total_cost == informed.total_cost
+
+
+def _hmax_masks(task, atoms, goal):
+    state = 0
+    for atom in atoms:
+        if atom in task.index:
+            state |= 1 << task.index[atom]
+    goal_facts = 0
+    for lit in goal:
+        bit = task.index[lit.atom]
+        goal_facts |= 1 << (bit if lit.positive else bit + task.n)
+    return state, goal_facts
+
+
+class TestHmax:
+    """The level-wise h_max must equal the textbook value exactly: any
+    difference would reorder the search and could change which plan wins."""
+
+    def test_matches_the_reference_on_random_tasks(self):
+        rng = random.Random(202)
+        finite = 0
+        for _ in range(200):
+            actions, init, goal = random_planning_instance(rng)
+            task = _Task(actions)
+            goal = [lit for lit in goal if lit.atom in task.index]
+            pool = sorted(task.index, key=GroundAtom.sort_key)
+            states = [init.true_atoms] + [
+                frozenset(a for a in pool if rng.random() < 0.5) for _ in range(3)
+            ]
+            for atoms in states:
+                expected = hmax_reference(actions, atoms, goal)
+                assert task.hmax(*_hmax_masks(task, atoms, goal)) == expected
+                finite += expected not in (0, float("inf"))
+        assert finite > 50
+
+    def test_matches_the_reference_on_every_state_of_a_tower_search(
+        self, corpus_actions, monkeypatch
+    ):
+        evaluated = {}
+        original = _Task.hmax
+
+        def recording(task, state, goal_facts):
+            value = original(task, state, goal_facts)
+            evaluated[state] = (task, value)
+            return value
+
+        monkeypatch.setattr(_Task, "hmax", recording)
+        goal = corpus_goals()["tower_blue_red_green"]
+        assert plan(corpus_actions, initial_state(), goal, heuristic="hmax").total_cost == 32
+        assert len(evaluated) > 1000
+        for state, (task, value) in evaluated.items():
+            atoms = [a for a, bit in task.index.items() if state >> bit & 1]
+            assert value == hmax_reference(corpus_actions, atoms, goal)
 
 
 class TestCorpusPlans:
