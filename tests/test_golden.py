@@ -1,0 +1,83 @@
+"""Byte-for-byte golden artifacts of the CLI on the bundled corpus.
+
+``tests/golden/`` holds what ``pipeline`` writes for the corpus and the
+``tower_blue_red_green`` goal, with one scripted dropped effect so the
+execution log records a replan. The files were produced once and are compared
+byte for byte: a refactor that keeps plans, costs and file formats must leave
+them untouched. The same plan must come out of ``plan --library`` and, up to
+the PDDL spelling of names, out of ``plan --domain/--problem`` on the emitted
+PDDL.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from demoplan.cli import EXIT_OK, main
+from demoplan.learning import load_library
+from demoplan.pddl import library_name_map
+from demoplan.synth import corpus_goals
+
+GOLDEN = Path(__file__).parent / "golden"
+ARTIFACTS = (
+    "library.json",
+    "domain.pddl",
+    "problem.pddl",
+    "plan.json",
+    "execution.json",
+    "transcript.txt",
+)
+GOAL_ARGS = [
+    arg
+    for literal in corpus_goals()["tower_blue_red_green"]
+    for arg in ("--goal", f"{literal.atom.name}({','.join(literal.atom.args)})")
+]
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    assert main(["gen-traces", "--out", str(root / "traces")]) == EXIT_OK
+    traces = sorted(str(p) for p in (root / "traces").glob("p*.json"))
+    (root / "faults.json").write_text(json.dumps([{"step": 2, "mode": "drop_effects"}]))
+    code = main(
+        [
+            "pipeline",
+            *traces,
+            "--init", str(root / "traces" / "init.json"),
+            *GOAL_ARGS,
+            "--faults", str(root / "faults.json"),
+            "--out", str(root / "out"),
+        ]
+    )
+    assert code == EXIT_OK
+    return root
+
+
+@pytest.mark.parametrize("name", ARTIFACTS)
+def test_pipeline_artifact_matches_golden(run, name):
+    assert (run / "out" / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_library_and_pddl_planning_agree_with_the_golden_plan(run, capsys):
+    out = run / "out"
+    capsys.readouterr()
+    code = main(
+        ["plan", "--library", str(out / "library.json"),
+         "--init", str(run / "traces" / "init.json"), *GOAL_ARGS]
+    )
+    assert code == EXIT_OK
+    library_plan = capsys.readouterr().out
+    assert library_plan == (GOLDEN / "plan.json").read_text()
+
+    code = main(["plan", "--domain", str(out / "domain.pddl"), "--problem", str(out / "problem.pddl")])
+    assert code == EXIT_OK
+    pddl_plan = json.loads(capsys.readouterr().out)
+    expected = json.loads(library_plan)
+    init_objects = [o["id"] for o in json.loads((run / "traces" / "init.json").read_text())["objects"]]
+    names = library_name_map(load_library(out / "library.json")).extended(init_objects)
+    for action in expected["actions"]:
+        action["name"] = names.pddl(action["name"])
+        action["objects"] = [names.pddl(o) for o in action["objects"]]
+    assert pddl_plan == expected
