@@ -33,6 +33,7 @@ from .errors import (
 )
 from .learning import (
     OperatorLibrary,
+    TraceReport,
     learn_from_trace,
     load_library,
     save_library,
@@ -45,8 +46,18 @@ from .model import (
     atom_from_list,
     check_atom_types,
     literal_to_list,
+    read_json,
+    read_text,
 )
-from .monitor import MonitorConfig, WorldSim, execute, format_transcript, load_faults, log_to_dict
+from .monitor import (
+    ExecutionLog,
+    MonitorConfig,
+    WorldSim,
+    execute,
+    format_transcript,
+    load_faults,
+    log_to_dict,
+)
 from .pddl import emit_domain, emit_problem, parse_domain, parse_problem
 from .planner import (
     DEFAULT_NODE_LIMIT,
@@ -58,7 +69,7 @@ from .planner import (
 )
 from .segmentation import DEFAULT_RULES, load_rules
 from .synth import corpus, corpus_goals, initial_state, inject_flicker, planning_objects
-from .traces import DebounceConfig, load_trace, save_trace
+from .traces import DebounceConfig, _types_from_json, load_trace, save_trace
 
 EXIT_OK = 0
 EXIT_UNSOLVABLE = 2
@@ -98,23 +109,18 @@ def parse_literal_text(text: str, vocabulary: Vocabulary) -> Literal:
 
 def load_init(path, vocabulary: Vocabulary, types) -> tuple[list[ObjectInstance], State]:
     """Read an initial-state file: {"objects": [{id,type}...], "atoms": [[...]...]}."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "objects" not in payload or "atoms" not in payload:
-        raise ParseError(f"{path}: expected top-level keys 'objects' and 'atoms'")
-    objects = []
-    for entry in payload["objects"]:
-        try:
-            objects.append(ObjectInstance(entry["id"], entry["type"]))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path}: bad object entry {entry!r}: {exc}") from exc
-    table = types.with_instances(objects)
-    atoms = [atom_from_list(entry, vocabulary) for entry in payload["atoms"]]
-    for atom in atoms:
-        check_atom_types(atom, table)
-    return objects, State.of(atoms)
+
+    def decode(payload) -> tuple[list[ObjectInstance], State]:
+        if not isinstance(payload, dict) or "objects" not in payload or "atoms" not in payload:
+            raise ParseError("expected top-level keys 'objects' and 'atoms'")
+        objects = _types_from_json(payload["objects"], None).objects()
+        table = types.with_instances(objects)
+        atoms = [atom_from_list(entry, vocabulary) for entry in payload["atoms"]]
+        for atom in atoms:
+            check_atom_types(atom, table)
+        return objects, State.of(atoms)
+
+    return read_json(path, decode)
 
 
 def _out_dir(value: Optional[str]) -> Path:
@@ -139,19 +145,55 @@ def _dump(payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# learn
+# shared steps: learn, build a task, execute
 
 
-def cmd_learn(args) -> int:
+def _learn(args, library=None) -> tuple[OperatorLibrary, list[TraceReport]]:
+    """Learn the traces of ``args`` into ``library``, or into a fresh one."""
     rules = load_rules(args.rules) if args.rules else DEFAULT_RULES
     config = DebounceConfig(window=args.debounce)
-    lib_path = Path(args.library)
-    library = load_library(lib_path) if lib_path.exists() else None
+    reports = []
     for trace_path in args.traces:
         trace = load_trace(trace_path)
         if library is None:
             library = OperatorLibrary.empty(trace.vocabulary, trace.types)
-        report = learn_from_trace(library, trace, rules, config, source=str(trace_path))
+        reports.append(learn_from_trace(library, trace, rules, config, source=str(trace_path)))
+    if library is None:
+        raise ValidationError("no traces supplied")
+    return library, reports
+
+
+def _library_task(args, library: OperatorLibrary):
+    """Objects, initial state, goal, and grounded actions from --init/--goal."""
+    objects, init = load_init(args.init, library.vocabulary, library.types)
+    if not args.goal:
+        raise ValidationError("at least one --goal literal is required")
+    goal = [parse_literal_text(text, library.vocabulary) for text in args.goal]
+    table = library.types.with_instances(objects)
+    for literal in goal:
+        check_atom_types(literal.atom, table)
+    cost_model = None if args.unit_costs else derive_costs(library)
+    actions = ground(library, objects, cost_model, args.allow_repeated_bindings)
+    return objects, init, goal, actions
+
+
+def _execute(args, library, objects, init, goal, actions, plan_: Plan) -> ExecutionLog:
+    """Run a plan in a simulated world with the --faults script, replanning as needed."""
+    table = library.types.with_instances(objects)
+    faults = load_faults(args.faults, library.vocabulary, table) if args.faults else []
+    config = MonitorConfig(max_replans=args.max_replans, node_limit=args.node_limit,
+                           heuristic=args.heuristic)
+    return execute(plan_, WorldSim(init, faults), goal, actions, config)
+
+
+# ---------------------------------------------------------------------------
+# learn
+
+
+def cmd_learn(args) -> int:
+    lib_path = Path(args.library)
+    library, reports = _learn(args, load_library(lib_path) if lib_path.exists() else None)
+    for report in reports:
         line = (
             f"{report.source}: {len(report.segments)} segments, "
             f"{len(report.added)} new, {len(report.incremented)} reobserved"
@@ -159,8 +201,6 @@ def cmd_learn(args) -> int:
         if report.dropped_no_effect:
             line += f", {report.dropped_no_effect} dropped (no effect)"
         print(line)
-    if library is None:
-        raise ValidationError("no traces supplied")
     save_library(library, lib_path)
     names = library.variant_names()
     costs = derive_costs(library).costs
@@ -174,21 +214,6 @@ def cmd_learn(args) -> int:
 # plan
 
 
-def _library_task(args):
-    """Objects, initial state, goal, and grounded actions from --library/--init/--goal."""
-    library = load_library(args.library)
-    objects, init = load_init(args.init, library.vocabulary, library.types)
-    if not args.goal:
-        raise ValidationError("at least one --goal literal is required")
-    goal = [parse_literal_text(text, library.vocabulary) for text in args.goal]
-    table = library.types.with_instances(objects)
-    for literal in goal:
-        check_atom_types(literal.atom, table)
-    cost_model = None if args.unit_costs else derive_costs(library)
-    actions = ground(library, objects, cost_model, args.allow_repeated_bindings)
-    return library, objects, init, goal, actions
-
-
 def cmd_plan(args) -> int:
     if args.domain or args.problem:
         if not (args.domain and args.problem):
@@ -197,13 +222,13 @@ def cmd_plan(args) -> int:
             raise ValidationError("PDDL planning takes its task from the problem file")
         if args.unit_costs:
             raise ValidationError("--unit-costs only applies to --library planning")
-        domain = parse_domain(Path(args.domain).read_text())
-        problem = parse_problem(Path(args.problem).read_text(), domain)
+        domain = parse_domain(read_text(args.domain))
+        problem = parse_problem(read_text(args.problem), domain)
         actions, init, goal = task_from_docs(domain, problem, args.allow_repeated_bindings)
     else:
         if not args.library:
             raise ValidationError("either --library or --domain/--problem is required")
-        _, _, init, goal, actions = _library_task(args)
+        _, init, goal, actions = _library_task(args, load_library(args.library))
     plan_ = plan(actions, init, goal, node_limit=args.node_limit, heuristic=args.heuristic)
     text = _dump(_plan_payload(plan_))
     sys.stdout.write(text)
@@ -217,22 +242,13 @@ def cmd_plan(args) -> int:
 
 
 def cmd_execute(args) -> int:
-    library, objects, init, goal, actions = _library_task(args)
+    library = load_library(args.library)
+    objects, init, goal, actions = _library_task(args, library)
     plan_ = plan(actions, init, goal, node_limit=args.node_limit, heuristic=args.heuristic)
     if plan_ is None:
         print("no plan reaches the goal from the initial state")
         return EXIT_UNSOLVABLE
-    faults = []
-    if args.faults:
-        table = library.types.with_instances(objects)
-        faults = load_faults(args.faults, library.vocabulary, table)
-    sim = WorldSim(init, faults)
-    config = MonitorConfig(
-        max_replans=args.max_replans,
-        node_limit=args.node_limit,
-        heuristic=args.heuristic,
-    )
-    log = execute(plan_, sim, goal, actions, config)
+    log = _execute(args, library, objects, init, goal, actions, plan_)
     sys.stdout.write(format_transcript(log))
     if args.out:
         Path(args.out).write_text(_dump(log_to_dict(log)))
@@ -246,34 +262,15 @@ def cmd_execute(args) -> int:
 def cmd_pipeline(args) -> int:
     out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rules = load_rules(args.rules) if args.rules else DEFAULT_RULES
-    config = DebounceConfig(window=args.debounce)
-
-    library: Optional[OperatorLibrary] = None
-    for trace_path in args.traces:
-        trace = load_trace(trace_path)
-        if library is None:
-            library = OperatorLibrary.empty(trace.vocabulary, trace.types)
-        learn_from_trace(library, trace, rules, config, source=str(trace_path))
-    if library is None:
-        raise ValidationError("no traces supplied")
+    library, _ = _learn(args)
     save_library(library, out / "library.json")
     print(f"library: {len(library.operators)} operators -> {out / 'library.json'}")
 
-    costs = derive_costs(library)
-    (out / "domain.pddl").write_text(emit_domain(library, costs.costs))
-    objects, init = load_init(args.init, library.vocabulary, library.types)
-    if not args.goal:
-        raise ValidationError("at least one --goal literal is required")
-    goal = [parse_literal_text(text, library.vocabulary) for text in args.goal]
-    table = library.types.with_instances(objects)
-    for literal in goal:
-        check_atom_types(literal.atom, table)
+    (out / "domain.pddl").write_text(emit_domain(library, derive_costs(library).costs))
+    objects, init, goal, actions = _library_task(args, library)
     (out / "problem.pddl").write_text(emit_problem(library, objects, init, goal))
     print(f"pddl: {out / 'domain.pddl'}, {out / 'problem.pddl'}")
 
-    cost_model = None if args.unit_costs else costs
-    actions = ground(library, objects, cost_model, args.allow_repeated_bindings)
     plan_ = plan(actions, init, goal, node_limit=args.node_limit, heuristic=args.heuristic)
     (out / "plan.json").write_text(_dump(_plan_payload(plan_)))
     if plan_ is None:
@@ -281,14 +278,7 @@ def cmd_pipeline(args) -> int:
         return EXIT_UNSOLVABLE
     print(f"plan: {len(plan_.actions)} steps, cost {plan_.total_cost} -> {out / 'plan.json'}")
 
-    faults = load_faults(args.faults, library.vocabulary, table) if args.faults else []
-    sim = WorldSim(init, faults)
-    monitor_config = MonitorConfig(
-        max_replans=args.max_replans,
-        node_limit=args.node_limit,
-        heuristic=args.heuristic,
-    )
-    log = execute(plan_, sim, goal, actions, monitor_config)
+    log = _execute(args, library, objects, init, goal, actions, plan_)
     (out / "execution.json").write_text(_dump(log_to_dict(log)))
     (out / "transcript.txt").write_text(format_transcript(log))
     print(f"execution: {log.outcome}" + (f" ({log.reason})" if log.reason else ""))

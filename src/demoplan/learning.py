@@ -7,7 +7,9 @@ post-state.  Negative literals are admitted only for atoms that are true
 somewhere in the trace, which keeps never-observed facts out of the operators.
 Lifting replaces instances by typed variables; operators are identified up to
 variable renaming through a canonical key, and re-observing one increments its
-count instead of adding a duplicate.
+count instead of adding a duplicate. The key costs a search over parameter
+permutations, so every operator computes it once: lift() hands over the key it
+found, and any other construction computes it in __post_init__.
 """
 
 from __future__ import annotations
@@ -17,21 +19,22 @@ import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import NoEffectSegment, ParseError, SchemaError, ValidationError
 from .model import (
+    ActionSchema,
     GroundAtom,
     Literal,
-    PredicateSignature,
     TypeTable,
     Vocabulary,
     enumerate_atoms,
     literal_from_list,
     literal_to_list,
+    read_json,
 )
 from .segmentation import ClassifierRule, Segment, segment as segment_trace
-from .traces import DebounceConfig, Trace, debounce
+from .traces import DebounceConfig, Trace, _vocabulary_from_json, debounce
 
 logger = logging.getLogger(__name__)
 
@@ -68,13 +71,18 @@ class GroundedOperator:
 
 @dataclass(frozen=True)
 class LiftedOperator:
-    """An operator over typed variables, with an observation count."""
+    """An operator over typed variables, with an observation count.
+
+    ``key`` is the canonical key, left out of equality. dataclasses.replace
+    carries it over unchanged, so replace only the count.
+    """
 
     name: str
     params: tuple[tuple[str, str], ...]  # (variable, type_id), canonical order
     pre: frozenset[Literal]
     post: frozenset[Literal]
     count: int = 1
+    key: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple((v, t) for v, t in self.params))
@@ -93,6 +101,9 @@ class LiftedOperator:
             raise ValidationError(f"operator {self.name!r} has no effect")
         if self.count < 1:
             raise ValidationError(f"operator {self.name!r} needs a positive count")
+        if not self.key:
+            key = _canonical_form(self.name, self.params, self.pre, self.post)[3]
+            object.__setattr__(self, "key", key)
 
     def delta(self) -> tuple[frozenset[GroundAtom], frozenset[GroundAtom]]:
         """Added and deleted atoms: the post literals absent from the preconditions."""
@@ -208,14 +219,13 @@ def _canonical_form(
 def lift(op: GroundedOperator, types: TypeTable) -> LiftedOperator:
     """Replace instances by typed variables and put the result in canonical form."""
     entries = [(obj, types.type_of(obj)) for obj in op.objects]
-    params, pre, post, _ = _canonical_form(op.name, entries, op.pre, op.post)
-    return LiftedOperator(name=op.name, params=params, pre=pre, post=post, count=1)
+    params, pre, post, key = _canonical_form(op.name, entries, op.pre, op.post)
+    return LiftedOperator(name=op.name, params=params, pre=pre, post=post, count=1, key=key)
 
 
 def canonical_key(op: LiftedOperator) -> str:
     """The renaming-invariant identity of an operator inside a library."""
-    _, _, _, key = _canonical_form(op.name, op.params, op.pre, op.post)
-    return key
+    return op.key
 
 
 @dataclass
@@ -252,6 +262,18 @@ class OperatorLibrary:
                 names[key] = label if i == 0 else f"{label}_{i + 1}"
         return names
 
+    def schemas(self, costs: Optional[Mapping[str, int]] = None) -> list[ActionSchema]:
+        """One action schema per operator under its variant name, sorted by
+        name. ``costs`` maps canonical keys to costs; without it every
+        action costs 1."""
+        names = self.variant_names()
+        schemas = []
+        for key, op in self.sorted_items():
+            adds, dels = op.delta()
+            cost = 1 if costs is None else costs[key]
+            schemas.append(ActionSchema(names[key], op.params, op.pre, adds, dels, cost))
+        return sorted(schemas, key=lambda s: s.name)
+
     def absorb_schema(self, vocabulary: Vocabulary, types: TypeTable) -> None:
         """Extend the library schema; conflicting declarations raise SchemaError."""
         self.vocabulary = self.vocabulary.merged(vocabulary)
@@ -275,12 +297,11 @@ class OperatorLibrary:
 def merge(library: OperatorLibrary, op: LiftedOperator) -> OperatorLibrary:
     """Add a canonicalized operator, or bump the count of its twin."""
     library._check_schema(op)
-    key = canonical_key(op)
-    existing = library.operators.get(key)
+    existing = library.operators.get(op.key)
     if existing is None:
-        library.operators[key] = op
+        library.operators[op.key] = op
     else:
-        library.operators[key] = replace(existing, count=existing.count + op.count)
+        library.operators[op.key] = replace(existing, count=existing.count + op.count)
     return library
 
 
@@ -315,11 +336,10 @@ def learn_from_trace(
             report.dropped_no_effect += 1
             continue
         lifted = lift(grounded, cleaned.types)
-        key = canonical_key(lifted)
-        known = key in library.operators
+        known = lifted.key in library.operators
         merge(library, lifted)
         names = library.variant_names()
-        label = f"{names[key]} (count {library.operators[key].count})"
+        label = f"{names[lifted.key]} (count {library.operators[lifted.key].count})"
         (report.incremented if known else report.added).append(label)
     return report
 
@@ -374,38 +394,40 @@ def library_from_dict(payload: dict) -> OperatorLibrary:
     for required in ("vocabulary", "types", "operators"):
         if required not in payload:
             raise ParseError(f"library is missing required key {required!r}")
+    vocabulary = _vocabulary_from_json(payload["vocabulary"])
+    raw_types = payload["types"]
+    if not isinstance(raw_types, dict) or not isinstance(raw_types.get("parents", {}), dict):
+        raise ParseError("library 'types' must be an object with a 'parents' object")
     try:
-        vocabulary = Vocabulary(
-            tuple(
-                PredicateSignature(e["name"], tuple(e["arg_types"]))
-                for e in payload["vocabulary"]
-            )
-        )
-        types = TypeTable(
-            {},
-            payload["types"].get("parents", {}),
-            frozenset(payload["types"].get("all", ())),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad library schema: {exc}") from exc
+        types = TypeTable({}, raw_types.get("parents", {}), frozenset(raw_types.get("all", ())))
+    except TypeError as exc:
+        raise ParseError(f"bad library types: {exc}") from exc
+    if not isinstance(payload["operators"], list):
+        raise ParseError("library 'operators' must be a list")
 
     library = OperatorLibrary(vocabulary=vocabulary, types=types)
-    for entry in payload["operators"]:
+    for i, entry in enumerate(payload["operators"]):
         try:
+            params = entry["params"]
+            if not all(isinstance(p, list) and len(p) == 2 for p in params):
+                raise ParseError("each parameter must be a [variable, type] pair")
+            if isinstance(entry["count"], bool) or not isinstance(entry["count"], int):
+                raise ParseError(f"count must be an integer, got {entry['count']!r}")
             op = LiftedOperator(
                 name=entry["name"],
-                params=tuple((v, t) for v, t in entry["params"]),
+                params=tuple((v, t) for v, t in params),
                 pre=frozenset(literal_from_list(l, vocabulary) for l in entry["pre"]),
                 post=frozenset(literal_from_list(l, vocabulary) for l in entry["post"]),
-                count=int(entry["count"]),
+                count=entry["count"],
             )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad operator entry {entry!r}: {exc}") from exc
-        key = canonical_key(op)
-        if key in library.operators:
-            raise SchemaError(f"library file repeats operator {entry['name']!r} (key {key!r})")
+        except KeyError as exc:
+            raise ParseError(f"operator {i}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"operator {i}: {exc}") from exc
+        if op.key in library.operators:
+            raise SchemaError(f"library file repeats operator {op.name!r} (key {op.key!r})")
         library._check_schema(op)
-        library.operators[key] = op
+        library.operators[op.key] = op
     return library
 
 
@@ -414,8 +436,4 @@ def save_library(library: OperatorLibrary, path: str | Path) -> None:
 
 
 def load_library(path: str | Path) -> OperatorLibrary:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    return library_from_dict(payload)
+    return read_json(path, library_from_dict)

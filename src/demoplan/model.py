@@ -1,4 +1,6 @@
-"""Core symbolic model: typed objects, ground atoms, literals, and states.
+"""Core symbolic model: typed objects, ground atoms, literals, states, and
+lifted action schemas, plus the JSON codecs and file readers every input
+format shares.
 
 States follow the closed-world convention: only true atoms are stored, and any
 well-typed atom missing from the set is false.  Every type in this module is an
@@ -8,11 +10,13 @@ immutable value, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .errors import InvalidEffect, SchemaError, ValidationError
+from .errors import InvalidEffect, ParseError, SchemaError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,30 @@ def apply(state: State, adds: Iterable[GroundAtom], dels: Iterable[GroundAtom]) 
     if clash:
         raise InvalidEffect(f"effect both adds and deletes {sorted(map(repr, clash))}")
     return State((state.true_atoms - dels) | adds)
+
+
+@dataclass(frozen=True)
+class ActionSchema:
+    """A lifted action: typed parameters, preconditions, add and delete
+    effects over the parameter variables, and a positive integer cost.
+
+    A learned library (``OperatorLibrary.schemas``) and a parsed PDDL domain
+    (``DomainDoc.actions``) both hold actions in this one form, so both are
+    grounded the same way.
+    """
+
+    name: str
+    params: tuple[tuple[str, str], ...]  # (variable, type_id)
+    pre: frozenset[Literal]
+    adds: frozenset[GroundAtom]
+    dels: frozenset[GroundAtom]
+    cost: int = 1
+
+    def __post_init__(self):
+        if not isinstance(self.cost, int) or self.cost < 1:
+            raise ValidationError(
+                f"cost of action {self.name!r} must be a positive integer, got {self.cost!r}"
+            )
 
 
 @dataclass(frozen=True, eq=True)
@@ -274,14 +302,6 @@ def check_atom_types(atom: GroundAtom, types: TypeTable) -> None:
             raise TypeError(f"{atom!r}: argument {arg!r} has type {actual!r}, expected {expected!r}")
 
 
-def well_typed(atom: GroundAtom, types: TypeTable) -> bool:
-    try:
-        check_atom_types(atom, types)
-    except TypeError:
-        return False
-    return True
-
-
 def enumerate_atoms(
     vocabulary: Vocabulary, object_ids: Sequence[str], types: TypeTable
 ) -> Iterator[GroundAtom]:
@@ -326,3 +346,29 @@ def literal_from_list(entry: Sequence[str], vocabulary: Vocabulary) -> Literal:
     if entry[0] == NEGATION_MARK:
         return Literal(atom_from_list(entry[1:], vocabulary), positive=False)
     return Literal(atom_from_list(entry, vocabulary), positive=True)
+
+
+# Every input file is read through these two helpers, so a file that is not
+# UTF-8 or not JSON is a ParseError that names it, like any other bad input.
+
+T = TypeVar("T")
+
+
+def read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
+def read_json(path: str | Path, decode: Callable[[Any], T]) -> T:
+    """Parse a JSON file and hand the payload to ``decode``; a ParseError
+    from ``decode`` is re-raised with the file name in front."""
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return decode(payload)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc

@@ -10,7 +10,6 @@ effects in place of the action's own.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -27,6 +26,7 @@ from .model import (
     atom_to_list,
     check_atom_types,
     holds,
+    read_json,
 )
 from .planner import DEFAULT_NODE_LIMIT, GroundedAction, Plan, _Task, check_node_limit
 
@@ -84,10 +84,9 @@ def faults_from_list(
 
 
 def load_faults(
-    path, vocabulary: Vocabulary, types: Optional[TypeTable] = None
+    path: str | Path, vocabulary: Vocabulary, types: Optional[TypeTable] = None
 ) -> list[Fault]:
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        return faults_from_list(json.load(fh), vocabulary, types)
+    return read_json(path, lambda raw: faults_from_list(raw, vocabulary, types))
 
 
 class WorldSim:

@@ -11,6 +11,11 @@ through a NameMap; the map is persisted with the library so parsed files can
 be restored to their original spelling. Rendering is deterministic: sections
 are sorted line-by-line and indentation is two spaces, which makes emitted
 text byte-stable across runs.
+
+A domain document holds its actions as model.ActionSchema, the same form a
+library hands to the planner, so an emitted and re-parsed domain plans
+exactly like the library it came from. A problem is parsed against its
+domain: predicates, types and argument types all come from there.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .errors import (
 )
 from .learning import OperatorLibrary
 from .model import (
+    ActionSchema,
     GroundAtom,
     Literal,
     ObjectInstance,
@@ -82,10 +88,6 @@ class NameMap:
             pairs.append((name, pddl))
         return NameMap(tuple(pairs))
 
-    @staticmethod
-    def from_dict(mapping: Mapping[str, str]) -> "NameMap":
-        return NameMap(tuple(sorted(mapping.items())))
-
 
 def _mangle(name: str) -> str:
     out = _INVALID_CHARS.sub("_", name.lower())
@@ -117,23 +119,11 @@ def library_name_map(library: OperatorLibrary) -> NameMap:
 
 
 @dataclass(frozen=True)
-class ActionDoc:
-    """One :action block, held in original-case names."""
-
-    name: str
-    params: tuple[tuple[str, str], ...]
-    pre: tuple[Literal, ...]
-    adds: tuple[GroundAtom, ...]
-    dels: tuple[GroundAtom, ...]
-    cost: int = 1
-
-
-@dataclass(frozen=True)
 class DomainDoc:
     name: str
     types: tuple[tuple[str, Optional[str]], ...]
     predicates: tuple[PredicateSignature, ...]
-    actions: tuple[ActionDoc, ...]
+    actions: tuple[ActionSchema, ...]  # sorted by name, original-case names
     requirements: tuple[str, ...] = REQUIREMENTS
 
     def vocabulary(self) -> Vocabulary:
@@ -160,23 +150,6 @@ def domain_to_doc(
     """Build the document form of a library; costs default to 1 per action."""
     if not library.operators:
         raise EmptyDomain("cannot emit a domain from an empty operator library")
-    names = library.variant_names()
-    actions = []
-    for key, op in library.sorted_items():
-        adds, dels = op.delta()
-        cost = 1 if costs is None else costs[key]
-        if not isinstance(cost, int) or cost < 1:
-            raise ValidationError(f"cost for {key!r} must be a positive integer")
-        actions.append(
-            ActionDoc(
-                name=names[key],
-                params=op.params,
-                pre=tuple(sorted(op.pre, key=Literal.sort_key)),
-                adds=tuple(sorted(adds, key=GroundAtom.sort_key)),
-                dels=tuple(sorted(dels, key=GroundAtom.sort_key)),
-                cost=cost,
-            )
-        )
     types = tuple(
         sorted((t, library.types.type_to_parent.get(t)) for t in library.types.types)
     )
@@ -184,7 +157,7 @@ def domain_to_doc(
         name=name,
         types=types,
         predicates=library.vocabulary.signatures,
-        actions=tuple(sorted(actions, key=lambda a: a.name)),
+        actions=tuple(library.schemas(costs)),
     )
 
 
@@ -489,19 +462,15 @@ _CONDITION_UNSUPPORTED = {"forall", "exists", "when", "or", "imply", "oneof", "e
 @dataclass
 class _ParseScope:
     """What literals are checked against: known predicates, a name-restoring
-    map, the type of each legal argument, and an optional subtype relation."""
+    map, the type of each legal argument, and the domain's subtype relation."""
 
     vocabulary: Vocabulary
     nm: Optional[NameMap]
     arg_types: Mapping[str, str]
-    table: Optional[TypeTable] = None
+    table: TypeTable
 
     def compatible(self, actual: str, expected: str) -> bool:
-        if expected == "object" or actual == "object":
-            return True
-        if self.table is not None and actual in self.table.types and expected in self.table.types:
-            return self.table.is_subtype(actual, expected)
-        return actual == expected
+        return "object" in (actual, expected) or self.table.is_subtype(actual, expected)
 
 
 def _parse_literal(tree: _Tree, scope: _ParseScope) -> Literal:
@@ -558,24 +527,29 @@ def _conjunction(tree: _Tree, scope: _ParseScope) -> list[Literal]:
     return [_parse_literal(tree, scope)]
 
 
-def parse_domain(text: str, name_map: Optional[NameMap] = None) -> DomainDoc:
-    """Parse a domain file; raises PddlSyntaxError / UnsupportedFeature /
-    ValidationError depending on what is wrong."""
+def _define(text: str, kind: str, nm: Optional[NameMap]) -> tuple[str, list]:
+    """The name and the remaining sections of ``(define (<kind> <name>) ...)``."""
     tree = _read_all(text)
     if _head(tree) != "define":
         line, column = _where(tree)
         raise PddlSyntaxError("expected (define ...)", line=line, column=column)
     sections = tree[1:]
-    if not sections or _head(sections[0]) != "domain" or len(sections[0]) != 2:
+    if not sections or _head(sections[0]) != kind or len(sections[0]) != 2:
         line, column = _where(tree)
-        raise PddlSyntaxError("expected (domain <name>)", line=line, column=column)
-    domain_name = _restore(_symbol(sections[0][1], "domain name"), name_map)
+        raise PddlSyntaxError(f"expected ({kind} <name>)", line=line, column=column)
+    return _restore(_symbol(sections[0][1], f"{kind} name"), nm), sections[1:]
+
+
+def parse_domain(text: str, name_map: Optional[NameMap] = None) -> DomainDoc:
+    """Parse a domain file; raises PddlSyntaxError / UnsupportedFeature /
+    ValidationError depending on what is wrong."""
+    domain_name, sections = _define(text, "domain", name_map)
 
     requirements: tuple[str, ...] = REQUIREMENTS
     types: list[tuple[str, Optional[str]]] = []
     predicates: list[PredicateSignature] = []
-    actions: list[ActionDoc] = []
-    for section in sections[1:]:
+    actions: list[ActionSchema] = []
+    for section in sections:
         head = _head(section)
         if head == ":requirements":
             seen = []
@@ -638,7 +612,7 @@ def _parse_action(
     predicates: Sequence[PredicateSignature],
     types: Sequence[tuple[str, Optional[str]]],
     nm: Optional[NameMap],
-) -> ActionDoc:
+) -> ActionSchema:
     if len(section) < 2:
         line, column = _where(section)
         raise PddlSyntaxError("action needs a name", line=line, column=column)
@@ -682,13 +656,8 @@ def _parse_action(
     scope = _ParseScope(vocabulary, nm, param_types, table)
     pre = _conjunction(body[":precondition"], scope)
     adds, dels, cost = _parse_effect(body[":effect"], scope)
-    return ActionDoc(
-        name=name,
-        params=tuple(params),
-        pre=tuple(sorted(pre, key=Literal.sort_key)),
-        adds=tuple(sorted(adds, key=GroundAtom.sort_key)),
-        dels=tuple(sorted(dels, key=GroundAtom.sort_key)),
-        cost=cost,
+    return ActionSchema(
+        name, tuple(params), frozenset(pre), frozenset(adds), frozenset(dels), cost
     )
 
 
@@ -732,27 +701,17 @@ def _parse_cost(tree: list) -> int:
 
 def parse_problem(
     text: str,
-    domain: Optional[DomainDoc] = None,
+    domain: DomainDoc,
     name_map: Optional[NameMap] = None,
 ) -> ProblemDoc:
-    """Parse a problem file. With a domain given, predicates and types are
-    resolved against it; without one, signatures are reconstructed from the
-    declared object types."""
-    tree = _read_all(text)
-    if _head(tree) != "define":
-        line, column = _where(tree)
-        raise PddlSyntaxError("expected (define ...)", line=line, column=column)
-    sections = tree[1:]
-    if not sections or _head(sections[0]) != "problem" or len(sections[0]) != 2:
-        line, column = _where(tree)
-        raise PddlSyntaxError("expected (problem <name>)", line=line, column=column)
-    problem_name = _restore(_symbol(sections[0][1], "problem name"), name_map)
+    """Parse a problem file, resolving predicates and types against its domain."""
+    problem_name, sections = _define(text, "problem", name_map)
 
     domain_name = ""
     objects: list[tuple[str, str]] = []
     init_section: Optional[list] = None
     goal_section: Optional[_Tree] = None
-    for section in sections[1:]:
+    for section in sections:
         head = _head(section)
         if head == ":domain":
             if len(section) != 2:
@@ -779,14 +738,8 @@ def parse_problem(
     if len(set(o for o, _ in objects)) != len(objects):
         raise ValidationError("duplicate object declarations")
 
-    object_types = dict(objects)
-    if domain is not None:
-        vocabulary = domain.vocabulary()
-        table = domain.type_table().with_instances(ObjectInstance(o, t) for o, t in objects)
-    else:
-        vocabulary = _infer_vocabulary(init_section, goal_section, object_types, name_map)
-        table = None
-    scope = _ParseScope(vocabulary, name_map, object_types, table)
+    table = domain.type_table().with_instances(ObjectInstance(o, t) for o, t in objects)
+    scope = _ParseScope(domain.vocabulary(), name_map, dict(objects), table)
 
     init_atoms = []
     for item in init_section:
@@ -825,52 +778,3 @@ def _check_total_cost_init(item: list) -> None:
     tok = _symbol(item[2], "fluent value")
     if tok.text != "0":
         raise UnsupportedFeature("(total-cost) must start at 0")
-
-
-def _infer_vocabulary(
-    init_section: Sequence[_Tree],
-    goal_section: _Tree,
-    object_types: Mapping[str, str],
-    nm: Optional[NameMap],
-) -> Vocabulary:
-    """Without a domain, derive each predicate's signature from its uses.
-
-    Argument positions filled with several different object types widen to
-    ``object``: the real signature lives in the domain file and cannot be
-    recovered here, but atoms still parse and render faithfully.
-    """
-    uses: dict[str, list[tuple[str, ...]]] = {}
-
-    def visit(tree: _Tree) -> None:
-        if not isinstance(tree, list) or not tree:
-            return
-        head = _head(tree)
-        if head in ("and", "not"):
-            for sub in tree[1:]:
-                visit(sub)
-            return
-        if head in ("=",):
-            return
-        name = _restore(_symbol(tree[0], "predicate name"), nm)
-        arg_types = []
-        for sub in tree[1:]:
-            arg = _restore(_symbol(sub, "argument"), nm)
-            if arg not in object_types:
-                raise ValidationError(f"undeclared object {arg!r} in problem body")
-            arg_types.append(object_types[arg])
-        uses.setdefault(name, []).append(tuple(arg_types))
-
-    for item in init_section:
-        visit(item)
-    visit(goal_section)
-
-    signatures = []
-    for name, seen in sorted(uses.items()):
-        arities = {len(s) for s in seen}
-        if len(arities) != 1:
-            raise ValidationError(f"predicate {name!r} used with different arities")
-        merged = tuple(
-            column[0] if len(set(column)) == 1 else "object" for column in zip(*seen)
-        ) if seen[0] else ()
-        signatures.append(PredicateSignature(name, merged))
-    return Vocabulary(tuple(signatures))

@@ -2,7 +2,9 @@
 
 Costs come from observation counts: cost(op) = max_count - count(op) + 1, so
 the most frequently demonstrated operator costs 1 and rarities cost more.
-A grounded action set is compiled once to integer bitmasks over the atoms its
+A learned library and a parsed PDDL domain both reach grounding as the same
+ActionSchema list (OperatorLibrary.schemas, DomainDoc.actions), so there is
+one grounding path. A grounded action set is compiled once to integer bitmasks over the atoms its
 actions mention; a goal literal on any other atom is static and is decided
 against the initial state before searching. Search is uniform-cost (A* with a
 zero heuristic) over closed-world states, with an optional admissible h_max
@@ -20,8 +22,17 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidEffect, SearchLimitExceeded, ValidationError
-from .learning import LiftedOperator, OperatorLibrary
-from .model import GroundAtom, Literal, ObjectInstance, State, TypeTable, apply, holds
+from .learning import OperatorLibrary
+from .model import (
+    ActionSchema,
+    GroundAtom,
+    Literal,
+    ObjectInstance,
+    State,
+    TypeTable,
+    apply,
+    holds,
+)
 
 DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -48,18 +59,6 @@ def derive_costs(library: OperatorLibrary) -> CostModel:
         return CostModel({})
     top = max(op.count for op in library.operators.values())
     return CostModel({key: top - op.count + 1 for key, op in library.operators.items()})
-
-
-@dataclass(frozen=True)
-class ActionSchema:
-    """A lifted action ready for grounding: preconditions plus add/delete deltas."""
-
-    name: str
-    params: tuple[tuple[str, str], ...]
-    pre: frozenset[Literal]
-    adds: frozenset[GroundAtom]
-    dels: frozenset[GroundAtom]
-    cost: int
 
 
 @dataclass(frozen=True)
@@ -98,19 +97,6 @@ class Plan:
         object.__setattr__(self, "actions", tuple(self.actions))
         if self.total_cost != sum(a.cost for a in self.actions):
             raise ValidationError("plan total_cost does not match its actions")
-
-
-def schemas_from_library(
-    library: OperatorLibrary, cost_model: Optional[CostModel] = None
-) -> list[ActionSchema]:
-    """One schema per operator, named uniquely; unit costs if no model given."""
-    names = library.variant_names()
-    schemas = []
-    for key, op in library.sorted_items():
-        adds, dels = op.delta()
-        cost = 1 if cost_model is None else cost_model.cost(key)
-        schemas.append(ActionSchema(names[key], op.params, op.pre, adds, dels, cost))
-    return sorted(schemas, key=lambda s: s.name)
 
 
 def _substitute_atom(atom: GroundAtom, binding: Mapping[str, str]) -> GroundAtom:
@@ -155,28 +141,9 @@ def ground(
     cost_model: Optional[CostModel] = None,
     allow_repeated_bindings: bool = False,
 ) -> list[GroundedAction]:
-    return ground_schemas(
-        schemas_from_library(library, cost_model),
-        objects,
-        library.types,
-        allow_repeated_bindings,
-    )
-
-
-def schemas_from_docs(domain_doc) -> list[ActionSchema]:
-    """Adapt a parsed domain document (see the pddl module) for grounding."""
-    schemas = [
-        ActionSchema(
-            name=a.name,
-            params=tuple(a.params),
-            pre=frozenset(a.pre),
-            adds=frozenset(a.adds),
-            dels=frozenset(a.dels),
-            cost=a.cost,
-        )
-        for a in domain_doc.actions
-    ]
-    return sorted(schemas, key=lambda s: s.name)
+    """Ground every operator of a library; unit costs if no model is given."""
+    costs = None if cost_model is None else cost_model.costs
+    return ground_schemas(library.schemas(costs), objects, library.types, allow_repeated_bindings)
 
 
 def task_from_docs(
@@ -185,10 +152,7 @@ def task_from_docs(
     """Ground a parsed domain against a parsed problem."""
     objects = [ObjectInstance(o, t) for o, t in problem_doc.objects]
     actions = ground_schemas(
-        schemas_from_docs(domain_doc),
-        objects,
-        domain_doc.type_table(),
-        allow_repeated_bindings,
+        domain_doc.actions, objects, domain_doc.type_table(), allow_repeated_bindings
     )
     return actions, State.of(problem_doc.init), list(problem_doc.goal)
 

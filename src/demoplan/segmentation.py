@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import NoActorError, ParseError, ValidationError
-from .model import GroundAtom, ObjectInstance
+from .model import GroundAtom, ObjectInstance, read_json
 from .traces import Trace
 
 IDLE = "idle"
@@ -314,11 +314,7 @@ def rules_to_json(rules: Sequence[ClassifierRule]) -> list:
 
 
 def load_rules(path: str | Path) -> tuple[ClassifierRule, ...]:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    return rules_from_json(payload)
+    return read_json(path, rules_from_json)
 
 
 def save_rules(rules: Sequence[ClassifierRule], path: str | Path) -> None:

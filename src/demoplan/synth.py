@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 from .model import (
@@ -24,7 +23,7 @@ from .model import (
     Vocabulary,
 )
 from .segmentation import Segment
-from .traces import Frame, Trace, save_trace
+from .traces import Frame, Trace
 
 TABLE = "Table_1"
 RIGHT_HAND = "Right_hand"
@@ -178,17 +177,6 @@ def corpus_goals() -> dict[str, tuple[Literal, ...]]:
         "tower_blue_red_green": (top(RED, GREEN), top(BLUE, RED)),
         "tower_red_blue_green": (top(BLUE, GREEN), top(RED, BLUE)),
     }
-
-
-def write_corpus(out_dir: str | Path) -> list[Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for demo in corpus():
-        path = out / f"{demo.trace.demonstrator}_{demo.trace.scenario}.json"
-        save_trace(demo.trace, path)
-        paths.append(path)
-    return sorted(paths)
 
 
 def _flip_positions(values: list[bool], budget: int, rng: random.Random) -> list[int]:

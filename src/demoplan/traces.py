@@ -24,12 +24,12 @@ from .model import (
     GroundAtom,
     ObjectInstance,
     PredicateSignature,
-    State,
     TypeTable,
     Vocabulary,
     atom_from_list,
     atom_to_list,
     check_atom_types,
+    read_json,
 )
 
 
@@ -39,9 +39,6 @@ class Frame:
 
     timestamp: float
     true_atoms: frozenset[GroundAtom]
-
-    def state(self) -> State:
-        return State(self.true_atoms)
 
 
 @dataclass(frozen=True)
@@ -174,11 +171,7 @@ def trace_to_dict(trace: Trace) -> dict:
 
 def load_trace(path: str | Path) -> Trace:
     """Read and fully validate one trace file."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    return trace_from_dict(payload)
+    return read_json(path, trace_from_dict)
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:

@@ -355,6 +355,74 @@ class TestPipeline:
         assert "execution: success" in out
 
 
+def _break_count(payload):
+    payload["operators"][0]["count"] = "abc"
+
+
+def _break_types(payload):
+    payload["types"] = []
+
+
+def _break_params(payload):
+    payload["operators"][0]["params"][0] = payload["operators"][0]["params"][0][:1]
+
+
+class TestMalformedInput:
+    """Every input file is read at one boundary: bad bytes, bad JSON or a bad
+    entry exit 3 with a message that names the file."""
+
+    @pytest.mark.parametrize(
+        "breaks, message",
+        [
+            (_break_count, "operator 0: count must be an integer"),
+            (_break_types, "library 'types' must be an object"),
+            (_break_params, "operator 0: each parameter must be a [variable, type] pair"),
+        ],
+    )
+    def test_malformed_library_entry_exits_3(self, workspace, capsys, tmp_path, breaks, message):
+        payload = json.loads((workspace / "library.json").read_text())
+        breaks(payload)
+        lib = tmp_path / "library.json"
+        lib.write_text(json.dumps(payload))
+        code = main(
+            ["plan", "--library", str(lib), "--init", str(workspace / "traces" / "init.json"),
+             "--goal", GOAL]
+        )
+        assert code == EXIT_INVALID
+        assert f"error: {lib}: {message}" in capsys.readouterr().err
+
+    def test_truncated_faults_file_exits_3(self, workspace, capsys, tmp_path):
+        faults = tmp_path / "faults.json"
+        faults.write_text('[{"step": 1, "mode": "drop_ef')
+        code = main(
+            ["execute", "--library", str(workspace / "library.json"),
+             "--init", str(workspace / "traces" / "init.json"), "--goal", GOAL,
+             "--faults", str(faults)]
+        )
+        assert code == EXIT_INVALID
+        assert f"error: {faults}: not valid JSON" in capsys.readouterr().err
+
+    def test_non_utf8_init_file_exits_3(self, workspace, capsys, tmp_path):
+        init = tmp_path / "init.json"
+        init.write_bytes(b'{"objects": [], "atoms": [["onTop", "Cube_r\xe9d1"]]}')
+        code = main(
+            ["plan", "--library", str(workspace / "library.json"), "--init", str(init),
+             "--goal", GOAL]
+        )
+        assert code == EXIT_INVALID
+        assert f"error: {init}: not valid UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_problem_file_exits_3(self, workspace, capsys, tmp_path):
+        problem = tmp_path / "problem.pddl"
+        problem.write_bytes((workspace / "artifacts" / "problem.pddl").read_bytes() + b"; \xff\n")
+        code = main(
+            ["plan", "--domain", str(workspace / "artifacts" / "domain.pddl"),
+             "--problem", str(problem)]
+        )
+        assert code == EXIT_INVALID
+        assert f"error: {problem}: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_out_dir_falls_back_to_the_environment(tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("DEMOPLAN_OUT", str(target))

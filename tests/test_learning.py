@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from demoplan import learning
 from demoplan.errors import NoEffectSegment, SchemaError, ValidationError
 from demoplan.learning import (
     GroundedOperator,
@@ -203,6 +205,35 @@ class TestCanonicalization:
         op = random_grounded_operator(random.Random(3), "lhs")
         renamed = GroundedOperator("rhs", op.objects, op.pre, op.post)
         assert canonical_key(lift(op, table)) != canonical_key(lift(renamed, table))
+
+
+    def test_key_is_computed_once_and_kept(self):
+        _, table = toy_schema()
+        op = lift(random_grounded_operator(random.Random(5), "go"), table)
+        assert canonical_key(op) == op.key
+        assert replace(op, count=3).key == op.key
+        # built by hand, an operator computes the same key itself
+        rebuilt = LiftedOperator(op.name, op.params, op.pre, op.post)
+        assert rebuilt.key == op.key and rebuilt == op
+        # the key is bookkeeping and takes no part in equality
+        assert LiftedOperator(op.name, op.params, op.pre, op.post, key="other") == op
+
+    def test_canonical_form_runs_once_per_operator(self, monkeypatch, corpus_demos, corpus_library):
+        calls = []
+        real = learning._canonical_form
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(learning, "_canonical_form", counting)
+        build_library([d.trace for d in corpus_demos], DEFAULT_RULES)
+        segments = sum(len(d.segments) for d in corpus_demos)
+        assert segments == 90
+        assert len(calls) == segments
+        calls.clear()
+        library_from_dict(library_to_dict(corpus_library))
+        assert len(calls) == len(corpus_library.operators) == 7
 
 
 class TestLibrary:

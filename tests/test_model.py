@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from demoplan.errors import InvalidEffect, SchemaError, ValidationError
 from demoplan.model import (
+    ActionSchema,
     GroundAtom,
     Literal,
     ObjectInstance,
@@ -22,7 +23,6 @@ from demoplan.model import (
     literal_from_list,
     literal_to_list,
     satisfies,
-    well_typed,
 )
 
 from helpers import atoms_st, literals_st, states_st, toy_schema
@@ -179,12 +179,17 @@ def test_check_atom_types_accepts_subtypes_and_rejects_strangers():
     table = TypeTable({"c1": "Cube", "t1": "Table"}, {"Cube": "Thing"})
     sig = PredicateSignature("touching", ("Thing", "Table"))
     check_atom_types(GroundAtom(sig, ("c1", "t1")), table)
-    assert well_typed(GroundAtom(sig, ("c1", "t1")), table)
     with pytest.raises(TypeError):
         check_atom_types(GroundAtom(sig, ("t1", "t1")), table)
     with pytest.raises(TypeError):
         check_atom_types(GroundAtom(sig, ("c1", "nobody")), table)
-    assert not well_typed(GroundAtom(sig, ("c1", "nobody")), table)
+
+
+def test_action_schema_requires_a_positive_integer_cost():
+    assert ActionSchema("noop", (), frozenset(), frozenset(), frozenset()).cost == 1
+    for bad in (0, -2, 1.5, "3"):
+        with pytest.raises(ValidationError, match="positive integer"):
+            ActionSchema("noop", (), frozenset(), frozenset(), frozenset(), bad)
 
 
 def test_enumerate_atoms_matches_brute_force():
@@ -195,7 +200,8 @@ def test_enumerate_atoms_matches_brute_force():
     )
     assert {(a.name, a.args) for a in got} == expected
     assert len(got) == len(expected)
-    assert all(well_typed(a, table) for a in got)
+    for atom in got:
+        check_atom_types(atom, table)
 
 
 def test_enumerate_atoms_includes_repeated_arguments():

@@ -94,7 +94,9 @@ class TestNameMap:
 
     def test_dict_round_trip(self):
         nm = build_name_map(["onTop", "inHand"])
-        assert NameMap.from_dict(nm.as_dict()).as_dict() == nm.as_dict()
+        restored = NameMap(tuple(nm.as_dict().items()))
+        assert restored.as_dict() == nm.as_dict()
+        assert [restored.orig(restored.pddl(n)) for n in ("onTop", "inHand")] == ["onTop", "inHand"]
 
     def test_extended_keeps_existing_assignments(self):
         nm = build_name_map(["onTop"])
@@ -216,6 +218,10 @@ class TestRoundTrips:
         assert render_domain(doc, nm) == text
         assert doc == domain_to_doc(library)
 
+    def test_domain_costs_must_be_positive_integers(self, corpus_library):
+        with pytest.raises(ValidationError, match="positive integer"):
+            emit_domain(corpus_library, {key: 0 for key in corpus_library.operators})
+
 
 class TestParsing:
     def test_crane_domain(self):
@@ -309,31 +315,6 @@ class TestParsing:
         )
         doc = parse_problem(text, domain=domain_doc)
         assert [a.name for a in doc.init] == ["armfree"]
-
-    def test_standalone_problem_infers_signatures(self):
-        doc = parse_problem(CRANE_PROBLEM)
-        assert doc.name == "restack"
-        assert {a.name for a in doc.init} == {"armfree"}
-        assert len(doc.goal) == 2
-
-    def test_standalone_inference_widens_conflicting_positions(self):
-        text = """(define (problem mixed)
-  (:objects h1 - hand t1 - table c1 - cube)
-  (:init (resting c1 t1))
-  (:goal (and (resting c1 h1)))
-)"""
-        doc = parse_problem(text)
-        # second position is used as both table and hand, so it widens
-        assert doc.init[0].predicate.arg_types == ("cube", "object")
-
-    def test_standalone_inference_rejects_arity_conflicts(self):
-        text = """(define (problem broken)
-  (:objects a b - thing)
-  (:init (linked a b))
-  (:goal (and (linked a)))
-)"""
-        with pytest.raises(ValidationError, match="different arities"):
-            parse_problem(text)
 
     def test_goal_duplicates_collapse(self):
         domain_doc = parse_domain(CRANE_DOMAIN)

@@ -8,6 +8,7 @@ from demoplan.errors import (
     ValidationError,
 )
 from demoplan.model import (
+    ActionSchema,
     GroundAtom,
     Literal,
     ObjectInstance,
@@ -32,8 +33,6 @@ from demoplan.planner import (
     ground,
     ground_schemas,
     plan,
-    schemas_from_docs,
-    schemas_from_library,
     solve,
     task_from_docs,
     validate,
@@ -109,8 +108,6 @@ class TestGrounding:
         sig = PredicateSignature("linked", ("Node", "Node"))
         pre = frozenset([Literal(GroundAtom(sig, ("?n1", "?n2")), False)])
         adds = frozenset([GroundAtom(sig, ("?n1", "?n2"))])
-        from demoplan.planner import ActionSchema
-
         return ActionSchema("link", (("?n1", "Node"), ("?n2", "Node")), pre, adds, frozenset(), 2)
 
     def test_bindings_are_injective_by_default(self):
@@ -132,8 +129,6 @@ class TestGrounding:
     def test_parameters_accept_subtype_instances(self):
         sig = PredicateSignature("parked", ("Vehicle",))
         table = TypeTable({"car1": "Car", "v1": "Vehicle"}, {"Car": "Vehicle"})
-        from demoplan.planner import ActionSchema
-
         schema = ActionSchema(
             "park",
             (("?v1", "Vehicle"),),
@@ -152,7 +147,7 @@ class TestGrounding:
         assert again == corpus_actions
 
     def test_schemas_from_library_default_to_unit_costs(self, corpus_library):
-        schemas = schemas_from_library(corpus_library)
+        schemas = corpus_library.schemas()
         assert sorted(s.name for s in schemas) == [
             "grasp", "place", "place_2", "put", "reach", "reach_2", "release",
         ]
@@ -398,13 +393,20 @@ class TestDocAdapters:
         assert {a.name: a.cost for a in actions if a.name == "place_2"} == {"place_2": 7}
         assert cost_by_name["put"] == 1
 
+    def test_library_and_parsed_domain_ground_identically(self, corpus_library, corpus_actions):
+        costs = derive_costs(corpus_library)
+        nm = library_name_map(corpus_library).extended(["learned"])
+        doc = parse_domain(emit_domain(corpus_library, costs.costs), name_map=nm)
+        assert doc.actions == tuple(corpus_library.schemas(costs.costs))
+        objects = planning_objects()
+        assert ground_schemas(doc.actions, objects, doc.type_table()) == corpus_actions
+
     def test_schema_adapter_preserves_costs(self, corpus_library):
         costs = derive_costs(corpus_library)
         text = emit_domain(corpus_library, {k: costs.cost(k) for k in corpus_library.operators})
         nm = library_name_map(corpus_library).extended(["learned"])
         doc = parse_domain(text, name_map=nm)
-        schemas = schemas_from_docs(doc)
-        assert {s.name: s.cost for s in schemas} == {
+        assert {s.name: s.cost for s in doc.actions} == {
             "grasp": 1, "place": 13, "place_2": 7, "put": 1,
             "reach": 7, "reach_2": 13, "release": 1,
         }

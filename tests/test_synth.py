@@ -1,6 +1,7 @@
 import json
 
-from demoplan.model import satisfies
+from demoplan.cli import EXIT_OK, main
+from demoplan.model import State, satisfies
 from demoplan.segmentation import DEFAULT_RULES, segment
 from demoplan.synth import (
     corpus,
@@ -11,7 +12,6 @@ from demoplan.synth import (
     stacking_demo,
     stacking_types,
     stacking_vocabulary,
-    write_corpus,
 )
 from demoplan.traces import DebounceConfig, debounce, load_trace
 
@@ -65,7 +65,7 @@ def test_single_and_double_moves_have_the_expected_frame_counts():
 
 def test_scripted_goals_hold_at_the_final_frame():
     for demo in corpus():
-        final = demo.trace.frames[-1].state()
+        final = State(demo.trace.frames[-1].true_atoms)
         assert satisfies(final, demo.goal)
 
 
@@ -135,8 +135,10 @@ class TestFlicker:
         assert [f.timestamp for f in noisy.frames] == [f.timestamp for f in demo.trace.frames]
 
 
-def test_write_corpus_files(tmp_path):
-    paths = write_corpus(tmp_path)
+def test_write_corpus_files(tmp_path, capsys):
+    assert main(["gen-traces", "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    paths = sorted(tmp_path.glob("p*.json"))
     assert len(paths) == 12
     names = sorted(p.name for p in paths)
     assert names[0] == "p1_double_left.json"
