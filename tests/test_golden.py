@@ -6,7 +6,8 @@ execution log records a replan. The files were produced once and are compared
 byte for byte: a refactor that keeps plans, costs and file formats must leave
 them untouched. The same plan must come out of ``plan --library`` and, up to
 the PDDL spelling of names, out of ``plan --domain/--problem`` on the emitted
-PDDL.
+PDDL. ``tests/golden/hmax/`` holds the plan and execution log of the same
+run with ``--heuristic hmax``.
 """
 
 import json
@@ -35,12 +36,8 @@ GOAL_ARGS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
-    assert main(["gen-traces", "--out", str(root / "traces")]) == EXIT_OK
+def _pipeline(root, out, *extra):
     traces = sorted(str(p) for p in (root / "traces").glob("p*.json"))
-    (root / "faults.json").write_text(json.dumps([{"step": 2, "mode": "drop_effects"}]))
     code = main(
         [
             "pipeline",
@@ -48,16 +45,36 @@ def run(tmp_path_factory):
             "--init", str(root / "traces" / "init.json"),
             *GOAL_ARGS,
             "--faults", str(root / "faults.json"),
-            "--out", str(root / "out"),
+            "--out", str(out),
+            *extra,
         ]
     )
     assert code == EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    assert main(["gen-traces", "--out", str(root / "traces")]) == EXIT_OK
+    (root / "faults.json").write_text(json.dumps([{"step": 2, "mode": "drop_effects"}]))
+    _pipeline(root, root / "out")
     return root
 
 
 @pytest.mark.parametrize("name", ARTIFACTS)
 def test_pipeline_artifact_matches_golden(run, name):
     assert (run / "out" / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def hmax_out(run):
+    _pipeline(run, run / "out_hmax", "--heuristic", "hmax")
+    return run / "out_hmax"
+
+
+@pytest.mark.parametrize("name", ("plan.json", "execution.json"))
+def test_hmax_pipeline_artifact_matches_golden(hmax_out, name):
+    assert (hmax_out / name).read_bytes() == (GOLDEN / "hmax" / name).read_bytes()
 
 
 def test_library_and_pddl_planning_agree_with_the_golden_plan(run, capsys):
