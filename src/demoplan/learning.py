@@ -275,10 +275,12 @@ class OperatorLibrary:
         return sorted(schemas, key=lambda s: s.name)
 
     def absorb_schema(self, vocabulary: Vocabulary, types: TypeTable) -> None:
-        """Extend the library schema; conflicting declarations raise SchemaError."""
-        self.vocabulary = self.vocabulary.merged(vocabulary)
+        """Extend the library schema; conflicting declarations raise SchemaError
+        and change nothing."""
+        merged = self.vocabulary.merged(vocabulary)
         hierarchy = TypeTable({}, types.type_to_parent, types.types)
         self.types = self.types.merged(hierarchy)
+        self.vocabulary = merged
 
     def _check_schema(self, op: LiftedOperator) -> None:
         for _, type_id in op.params:
@@ -323,10 +325,14 @@ def learn_from_trace(
     debounce_config: DebounceConfig = DebounceConfig(),
     source: str = "",
 ) -> TraceReport:
-    """Debounce, segment, extract, lift, and merge one trace into the library."""
-    library.absorb_schema(trace.vocabulary, trace.types)
+    """Debounce, segment, extract, lift, and merge one trace into the library.
+
+    Every segment is extracted and lifted before the library changes, so a
+    trace that raises leaves the library as it was.
+    """
     cleaned = debounce(trace, debounce_config)
     report = TraceReport(source=source or trace.scenario)
+    operators = []
     for seg in segment_trace(cleaned, rules):
         report.segments.append(seg)
         try:
@@ -335,7 +341,9 @@ def learn_from_trace(
             logger.warning("dropping segment: %s", exc)
             report.dropped_no_effect += 1
             continue
-        lifted = lift(grounded, cleaned.types)
+        operators.append(lift(grounded, cleaned.types))
+    library.absorb_schema(trace.vocabulary, trace.types)
+    for lifted in operators:
         known = lifted.key in library.operators
         merge(library, lifted)
         names = library.variant_names()

@@ -362,13 +362,14 @@ def read_text(path: str | Path) -> str:
 
 
 def read_json(path: str | Path, decode: Callable[[Any], T]) -> T:
-    """Parse a JSON file and hand the payload to ``decode``; a ParseError
-    from ``decode`` is re-raised with the file name in front."""
+    """Parse a JSON file and hand the payload to ``decode``; a ParseError,
+    SchemaError, ValidationError or TypeError (an ill-typed atom) from
+    ``decode`` is re-raised, as the same class, with the file name in front."""
     try:
         payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     try:
         return decode(payload)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    except (ParseError, SchemaError, ValidationError, TypeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

@@ -8,10 +8,13 @@ one grounding path. A grounded action set is compiled once to integer bitmasks o
 actions mention; a goal literal on any other atom is static and is decided
 against the initial state before searching. Search is uniform-cost (A* with a
 zero heuristic) over closed-world states, with an optional admissible h_max
-heuristic that never changes the optimum. h_max is computed cost level by
-cost level on one bitmask of the facts (atom true, atom false) reachable so far.
-Ties between equal-cost candidates resolve by (action name, bound objects)
-lexicographic order.
+heuristic that never changes the optimum cost; among equal-cost plans it may
+pick a different one than blind search, always the same one for a task.
+h_max is computed cost level by cost level on one bitmask of the facts (atom
+true, atom false) reachable so far, and lazily: once per state, when it leaves
+the frontier, in the expansion order an eager evaluation would give.
+Ties between equal-key candidates resolve by generation order, and successors
+are generated in (action name, bound objects) lexicographic order.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .model import (
 )
 
 DEFAULT_NODE_LIMIT = 10_000_000
+INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,7 @@ class _Task:
             new = 0
             while not new:  # advance to the next level that reaches a new fact
                 if not pending:
-                    return float("inf")
+                    return INF
                 level = min(pending)
                 new = pending.pop(level) & ~reached
             reached |= new
@@ -256,19 +260,31 @@ class _Task:
             if atom in self.index:
                 start |= 1 << self.index[atom]
 
+        # With h_max, a generated state is queued under g plus a lower bound
+        # on its h: its h if known, else h(parent) - cost, which h_max's
+        # consistency allows. Its h is computed once, when it is popped; if
+        # the key was too low, it goes back under its true key with its
+        # original tie counter, or is dropped when h is infinite. States are
+        # therefore expanded in the order eager evaluation would give.
         hmax = self.hmax if heuristic == "hmax" else None
-        h0 = hmax(start, goal_facts) if hmax else 0
-        if h0 == float("inf"):
-            return None
+        known: dict[int, float] = {}  # h_max of every state evaluated so far
         dist: dict[int, int] = {start: 0}
         parent: dict[int, tuple[int, int]] = {}
         counter = itertools.count()
-        frontier: list[tuple[float, int, int, int]] = [(h0, next(counter), start, 0)]
+        frontier: list[tuple[float, int, int, int]] = [(0, next(counter), start, 0)]
         expanded = 0
         while frontier:
-            _, _, state, g = heapq.heappop(frontier)
+            key, tie, state, g = heapq.heappop(frontier)
             if g > dist[state]:  # stale entry
                 continue
+            if hmax:
+                h = known.get(state)
+                if h is None:
+                    h = known[state] = hmax(state, goal_facts)
+                if g + h > key:
+                    if h != INF:
+                        heapq.heappush(frontier, (g + h, tie, state, g))
+                    continue
             facts = self.facts(state)
             if facts & goal_facts == goal_facts:
                 steps = []
@@ -285,13 +301,15 @@ class _Task:
                     continue
                 successor = (state & ~dele) | add
                 new_g = g + cost
-                if new_g < dist.get(successor, float("inf")):
-                    h = hmax(successor, goal_facts) if hmax else 0
-                    if h == float("inf"):
-                        continue
+                if new_g < dist.get(successor, INF):
+                    bound = 0
+                    if hmax:
+                        bound = known.get(successor, max(h - cost, 0))
+                        if bound == INF:
+                            continue
                     dist[successor] = new_g
                     parent[successor] = (state, ai)
-                    heapq.heappush(frontier, (new_g + h, next(counter), successor, new_g))
+                    heapq.heappush(frontier, (new_g + bound, next(counter), successor, new_g))
         return None
 
 

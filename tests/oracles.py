@@ -92,6 +92,50 @@ def hmax_reference(actions, atoms, goal):
     )
 
 
+def astar_plan(actions, init, goal):
+    """Textbook eager A* with ``hmax_reference``: the expansion order the
+    package's search must keep however it evaluates the heuristic.
+
+    Actions are tried in (name, objects) order. A successor that lowers its
+    best known cost is evaluated at once, dropped when its h is infinite, and
+    queued under cost + h behind a FIFO counter, so equal keys leave the
+    queue in the order they entered it. Returns ``(actions, expansions)``:
+    the plan, or None when the goal is unreachable, and the number of states
+    expanded that did not satisfy the goal.
+    """
+    actions = sorted(actions, key=lambda act: (act.name, act.objects))
+    goal = list(goal)
+    start = frozenset(init.true_atoms)
+    h = hmax_reference(actions, start, goal)
+    if h == float("inf"):
+        return None, 0
+    best = {start: 0}
+    tie = itertools.count()
+    heap = [(h, next(tie), 0, start, ())]
+    expansions = 0
+    while heap:
+        _, _, cost, atoms, path = heapq.heappop(heap)
+        if cost > best[atoms]:
+            continue
+        if all((lit.atom in atoms) == lit.positive for lit in goal):
+            return path, expansions
+        expansions += 1
+        for act in actions:
+            if not all((lit.atom in atoms) == lit.positive for lit in act.pre):
+                continue
+            successor = frozenset((atoms - act.dels) | act.adds)
+            next_cost = cost + act.cost
+            if next_cost < best.get(successor, float("inf")):
+                h = hmax_reference(actions, successor, goal)
+                if h == float("inf"):
+                    continue
+                best[successor] = next_cost
+                heapq.heappush(
+                    heap, (next_cost + h, next(tie), next_cost, successor, path + (act,))
+                )
+    return None, expansions
+
+
 def replay(plan_actions, init, goal):
     """Execute a plan literally; return (total_cost, final_atoms) or None.
 

@@ -391,6 +391,37 @@ class TestMalformedInput:
         assert code == EXIT_INVALID
         assert f"error: {lib}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "atom, message",
+        [
+            (["fly", "Cube_red1"], "unknown predicate 'fly'"),
+            (["onTop", "Left_hand", "Cube_red1"], "argument 'Left_hand' has type 'Hand'"),
+        ],
+    )
+    def test_bad_init_atom_names_the_file(self, workspace, capsys, tmp_path, atom, message):
+        payload = json.loads((workspace / "traces" / "init.json").read_text())
+        payload["atoms"].append(atom)
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps(payload))
+        code = main(
+            ["plan", "--library", str(workspace / "library.json"), "--init", str(init),
+             "--goal", GOAL]
+        )
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {init}: ") and message in err
+
+    def test_invalid_fault_names_the_file(self, workspace, capsys, tmp_path):
+        faults = tmp_path / "faults.json"
+        faults.write_text('[{"step": -1, "mode": "drop_effects"}]')
+        code = main(
+            ["execute", "--library", str(workspace / "library.json"),
+             "--init", str(workspace / "traces" / "init.json"), "--goal", GOAL,
+             "--faults", str(faults)]
+        )
+        assert code == EXIT_INVALID
+        assert f"error: {faults}: fault step must be >= 0" in capsys.readouterr().err
+
     def test_truncated_faults_file_exits_3(self, workspace, capsys, tmp_path):
         faults = tmp_path / "faults.json"
         faults.write_text('[{"step": 1, "mode": "drop_ef')

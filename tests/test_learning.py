@@ -275,6 +275,14 @@ class TestLibrary:
             library.absorb_schema(
                 Vocabulary((PredicateSignature("at", ("Robot",)),)), table
             )
+        # a new predicate beside a conflicting type parent changes nothing
+        before = (library.vocabulary, library.types)
+        with pytest.raises(SchemaError):
+            library.absorb_schema(
+                Vocabulary((PredicateSignature("lit", ("Zone",)),)),
+                TypeTable({}, {"Block": "Zone"}),
+            )
+        assert (library.vocabulary, library.types) == before
 
 
 class TestLearning:
@@ -295,6 +303,24 @@ class TestLearning:
         report = learn_from_trace(library, trace, DEFAULT_RULES)
         assert report.added == []
         assert report.incremented == ["put (count 2)", "place (count 2)", "release (count 2)"]
+
+    def test_a_failing_trace_leaves_the_library_unchanged(self, corpus_demos):
+        first, trace = corpus_demos[1].trace, corpus_demos[0].trace
+        library = OperatorLibrary.empty(first.vocabulary, first.types)
+        learn_from_trace(library, first, DEFAULT_RULES)
+        before = library_to_dict(library)
+        # From frame 9 on, the actor's last segment also touches four cubes
+        # and the other hand: six objects, one more than an operator may take.
+        v = trace.vocabulary
+        cubes = ("Cube_red1", "Cube_green1", "Cube_blue1", "Cube_yellow1")
+        extra = {v.atom("graspable", c) for c in cubes}
+        extra.add(v.atom("inTouch", "Cube_yellow1", "Left_hand"))
+        frames = trace.frames[:9] + tuple(
+            Frame(f.timestamp, f.true_atoms | extra) for f in trace.frames[9:]
+        )
+        with pytest.raises(ValidationError, match="touches 6 objects"):
+            learn_from_trace(library, replace(trace, frames=frames), DEFAULT_RULES)
+        assert library_to_dict(library) == before
 
     def test_corpus_library_contents(self, corpus_library):
         names = corpus_library.variant_names()

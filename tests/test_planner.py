@@ -39,8 +39,9 @@ from demoplan.planner import (
 )
 from demoplan.synth import corpus_goals, initial_state, planning_objects
 
+import oracles
 from helpers import random_planning_instance
-from oracles import count_groundings, dijkstra_plan, hmax_reference, replay
+from oracles import astar_plan, count_groundings, dijkstra_plan, hmax_reference, replay
 
 SIG = PredicateSignature("flag", ("Slot",))
 
@@ -301,6 +302,50 @@ class TestHmax:
         for state, (task, value) in evaluated.items():
             atoms = [a for a, bit in task.index.items() if state >> bit & 1]
             assert value == hmax_reference(corpus_actions, atoms, goal)
+
+
+class TestLazyHmax:
+    """h_max is evaluated only when a state leaves the frontier, yet states
+    must be expanded exactly as textbook eager A* expands them: the same
+    plan, and the same number of expansions before the node limit bites."""
+
+    @staticmethod
+    def _check(actions, init, goal):
+        expected, expansions = astar_plan(actions, init, goal)
+        found = plan(actions, init, goal, node_limit=expansions, heuristic="hmax")
+        assert (found and found.actions) == expected
+        if expansions:
+            with pytest.raises(SearchLimitExceeded):
+                plan(actions, init, goal, node_limit=expansions - 1, heuristic="hmax")
+
+    def test_matches_eager_astar_on_random_tasks(self):
+        rng = random.Random(404)
+        for _ in range(1000):
+            self._check(*random_planning_instance(rng))
+
+    @pytest.mark.parametrize("name", sorted(corpus_goals()))
+    def test_matches_eager_astar_on_corpus_goals(self, corpus_actions, name):
+        self._check(corpus_actions, initial_state(), corpus_goals()[name])
+
+    def test_evaluates_at_most_half_the_states_eager_astar_does(self, corpus_actions, monkeypatch):
+        eager, lazy = set(), []
+        reference, compiled = oracles.hmax_reference, _Task.hmax
+
+        def eager_h(actions, atoms, goal):
+            eager.add(frozenset(atoms))
+            return reference(actions, atoms, goal)
+
+        def lazy_h(task, state, goal_facts):
+            lazy.append(state)
+            return compiled(task, state, goal_facts)
+
+        monkeypatch.setattr(oracles, "hmax_reference", eager_h)
+        monkeypatch.setattr(_Task, "hmax", lazy_h)
+        goal = corpus_goals()["tower_blue_red_green"]
+        astar_plan(corpus_actions, initial_state(), goal)
+        plan(corpus_actions, initial_state(), goal, heuristic="hmax")
+        assert len(lazy) == len(set(lazy))
+        assert 2 * len(lazy) <= len(eager)
 
 
 class TestCorpusPlans:
