@@ -20,17 +20,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import (
-    EmptyDomain,
-    InvalidEffect,
-    NoActorError,
-    ParseError,
-    PddlSyntaxError,
-    SchemaError,
-    SearchLimitExceeded,
-    UnsupportedFeature,
-    ValidationError,
-)
+from .errors import InputError, ParseError, SearchLimitExceeded, ValidationError, located
 from .learning import (
     OperatorLibrary,
     TraceReport,
@@ -44,10 +34,15 @@ from .model import (
     State,
     Vocabulary,
     atom_from_list,
+    atom_to_list,
     check_atom_types,
+    expect,
+    expect_keys,
     literal_to_list,
+    objects_to_json,
+    read_file,
     read_json,
-    read_text,
+    types_from_json,
 )
 from .monitor import (
     ExecutionLog,
@@ -69,26 +64,13 @@ from .planner import (
 )
 from .segmentation import DEFAULT_RULES, load_rules
 from .synth import corpus, corpus_goals, initial_state, inject_flicker, planning_objects
-from .traces import DebounceConfig, _types_from_json, load_trace, save_trace
+from .traces import DebounceConfig, load_trace, save_trace
 
 EXIT_OK = 0
 EXIT_UNSOLVABLE = 2
 EXIT_INVALID = 3
 EXIT_LIMIT = 4
 EXIT_EXECUTION = 5
-
-_USER_ERRORS = (
-    ParseError,
-    ValidationError,
-    SchemaError,
-    NoActorError,
-    EmptyDomain,
-    PddlSyntaxError,
-    UnsupportedFeature,
-    InvalidEffect,
-    TypeError,
-    FileNotFoundError,
-)
 
 _LITERAL_RE = re.compile(r"^\s*(!?)\s*([A-Za-z][\w-]*)\s*(?:\(\s*(.*?)\s*\))?\s*$")
 
@@ -111,11 +93,11 @@ def load_init(path, vocabulary: Vocabulary, types) -> tuple[list[ObjectInstance]
     """Read an initial-state file: {"objects": [{id,type}...], "atoms": [[...]...]}."""
 
     def decode(payload) -> tuple[list[ObjectInstance], State]:
-        if not isinstance(payload, dict) or "objects" not in payload or "atoms" not in payload:
-            raise ParseError("expected top-level keys 'objects' and 'atoms'")
-        objects = _types_from_json(payload["objects"], None).objects()
+        expect_keys(payload, "init file", "objects", "atoms")
+        objects = types_from_json(payload["objects"]).objects()
         table = types.with_instances(objects)
-        atoms = [atom_from_list(entry, vocabulary) for entry in payload["atoms"]]
+        entries = expect(payload["atoms"], list, "'atoms'")
+        atoms = [atom_from_list(entry, vocabulary) for entry in entries]
         for atom in atoms:
             check_atom_types(atom, table)
         return objects, State.of(atoms)
@@ -157,7 +139,8 @@ def _learn(args, library=None) -> tuple[OperatorLibrary, list[TraceReport]]:
         trace = load_trace(trace_path)
         if library is None:
             library = OperatorLibrary.empty(trace.vocabulary, trace.types)
-        reports.append(learn_from_trace(library, trace, rules, config, source=str(trace_path)))
+        with located(trace_path):
+            reports.append(learn_from_trace(library, trace, rules, config, source=str(trace_path)))
     if library is None:
         raise ValidationError("no traces supplied")
     return library, reports
@@ -222,8 +205,8 @@ def cmd_plan(args) -> int:
             raise ValidationError("PDDL planning takes its task from the problem file")
         if args.unit_costs:
             raise ValidationError("--unit-costs only applies to --library planning")
-        domain = parse_domain(read_text(args.domain))
-        problem = parse_problem(read_text(args.problem), domain)
+        domain = read_file(args.domain, parse_domain)
+        problem = read_file(args.problem, lambda text: parse_problem(text, domain))
         actions, init, goal = task_from_docs(domain, problem, args.allow_repeated_bindings)
     else:
         if not args.library:
@@ -303,8 +286,8 @@ def cmd_gen_traces(args) -> int:
         save_trace(trace, path)
         paths.append(path)
     init_payload = {
-        "objects": [{"id": o.id, "type": o.type_id} for o in planning_objects()],
-        "atoms": [[a.name, *a.args] for a in initial_state().sorted_atoms()],
+        "objects": objects_to_json(planning_objects()),
+        "atoms": [atom_to_list(a) for a in initial_state().sorted_atoms()],
     }
     (out / "init.json").write_text(_dump(init_payload))
     goals_payload = {
@@ -399,7 +382,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SearchLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except _USER_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

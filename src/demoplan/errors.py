@@ -1,13 +1,37 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error that bad user input can cause derives from InputError. A loader
+puts the path of the file it read in front of the message, and the command
+line catches InputError alone to exit with code 3.
+"""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
 
-class ParseError(ValueError):
+
+class InputError(ValueError):
+    """Bad input from a file, a command line literal or a caller; the
+    message says what is wrong and, for a file, starts with its path."""
+
+
+@contextmanager
+def located(where: object) -> Iterator[None]:
+    """Put ``where`` (a path, a record) in front of the message of any
+    InputError raised inside; the exception keeps its class and attributes."""
+    try:
+        yield
+    except InputError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+
+
+class ParseError(InputError):
     """A file or text blob is structurally malformed (bad JSON shape, bad CLI literal)."""
 
 
-class ValidationError(ValueError):
+class ValidationError(InputError):
     """Semantically invalid data: ill-typed atoms, broken invariants, bad config values.
 
     Carries optional context so trace loaders can point at the offending frame.
@@ -24,15 +48,15 @@ class ValidationError(ValueError):
         self.atom = atom
 
 
-class InvalidEffect(ValueError):
+class InvalidEffect(InputError):
     """An effect adds and deletes the same atom."""
 
 
-class SchemaError(ValueError):
+class SchemaError(InputError):
     """Vocabulary, type table, or operator-library content is inconsistent."""
 
 
-class NoActorError(ValueError):
+class NoActorError(InputError):
     """A trace declares no object whose type any classifier rule accepts as actor."""
 
 
@@ -40,15 +64,15 @@ class NoEffectSegment(Exception):
     """A segment changed nothing, so no operator can be extracted from it."""
 
 
-class EmptyDomain(ValueError):
+class EmptyDomain(InputError):
     """Asked to emit a planning domain from a library with no operators."""
 
 
-class UnsupportedFeature(ValueError):
+class UnsupportedFeature(InputError):
     """The PDDL input uses a construct outside the supported subset."""
 
 
-class PddlSyntaxError(ValueError):
+class PddlSyntaxError(InputError):
     """Malformed PDDL text; reports the line and column of the offending token."""
 
     def __init__(self, message: str, line: int, column: int):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import NoEffectSegment, ParseError, SchemaError, ValidationError
+from .errors import NoEffectSegment, ParseError, SchemaError, ValidationError, located
 from .model import (
     ActionSchema,
     GroundAtom,
@@ -29,12 +29,17 @@ from .model import (
     TypeTable,
     Vocabulary,
     enumerate_atoms,
+    expect,
+    expect_keys,
     literal_from_list,
     literal_to_list,
     read_json,
+    types_from_json,
+    vocabulary_from_json,
+    vocabulary_to_json,
 )
 from .segmentation import ClassifierRule, Segment, segment as segment_trace
-from .traces import DebounceConfig, Trace, _vocabulary_from_json, debounce
+from .traces import DebounceConfig, Trace, debounce
 
 logger = logging.getLogger(__name__)
 
@@ -383,10 +388,7 @@ def library_to_dict(library: OperatorLibrary) -> dict:
             }
         )
     return {
-        "vocabulary": [
-            {"name": s.name, "arg_types": list(s.arg_types)}
-            for s in library.vocabulary.signatures
-        ],
+        "vocabulary": vocabulary_to_json(library.vocabulary),
         "types": {
             "all": sorted(library.types.types),
             "parents": dict(sorted(library.types.type_to_parent.items())),
@@ -397,41 +399,26 @@ def library_to_dict(library: OperatorLibrary) -> dict:
 
 
 def library_from_dict(payload: dict) -> OperatorLibrary:
-    if not isinstance(payload, dict):
-        raise ParseError("library payload must be a JSON object")
-    for required in ("vocabulary", "types", "operators"):
-        if required not in payload:
-            raise ParseError(f"library is missing required key {required!r}")
-    vocabulary = _vocabulary_from_json(payload["vocabulary"])
-    raw_types = payload["types"]
-    if not isinstance(raw_types, dict) or not isinstance(raw_types.get("parents", {}), dict):
-        raise ParseError("library 'types' must be an object with a 'parents' object")
-    try:
-        types = TypeTable({}, raw_types.get("parents", {}), frozenset(raw_types.get("all", ())))
-    except TypeError as exc:
-        raise ParseError(f"bad library types: {exc}") from exc
-    if not isinstance(payload["operators"], list):
-        raise ParseError("library 'operators' must be a list")
+    expect_keys(payload, "library", "vocabulary", "types", "operators")
+    vocabulary = vocabulary_from_json(payload["vocabulary"])
+    raw_types = expect(payload["types"], dict, "library 'types'")
+    types = types_from_json([], raw_types.get("parents"), raw_types.get("all"))
 
     library = OperatorLibrary(vocabulary=vocabulary, types=types)
-    for i, entry in enumerate(payload["operators"]):
-        try:
-            params = entry["params"]
-            if not all(isinstance(p, list) and len(p) == 2 for p in params):
+    for i, entry in enumerate(expect(payload["operators"], list, "library 'operators'")):
+        with located(f"operator {i}"):
+            expect_keys(entry, "entry", "name", "params", "pre", "post", "count")
+            params = expect(entry["params"], list, "'params'")
+            if not all(isinstance(p, list) and list(map(type, p)) == [str, str] for p in params):
                 raise ParseError("each parameter must be a [variable, type] pair")
-            if isinstance(entry["count"], bool) or not isinstance(entry["count"], int):
-                raise ParseError(f"count must be an integer, got {entry['count']!r}")
+            pre, post = (expect(entry[key], list, f"'{key}'") for key in ("pre", "post"))
             op = LiftedOperator(
-                name=entry["name"],
+                name=expect(entry["name"], str, "'name'"),
                 params=tuple((v, t) for v, t in params),
-                pre=frozenset(literal_from_list(l, vocabulary) for l in entry["pre"]),
-                post=frozenset(literal_from_list(l, vocabulary) for l in entry["post"]),
-                count=entry["count"],
+                pre=frozenset(literal_from_list(l, vocabulary) for l in pre),
+                post=frozenset(literal_from_list(l, vocabulary) for l in post),
+                count=expect(entry["count"], int, "count"),
             )
-        except KeyError as exc:
-            raise ParseError(f"operator {i}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"operator {i}: {exc}") from exc
         if op.key in library.operators:
             raise SchemaError(f"library file repeats operator {op.name!r} (key {op.key!r})")
         library._check_schema(op)

@@ -1,5 +1,5 @@
 """Core symbolic model: typed objects, ground atoms, literals, states, and
-lifted action schemas, plus the JSON codecs and file readers every input
+lifted action schemas, plus the JSON codecs and the file reader every input
 format shares.
 
 States follow the closed-world convention: only true atoms are stored, and any
@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .errors import InvalidEffect, ParseError, SchemaError, ValidationError
+from .errors import InvalidEffect, ParseError, SchemaError, ValidationError, located
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class GroundAtom:
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
         if len(self.args) != self.predicate.arity:
-            raise TypeError(
+            raise ValidationError(
                 f"{self.predicate.name} expects {self.predicate.arity} "
                 f"argument(s), got {len(self.args)}: {self.args}"
             )
@@ -202,10 +203,10 @@ class TypeTable:
         return obj_id in self.instance_to_type
 
     def type_of(self, obj_id: str) -> str:
-        try:
-            return self.instance_to_type[obj_id]
-        except KeyError:
-            raise ValidationError(f"undeclared object {obj_id!r}") from None
+        type_id = self.instance_to_type.get(obj_id)
+        if type_id is None:
+            raise ValidationError(f"undeclared object {obj_id!r}")
+        return type_id
 
     def ancestors(self, type_id: str) -> Iterator[str]:
         cur: str | None = type_id
@@ -271,10 +272,10 @@ class Vocabulary:
         return name in self.by_name
 
     def get(self, name: str) -> PredicateSignature:
-        try:
-            return self.by_name[name]
-        except KeyError:
-            raise SchemaError(f"unknown predicate {name!r}") from None
+        sig = self.by_name.get(name)
+        if sig is None:
+            raise SchemaError(f"unknown predicate {name!r}")
+        return sig
 
     def atom(self, name: str, *args: str) -> GroundAtom:
         return GroundAtom(self.get(name), tuple(args))
@@ -293,13 +294,15 @@ class Vocabulary:
 
 
 def check_atom_types(atom: GroundAtom, types: TypeTable) -> None:
-    """Raise TypeError unless every argument is a declared object of a fitting type."""
+    """Raise ValidationError unless every argument is a declared object of a fitting type."""
     for arg, expected in zip(atom.args, atom.predicate.arg_types):
         if not types.has_instance(arg):
-            raise TypeError(f"{atom!r}: argument {arg!r} is not a declared object")
+            raise ValidationError(f"{atom!r}: argument {arg!r} is not a declared object")
         actual = types.instance_to_type[arg]
         if not types.is_subtype(actual, expected):
-            raise TypeError(f"{atom!r}: argument {arg!r} has type {actual!r}, expected {expected!r}")
+            raise ValidationError(
+                f"{atom!r}: argument {arg!r} has type {actual!r}, expected {expected!r}"
+            )
 
 
 def enumerate_atoms(
@@ -319,19 +322,47 @@ def enumerate_atoms(
             yield GroundAtom(sig, args)
 
 
-# JSON codecs for the list-shaped atom and literal encodings used by every
-# file format in this package: ["onTop","a","b"], negated ["!","onTop","a","b"].
+# JSON codecs shared by every file format in this package. Decoders check the
+# shape of each value before they use it, so malformed JSON raises a ParseError
+# or SchemaError and never a builtin error. Atoms and literals are lists:
+# ["onTop","a","b"], negated ["!","onTop","a","b"].
 
 NEGATION_MARK = "!"
+
+_KINDS = {list: "a list", dict: "an object", str: "a string", int: "an integer",
+          (int, float): "a number"}
+
+
+def expect(value: Any, kind: Any, what: str) -> Any:
+    """``value`` if it is a JSON value of ``kind`` (a bool is never a number),
+    else a ParseError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParseError(f"{what} must be {_KINDS[kind]}, got {reprlib.repr(value)}")
+    return value
+
+
+def expect_keys(value: Any, what: str, *keys: str) -> dict:
+    """``value`` if it is a JSON object holding every key in ``keys``."""
+    expect(value, dict, what)
+    for key in keys:
+        if key not in value:
+            raise ParseError(f"{what} is missing required key {key!r}")
+    return value
+
+
+def _strings(value: Any, what: str) -> list[str]:
+    for i, item in enumerate(expect(value, list, what)):
+        expect(item, str, f"{what} entry {i}")
+    return value
 
 
 def atom_to_list(atom: GroundAtom) -> list[str]:
     return [atom.name, *atom.args]
 
 
-def atom_from_list(entry: Sequence[str], vocabulary: Vocabulary) -> GroundAtom:
-    if not entry or not all(isinstance(part, str) for part in entry):
-        raise SchemaError(f"atom entry must be a list of strings, got {entry!r}")
+def atom_from_list(entry: Any, vocabulary: Vocabulary) -> GroundAtom:
+    if not isinstance(entry, list) or not entry or not all(isinstance(p, str) for p in entry):
+        raise SchemaError(f"atom entry must be a list of strings, got {reprlib.repr(entry)}")
     return vocabulary.atom(entry[0], *entry[1:])
 
 
@@ -340,36 +371,73 @@ def literal_to_list(literal: Literal) -> list[str]:
     return entry if literal.positive else [NEGATION_MARK, *entry]
 
 
-def literal_from_list(entry: Sequence[str], vocabulary: Vocabulary) -> Literal:
-    if not entry:
-        raise SchemaError("empty literal entry")
-    if entry[0] == NEGATION_MARK:
+def literal_from_list(entry: Any, vocabulary: Vocabulary) -> Literal:
+    if isinstance(entry, list) and entry[:1] == [NEGATION_MARK]:
         return Literal(atom_from_list(entry[1:], vocabulary), positive=False)
     return Literal(atom_from_list(entry, vocabulary), positive=True)
 
 
-# Every input file is read through these two helpers, so a file that is not
-# UTF-8 or not JSON is a ParseError that names it, like any other bad input.
+def vocabulary_to_json(vocabulary: Vocabulary) -> list[dict]:
+    return [{"name": s.name, "arg_types": list(s.arg_types)} for s in vocabulary.signatures]
+
+
+def vocabulary_from_json(entries: Any) -> Vocabulary:
+    signatures = []
+    for i, entry in enumerate(expect(entries, list, "'vocabulary'")):
+        expect_keys(entry, f"vocabulary entry {i}", "name", "arg_types")
+        name = expect(entry["name"], str, f"vocabulary entry {i} 'name'")
+        arg_types = _strings(entry["arg_types"], f"vocabulary entry {i} 'arg_types'")
+        signatures.append(PredicateSignature(name, tuple(arg_types)))
+    return Vocabulary(tuple(signatures))
+
+
+def objects_to_json(objects: Iterable[ObjectInstance]) -> list[dict]:
+    return [{"id": o.id, "type": o.type_id} for o in objects]
+
+
+def types_from_json(objects: Any, parents: Any = None, types: Any = None) -> TypeTable:
+    """A type table from an ``objects`` list of {"id", "type"} entries, an
+    optional ``parents`` map from type to parent type, and extra type names."""
+    instance_to_type = {}
+    for i, entry in enumerate(expect(objects, list, "'objects'")):
+        expect_keys(entry, f"object {i}", "id", "type")
+        obj_id = expect(entry["id"], str, f"object {i} 'id'")
+        if obj_id in instance_to_type:
+            raise ValidationError(f"duplicate object id {obj_id!r}")
+        instance_to_type[obj_id] = expect(entry["type"], str, f"object {i} 'type'")
+    parents = expect(parents or {}, dict, "'parents'")
+    for child, parent in parents.items():
+        expect(parent, str, f"parent of type {child!r}")
+    return TypeTable(instance_to_type, parents, frozenset(_strings(types or [], "type names")))
+
+
+# Every input file is read through read_file, so a file that cannot be read,
+# is not UTF-8 or holds bad content raises an InputError whose message starts
+# with its path, like any other bad input.
 
 T = TypeVar("T")
 
 
-def read_text(path: str | Path) -> str:
+def read_file(path: str | Path, decode: Callable[[str], T]) -> T:
+    """Hand the text of ``path`` to ``decode``. Any InputError from ``decode``
+    keeps its class and attributes and gets the path in front of its message."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
+    with located(path):
+        return decode(text)
 
 
 def read_json(path: str | Path, decode: Callable[[Any], T]) -> T:
-    """Parse a JSON file and hand the payload to ``decode``; a ParseError,
-    SchemaError, ValidationError or TypeError (an ill-typed atom) from
-    ``decode`` is re-raised, as the same class, with the file name in front."""
+    """read_file for a JSON file: ``decode`` gets the parsed payload."""
+    return read_file(path, lambda text: decode(_parse_json(text)))
+
+
+def _parse_json(text: str) -> Any:
     try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        return decode(payload)
-    except (ParseError, SchemaError, ValidationError, TypeError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"not valid JSON: {exc}") from exc

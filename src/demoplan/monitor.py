@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError, located
 from .model import (
     GroundAtom,
     Literal,
@@ -25,8 +25,11 @@ from .model import (
     atom_from_list,
     atom_to_list,
     check_atom_types,
+    expect,
+    expect_keys,
     holds,
     read_json,
+    satisfies,
 )
 from .planner import DEFAULT_NODE_LIMIT, GroundedAction, Plan, _Task, check_node_limit
 
@@ -56,36 +59,28 @@ class Fault:
             raise ValidationError("fault adds and deletes the same atom")
 
 
-def faults_from_list(
-    raw: object,
-    vocabulary: Vocabulary,
-    types: Optional[TypeTable] = None,
-) -> list[Fault]:
+def faults_from_list(raw: object, vocabulary: Vocabulary, types: TypeTable) -> list[Fault]:
     if isinstance(raw, dict):
         raw = raw.get("faults", [])
-    if not isinstance(raw, list):
-        raise ParseError("fault file must hold a list of fault records")
     faults = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or "step" not in entry or "mode" not in entry:
-            raise ParseError(f"malformed fault record: {entry!r}")
-        if isinstance(entry["step"], bool) or not isinstance(entry["step"], int):
-            raise ParseError(f"fault record {i} {entry!r}: step must be an integer")
-        adds = [atom_from_list(a, vocabulary) for a in entry.get("adds", [])]
-        dels = [atom_from_list(a, vocabulary) for a in entry.get("dels", [])]
-        if types is not None:
+    for i, entry in enumerate(expect(raw, list, "fault file")):
+        with located(f"fault record {i}"):
+            expect_keys(entry, "entry", "step", "mode")
+            step = expect(entry["step"], int, "step")
+            adds, dels = (
+                [atom_from_list(a, vocabulary) for a in expect(entry.get(k, []), list, k)]
+                for k in ("adds", "dels")
+            )
             for atom in adds + dels:
                 check_atom_types(atom, types)
-        faults.append(Fault(entry["step"], entry["mode"], frozenset(adds), frozenset(dels)))
+        faults.append(Fault(step, entry["mode"], frozenset(adds), frozenset(dels)))
     steps = [f.step for f in faults]
     if len(set(steps)) != len(steps):
         raise ValidationError("multiple faults scripted for the same step")
     return faults
 
 
-def load_faults(
-    path: str | Path, vocabulary: Vocabulary, types: Optional[TypeTable] = None
-) -> list[Fault]:
+def load_faults(path: str | Path, vocabulary: Vocabulary, types: TypeTable) -> list[Fault]:
     return read_json(path, lambda raw: faults_from_list(raw, vocabulary, types))
 
 
@@ -184,40 +179,31 @@ def execute(
         queue = list(new_plan.actions)
         return None
 
-    while True:
+    def advance() -> Optional[str]:
+        """Execute the next action; returns the reason to replan, if any."""
+        nonlocal step_index
         if not queue:
-            if all(holds(sim.current, l) for l in goal):
-                return ExecutionLog(
-                    "success", "", tuple(steps), tuple(replans), sim.current
-                )
-            failure = replan("plan exhausted without reaching the goal")
-            if failure is not None:
-                return ExecutionLog(
-                    "failure", failure, tuple(steps), tuple(replans), sim.current
-                )
-            continue
+            return "plan exhausted without reaching the goal"
         action = queue[0]
         unmet = [l for l in sorted(action.pre, key=Literal.sort_key) if not holds(sim.current, l)]
         if unmet:
-            failure = replan(f"preconditions of {action!r} unmet: {unmet}")
-            if failure is not None:
-                return ExecutionLog(
-                    "failure", failure, tuple(steps), tuple(replans), sim.current
-                )
-            continue
+            return f"preconditions of {action!r} unmet: {unmet}"
         expected = apply(sim.current, action.adds, action.dels)
         sensed = sim.step(action, step_index)
         discrepancy = _diff(expected, sensed)
         steps.append(StepRecord(step_index, action, expected, sensed, discrepancy))
         step_index += 1
         if discrepancy:
-            failure = replan(f"state after {action!r} diverged on {list(discrepancy)}")
-            if failure is not None:
-                return ExecutionLog(
-                    "failure", failure, tuple(steps), tuple(replans), sim.current
-                )
-            continue
+            return f"state after {action!r} diverged on {list(discrepancy)}"
         queue.pop(0)
+        return None
+
+    while queue or not satisfies(sim.current, goal):
+        reason = advance()
+        failure = replan(reason) if reason else None
+        if failure:
+            return ExecutionLog("failure", failure, tuple(steps), tuple(replans), sim.current)
+    return ExecutionLog("success", "", tuple(steps), tuple(replans), sim.current)
 
 
 def log_to_dict(log: ExecutionLog) -> dict:

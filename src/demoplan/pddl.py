@@ -41,6 +41,7 @@ from .model import (
     State,
     TypeTable,
     Vocabulary,
+    check_atom_types,
 )
 
 REQUIREMENTS = (":strips", ":typing", ":negative-preconditions", ":action-costs")
@@ -174,10 +175,10 @@ def problem_to_doc(
     if not goal:
         raise ValidationError("a problem needs at least one goal literal")
     table = library.types.with_instances(objects)
-    for atom in init.true_atoms:
-        _check_problem_atom(atom, library.vocabulary, table)
-    for literal in goal:
-        _check_problem_atom(literal.atom, library.vocabulary, table)
+    for atom in [*init.sorted_atoms(), *(literal.atom for literal in goal)]:
+        if library.vocabulary.get(atom.name) != atom.predicate:
+            raise ValidationError(f"signature mismatch for predicate {atom.name!r}")
+        check_atom_types(atom, table)
     return ProblemDoc(
         name=name,
         domain_name=domain_name,
@@ -185,17 +186,6 @@ def problem_to_doc(
         init=tuple(init.sorted_atoms()),
         goal=goal,
     )
-
-
-def _check_problem_atom(atom: GroundAtom, vocabulary: Vocabulary, table: TypeTable) -> None:
-    if atom.predicate.name not in vocabulary:
-        raise ValidationError(f"unknown predicate in problem: {atom.predicate.name!r}")
-    sig = vocabulary.get(atom.predicate.name)
-    if sig != atom.predicate:
-        raise ValidationError(f"signature mismatch for predicate {atom.predicate.name!r}")
-    for arg, expected in zip(atom.args, sig.arg_types):
-        if not table.is_subtype(table.type_of(arg), expected):
-            raise ValidationError(f"argument {arg!r} of {atom!r} is not a {expected}")
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +211,7 @@ def _block(lines: Iterable[str], indent: str) -> list[str]:
     return [indent + line for line in sorted(lines)]
 
 
-def render_domain(doc: DomainDoc, name_map: Optional[NameMap] = None) -> str:
-    nm = name_map if name_map is not None else _doc_name_map(doc)
+def render_domain(doc: DomainDoc, nm: NameMap) -> str:
     out = [f"(define (domain {nm.pddl(doc.name)})"]
     out.append(f"  (:requirements {' '.join(doc.requirements)})")
     out.append("  (:types")
@@ -260,8 +249,7 @@ def render_domain(doc: DomainDoc, name_map: Optional[NameMap] = None) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_problem(doc: ProblemDoc, name_map: Optional[NameMap] = None) -> str:
-    nm = name_map if name_map is not None else _problem_name_map(doc)
+def render_problem(doc: ProblemDoc, nm: NameMap) -> str:
     out = [f"(define (problem {nm.pddl(doc.name)})"]
     out.append(f"  (:domain {nm.pddl(doc.domain_name)})")
     out.append("  (:objects")
@@ -277,26 +265,6 @@ def render_problem(doc: ProblemDoc, name_map: Optional[NameMap] = None) -> str:
     out.append("  (:metric minimize (total-cost))")
     out.append(")")
     return "\n".join(out) + "\n"
-
-
-def _doc_name_map(doc: DomainDoc) -> NameMap:
-    names = {doc.name}
-    names.update(t for t, _ in doc.types)
-    names.update(parent for _, parent in doc.types if parent)
-    names.update(sig.name for sig in doc.predicates)
-    names.update(a.name for a in doc.actions)
-    return build_name_map(names)
-
-
-def _problem_name_map(doc: ProblemDoc) -> NameMap:
-    names = {doc.name, doc.domain_name}
-    names.update(o for o, _ in doc.objects)
-    names.update(t for _, t in doc.objects)
-    for atom in doc.init:
-        names.add(atom.predicate.name)
-    for literal in doc.goal:
-        names.add(literal.atom.predicate.name)
-    return build_name_map(names)
 
 
 def emit_domain(
@@ -371,35 +339,32 @@ _Tree = Union[_Token, list]
 
 
 def _read_all(text: str) -> _Tree:
+    """The one top-level form of ``text``, read with an explicit stack so
+    that deep nesting cannot exhaust the interpreter's recursion limit."""
     tokens = _tokenize(text)
     if not tokens:
         raise PddlSyntaxError("empty input", line=1, column=1)
-
-    def read(pos: int) -> tuple[_Tree, int]:
-        tok = tokens[pos]
+    open_lists: list[tuple[_Token, list]] = []
+    for pos, tok in enumerate(tokens):
         if tok.text == "(":
-            items: list = []
-            pos += 1
-            while True:
-                if pos >= len(tokens):
-                    raise PddlSyntaxError(
-                        "unbalanced parenthesis", line=tok.line, column=tok.column
-                    )
-                if tokens[pos].text == ")":
-                    return items, pos + 1
-                item, pos = read(pos)
-                items.append(item)
+            open_lists.append((tok, []))
+            continue
         if tok.text == ")":
-            raise PddlSyntaxError("unexpected ')'", line=tok.line, column=tok.column)
-        return tok, pos + 1
-
-    tree, end = read(0)
-    if end != len(tokens):
-        extra = tokens[end]
-        raise PddlSyntaxError(
-            "trailing text after top-level form", line=extra.line, column=extra.column
-        )
-    return tree
+            if not open_lists:
+                raise PddlSyntaxError("unexpected ')'", line=tok.line, column=tok.column)
+            item: _Tree = open_lists.pop()[1]
+        else:
+            item = tok
+        if not open_lists:
+            if pos + 1 != len(tokens):
+                extra = tokens[pos + 1]
+                raise PddlSyntaxError(
+                    "trailing text after top-level form", line=extra.line, column=extra.column
+                )
+            return item
+        open_lists[-1][1].append(item)
+    tok = open_lists[-1][0]
+    raise PddlSyntaxError("unbalanced parenthesis", line=tok.line, column=tok.column)
 
 
 def _head(tree: _Tree) -> str:
@@ -484,10 +449,9 @@ def _parse_literal(tree: _Tree, scope: _ParseScope) -> Literal:
         if len(tree) != 2:
             line, column = _where(tree)
             raise PddlSyntaxError("'not' takes exactly one literal", line=line, column=column)
-        inner = _parse_literal(tree[1], scope)
-        if not inner.positive:
-            raise PddlSyntaxError("double negation", line=_where(tree)[0], column=_where(tree)[1])
-        return inner.negated()
+        if _head(tree[1]) == "not":
+            raise PddlSyntaxError("double negation", *_where(tree))
+        return _parse_literal(tree[1], scope).negated()
     return Literal(_parse_atom(tree, scope), True)
 
 
@@ -546,7 +510,7 @@ def parse_domain(text: str, name_map: Optional[NameMap] = None) -> DomainDoc:
     domain_name, sections = _define(text, "domain", name_map)
 
     requirements: tuple[str, ...] = REQUIREMENTS
-    types: list[tuple[str, Optional[str]]] = []
+    types: dict[str, Optional[str]] = {}  # type -> parent, None for object
     predicates: list[PredicateSignature] = []
     actions: list[ActionSchema] = []
     for section in sections:
@@ -560,8 +524,10 @@ def parse_domain(text: str, name_map: Optional[NameMap] = None) -> DomainDoc:
                 seen.append(req)
             requirements = tuple(seen)
         elif head == ":types":
-            pairs = _typed_list(section[1:], name_map, "type")
-            types.extend((t, None if parent == "object" else parent) for t, parent in pairs)
+            for t, parent in _typed_list(section[1:], name_map, "type"):
+                parent = None if parent == "object" else parent
+                if types.setdefault(t, parent) != parent:
+                    raise ValidationError(f"type {t!r} is declared with two parents")
         elif head == ":predicates":
             for pred in section[1:]:
                 if not isinstance(pred, list) or not pred:
@@ -595,7 +561,7 @@ def parse_domain(text: str, name_map: Optional[NameMap] = None) -> DomainDoc:
 
     doc = DomainDoc(
         name=domain_name,
-        types=tuple(sorted(set(types))),
+        types=tuple(sorted(types.items())),
         predicates=tuple(sorted(predicates, key=lambda s: s.name)),
         actions=tuple(sorted(actions, key=lambda a: a.name)),
         requirements=requirements,
@@ -610,7 +576,7 @@ def parse_domain(text: str, name_map: Optional[NameMap] = None) -> DomainDoc:
 def _parse_action(
     section: list,
     predicates: Sequence[PredicateSignature],
-    types: Sequence[tuple[str, Optional[str]]],
+    types: Mapping[str, Optional[str]],
     nm: Optional[NameMap],
 ) -> ActionSchema:
     if len(section) < 2:
@@ -618,7 +584,7 @@ def _parse_action(
         raise PddlSyntaxError("action needs a name", line=line, column=column)
     name = _restore(_symbol(section[1], "action name"), nm)
     vocabulary = Vocabulary(tuple(predicates))
-    table = TypeTable({}, {t: p for t, p in types})
+    table = TypeTable({}, types)
 
     body: dict[str, _Tree] = {}
     i = 2

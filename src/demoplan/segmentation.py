@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import NoActorError, ParseError, ValidationError
-from .model import GroundAtom, ObjectInstance, read_json
+from .errors import NoActorError, ParseError, ValidationError, located
+from .model import GroundAtom, ObjectInstance, expect, expect_keys, read_json
 from .traces import Trace
 
 IDLE = "idle"
@@ -105,27 +105,21 @@ def validate_rules(rules: Sequence[ClassifierRule]) -> None:
         raise ValidationError(f"rule priorities must be unique, got {sorted(priorities)}")
 
 
-def _unify(pattern_args: tuple[str, ...], atom: GroundAtom, binding: dict) -> dict | None:
-    new = dict(binding)
-    for pat, actual in zip(pattern_args, atom.args):
-        if pat.startswith("?"):
-            bound = new.get(pat)
-            if bound is None:
-                new[pat] = actual
-            elif bound != actual:
-                return None
-        elif pat != actual:
-            return None
-    return new
-
-
-def _matches_somewhere(pattern: LiteralPattern, pool: Iterable[GroundAtom], binding: dict) -> bool:
+def _bindings(cond: LiteralPattern, pool: Iterable[GroundAtom], binding: dict) -> Iterator[dict]:
+    """Every extension of ``binding`` that unifies ``cond`` with an atom of ``pool``."""
+    arity = len(cond.args)
     for atom in pool:
-        if atom.name != pattern.predicate or len(atom.args) != len(pattern.args):
+        if atom.predicate.name != cond.predicate or len(atom.args) != arity:
             continue
-        if _unify(pattern.args, atom, binding) is not None:
-            return True
-    return False
+        extended = dict(binding)
+        for pattern, actual in zip(cond.args, atom.args):
+            if pattern.startswith("?"):
+                if extended.setdefault(pattern, actual) != actual:
+                    break
+            elif pattern != actual:
+                break
+        else:
+            yield extended
 
 
 def _rule_fires(
@@ -145,13 +139,13 @@ def _rule_fires(
 
     def search(index: int, binding: dict) -> bool:
         if index == len(binders):
-            return all(not _matches_somewhere(f, state, binding) for f in filters)
+            for cond in filters:
+                for _ in _bindings(cond, state, binding):
+                    return False
+            return True
         cond = binders[index]
-        for atom in pool(cond):
-            if atom.name != cond.predicate or len(atom.args) != len(cond.args):
-                continue
-            extended = _unify(cond.args, atom, binding)
-            if extended is not None and search(index + 1, extended):
+        for extended in _bindings(cond, pool(cond), binding):
+            if search(index + 1, extended):
                 return True
         return False
 
@@ -219,10 +213,12 @@ def segment(trace: Trace, rules: Sequence[ClassifierRule]) -> list[Segment]:
 # Priorities only need to be unique; these rules never fire together on the
 # scripted scenarios, so their relative order is not load-bearing.
 
-def _pattern(scope: str, entry: Sequence[str]) -> LiteralPattern:
-    if entry and entry[0] == "!":
-        return LiteralPattern(scope, False, entry[1], tuple(entry[2:]))
-    return LiteralPattern(scope, True, entry[0], tuple(entry[1:]))
+def _pattern(scope: str, entry: list[str]) -> LiteralPattern:
+    positive = entry[:1] != ["!"]
+    body = entry if positive else entry[1:]
+    if not body or not all(isinstance(part, str) for part in entry):
+        raise ParseError(f"literal must be a list of strings naming a predicate, got {entry!r}")
+    return LiteralPattern(scope, positive, body[0], tuple(body[1:]))
 
 
 def _rule(name: str, priority: int, conditions: Sequence[tuple[str, Sequence[str]]],
@@ -276,19 +272,21 @@ DEFAULT_RULES: tuple[ClassifierRule, ...] = (
 
 
 def rules_from_json(payload) -> tuple[ClassifierRule, ...]:
-    if not isinstance(payload, list):
-        raise ParseError("rule file must contain a JSON list of rules")
     rules = []
-    for entry in payload:
-        try:
-            conditions = tuple(
-                _pattern(cond["scope"], cond["literal"]) for cond in entry["conditions"]
-            )
-            rules.append(
-                ClassifierRule(entry["name"], entry["actor_type"], int(entry["priority"]), conditions)
-            )
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ParseError(f"bad rule entry {entry!r}: {exc}") from exc
+    for i, entry in enumerate(expect(payload, list, "rule file")):
+        with located(f"rule {i}"):
+            expect_keys(entry, "entry", "name", "actor_type", "priority", "conditions")
+            conditions = []
+            for j, cond in enumerate(expect(entry["conditions"], list, "'conditions'")):
+                expect_keys(cond, f"condition {j}", "scope", "literal")
+                literal = expect(cond["literal"], list, f"condition {j} 'literal'")
+                conditions.append(_pattern(cond["scope"], literal))
+            rules.append(ClassifierRule(
+                expect(entry["name"], str, "'name'"),
+                expect(entry["actor_type"], str, "'actor_type'"),
+                expect(entry["priority"], int, "'priority'"),
+                tuple(conditions),
+            ))
     validate_rules(rules)
     return tuple(rules)
 

@@ -15,21 +15,27 @@ plus optional ``meta`` (demonstrator id, scenario label) and optional
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
-from .errors import ParseError, ValidationError
+from .errors import InputError, ValidationError
 from .model import (
     GroundAtom,
     ObjectInstance,
-    PredicateSignature,
     TypeTable,
     Vocabulary,
     atom_from_list,
     atom_to_list,
     check_atom_types,
+    expect,
+    expect_keys,
+    objects_to_json,
     read_json,
+    types_from_json,
+    vocabulary_from_json,
+    vocabulary_to_json,
 )
 
 
@@ -86,60 +92,29 @@ class Trace:
         return frozenset(atoms)
 
 
-def _vocabulary_from_json(entries) -> Vocabulary:
-    if not isinstance(entries, list):
-        raise ParseError("'vocabulary' must be a list")
-    signatures = []
-    for entry in entries:
-        try:
-            signatures.append(PredicateSignature(entry["name"], tuple(entry["arg_types"])))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad vocabulary entry {entry!r}: {exc}") from exc
-    return Vocabulary(tuple(signatures))
-
-
-def _types_from_json(objects, parents) -> TypeTable:
-    if not isinstance(objects, list):
-        raise ParseError("'objects' must be a list")
-    instance_to_type = {}
-    for entry in objects:
-        try:
-            obj_id, type_id = entry["id"], entry["type"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad object entry {entry!r}: {exc}") from exc
-        if obj_id in instance_to_type:
-            raise ValidationError(f"duplicate object id {obj_id!r}")
-        instance_to_type[obj_id] = type_id
-    return TypeTable(instance_to_type, parents or {})
-
-
 def trace_from_dict(payload: dict) -> Trace:
-    if not isinstance(payload, dict):
-        raise ParseError("trace payload must be a JSON object")
-    for key in ("vocabulary", "objects", "frames"):
-        if key not in payload:
-            raise ParseError(f"trace is missing required key {key!r}")
-    vocabulary = _vocabulary_from_json(payload["vocabulary"])
-    types = _types_from_json(payload["objects"], (payload.get("types") or {}).get("parents"))
-    raw_frames = payload["frames"]
-    if not isinstance(raw_frames, list):
-        raise ParseError("'frames' must be a list")
+    expect_keys(payload, "trace", "vocabulary", "objects", "frames")
+    vocabulary = vocabulary_from_json(payload["vocabulary"])
+    extra = expect(payload.get("types") or {}, dict, "'types'")
+    types = types_from_json(payload["objects"], extra.get("parents"))
 
     frames = []
-    for i, raw in enumerate(raw_frames):
-        if not isinstance(raw, dict) or "t" not in raw or "atoms" not in raw:
-            raise ParseError(f"frame {i} must be an object with keys 't' and 'atoms'")
+    for i, raw in enumerate(expect(payload["frames"], list, "'frames'")):
+        expect_keys(raw, f"frame {i}", "t", "atoms")
+        timestamp = expect(raw["t"], (int, float), f"frame {i} 't'")
+        if not math.isfinite(timestamp):
+            raise ValidationError(f"timestamp must be finite, got {timestamp}", frame=i)
         atoms = set()
-        for entry in raw["atoms"]:
+        for entry in expect(raw["atoms"], list, f"frame {i} 'atoms'"):
             try:
                 atom = atom_from_list(entry, vocabulary)
                 check_atom_types(atom, types)
-            except (ValueError, TypeError) as exc:
+            except InputError as exc:
                 raise ValidationError(str(exc), frame=i, atom=repr(entry)) from exc
             atoms.add(atom)
-        frames.append(Frame(float(raw["t"]), frozenset(atoms)))
+        frames.append(Frame(float(timestamp), frozenset(atoms)))
 
-    meta = payload.get("meta") or {}
+    meta = expect(payload.get("meta") or {}, dict, "'meta'")
     return Trace(
         vocabulary=vocabulary,
         types=types,
@@ -152,10 +127,8 @@ def trace_from_dict(payload: dict) -> Trace:
 def trace_to_dict(trace: Trace) -> dict:
     payload: dict = {
         "meta": {"demonstrator": trace.demonstrator, "scenario": trace.scenario},
-        "vocabulary": [
-            {"name": s.name, "arg_types": list(s.arg_types)} for s in trace.vocabulary.signatures
-        ],
-        "objects": [{"id": o.id, "type": o.type_id} for o in trace.objects],
+        "vocabulary": vocabulary_to_json(trace.vocabulary),
+        "objects": objects_to_json(trace.objects),
         "frames": [
             {
                 "t": frame.timestamp,

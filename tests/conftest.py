@@ -1,9 +1,16 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# HYPOTHESIS_PROFILE=ci makes every @given test draw the same examples on
+# every run (no random seed, no example database), so CI results reproduce.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 import demoplan
 from demoplan.learning import build_library

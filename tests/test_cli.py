@@ -18,6 +18,7 @@ from demoplan.errors import ParseError, SchemaError
 from demoplan.learning import load_library
 from demoplan.model import Literal
 from demoplan.pddl import parse_domain
+from demoplan.segmentation import DEFAULT_RULES, rules_to_json
 from demoplan.synth import stacking_types, stacking_vocabulary
 from demoplan.traces import debounce, load_trace
 
@@ -367,9 +368,97 @@ def _break_params(payload):
     payload["operators"][0]["params"][0] = payload["operators"][0]["params"][0][:1]
 
 
+def _trace_case(breaks):
+    """A learn run over a corpus trace edited by ``breaks``."""
+
+    def case(workspace, tmp_path):
+        payload = json.loads(sorted((workspace / "traces").glob("p1_*.json"))[0].read_text())
+        breaks(payload)
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        return path, ["learn", str(path), "--library", str(tmp_path / "library.json")]
+
+    return case
+
+
+def _rename_hands(payload):
+    """No object is a Hand any more, so no built-in rule finds an actor."""
+    for obj in payload["objects"]:
+        obj["type"] = obj["type"].replace("Hand", "Gripper")
+    for sig in payload["vocabulary"]:
+        sig["arg_types"] = [t.replace("Hand", "Gripper") for t in sig["arg_types"]]
+
+
+def _rules_case(workspace, tmp_path):
+    payload = rules_to_json(DEFAULT_RULES)
+    payload[0]["priority"] = "x"
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(payload))
+    trace = sorted((workspace / "traces").glob("p1_*.json"))[0]
+    return path, ["learn", str(trace), "--rules", str(path),
+                  "--library", str(tmp_path / "library.json")]
+
+
+def _faults_case(workspace, tmp_path):
+    path = tmp_path / "faults.json"
+    path.write_text(json.dumps([{"step": 1, "mode": "perturb", "adds": [{"a": 1}]}]))
+    return path, ["execute", "--library", str(workspace / "library.json"),
+                  "--init", str(workspace / "traces" / "init.json"), "--goal", GOAL,
+                  "--faults", str(path)]
+
+
+def _library_directory_case(workspace, tmp_path):
+    return tmp_path, ["plan", "--library", str(tmp_path),
+                      "--init", str(workspace / "traces" / "init.json"), "--goal", GOAL]
+
+
+def _domain_case(text):
+    def case(workspace, tmp_path):
+        path = tmp_path / "domain.pddl"
+        path.write_text(text)
+        return path, ["plan", "--domain", str(path),
+                      "--problem", str(workspace / "artifacts" / "problem.pddl")]
+
+    return case
+
+
+def _deep_trace_case(workspace, tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return path, ["learn", str(path), "--library", str(tmp_path / "library.json")]
+
+
 class TestMalformedInput:
     """Every input file is read at one boundary: bad bytes, bad JSON or a bad
     entry exit 3 with a message that names the file."""
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            (_trace_case(lambda p: p["frames"][0].update(t="abc")),
+             "frame 0 't' must be a number, got 'abc'"),
+            (_trace_case(lambda p: p.update(types="x")), "'types' must be an object, got 'x'"),
+            (_trace_case(lambda p: p.update(meta="x")), "'meta' must be an object, got 'x'"),
+            (_trace_case(lambda p: p["objects"].append({"id": "H2", "type": 3})),
+             "'type' must be a string, got 3"),
+            (_rules_case, "rule 0: 'priority' must be an integer, got 'x'"),
+            (_faults_case, "fault record 0: atom entry must be a list of strings"),
+            (_library_directory_case, "cannot read"),
+            (_domain_case("(define (domain learned)\n  (:requirements :strips\n"),
+             "unbalanced parenthesis (line 2, column 3)"),
+            (_domain_case("(" * 100_000 + ")" * 100_000), "expected (define ...)"),
+            (_deep_trace_case, "not valid JSON"),
+            (_trace_case(_rename_hands), "trace declares no object matching any rule actor"),
+        ],
+        ids=["trace-t", "trace-types", "trace-meta", "trace-object-type", "rules-priority",
+             "faults-adds", "library-directory", "domain-unbalanced", "domain-deep-nesting",
+             "trace-deep-nesting", "trace-without-actor"],
+    )
+    def test_bad_file_exits_3_with_its_path(self, workspace, capsys, tmp_path, case, message):
+        path, argv = case(workspace, tmp_path)
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
 
     @pytest.mark.parametrize(
         "breaks, message",

@@ -33,9 +33,9 @@ CLEAR = PredicateSignature("clear", ("Block",))
 
 
 def test_atom_arity_is_checked_at_construction():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError):
         GroundAtom(ON, ("a",))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError):
         GroundAtom(CLEAR, ("a", "b"))
 
 
@@ -179,9 +179,9 @@ def test_check_atom_types_accepts_subtypes_and_rejects_strangers():
     table = TypeTable({"c1": "Cube", "t1": "Table"}, {"Cube": "Thing"})
     sig = PredicateSignature("touching", ("Thing", "Table"))
     check_atom_types(GroundAtom(sig, ("c1", "t1")), table)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError):
         check_atom_types(GroundAtom(sig, ("t1", "t1")), table)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError):
         check_atom_types(GroundAtom(sig, ("c1", "nobody")), table)
 
 

@@ -9,7 +9,7 @@ from demoplan.errors import (
     ValidationError,
 )
 from demoplan.learning import OperatorLibrary, lift, merge
-from demoplan.model import Literal, ObjectInstance, State
+from demoplan.model import Literal, ObjectInstance, State, read_file
 from demoplan.pddl import (
     NameMap,
     build_name_map,
@@ -156,7 +156,7 @@ class TestEmission:
 
     def test_problem_rejects_atoms_over_unknown_objects(self, corpus_library):
         goal = corpus_goals()["red_on_green"]
-        with pytest.raises((ValidationError, TypeError)):
+        with pytest.raises(ValidationError):
             emit_problem(
                 corpus_library,
                 [ObjectInstance("Table_1", "Table")],
@@ -262,6 +262,21 @@ class TestParsing:
         with pytest.raises(PddlSyntaxError):
             parse_domain(CRANE_DOMAIN + " junk")
 
+    def test_errors_read_from_a_file_name_it_and_keep_their_position(self, tmp_path):
+        path = tmp_path / "domain.pddl"
+        path.write_text("(define (domain d)\n  (:predicates (p ?x)")
+        with pytest.raises(PddlSyntaxError) as err:
+            read_file(path, parse_domain)
+        assert str(err.value) == f"{path}: unbalanced parenthesis (line 2, column 3)"
+        assert (err.value.line, err.value.column) == (2, 3)
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(PddlSyntaxError, match="expected \\(define"):
+            parse_domain("(" * 10_000 + ")" * 10_000)
+        negations = "(not " * 10_000 + "(lifted ?c)" + ")" * 10_000
+        with pytest.raises(PddlSyntaxError, match="double negation"):
+            parse_domain(CRANE_DOMAIN.replace("(and (lifted ?c))", negations))
+
     def test_structural_requirements(self):
         with pytest.raises(PddlSyntaxError):
             parse_domain("(definitely (domain d))")
@@ -275,6 +290,8 @@ class TestParsing:
             parse_domain(CRANE_DOMAIN.replace("(and (lifted ?c))", "(and (lifted ?c ?base))"))
         with pytest.raises(ValidationError, match="undeclared type"):
             parse_domain(CRANE_DOMAIN.replace("?c - crate)\n    :precondition (and (armfree)", "?c - pallet)\n    :precondition (and (armfree)"))
+        with pytest.raises(ValidationError, match="two parents"):
+            parse_domain(CRANE_DOMAIN.replace("crate - object)", "crate - object crate - box box)"))
         with pytest.raises(ValidationError, match="duplicate action"):
             parse_domain(CRANE_DOMAIN[:-1] + CRANE_DOMAIN[CRANE_DOMAIN.index("(:action hoist"):])
         with pytest.raises(ValidationError, match="cost must be positive"):

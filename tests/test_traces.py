@@ -104,6 +104,27 @@ class TestTraceFiles:
             trace_from_dict(payload)
         assert err.value.frame == 1
 
+    def test_a_loaded_frame_error_names_the_file_and_keeps_the_frame(self, tmp_path):
+        payload = {
+            "vocabulary": [{"name": "lit", "arg_types": ["Lamp"]}],
+            "objects": [{"id": "l1", "type": "Lamp"}],
+            "frames": [{"t": 0.0, "atoms": []}, {"t": 1.0, "atoms": [["lit", 3]]}],
+        }
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError) as err:
+            load_trace(path)
+        assert str(err.value).startswith(f"{path}: atom entry must be a list of strings")
+        assert err.value.frame == 1
+
+    def test_timestamps_must_be_finite_numbers(self):
+        payload = trace_to_dict(random_trace(random.Random(2)))
+        for bad, error in (("0.5", ParseError), (True, ParseError), (float("nan"), ValidationError),
+                           (float("inf"), ValidationError)):
+            payload["frames"][1]["t"] = bad
+            with pytest.raises(error, match="frame 1"):
+                trace_from_dict(payload)
+
     def test_unreadable_json_is_a_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
