@@ -5,9 +5,10 @@ learn turns traces into an operator library, plan searches over a library or
 over PDDL files, execute runs a plan against a simulated world with optional
 scripted faults, and pipeline chains all of it and writes every artifact.
 
-Exit codes: 0 done/solved, 2 goal unsolvable, 3 invalid input, 4 resource
-limit hit, 5 execution failed. All file outputs are deterministic: JSON is
-sorted and the PDDL renderer is byte-stable.
+Exit codes: 0 done/solved, 2 goal unsolvable, 3 invalid input (an output
+path that cannot be written included), 4 resource limit hit, 5 execution
+failed. All file outputs are deterministic: JSON is sorted and the PDDL
+renderer is byte-stable.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .model import (
     read_file,
     read_json,
     types_from_json,
+    write_file,
 )
 from .monitor import (
     ExecutionLog,
@@ -106,7 +108,13 @@ def load_init(path, vocabulary: Vocabulary, types) -> tuple[list[ObjectInstance]
 
 
 def _out_dir(value: Optional[str]) -> Path:
-    return Path(value or os.environ.get("DEMOPLAN_OUT", "."))
+    """The artifact directory, created if missing."""
+    out = Path(value or os.environ.get("DEMOPLAN_OUT", "."))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"{out}: cannot create directory: {exc.strerror or exc}") from exc
+    return out
 
 
 def _plan_payload(plan_: Optional[Plan]) -> dict:
@@ -216,7 +224,7 @@ def cmd_plan(args) -> int:
     text = _dump(_plan_payload(plan_))
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text)
+        write_file(args.out, text)
     return EXIT_OK if plan_ is not None else EXIT_UNSOLVABLE
 
 
@@ -234,7 +242,7 @@ def cmd_execute(args) -> int:
     log = _execute(args, library, objects, init, goal, actions, plan_)
     sys.stdout.write(format_transcript(log))
     if args.out:
-        Path(args.out).write_text(_dump(log_to_dict(log)))
+        write_file(args.out, _dump(log_to_dict(log)))
     return EXIT_OK if log.succeeded else EXIT_EXECUTION
 
 
@@ -244,26 +252,25 @@ def cmd_execute(args) -> int:
 
 def cmd_pipeline(args) -> int:
     out = _out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     library, _ = _learn(args)
     save_library(library, out / "library.json")
     print(f"library: {len(library.operators)} operators -> {out / 'library.json'}")
 
-    (out / "domain.pddl").write_text(emit_domain(library, derive_costs(library).costs))
+    write_file(out / "domain.pddl", emit_domain(library, derive_costs(library).costs))
     objects, init, goal, actions = _library_task(args, library)
-    (out / "problem.pddl").write_text(emit_problem(library, objects, init, goal))
+    write_file(out / "problem.pddl", emit_problem(library, objects, init, goal))
     print(f"pddl: {out / 'domain.pddl'}, {out / 'problem.pddl'}")
 
     plan_ = plan(actions, init, goal, node_limit=args.node_limit, heuristic=args.heuristic)
-    (out / "plan.json").write_text(_dump(_plan_payload(plan_)))
+    write_file(out / "plan.json", _dump(_plan_payload(plan_)))
     if plan_ is None:
         print("plan: goal is unsolvable")
         return EXIT_UNSOLVABLE
     print(f"plan: {len(plan_.actions)} steps, cost {plan_.total_cost} -> {out / 'plan.json'}")
 
     log = _execute(args, library, objects, init, goal, actions, plan_)
-    (out / "execution.json").write_text(_dump(log_to_dict(log)))
-    (out / "transcript.txt").write_text(format_transcript(log))
+    write_file(out / "execution.json", _dump(log_to_dict(log)))
+    write_file(out / "transcript.txt", format_transcript(log))
     print(f"execution: {log.outcome}" + (f" ({log.reason})" if log.reason else ""))
     return EXIT_OK if log.succeeded else EXIT_EXECUTION
 
@@ -274,7 +281,6 @@ def cmd_pipeline(args) -> int:
 
 def cmd_gen_traces(args) -> int:
     out = _out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     paths = []
     for i, demo in enumerate(corpus()):
         trace = demo.trace
@@ -289,12 +295,12 @@ def cmd_gen_traces(args) -> int:
         "objects": objects_to_json(planning_objects()),
         "atoms": [atom_to_list(a) for a in initial_state().sorted_atoms()],
     }
-    (out / "init.json").write_text(_dump(init_payload))
+    write_file(out / "init.json", _dump(init_payload))
     goals_payload = {
         name: [literal_to_list(l) for l in literals]
         for name, literals in corpus_goals().items()
     }
-    (out / "goals.json").write_text(_dump(goals_payload))
+    write_file(out / "goals.json", _dump(goals_payload))
     for path in paths:
         print(path)
     print(out / "init.json")

@@ -37,6 +37,7 @@ from .model import (
     types_from_json,
     vocabulary_from_json,
     vocabulary_to_json,
+    write_file,
 )
 from .segmentation import ClassifierRule, Segment, segment as segment_trace
 from .traces import DebounceConfig, Trace, debounce
@@ -427,7 +428,7 @@ def library_from_dict(payload: dict) -> OperatorLibrary:
 
 
 def save_library(library: OperatorLibrary, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(library_to_dict(library), indent=2, sort_keys=True) + "\n")
+    write_file(path, json.dumps(library_to_dict(library), indent=2, sort_keys=True) + "\n")
 
 
 def load_library(path: str | Path) -> OperatorLibrary:

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .errors import InvalidEffect, ParseError, SchemaError, ValidationError, located
+from .errors import InputError, InvalidEffect, ParseError, SchemaError, ValidationError, located
 
 
 @dataclass(frozen=True)
@@ -413,7 +413,8 @@ def types_from_json(objects: Any, parents: Any = None, types: Any = None) -> Typ
 
 # Every input file is read through read_file, so a file that cannot be read,
 # is not UTF-8 or holds bad content raises an InputError whose message starts
-# with its path, like any other bad input.
+# with its path, like any other bad input. Every output file is written
+# through write_file, so one that cannot be written is bad input too.
 
 T = TypeVar("T")
 
@@ -429,6 +430,14 @@ def read_file(path: str | Path, decode: Callable[[str], T]) -> T:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
     with located(path):
         return decode(text)
+
+
+def write_file(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, or raise an InputError naming it."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
 def read_json(path: str | Path, decode: Callable[[Any], T]) -> T:

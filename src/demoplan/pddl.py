@@ -656,10 +656,10 @@ def _parse_cost(tree: list) -> int:
     if len(tree) != 3 or _head(tree[1]) != "total-cost":
         raise UnsupportedFeature(f"only (increase (total-cost) n) is supported ({line}:{column})")
     tok = _symbol(tree[2], "cost value")
-    try:
-        value = int(tok.text)
-    except ValueError:
-        raise PddlSyntaxError("cost must be an integer", line=tok.line, column=tok.column)
+    # int() would also take 1_0, +3 and non-ASCII digits
+    if not (tok.text.isascii() and tok.text.isdigit()):
+        raise PddlSyntaxError("cost must be a plain integer", line=tok.line, column=tok.column)
+    value = int(tok.text)
     if value < 1:
         raise ValidationError(f"cost must be positive, got {value} at {tok.line}:{tok.column}")
     return value

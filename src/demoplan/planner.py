@@ -14,7 +14,11 @@ h_max is computed cost level by cost level on one bitmask of the facts (atom
 true, atom false) reachable so far, and lazily: once per state, when it leaves
 the frontier, in the expansion order an eager evaluation would give.
 Ties between equal-key candidates resolve by generation order, and successors
-are generated in (action name, bound objects) lexicographic order.
+are generated in (action name, bound objects) lexicographic order. The
+actions applicable in a state come from per-byte tables: for each 8-atom
+chunk of the state, its byte value maps (memoized on first sight) to the
+actions it blocks, so generating successors costs ceil(atoms / 8) table
+lookups plus one step per applicable action, visited in that same order.
 """
 
 from __future__ import annotations
@@ -167,12 +171,30 @@ def check_node_limit(node_limit: int) -> None:
         raise ValidationError(f"node limit must be a non-negative integer, got {node_limit!r}")
 
 
+class _Blockers(dict):
+    """Byte value of one 8-atom chunk of a state -> mask of the actions that
+    value blocks: those needing a true atom that is false there, or a false
+    one that is true. Filled in on first lookup of each value."""
+
+    def __init__(self, pairs: list[tuple[int, int]]):
+        super().__init__()
+        self.pairs = pairs  # (actions needing atom j true, needing it false)
+
+    def __missing__(self, byte: int) -> int:
+        blocked = 0
+        for j, (need, forbid) in enumerate(self.pairs):
+            blocked |= forbid if byte >> j & 1 else need
+        self[byte] = blocked
+        return blocked
+
+
 class _Task:
     """A grounded action set compiled to bitmasks once, then searched many times.
 
     Actions are kept in (name, objects) order, the tie-break order. Each of
     the n atoms an action mentions gets one bit; any other atom is static.
     A fact is a literal: bit i says atom i is true, bit n + i that it is false.
+    A set of actions is a mask with bit a for action a.
     """
 
     def __init__(self, actions: Iterable[GroundedAction]):
@@ -196,6 +218,17 @@ class _Task:
             for (pos, neg, add, dele), action in zip(masks, self.actions)
         ]
         self.relaxed = [(pre, add | dele << n, cost) for pre, add, dele, cost in self.ops]
+        # The actions that need atom i true (needs[i]) and false (forbids[i]).
+        needs, forbids = [0] * n, [0] * n
+        for ai, (pos, neg, _, _) in enumerate(masks):
+            for atoms, table in ((pos, needs), (neg, forbids)):
+                while atoms:
+                    low = atoms & -atoms
+                    table[low.bit_length() - 1] |= 1 << ai
+                    atoms ^= low
+        self.all_actions = (1 << len(self.actions)) - 1
+        pairs = list(zip(needs, forbids))
+        self.blockers = [(shift, _Blockers(pairs[shift : shift + 8])) for shift in range(0, n, 8)]
 
     def _bits(self, atoms: Iterable[GroundAtom]) -> int:
         m = 0
@@ -205,6 +238,13 @@ class _Task:
 
     def facts(self, state: int) -> int:
         return state | (self.all_atoms ^ state) << self.n
+
+    def applicable(self, state: int) -> int:
+        """The mask of actions whose preconditions hold in ``state``."""
+        blocked = 0
+        for shift, table in self.blockers:
+            blocked |= table[state >> shift & 255]
+        return self.all_actions ^ blocked
 
     def hmax(self, state: int, goal: int) -> float:
         """h_max (Bonet & Geffner 2001) of ``state``, one cost level at a time.
@@ -267,6 +307,7 @@ class _Task:
         # original tie counter, or is dropped when h is infinite. States are
         # therefore expanded in the order eager evaluation would give.
         hmax = self.hmax if heuristic == "hmax" else None
+        applicable, ops, push = self.applicable, self.ops, heapq.heappush
         known: dict[int, float] = {}  # h_max of every state evaluated so far
         dist: dict[int, int] = {start: 0}
         parent: dict[int, tuple[int, int]] = {}
@@ -283,10 +324,9 @@ class _Task:
                     h = known[state] = hmax(state, goal_facts)
                 if g + h > key:
                     if h != INF:
-                        heapq.heappush(frontier, (g + h, tie, state, g))
+                        push(frontier, (g + h, tie, state, g))
                     continue
-            facts = self.facts(state)
-            if facts & goal_facts == goal_facts:
+            if self.facts(state) & goal_facts == goal_facts:
                 steps = []
                 while state != start:
                     state, ai = parent[state]
@@ -296,9 +336,12 @@ class _Task:
             expanded += 1
             if expanded > node_limit:
                 raise SearchLimitExceeded(f"expanded more than {node_limit} states")
-            for ai, (pre, add, dele, cost) in enumerate(self.ops):
-                if facts & pre != pre:
-                    continue
+            todo = applicable(state)
+            while todo:  # action indices in increasing order
+                low = todo & -todo
+                todo ^= low
+                ai = low.bit_length() - 1
+                _, add, dele, cost = ops[ai]
                 successor = (state & ~dele) | add
                 new_g = g + cost
                 if new_g < dist.get(successor, INF):
@@ -309,7 +352,7 @@ class _Task:
                             continue
                     dist[successor] = new_g
                     parent[successor] = (state, ai)
-                    heapq.heappush(frontier, (new_g + bound, next(counter), successor, new_g))
+                    push(frontier, (new_g + bound, next(counter), successor, new_g))
         return None
 
 

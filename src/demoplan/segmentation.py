@@ -10,7 +10,6 @@ snapshot at the anchor and the post snapshot at the end.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -314,6 +313,3 @@ def rules_to_json(rules: Sequence[ClassifierRule]) -> list:
 def load_rules(path: str | Path) -> tuple[ClassifierRule, ...]:
     return read_json(path, rules_from_json)
 
-
-def save_rules(rules: Sequence[ClassifierRule], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(rules_to_json(rules), indent=2) + "\n")

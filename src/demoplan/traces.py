@@ -36,6 +36,7 @@ from .model import (
     types_from_json,
     vocabulary_from_json,
     vocabulary_to_json,
+    write_file,
 )
 
 
@@ -148,7 +149,7 @@ def load_trace(path: str | Path) -> Trace:
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(trace_to_dict(trace), indent=2, sort_keys=True) + "\n")
+    write_file(path, json.dumps(trace_to_dict(trace), indent=2, sort_keys=True) + "\n")
 
 
 def _debounced_series(values: list[bool], window: int) -> list[bool]:

@@ -98,18 +98,24 @@ def random_library(rng: random.Random, operators: int | None = None) -> Operator
 
 def random_planning_instance(
     rng: random.Random,
+    atom_count: tuple[int, int] = (4, 7),
+    action_count: tuple[int, int] = (4, 9),
 ) -> tuple[list[GroundedAction], State, list[Literal]]:
-    """A small ground task; some draws are unsolvable on purpose."""
+    """A small ground task over a number of atoms drawn from ``atom_count``
+    and of actions from ``action_count`` (inclusive ranges); some draws are
+    unsolvable on purpose. With fewer than two atoms a draw takes what there is."""
     sig = PredicateSignature("flag", ("Slot",))
-    atoms = [GroundAtom(sig, (f"s{i}",)) for i in range(rng.randint(4, 7))]
+    atoms = [GroundAtom(sig, (f"s{i}",)) for i in range(rng.randint(*atom_count))]
+
+    def some(low, high):
+        return rng.sample(atoms, min(len(atoms), rng.randint(low, high)))
+
     actions = []
-    for i in range(rng.randint(4, 9)):
-        pre = frozenset(
-            Literal(a, rng.random() < 0.6) for a in rng.sample(atoms, rng.randint(0, 2))
-        )
-        adds = set(rng.sample(atoms, rng.randint(0, 2)))
-        dels = set(rng.sample(atoms, rng.randint(0, 2))) - adds
-        if not adds and not dels:
+    for i in range(rng.randint(*action_count)):
+        pre = frozenset(Literal(a, rng.random() < 0.6) for a in some(0, 2))
+        adds = set(some(0, 2))
+        dels = set(some(0, 2)) - adds
+        if not adds and not dels and atoms:
             adds = {rng.choice(atoms)}
         actions.append(
             GroundedAction(
@@ -117,7 +123,7 @@ def random_planning_instance(
             )
         )
     init = State.of(a for a in atoms if rng.random() < 0.5)
-    goal = [Literal(a, rng.random() < 0.7) for a in rng.sample(atoms, rng.randint(1, 3))]
+    goal = [Literal(a, rng.random() < 0.7) for a in some(1, 3)]
     return actions, init, goal
 
 

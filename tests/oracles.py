@@ -2,7 +2,8 @@
 
 Everything in this module is deliberately written from scratch in the most
 direct style available: plain sets and dicts, exhaustive enumeration, no
-bitmasks, and no imports from demoplan beyond the frozen dataclasses whose
+bitmasks (``applicable_reference`` only reads a compiled task's state
+integer), and no imports from demoplan beyond the frozen dataclasses whose
 public fields the oracles read.  When an oracle and the package disagree,
 one of them has a bug; the oracles are kept simple enough to audit by eye.
 """
@@ -41,6 +42,21 @@ def dijkstra_plan(actions, init, goal):
                 best[successor] = next_cost
                 heapq.heappush(heap, (next_cost, next(tie), successor, path + (act,)))
     return None
+
+
+def applicable_reference(task, state):
+    """The actions of a compiled planner task that apply in ``state``, found
+    by testing every action in turn.
+
+    ``state`` is the task's integer encoding: bit ``task.index[atom]`` is set
+    when the atom is true. Returns a mask with bit i set when every
+    precondition literal of ``task.actions[i]`` holds.
+    """
+    mask = 0
+    for i, act in enumerate(task.actions):
+        if all((state >> task.index[lit.atom] & 1) == lit.positive for lit in act.pre):
+            mask |= 1 << i
+    return mask
 
 
 def hmax_reference(actions, atoms, goal):

@@ -141,9 +141,12 @@ def test_flicker_noise_does_not_change_what_is_learned(corpus_demos, corpus_libr
 def test_search_matches_an_independent_dijkstra_on_random_tasks():
     rng = random.Random(20240817)
     started = time.perf_counter()
-    total, solvable = 120, 0
-    for _ in range(total):
-        actions, init, goal = random_planning_instance(rng)
+    # 4-7 atoms fit in one byte of the successor generator's tables; tasks
+    # over 9-20 atoms, with more actions to mention them, need two or three
+    draws = [((4, 7), (4, 9))] * 120 + [((9, 20), (8, 16))] * 60
+    total, solvable = len(draws), 0
+    for atom_count, action_count in draws:
+        actions, init, goal = random_planning_instance(rng, atom_count, action_count)
         expected = dijkstra_plan(actions, init, goal)
         blind = plan(actions, init, goal)
         informed = plan(actions, init, goal, heuristic="hmax")

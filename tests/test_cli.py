@@ -422,6 +422,19 @@ def _domain_case(text):
     return case
 
 
+def _domain_cost_case(cost):
+    """The learned domain with its first cost-13 clause (line 51) spelled ``cost``."""
+
+    def case(workspace, tmp_path):
+        text = (workspace / "artifacts" / "domain.pddl").read_text()
+        clause = "(increase (total-cost) 13)"
+        return _domain_case(text.replace(clause, f"(increase (total-cost) {cost})", 1))(
+            workspace, tmp_path
+        )
+
+    return case
+
+
 def _deep_trace_case(workspace, tmp_path):
     path = tmp_path / "trace.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
@@ -449,10 +462,14 @@ class TestMalformedInput:
             (_domain_case("(" * 100_000 + ")" * 100_000), "expected (define ...)"),
             (_deep_trace_case, "not valid JSON"),
             (_trace_case(_rename_hands), "trace declares no object matching any rule actor"),
+            (_domain_cost_case("1_0"), "cost must be a plain integer (line 51, column 30)"),
+            (_domain_cost_case("+3"), "cost must be a plain integer (line 51, column 30)"),
+            (_domain_cost_case("\u0663"), "cost must be a plain integer (line 51, column 30)"),
         ],
         ids=["trace-t", "trace-types", "trace-meta", "trace-object-type", "rules-priority",
              "faults-adds", "library-directory", "domain-unbalanced", "domain-deep-nesting",
-             "trace-deep-nesting", "trace-without-actor"],
+             "trace-deep-nesting", "trace-without-actor", "domain-cost-underscore",
+             "domain-cost-plus", "domain-cost-arabic-indic-digit"],
     )
     def test_bad_file_exits_3_with_its_path(self, workspace, capsys, tmp_path, case, message):
         path, argv = case(workspace, tmp_path)
@@ -541,6 +558,37 @@ class TestMalformedInput:
         )
         assert code == EXIT_INVALID
         assert f"error: {problem}: not valid UTF-8" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is a bad command line value: exit 3
+    with a message that names it, and no traceback."""
+
+    def _task(self, workspace):
+        return ["--library", str(workspace / "library.json"),
+                "--init", str(workspace / "traces" / "init.json"), "--goal", GOAL]
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("plan", "plan.json"), ("execute", "x.json")],
+    )
+    def test_out_in_a_missing_directory(self, workspace, capsys, tmp_path, command, name):
+        target = tmp_path / "nodir" / name
+        assert main([command, *self._task(workspace), "--out", str(target)]) == EXIT_INVALID
+        assert f"error: {target}: cannot write: " in capsys.readouterr().err
+
+    def test_learn_library_in_a_missing_directory(self, workspace, capsys, tmp_path):
+        trace = sorted((workspace / "traces").glob("p*.json"))[0]
+        target = tmp_path / "nodir" / "lib.json"
+        assert main(["learn", str(trace), "--library", str(target)]) == EXIT_INVALID
+        assert f"error: {target}: cannot write: " in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_artifact_directory_that_is_a_file(self, capsys, tmp_path):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        assert main(["gen-traces", "--out", str(blocker)]) == EXIT_INVALID
+        assert f"error: {blocker}: cannot create directory: " in capsys.readouterr().err
 
 
 def test_out_dir_falls_back_to_the_environment(tmp_path, monkeypatch):

@@ -41,7 +41,14 @@ from demoplan.synth import corpus_goals, initial_state, planning_objects
 
 import oracles
 from helpers import random_planning_instance
-from oracles import astar_plan, count_groundings, dijkstra_plan, hmax_reference, replay
+from oracles import (
+    applicable_reference,
+    astar_plan,
+    count_groundings,
+    dijkstra_plan,
+    hmax_reference,
+    replay,
+)
 
 SIG = PredicateSignature("flag", ("Slot",))
 
@@ -304,6 +311,44 @@ class TestHmax:
             assert value == hmax_reference(corpus_actions, atoms, goal)
 
 
+class TestSuccessorGenerator:
+    """The per-byte blocker tables must give exactly the actions that testing
+    every action finds applicable, including for tasks whose atoms fill
+    several 8-bit chunks or end exactly on a chunk boundary."""
+
+    @pytest.mark.parametrize("atoms", [0, 1, 7, 8, 9, 16, 17, 24])
+    def test_matches_the_scan_on_random_states(self, atoms):
+        rng = random.Random(600 + atoms)
+        compiled_sizes = set()
+        for _ in range(20):
+            actions, init, _ = random_planning_instance(
+                rng, atom_count=(atoms, atoms), action_count=(2 * atoms, 3 * atoms + 4)
+            )
+            task = _Task(actions)
+            compiled_sizes.add(task.n)
+            for _ in range(25):
+                state = rng.getrandbits(task.n) if task.n else 0
+                assert task.applicable(state) == applicable_reference(task, state)
+        assert atoms in compiled_sizes
+
+    def test_matches_the_scan_on_every_state_of_a_tower_search(
+        self, corpus_actions, monkeypatch
+    ):
+        expanded = []
+        original = _Task.applicable
+
+        def recording(task, state):
+            expanded.append((task, state))
+            return original(task, state)
+
+        monkeypatch.setattr(_Task, "applicable", recording)
+        goal = corpus_goals()["tower_blue_red_green"]
+        assert plan(corpus_actions, initial_state(), goal).total_cost == 32
+        assert len(expanded) > 1000
+        for task, state in expanded:
+            assert original(task, state) == applicable_reference(task, state)
+
+
 class TestLazyHmax:
     """h_max is evaluated only when a state leaves the frontier, yet states
     must be expanded exactly as textbook eager A* expands them: the same
@@ -322,6 +367,8 @@ class TestLazyHmax:
         rng = random.Random(404)
         for _ in range(1000):
             self._check(*random_planning_instance(rng))
+        for _ in range(200):  # states that span two bytes of the successor tables
+            self._check(*random_planning_instance(rng, (9, 16), (8, 16)))
 
     @pytest.mark.parametrize("name", sorted(corpus_goals()))
     def test_matches_eager_astar_on_corpus_goals(self, corpus_actions, name):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from demoplan.errors import NoActorError, ParseError, ValidationError
@@ -22,7 +24,6 @@ from demoplan.segmentation import (
     load_rules,
     rules_from_json,
     rules_to_json,
-    save_rules,
     segment,
     validate_rules,
 )
@@ -233,7 +234,7 @@ class TestRuleFiles:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "rules.json"
-        save_rules(DEFAULT_RULES, path)
+        path.write_text(json.dumps(rules_to_json(DEFAULT_RULES), indent=2))
         assert load_rules(path) == DEFAULT_RULES
 
     def test_malformed_entries_are_parse_errors(self):
