@@ -184,6 +184,7 @@ def _execute(args, library, objects, init, goal, actions, plan_: Plan) -> Execut
 def cmd_learn(args) -> int:
     lib_path = Path(args.library)
     library, reports = _learn(args, load_library(lib_path) if lib_path.exists() else None)
+    save_library(library, lib_path)  # before any report, so none claims an unsaved library
     for report in reports:
         line = (
             f"{report.source}: {len(report.segments)} segments, "
@@ -192,7 +193,6 @@ def cmd_learn(args) -> int:
         if report.dropped_no_effect:
             line += f", {report.dropped_no_effect} dropped (no effect)"
         print(line)
-    save_library(library, lib_path)
     names = library.variant_names()
     costs = derive_costs(library).costs
     for key, op in library.sorted_items():

@@ -12,12 +12,26 @@ from __future__ import annotations
 import itertools
 import json
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import InputError, InvalidEffect, ParseError, SchemaError, ValidationError, located
+
+# PredicateSignature, GroundAtom and Literal are the members of every state,
+# precondition and effect set, so each hashes its fields once, when it is
+# built, into the value the dataclass would compute. Hashes of strings differ
+# between processes, so a pickle holds only the fields and the hash is
+# computed again when it is loaded.
+
+
+def _cached_hash(value) -> int:
+    return value._hash
+
+
+def _rebuild(value) -> tuple:
+    return type(value), tuple(getattr(value, f.name) for f in fields(value))
 
 
 @dataclass(frozen=True)
@@ -27,10 +41,14 @@ class PredicateSignature:
     name: str
     arg_types: tuple[str, ...]
 
+    __hash__ = _cached_hash
+    __reduce__ = _rebuild
+
     def __post_init__(self):
         object.__setattr__(self, "arg_types", tuple(self.arg_types))
         if not self.name:
             raise SchemaError("predicate name must be nonempty")
+        object.__setattr__(self, "_hash", hash((self.name, self.arg_types)))
 
     @property
     def arity(self) -> int:
@@ -61,6 +79,9 @@ class GroundAtom:
     predicate: PredicateSignature
     args: tuple[str, ...]
 
+    __hash__ = _cached_hash
+    __reduce__ = _rebuild
+
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
         if len(self.args) != self.predicate.arity:
@@ -68,6 +89,7 @@ class GroundAtom:
                 f"{self.predicate.name} expects {self.predicate.arity} "
                 f"argument(s), got {len(self.args)}: {self.args}"
             )
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
 
     @property
     def name(self) -> str:
@@ -86,6 +108,12 @@ class Literal:
 
     atom: GroundAtom
     positive: bool = True
+
+    __hash__ = _cached_hash
+    __reduce__ = _rebuild
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.atom, self.positive)))
 
     def negated(self) -> "Literal":
         return Literal(self.atom, not self.positive)

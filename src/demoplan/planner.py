@@ -19,12 +19,20 @@ actions applicable in a state come from per-byte tables: for each 8-atom
 chunk of the state, its byte value maps (memoized on first sight) to the
 actions it blocks, so generating successors costs ceil(atoms / 8) table
 lookups plus one step per applicable action, visited in that same order.
+The frontier is a bucket queue (Dial 1969) rather than a binary heap: every
+action cost is a positive integer, so every key (g, plus h_max's integer
+estimate) is an integer, and each bucket keeps its entries in generation
+order. No state is ever queued under a key below the one being expanded (a
+child's key is at least its parent's, by h_max's consistency when it is on),
+so emptying the lowest bucket before the next takes states in exactly the
+(key, generation) order a heap would.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from bisect import insort
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -107,8 +115,25 @@ class Plan:
             raise ValidationError("plan total_cost does not match its actions")
 
 
-def _substitute_atom(atom: GroundAtom, binding: Mapping[str, str]) -> GroundAtom:
-    return GroundAtom(atom.predicate, tuple(binding.get(a, a) for a in atom.args))
+def _templates(schema: ActionSchema) -> tuple:
+    """A schema's atoms as (predicate, positions) templates: position i < k
+    names the object bound to parameter i of k, and the rest name the
+    schema's constants, returned last. Returns (precondition templates with
+    polarities, add templates, delete templates, constants)."""
+    position = {var: i for i, (var, _) in enumerate(schema.params)}
+    constants: list[str] = []
+
+    def template(atom: GroundAtom) -> tuple:
+        for arg in atom.args:
+            if arg not in position:
+                position[arg] = len(schema.params) + len(constants)
+                constants.append(arg)
+        return atom.predicate, tuple(position[arg] for arg in atom.args)
+
+    pre = [(template(l.atom), l.positive) for l in schema.pre]
+    adds = [template(a) for a in schema.adds]
+    dels = [template(a) for a in schema.dels]
+    return pre, adds, dels, tuple(constants)
 
 
 def ground_schemas(
@@ -118,25 +143,37 @@ def ground_schemas(
     allow_repeated_bindings: bool = False,
 ) -> list[GroundedAction]:
     """All type-consistent bindings; objects bound to distinct params differ
-    unless repeated bindings are explicitly allowed."""
+    unless repeated bindings are explicitly allowed. Each distinct ground
+    atom and literal is built once per call and shared by every action that
+    mentions it."""
     table = types.with_instances(objects)
+    atoms: dict[tuple, GroundAtom] = {}
+    literals: dict[tuple, Literal] = {}
+
+    def atom(template: tuple, values: tuple) -> GroundAtom:
+        predicate, picks = template
+        key = (predicate, tuple([values[i] for i in picks]))
+        return atoms.get(key) or atoms.setdefault(key, GroundAtom(*key))
+
+    def literal(template: tuple, positive: bool, values: tuple) -> Literal:
+        key = (atom(template, values), positive)
+        return literals.get(key) or literals.setdefault(key, Literal(*key))
+
     actions = []
     for schema in sorted(schemas, key=lambda s: s.name):
         candidates = [table.instances_of(type_id) for _, type_id in schema.params]
-        variables = [var for var, _ in schema.params]
+        pre, adds, dels, constants = _templates(schema)
         for chosen in itertools.product(*candidates):
             if not allow_repeated_bindings and len(set(chosen)) != len(chosen):
                 continue
-            binding = dict(zip(variables, chosen))
+            values = chosen + constants
             actions.append(
                 GroundedAction(
                     name=schema.name,
-                    objects=tuple(chosen),
-                    pre=frozenset(
-                        Literal(_substitute_atom(l.atom, binding), l.positive) for l in schema.pre
-                    ),
-                    adds=frozenset(_substitute_atom(a, binding) for a in schema.adds),
-                    dels=frozenset(_substitute_atom(a, binding) for a in schema.dels),
+                    objects=chosen,
+                    pre=frozenset([literal(t, positive, values) for t, positive in pre]),
+                    adds=frozenset([atom(t, values) for t in adds]),
+                    dels=frozenset([atom(t, values) for t in dels]),
                     cost=schema.cost,
                 )
             )
@@ -287,14 +324,17 @@ class _Task:
         if heuristic not in ("none", "hmax"):
             raise ValidationError(f"unknown heuristic {heuristic!r}")
         check_node_limit(node_limit)
-        goal_facts = 0
+        goal_pos = goal_neg = 0
         for lit in goal:
             bit = self.index.get(lit.atom)
             if bit is None:  # no action changes this atom
                 if not holds(init, lit):
                     return None
+            elif lit.positive:
+                goal_pos |= 1 << bit
             else:
-                goal_facts |= 1 << (bit if lit.positive else bit + self.n)
+                goal_neg |= 1 << bit
+        goal_facts = goal_pos | goal_neg << self.n
         start = 0
         for atom in init.true_atoms:
             if atom in self.index:
@@ -304,55 +344,61 @@ class _Task:
         # on its h: its h if known, else h(parent) - cost, which h_max's
         # consistency allows. Its h is computed once, when it is popped; if
         # the key was too low, it goes back under its true key with its
-        # original tie counter, or is dropped when h is infinite. States are
-        # therefore expanded in the order eager evaluation would give.
+        # original tie counter, inserted in tie order, or is dropped when h
+        # is infinite. States are therefore expanded in the order eager
+        # evaluation would give.
         hmax = self.hmax if heuristic == "hmax" else None
-        applicable, ops, push = self.applicable, self.ops, heapq.heappush
+        applicable, ops = self.applicable, self.ops
         known: dict[int, float] = {}  # h_max of every state evaluated so far
         dist: dict[int, int] = {start: 0}
         parent: dict[int, tuple[int, int]] = {}
-        counter = itertools.count()
-        frontier: list[tuple[float, int, int, int]] = [(0, next(counter), start, 0)]
+        # key -> its (tie, state, g) entries in tie order; see the module docstring
+        buckets: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+        buckets[0].append((0, start, 0))
+        ties = 1
         expanded = 0
-        while frontier:
-            key, tie, state, g = heapq.heappop(frontier)
-            if g > dist[state]:  # stale entry
-                continue
-            if hmax:
-                h = known.get(state)
-                if h is None:
-                    h = known[state] = hmax(state, goal_facts)
-                if g + h > key:
-                    if h != INF:
-                        push(frontier, (g + h, tie, state, g))
+        while buckets:
+            key = min(buckets)
+            for tie, state, g in buckets[key]:  # entries appended meanwhile included
+                if g > dist[state]:  # stale entry
                     continue
-            if self.facts(state) & goal_facts == goal_facts:
-                steps = []
-                while state != start:
-                    state, ai = parent[state]
-                    steps.append(self.actions[ai])
-                steps.reverse()
-                return Plan(tuple(steps), g)
-            expanded += 1
-            if expanded > node_limit:
-                raise SearchLimitExceeded(f"expanded more than {node_limit} states")
-            todo = applicable(state)
-            while todo:  # action indices in increasing order
-                low = todo & -todo
-                todo ^= low
-                ai = low.bit_length() - 1
-                _, add, dele, cost = ops[ai]
-                successor = (state & ~dele) | add
-                new_g = g + cost
-                if new_g < dist.get(successor, INF):
-                    bound = 0
-                    if hmax:
-                        bound = known.get(successor, max(h - cost, 0))
-                        if bound == INF:
-                            continue
-                    dist[successor] = new_g
-                    parent[successor] = (state, ai)
-                    push(frontier, (new_g + bound, next(counter), successor, new_g))
+                if hmax:
+                    h = known.get(state)
+                    if h is None:
+                        h = known[state] = hmax(state, goal_facts)
+                    if g + h > key:
+                        if h != INF:
+                            insort(buckets[g + h], (tie, state, g))
+                        continue
+                if state & goal_pos == goal_pos and not state & goal_neg:
+                    steps = []
+                    while state != start:
+                        state, ai = parent[state]
+                        steps.append(self.actions[ai])
+                    steps.reverse()
+                    return Plan(tuple(steps), g)
+                expanded += 1
+                if expanded > node_limit:
+                    raise SearchLimitExceeded(f"expanded more than {node_limit} states")
+                todo = applicable(state)
+                while todo:  # action indices in increasing order
+                    low = todo & -todo
+                    todo ^= low
+                    ai = low.bit_length() - 1
+                    _, add, dele, cost = ops[ai]
+                    successor = (state & ~dele) | add
+                    new_g = g + cost
+                    if new_g < dist.get(successor, INF):
+                        bound = 0
+                        if hmax:
+                            bound = known.get(successor, max(h - cost, 0))
+                            if bound == INF:
+                                continue
+                        dist[successor] = new_g
+                        parent[successor] = (state, ai)
+                        buckets[new_g + bound].append((ties, successor, new_g))
+                        ties += 1
+            del buckets[key]
         return None
 
 
@@ -400,17 +446,3 @@ def validate(plan_: Plan, init: State, goal: Iterable[Literal]) -> PlanValidatio
         return PlanValidation(False, missing=unmet, goal_satisfied=False, final_state=state)
     return PlanValidation(True, final_state=state)
 
-
-def solve(
-    library: OperatorLibrary,
-    objects: Iterable[ObjectInstance],
-    init: State,
-    goal: Iterable[Literal],
-    cost_model: Optional[CostModel] = None,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    heuristic: str = "none",
-    allow_repeated_bindings: bool = False,
-) -> Optional[Plan]:
-    """Ground a library over a concrete object set and search."""
-    actions = ground(library, objects, cost_model, allow_repeated_bindings)
-    return plan(actions, init, goal, node_limit=node_limit, heuristic=heuristic)

@@ -4,14 +4,52 @@ Everything in this module is deliberately written from scratch in the most
 direct style available: plain sets and dicts, exhaustive enumeration, no
 bitmasks (``applicable_reference`` only reads a compiled task's state
 integer), and no imports from demoplan beyond the frozen dataclasses whose
-public fields the oracles read.  When an oracle and the package disagree,
-one of them has a bug; the oracles are kept simple enough to audit by eye.
+public fields the oracles read or that ``ground_reference`` builds.  When an
+oracle and the package disagree, one of them has a bug; the oracles are kept
+simple enough to audit by eye.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+
+from demoplan.model import GroundAtom, Literal
+from demoplan.planner import GroundedAction
+
+
+def ground_reference(schemas, objects, types, allow_repeated_bindings=False):
+    """Every type-consistent binding of every schema, by substituting a
+    binding dict into each atom: what ``planner.ground_schemas`` must return,
+    in the same order, or the same exception type it raises.
+
+    Objects bound to distinct parameters differ unless repeated bindings
+    are allowed; an argument that is no parameter is a constant.
+    """
+    table = types.with_instances(objects)
+    actions = []
+    for schema in sorted(schemas, key=lambda s: s.name):
+        candidates = [table.instances_of(type_id) for _, type_id in schema.params]
+        variables = [var for var, _ in schema.params]
+        for chosen in itertools.product(*candidates):
+            if not allow_repeated_bindings and len(set(chosen)) != len(chosen):
+                continue
+            binding = dict(zip(variables, chosen))
+
+            def substitute(atom):
+                return GroundAtom(atom.predicate, tuple(binding.get(a, a) for a in atom.args))
+
+            actions.append(
+                GroundedAction(
+                    name=schema.name,
+                    objects=tuple(chosen),
+                    pre=frozenset(Literal(substitute(l.atom), l.positive) for l in schema.pre),
+                    adds=frozenset(substitute(a) for a in schema.adds),
+                    dels=frozenset(substitute(a) for a in schema.dels),
+                    cost=schema.cost,
+                )
+            )
+    return sorted(actions, key=lambda act: (act.name, act.objects))
 
 
 def dijkstra_plan(actions, init, goal):
@@ -108,9 +146,10 @@ def hmax_reference(actions, atoms, goal):
     )
 
 
-def astar_plan(actions, init, goal):
-    """Textbook eager A* with ``hmax_reference``: the expansion order the
-    package's search must keep however it evaluates the heuristic.
+def astar_plan(actions, init, goal, blind=False):
+    """Textbook eager A* with ``hmax_reference``, or with h = 0 when
+    ``blind`` (Dijkstra): the expansion order the package's search must keep
+    however it evaluates the heuristic and queues states.
 
     Actions are tried in (name, objects) order. A successor that lowers its
     best known cost is evaluated at once, dropped when its h is infinite, and
@@ -122,7 +161,19 @@ def astar_plan(actions, init, goal):
     actions = sorted(actions, key=lambda act: (act.name, act.objects))
     goal = list(goal)
     start = frozenset(init.true_atoms)
-    h = hmax_reference(actions, start, goal)
+    mentioned = {lit.atom for act in actions for lit in act.pre}
+    mentioned |= {atom for act in actions for atom in act.adds | act.dels}
+
+    def estimate(atoms):
+        if not blind:
+            return hmax_reference(actions, atoms, goal)
+        # a goal atom no action mentions never changes: unmet, it is final
+        static_unmet = any(
+            lit.atom not in mentioned and (lit.atom in atoms) != lit.positive for lit in goal
+        )
+        return float("inf") if static_unmet else 0
+
+    h = estimate(start)
     if h == float("inf"):
         return None, 0
     best = {start: 0}
@@ -142,7 +193,7 @@ def astar_plan(actions, init, goal):
             successor = frozenset((atoms - act.dels) | act.adds)
             next_cost = cost + act.cost
             if next_cost < best.get(successor, float("inf")):
-                h = hmax_reference(actions, successor, goal)
+                h = estimate(successor)
                 if h == float("inf"):
                     continue
                 best[successor] = next_cost

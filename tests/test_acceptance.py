@@ -39,7 +39,7 @@ from demoplan.pddl import (
     render_domain,
     render_problem,
 )
-from demoplan.planner import derive_costs, ground, plan, solve, validate
+from demoplan.planner import derive_costs, ground, plan, validate
 from demoplan.segmentation import DEFAULT_RULES
 from demoplan.synth import (
     corpus_goals,
@@ -103,8 +103,8 @@ def test_corpus_library_supports_every_stacking_goal(corpus_demos):
     per_demo = 0
     for demo in corpus_demos:
         own = build_library([demo.trace], DEFAULT_RULES)
-        result = solve(
-            own, planning_objects(), initial_state(), demo.goal, derive_costs(own)
+        result = plan(
+            ground(own, planning_objects(), derive_costs(own)), initial_state(), demo.goal
         )
         assert result is not None
         assert validate(result, initial_state(), demo.goal).ok

@@ -581,7 +581,10 @@ class TestUnwritableOutput:
         trace = sorted((workspace / "traces").glob("p*.json"))[0]
         target = tmp_path / "nodir" / "lib.json"
         assert main(["learn", str(trace), "--library", str(target)]) == EXIT_INVALID
-        assert f"error: {target}: cannot write: " in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"error: {target}: cannot write: " in captured.err
+        # nothing reports operators as learned when they were never saved
+        assert "segments" not in captured.out and captured.out == ""
         assert not target.exists()
 
     def test_artifact_directory_that_is_a_file(self, capsys, tmp_path):

@@ -1,4 +1,9 @@
 import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -25,6 +30,12 @@ from demoplan.model import (
     satisfies,
 )
 
+from demoplan.pddl import emit_domain, emit_problem, library_name_map, parse_domain, parse_problem
+from demoplan.planner import derive_costs, ground, task_from_docs
+from demoplan.synth import corpus_goals, initial_state, planning_objects
+from demoplan.traces import load_trace, save_trace
+
+import demoplan
 from helpers import atoms_st, literals_st, states_st, toy_schema
 from oracles import all_typed_atoms
 
@@ -231,3 +242,88 @@ def test_atom_codec_shape():
         atom_from_list(["at", 3], vocabulary)
     with pytest.raises(SchemaError):
         literal_from_list([], vocabulary)
+
+
+class TestHashOnce:
+    """Signatures, atoms and literals hash once, at construction, to the
+    value the dataclass would compute, whichever code path built them, and a
+    pickle never carries that value into another process."""
+
+    @given(literals_st())
+    def test_cached_hash_is_the_dataclass_hash(self, literal):
+        atom, sig = literal.atom, literal.atom.predicate
+        assert hash(sig) == hash((sig.name, sig.arg_types))
+        assert hash(atom) == hash((atom.predicate, atom.args))
+        assert hash(literal) == hash((literal.atom, literal.positive))
+        assert pickle.loads(pickle.dumps(literal)) == literal
+
+    def test_every_source_builds_equal_values(self, corpus_demos, corpus_library, tmp_path):
+        costs = derive_costs(corpus_library)
+        goal = corpus_goals()["tower_blue_red_green"]
+        grounded = ground(corpus_library, planning_objects(), costs)
+        names = library_name_map(corpus_library)
+        domain = parse_domain(emit_domain(corpus_library, costs.costs), names)
+        problem = parse_problem(
+            emit_problem(corpus_library, planning_objects(), initial_state(), goal),
+            domain,
+            names.extended(["task", "learned"] + [o.id for o in planning_objects()]),
+        )
+        parsed, parsed_init, parsed_goal = task_from_docs(domain, problem)
+        save_trace(corpus_demos[0].trace, tmp_path / "trace.json")
+        frames = load_trace(tmp_path / "trace.json").frames
+
+        def values(actions):
+            return {l for a in actions for l in a.pre} | {x for a in actions for x in a.adds}
+
+        def grounded_atoms(actions):
+            return {l.atom for a in actions for l in a.pre} | {x for a in actions for x in a.adds}
+
+        # grounding a library and a parsed domain
+        assert values(grounded) == values(parsed) and len(values(grounded)) > 50
+        # lifting, and parsing the domain it was emitted as
+        assert values(corpus_library.schemas()) == values(domain.actions)
+        # parsing a problem, and the synthetic scene it was emitted from
+        assert parsed_init.true_atoms == initial_state().true_atoms
+        assert set(parsed_goal) == set(goal)
+        # loading a trace, against grounded atoms of the same objects
+        by_key = {a.sort_key(): a for a in grounded_atoms(grounded)}
+        loaded = [atom for frame in frames for atom in frame.true_atoms]
+        matched = [atom for atom in loaded if atom.sort_key() in by_key]
+        assert len(matched) > 10
+        for atom in matched:
+            twin = by_key[atom.sort_key()]
+            assert atom == twin and hash(atom) == hash(twin)
+
+    def test_pickles_rehash_in_the_loading_process(self):
+        """Pickled under one PYTHONHASHSEED, loaded under another, every value
+        must be found in a set of the same values built fresh there."""
+        src = str(Path(demoplan.__file__).resolve().parent.parent)
+
+        def run(seed, mode, data=None):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", _PICKLE_SCRIPT, mode],
+                input=data, capture_output=True, env=env, timeout=120, check=True,
+            )
+            return proc.stdout
+
+        dumped = run(1, "dump")
+        found, total = run(2, "load", dumped).decode().split()
+        assert found == total and int(total) > 100
+
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from demoplan.model import Literal, enumerate_atoms
+from demoplan.synth import planning_objects, stacking_types, stacking_vocabulary
+ids = [o.id for o in planning_objects()]
+atoms = list(enumerate_atoms(stacking_vocabulary(), ids, stacking_types()))
+values = atoms + [Literal(a, p) for a in atoms for p in (True, False)]
+values += [a.predicate for a in atoms]
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(values))
+else:
+    fresh = set(values)
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    print(sum(value in fresh for value in loaded), len(loaded))
+"""

@@ -33,7 +33,6 @@ from demoplan.planner import (
     ground,
     ground_schemas,
     plan,
-    solve,
     task_from_docs,
     validate,
 )
@@ -46,6 +45,7 @@ from oracles import (
     astar_plan,
     count_groundings,
     dijkstra_plan,
+    ground_reference,
     hmax_reference,
     replay,
 )
@@ -153,6 +153,62 @@ class TestGrounding:
         # grounding is sorted and deterministic
         again = ground(corpus_library, planning_objects(), derive_costs(corpus_library))
         assert again == corpus_actions
+
+    def test_matches_the_substituting_reference_on_random_schemas(self):
+        """Template grounding must give the reference's actions in its order,
+        or raise the same exception type, with constants in atoms, a subtype
+        chain and repeated bindings in play. Equal atoms must be one object."""
+        parents = {"Cube": "Block", "Block": "Thing", "Zone": "Thing"}
+        table = TypeTable({"c1": "Cube", "c2": "Cube", "b1": "Block", "z1": "Zone",
+                           "r1": "Robot"}, parents)
+        signatures = [
+            PredicateSignature("on", ("Block", "Thing")),
+            PredicateSignature("clear", ("Thing",)),
+            PredicateSignature("at", ("Robot", "Zone")),
+            PredicateSignature("free", ()),
+        ]
+        constants = ["c1", "z1", "r1", "home"]  # "home" is no declared object
+        rng = random.Random(707)
+        outcomes = {"equal": 0, "repeats": 0, InvalidEffect: 0, ValidationError: 0}
+        for _ in range(1000):
+            schemas = []
+            for _ in range(rng.randint(0, 4)):
+                params = tuple(
+                    (f"?p{i}", rng.choice(["Cube", "Block", "Thing", "Zone", "Robot"]))
+                    for i in range(rng.randint(0, 3))
+                )
+                terms = [v for v, _ in params] + constants
+
+                def atom():
+                    sig = rng.choice(signatures)
+                    return GroundAtom(sig, tuple(rng.choice(terms) for _ in sig.arg_types))
+
+                pre = frozenset(Literal(atom(), rng.random() < 0.6) for _ in range(rng.randint(0, 4)))
+                adds = frozenset(atom() for _ in range(rng.randint(0, 2)))
+                dels = frozenset(atom() for _ in range(rng.randint(0, 2))) - adds
+                name = rng.choice(["move", "push", "wait"])  # names repeat on purpose
+                schemas.append(ActionSchema(name, params, pre, adds, dels, rng.randint(1, 3)))
+            repeated = rng.random() < 0.5
+            args = (schemas, [], table, repeated)
+            try:
+                expected = ground_reference(*args)
+            except (InvalidEffect, ValidationError) as exc:
+                with pytest.raises(type(exc)):
+                    ground_schemas(*args)
+                outcomes[type(exc)] += 1
+                continue
+            found = ground_schemas(*args)
+            assert found == expected
+            assert [(a.name, a.objects, a.cost) for a in found] == [
+                (a.name, a.objects, a.cost) for a in expected
+            ]
+            atoms = [l.atom for a in found for l in a.pre] + [
+                atom for a in found for atom in a.adds | a.dels
+            ]
+            assert len({id(a) for a in atoms}) == len(set(atoms))
+            outcomes["equal"] += 1
+            outcomes["repeats"] += any(len(set(a.objects)) < len(a.objects) for a in found)
+        assert min(outcomes.values()) >= 10, outcomes
 
     def test_schemas_from_library_default_to_unit_costs(self, corpus_library):
         schemas = corpus_library.schemas()
@@ -349,30 +405,48 @@ class TestSuccessorGenerator:
             assert original(task, state) == applicable_reference(task, state)
 
 
+def _expands_like_the_reference(actions, init, goal, heuristic="hmax"):
+    """The same plan as textbook A* (Dijkstra when blind), and the same
+    number of expansions before the node limit bites."""
+    expected, expansions = astar_plan(actions, init, goal, blind=heuristic == "none")
+    found = plan(actions, init, goal, node_limit=expansions, heuristic=heuristic)
+    assert (found and found.actions) == expected
+    if expansions:
+        with pytest.raises(SearchLimitExceeded):
+            plan(actions, init, goal, node_limit=expansions - 1, heuristic=heuristic)
+
+
+class TestBucketQueue:
+    """The integer bucket queue must pop states in the (key, generation)
+    order of a binary heap, blind as well as with h_max."""
+
+    def test_blind_search_expands_like_textbook_dijkstra(self):
+        rng = random.Random(505)
+        for _ in range(1000):
+            _expands_like_the_reference(*random_planning_instance(rng), heuristic="none")
+
+    @pytest.mark.parametrize("name", ["red_on_green", "tower_blue_red_green"])
+    def test_blind_search_on_corpus_goals(self, corpus_actions, name):
+        _expands_like_the_reference(
+            corpus_actions, initial_state(), corpus_goals()[name], heuristic="none"
+        )
+
+
 class TestLazyHmax:
     """h_max is evaluated only when a state leaves the frontier, yet states
     must be expanded exactly as textbook eager A* expands them: the same
     plan, and the same number of expansions before the node limit bites."""
 
-    @staticmethod
-    def _check(actions, init, goal):
-        expected, expansions = astar_plan(actions, init, goal)
-        found = plan(actions, init, goal, node_limit=expansions, heuristic="hmax")
-        assert (found and found.actions) == expected
-        if expansions:
-            with pytest.raises(SearchLimitExceeded):
-                plan(actions, init, goal, node_limit=expansions - 1, heuristic="hmax")
-
     def test_matches_eager_astar_on_random_tasks(self):
         rng = random.Random(404)
         for _ in range(1000):
-            self._check(*random_planning_instance(rng))
+            _expands_like_the_reference(*random_planning_instance(rng))
         for _ in range(200):  # states that span two bytes of the successor tables
-            self._check(*random_planning_instance(rng, (9, 16), (8, 16)))
+            _expands_like_the_reference(*random_planning_instance(rng, (9, 16), (8, 16)))
 
     @pytest.mark.parametrize("name", sorted(corpus_goals()))
     def test_matches_eager_astar_on_corpus_goals(self, corpus_actions, name):
-        self._check(corpus_actions, initial_state(), corpus_goals()[name])
+        _expands_like_the_reference(corpus_actions, initial_state(), corpus_goals()[name])
 
     def test_evaluates_at_most_half_the_states_eager_astar_does(self, corpus_actions, monkeypatch):
         eager, lazy = set(), []
@@ -424,13 +498,8 @@ class TestCorpusPlans:
 
     def test_solve_is_the_composed_pipeline(self, corpus_library):
         goal = corpus_goals()["blue_on_green"]
-        result = solve(
-            corpus_library,
-            planning_objects(),
-            initial_state(),
-            goal,
-            derive_costs(corpus_library),
-        )
+        actions = ground(corpus_library, planning_objects(), derive_costs(corpus_library))
+        result = plan(actions, initial_state(), goal)
         assert result.total_cost == 16
 
 
