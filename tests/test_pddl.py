@@ -4,7 +4,9 @@ import pytest
 
 from demoplan.errors import (
     EmptyDomain,
+    InputError,
     PddlSyntaxError,
+    SchemaError,
     UnsupportedFeature,
     ValidationError,
 )
@@ -349,3 +351,244 @@ def test_render_uses_document_order_for_params(corpus_library):
     assert tuple(t for _, t in put.params) == ("Hand", "Table", "Wooden_cube")
     text = render_domain(doc, library_name_map(corpus_library).extended(["learned"]))
     assert ":parameters (?h1 - hand ?t1 - table ?w1 - wooden_cube)" in text
+
+
+def _crane(old, new, text=CRANE_DOMAIN):
+    assert old in text, old
+    return text.replace(old, new, 1)
+
+
+def _restack(old, new):
+    return _crane(old, new, CRANE_PROBLEM)
+
+
+_HOIST_PRE = "(and (armfree) (not (lifted ?c)))"
+_HOIST_EFF = "(and (lifted ?c) (not (armfree)) (increase (total-cost) 2))"
+_LIFTED_MAP = NameMap((("Lifted", "lifted"),))
+
+# One malformed text per place the reader raises: (id, parse, text, class,
+# message). A PddlSyntaxError's message ends in its line and column, which the
+# test also checks against the attributes. Several cases pin the order of two
+# checks on one item (requirement order, parameter order).
+READER_ERRORS = [
+    ("empty", "domain", "", PddlSyntaxError, "empty input (line 1, column 1)"),
+    ("comment only", "domain", "; nothing here\n", PddlSyntaxError, "empty input (line 1, column 1)"),
+    ("stray close", "domain", "\n  )", PddlSyntaxError, "unexpected ')' (line 2, column 3)"),
+    ("trailing text", "domain", CRANE_DOMAIN + " junk", PddlSyntaxError,
+     "trailing text after top-level form (line 21, column 3)"),
+    ("trailing close", "domain", "(define (domain d)))", PddlSyntaxError,
+     "trailing text after top-level form (line 1, column 20)"),
+    ("unbalanced", "domain", "(define (domain d)\n  (:predicates (p ?x)", PddlSyntaxError,
+     "unbalanced parenthesis (line 2, column 3)"),
+    ("tab is one column", "domain", "(define\t(domain d)\n\t\t(:bogus))", PddlSyntaxError,
+     "unexpected section ':bogus' (line 2, column 4)"),
+    ("cr is one column", "domain", "(define (domain d)\r\n\r(:bogus)) ", PddlSyntaxError,
+     "unexpected section ':bogus' (line 2, column 3)"),
+    ("comment runs to end of line", "domain", "(define (domain d) ; (:x\n  (:bogus))",
+     PddlSyntaxError, "unexpected section ':bogus' (line 2, column 4)"),
+    ("nbsp is not a separator", "domain", "(define (domain\u00a0d))", PddlSyntaxError,
+     "expected (domain <name>) (line 1, column 2)"),
+    ("not define", "domain", "(definitely (domain d))", PddlSyntaxError,
+     "expected (define ...) (line 1, column 2)"),
+    ("bare symbol", "domain", "define", PddlSyntaxError, "expected (define ...) (line 1, column 1)"),
+    ("no kind", "domain", "(define)", PddlSyntaxError, "expected (domain <name>) (line 1, column 2)"),
+    ("wrong kind", "domain", "(define (problem d))", PddlSyntaxError,
+     "expected (domain <name>) (line 1, column 2)"),
+    ("kind arity", "domain", "(define (domain d e))", PddlSyntaxError,
+     "expected (domain <name>) (line 1, column 2)"),
+    ("kind name", "domain", "(define (domain (d)))", PddlSyntaxError,
+     "expected domain name (line 1, column 18)"),
+    ("requirement symbol", "domain", _crane(":action-costs)", ":action-costs (:adl))"),
+     PddlSyntaxError, "expected requirement (line 2, column 73)"),
+    ("requirement unsupported", "domain", _crane(":action-costs)", ":action-costs :ADL)"),
+     UnsupportedFeature, "requirement :adl is not supported"),
+    ("requirement order", "domain", _crane(":action-costs)", ":adl (:strips))"),
+     UnsupportedFeature, "requirement :adl is not supported"),
+    ("type name", "domain", _crane("(:types crate", "(:types (crate)"), PddlSyntaxError,
+     "expected type name (line 3, column 12)"),
+    ("dangling dash", "domain", _crane("(:types crate - object)", "(:types - crate)"),
+     PddlSyntaxError, "dangling '-' in typed list (line 3, column 11)"),
+    ("missing type", "domain", _crane("(:types crate - object)", "(:types crate -)"),
+     PddlSyntaxError, "missing type after '-' (line 3, column 17)"),
+    ("compound type", "domain", _crane("crate - object)", "crate - (either a b))"),
+     UnsupportedFeature, "compound types are not supported (3:20)"),
+    ("two parents", "domain", _crane("crate - object)", "crate - object crate - box box)"),
+     ValidationError, "type 'crate' is declared with two parents"),
+    ("type cycle", "domain", _crane("crate - object)", "crate - box box - crate)"),
+     SchemaError, "type hierarchy contains a cycle through 'crate'"),
+    ("predicate symbol", "domain", _crane("(armfree)\n", "armfree\n"), PddlSyntaxError,
+     "malformed predicate declaration (line 7, column 5)"),
+    ("predicate empty", "domain", _crane("(armfree)\n", "()\n"), PddlSyntaxError,
+     "malformed predicate declaration (line 0, column 0)"),
+    ("predicate name", "domain", _crane("(armfree)\n", "((armfree))\n"), PddlSyntaxError,
+     "expected predicate name (line 7, column 7)"),
+    ("predicate variables", "domain", _crane("(lifted ?c - crate)", "(lifted c - crate)"),
+     PddlSyntaxError, "predicate parameters must be variables (line 5, column 6)"),
+    ("predicate list before variables", "domain", _crane("(lifted ?c - crate)", "(lifted c -)"),
+     PddlSyntaxError, "missing type after '-' (line 5, column 15)"),
+    ("duplicate predicate", "domain", _crane("(armfree)\n", "(armfree)\n    (armfree ?c - crate)\n"),
+     SchemaError,
+     "duplicate predicate names in vocabulary: ['armfree', 'armfree', 'lifted', 'stacked']"),
+    ("duplicate predicate without actions", "domain", "(define (domain d) (:predicates (p) (p ?x)))",
+     SchemaError, "duplicate predicate names in vocabulary: ['p', 'p']"),
+    ("function", "domain", _crane("(:functions (total-cost)", "(:functions (fuel)"),
+     UnsupportedFeature, "only the (total-cost) function is supported"),
+    ("function arity", "domain", _crane("(total-cost) - number", "(total-cost ?x)"),
+     UnsupportedFeature, "only the (total-cost) function is supported"),
+    ("constants", "domain", _crane("(:types crate - object)", "(:types crate - object)\n  (:CONSTANTS c0)"),
+     UnsupportedFeature, ":constants is not supported"),
+    ("durative action", "domain", _crane("(:action hoist", "(:durative-action glide)\n  (:action hoist"),
+     UnsupportedFeature, ":durative-action is not supported"),
+    ("derived", "domain", _crane("(:action hoist", "(:derived (armfree))\n  (:action hoist"),
+     UnsupportedFeature, ":derived is not supported"),
+    ("axiom", "domain", _crane("(:action hoist", "(:axiom)\n  (:action hoist"),
+     UnsupportedFeature, ":axiom is not supported"),
+    ("unexpected section", "domain", _crane("(:action hoist", "(:bogus)\n  (:action hoist"),
+     PddlSyntaxError, "unexpected section ':bogus' (line 11, column 4)"),
+    ("symbol section", "domain", _crane("(:action hoist", "junk\n  (:action hoist"),
+     PddlSyntaxError, "unexpected section '' (line 11, column 3)"),
+    ("empty section", "domain", _crane("(:action hoist", "()\n  (:action hoist"),
+     PddlSyntaxError, "unexpected section '' (line 0, column 0)"),
+    ("duplicate action", "domain",
+     CRANE_DOMAIN[:-1] + CRANE_DOMAIN[CRANE_DOMAIN.index("(:action hoist"):],
+     ValidationError, "duplicate action names in domain"),
+    ("action name missing", "domain", "(define (domain d)\n  (:action))", PddlSyntaxError,
+     "action needs a name (line 2, column 4)"),
+    ("action name", "domain", _crane("(:action hoist", "(:action (hoist)"), PddlSyntaxError,
+     "expected action name (line 11, column 13)"),
+    ("action keyword", "domain", _crane(":parameters (?c - crate)\n", "(:parameters) (?c - crate)\n"),
+     PddlSyntaxError, "expected action keyword (line 12, column 6)"),
+    ("action keyword unsupported", "domain", _crane(":parameters (?c - crate)\n", ":vars (?c - crate)\n"),
+     UnsupportedFeature, "action keyword :vars is not supported"),
+    ("missing value", "domain", "(define (domain d)\n  (:action a :parameters))", PddlSyntaxError,
+     "missing value for :parameters (line 2, column 14)"),
+    ("missing keyword", "domain", _crane("    :parameters (?c - crate)\n", ""), PddlSyntaxError,
+     "action needs :parameters, :precondition and :effect (line 11, column 4)"),
+    ("parameter list", "domain", _crane(":parameters (?c - crate)", ":parameters ?c"),
+     PddlSyntaxError, "expected a parameter list (line 12, column 17)"),
+    ("parameter name", "domain", _crane(":parameters (?c - crate)", ":parameters ((?c) - crate)"),
+     PddlSyntaxError, "expected parameter name (line 12, column 19)"),
+    ("parameter variable", "domain", _crane(":parameters (?c - crate)", ":parameters (c - crate)"),
+     PddlSyntaxError, "action parameters must be variables (line 11, column 4)"),
+    ("parameter type", "domain", _crane(":parameters (?c - crate)", ":parameters (?c - pallet)"),
+     ValidationError, "action 'hoist' uses undeclared type 'pallet'"),
+    ("parameter order", "domain",
+     _crane(":parameters (?c - crate)", ":parameters (?c - pallet d - crate)"),
+     ValidationError, "action 'hoist' uses undeclared type 'pallet'"),
+    ("parameter variable before type", "domain",
+     _crane(":parameters (?c - crate)", ":parameters (c - pallet)"),
+     PddlSyntaxError, "action parameters must be variables (line 11, column 4)"),
+    ("literal symbol", "domain", _crane(_HOIST_PRE, "(and armfree)"), PddlSyntaxError,
+     "expected a literal (line 13, column 24)"),
+    ("literal empty", "domain", _crane(_HOIST_PRE, "(and ())"), PddlSyntaxError,
+     "expected a literal (line 0, column 0)"),
+    ("or", "domain", _crane(_HOIST_PRE, "(or (armfree))"), UnsupportedFeature,
+     "'or' is not supported in this PDDL subset"),
+    ("imply", "domain", _crane(_HOIST_PRE, "(and (imply (armfree) (armfree)))"), UnsupportedFeature,
+     "'imply' is not supported in this PDDL subset"),
+    ("forall", "domain", _crane(_HOIST_PRE, "(forall (?x - crate) (lifted ?x))"), UnsupportedFeature,
+     "'forall' is not supported in this PDDL subset"),
+    ("not arity", "domain", _crane(_HOIST_PRE, "(not (armfree) (lifted ?c))"), PddlSyntaxError,
+     "'not' takes exactly one literal (line 13, column 20)"),
+    ("double negation", "domain", _crane(_HOIST_PRE, "(not (not (armfree)))"), PddlSyntaxError,
+     "double negation (line 13, column 20)"),
+    ("atom name", "domain", _crane(_HOIST_PRE, "((armfree))"), PddlSyntaxError,
+     "expected predicate name (line 13, column 21)"),
+    ("unknown predicate", "domain", _crane(_HOIST_PRE, "(levitated ?c)"), ValidationError,
+     "unknown predicate 'levitated' at 13:20"),
+    ("argument symbol", "domain", _crane(_HOIST_PRE, "(lifted (?c))"), PddlSyntaxError,
+     "expected argument (line 13, column 28)"),
+    ("arity", "domain", _crane(_HOIST_PRE, "(lifted ?c ?c)"), ValidationError,
+     "predicate 'lifted' takes 1 arguments, got 2 at 13:20"),
+    ("arity with a name map", "domain map", _crane(_HOIST_PRE, "(lifted ?c ?c)"), ValidationError,
+     "predicate 'Lifted' takes 1 arguments, got 2 at 13:20"),
+    ("undeclared name", "domain", _crane(_HOIST_PRE, "(lifted ?z)"), ValidationError,
+     "undeclared name '?z' at 13:20"),
+    ("argument type", "domain",
+     _crane("crate - object)", "crate pallet - object)").replace("(?c - crate)", "(?c - pallet)"),
+     ValidationError, "argument '?c' of 'lifted' should be a crate, is a pallet"),
+    ("duplicate cost", "domain",
+     _crane(_HOIST_EFF, "(and (lifted ?c) (increase (total-cost) 2) (increase (total-cost) 3))"),
+     PddlSyntaxError, "duplicate cost effect (line 14, column 57)"),
+    ("when", "domain", _crane(_HOIST_EFF, "(when (armfree) (lifted ?c))"), UnsupportedFeature,
+     "'when' is not supported in effects"),
+    ("decrease", "domain", _crane(_HOIST_EFF, "(and (decrease (total-cost) 1))"), UnsupportedFeature,
+     "'decrease' is not supported in effects"),
+    ("assign", "domain", _crane(_HOIST_EFF, "(and (assign (total-cost) 1))"), UnsupportedFeature,
+     "'assign' is not supported in effects"),
+    ("effect symbol", "domain", _crane(_HOIST_EFF, "(and (lifted ?c) armfree)"), PddlSyntaxError,
+     "expected a literal (line 14, column 30)"),
+    ("add and delete", "domain", _crane(_HOIST_EFF, "(and (armfree) (not (armfree)))"),
+     ValidationError, "effect adds and deletes the same atom"),
+    ("cost fluent", "domain", _crane("(increase (total-cost) 2)", "(increase (fuel) 2)"),
+     UnsupportedFeature, "only (increase (total-cost) n) is supported (14:47)"),
+    ("cost value", "domain", _crane("(increase (total-cost) 2)", "(increase (total-cost) (2))"),
+     PddlSyntaxError, "expected cost value (line 14, column 70)"),
+    ("cost digits", "domain", _crane("(increase (total-cost) 2)", "(increase (total-cost) 1_0)"),
+     PddlSyntaxError, "cost must be a plain integer (line 14, column 69)"),
+    ("cost positive", "domain", _crane("(increase (total-cost) 2)", "(increase (total-cost) 0)"),
+     ValidationError, "cost must be positive, got 0 at 14:69"),
+    ("problem kind", "problem", "(define (domain crane))", PddlSyntaxError,
+     "expected (problem <name>) (line 1, column 2)"),
+    ("problem name missing", "problem", "(define (problem))", PddlSyntaxError,
+     "expected (problem <name>) (line 1, column 2)"),
+    ("domain arity", "problem", _restack("(:domain crane)", "(:domain)"), PddlSyntaxError,
+     "malformed :domain (line 2, column 4)"),
+    ("domain name", "problem", _restack("(:domain crane)", "(:domain (crane))"), PddlSyntaxError,
+     "expected domain name (line 2, column 13)"),
+    ("object name", "problem", _restack("(:objects c1", "(:objects (c1)"), PddlSyntaxError,
+     "expected object name (line 3, column 14)"),
+    ("object type missing", "problem", _restack("c1 c2 - crate", "c1 c2 -"), PddlSyntaxError,
+     "missing type after '-' (line 3, column 19)"),
+    ("goal arity", "problem", _restack("(:goal (and (stacked c1 c2) (armfree)))",
+                                       "(:goal (stacked c1 c2) (armfree))"),
+     PddlSyntaxError, ":goal takes one formula (line 5, column 4)"),
+    ("problem section", "problem", _restack("(:domain crane)", "(:domain crane)\n  (:requirements)"),
+     PddlSyntaxError, "unexpected section ':requirements' (line 3, column 4)"),
+    ("problem constants", "problem", _restack("(:domain crane)", "(:domain crane)\n  (:constants)"),
+     PddlSyntaxError, "unexpected section ':constants' (line 3, column 4)"),
+    ("init missing", "problem", _restack("(:init (armfree) (= (total-cost) 0))", ""), PddlSyntaxError,
+     "problem needs :init and :goal (line 1, column 1)"),
+    ("goal missing", "problem", _restack("(:goal (and (stacked c1 c2) (armfree)))", ""),
+     PddlSyntaxError, "problem needs :init and :goal (line 1, column 1)"),
+    ("duplicate object", "problem", _restack("c1 c2 - crate", "c1 c1 - crate"), ValidationError,
+     "duplicate object declarations"),
+    ("negative init", "problem", _restack("(:init (armfree)", "(:init (not (armfree))"),
+     ValidationError, "negative literals are not allowed in :init"),
+    ("init predicate", "problem", _restack("(:init (armfree)", "(:init (levitated c1)"),
+     ValidationError, "unknown predicate 'levitated' at 4:11"),
+    ("init fluent", "problem", _restack("(= (total-cost) 0)", "(= (fuel) 0)"), UnsupportedFeature,
+     "only (= (total-cost) 0) is supported in :init (4:21)"),
+    ("init fluent value", "problem", _restack("(= (total-cost) 0)", "(= (total-cost) (0))"),
+     PddlSyntaxError, "expected fluent value (line 4, column 37)"),
+    ("init fluent start", "problem", _restack("(= (total-cost) 0)", "(= (total-cost) 5)"),
+     UnsupportedFeature, "(total-cost) must start at 0"),
+    ("metric", "problem", _restack("minimize", "maximize"), UnsupportedFeature,
+     "only (:metric minimize (total-cost)) is supported"),
+    ("metric direction", "problem", _restack("minimize", "(minimize)"), PddlSyntaxError,
+     "expected metric direction (line 6, column 13)"),
+    ("metric arity", "problem", _restack("(:metric minimize (total-cost))", "(:metric (minimize))"),
+     UnsupportedFeature, "only (:metric minimize (total-cost)) is supported"),
+    ("goal empty", "problem", _restack("(:goal (and (stacked c1 c2) (armfree)))", "(:goal (and))"),
+     ValidationError, "goal must contain at least one literal"),
+    ("goal name", "problem", _restack("(stacked c1 c2)", "(stacked c1 c9)"), ValidationError,
+     "undeclared name 'c9' at 5:16"),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, text, error, message", [case[1:] for case in READER_ERRORS],
+    ids=[case[0] for case in READER_ERRORS],
+)
+def test_every_reader_error_is_pinned(parse, text, error, message):
+    with pytest.raises(InputError) as caught:
+        if parse == "problem":
+            parse_problem(text, parse_domain(CRANE_DOMAIN))
+        elif parse == "domain map":
+            parse_domain(text, name_map=_LIFTED_MAP)
+        else:
+            parse_domain(text)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+    if error is PddlSyntaxError:
+        assert message.endswith(f" (line {caught.value.line}, column {caught.value.column})")
