@@ -31,7 +31,9 @@ from .model import (
     read_json,
     satisfies,
 )
-from .planner import DEFAULT_NODE_LIMIT, GroundedAction, Plan, _Task, check_node_limit
+from .planner import (
+    DEFAULT_NODE_LIMIT, GroundedAction, Plan, _Task, _check_heuristic, check_node_limit,
+)
 
 DROP_EFFECTS = "drop_effects"
 PERTURB = "perturb"
@@ -109,9 +111,11 @@ class MonitorConfig:
     heuristic: str = "none"
 
     def __post_init__(self):
-        if self.max_replans < 0:
-            raise ValidationError("max_replans must be >= 0")
+        budget = self.max_replans
+        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+            raise ValidationError(f"max_replans must be a non-negative integer, got {budget!r}")
         check_node_limit(self.node_limit)
+        _check_heuristic(self.heuristic)
 
 
 @dataclass(frozen=True)

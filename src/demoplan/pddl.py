@@ -7,10 +7,11 @@ effects, a single (total-cost) fluent, and :metric minimize. Anything else
 UnsupportedFeature rather than being silently dropped.
 
 PDDL identifiers are lowercase by convention, so original-case names go
-through a NameMap; the map is persisted with the library so parsed files can
-be restored to their original spelling. Rendering is deterministic: sections
-are sorted line-by-line and indentation is two spaces, which makes emitted
-text byte-stable across runs.
+through a NameMap. Parsing restores the original spelling only through the map
+the caller passes (``library_name_map`` extended with the problem's names);
+without one, parsed names keep their PDDL spelling. Rendering is
+deterministic: sections are sorted line-by-line and indentation is two
+spaces, which makes emitted text byte-stable across runs.
 
 A domain document holds its actions as model.ActionSchema, the same form a
 library hands to the planner, so an emitted and re-parsed domain plans
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     EmptyDomain,
@@ -45,6 +46,10 @@ from .model import (
 )
 
 REQUIREMENTS = (":strips", ":typing", ":negative-preconditions", ":action-costs")
+
+# The names every emitted domain and problem carry.
+_DOMAIN_NAME = "learned"
+_PROBLEM_NAME = "task"
 
 # Words that must never be produced by name mangling.
 _RESERVED = {
@@ -144,9 +149,7 @@ class ProblemDoc:
 
 
 def domain_to_doc(
-    library: OperatorLibrary,
-    costs: Optional[Mapping[str, int]] = None,
-    name: str = "learned",
+    library: OperatorLibrary, costs: Optional[Mapping[str, int]] = None
 ) -> DomainDoc:
     """Build the document form of a library; costs default to 1 per action."""
     if not library.operators:
@@ -155,7 +158,7 @@ def domain_to_doc(
         sorted((t, library.types.type_to_parent.get(t)) for t in library.types.types)
     )
     return DomainDoc(
-        name=name,
+        name=_DOMAIN_NAME,
         types=types,
         predicates=library.vocabulary.signatures,
         actions=tuple(library.schemas(costs)),
@@ -167,8 +170,6 @@ def problem_to_doc(
     objects: Iterable[ObjectInstance],
     init: State,
     goal: Iterable[Literal],
-    name: str = "task",
-    domain_name: str = "learned",
 ) -> ProblemDoc:
     objects = sorted(objects, key=lambda o: o.id)
     goal = tuple(sorted(goal, key=Literal.sort_key))
@@ -180,8 +181,8 @@ def problem_to_doc(
             raise ValidationError(f"signature mismatch for predicate {atom.name!r}")
         check_atom_types(atom, table)
     return ProblemDoc(
-        name=name,
-        domain_name=domain_name,
+        name=_PROBLEM_NAME,
+        domain_name=_DOMAIN_NAME,
         objects=tuple((o.id, o.type_id) for o in objects),
         init=tuple(init.sorted_atoms()),
         goal=goal,
@@ -267,14 +268,9 @@ def render_problem(doc: ProblemDoc, nm: NameMap) -> str:
     return "\n".join(out) + "\n"
 
 
-def emit_domain(
-    library: OperatorLibrary,
-    costs: Optional[Mapping[str, int]] = None,
-    name: str = "learned",
-) -> str:
-    doc = domain_to_doc(library, costs, name)
-    nm = library_name_map(library).extended([name])
-    return render_domain(doc, nm)
+def emit_domain(library: OperatorLibrary, costs: Optional[Mapping[str, int]] = None) -> str:
+    nm = library_name_map(library).extended([_DOMAIN_NAME])
+    return render_domain(domain_to_doc(library, costs), nm)
 
 
 def emit_problem(
@@ -282,12 +278,10 @@ def emit_problem(
     objects: Iterable[ObjectInstance],
     init: State,
     goal: Iterable[Literal],
-    name: str = "task",
-    domain_name: str = "learned",
 ) -> str:
-    doc = problem_to_doc(library, objects, init, goal, name, domain_name)
+    doc = problem_to_doc(library, objects, init, goal)
     nm = library_name_map(library).extended(
-        [name, domain_name] + [o for o, _ in doc.objects]
+        [_PROBLEM_NAME, _DOMAIN_NAME] + [o for o, _ in doc.objects]
     )
     return render_problem(doc, nm)
 
@@ -303,68 +297,47 @@ class _Token:
     column: int
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        c = text[i]
-        if c == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if c in "()":
-            tokens.append(_Token(c, line, col))
-            col += 1
-            i += 1
-            continue
-        j = i
-        while j < len(text) and text[j] not in " \t\r\n();":
-            j += 1
-        tokens.append(_Token(text[i:j], line, col))
-        col += j - i
-        i = j
-    return tokens
-
-
 _Tree = Union[_Token, list]
+
+# A newline, a comment, a parenthesis or a symbol. Spaces, tabs and carriage
+# returns only separate tokens; any other character belongs to a symbol.
+_LEXEME = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
 
 
 def _read_all(text: str) -> _Tree:
-    """The one top-level form of ``text``, read with an explicit stack so
-    that deep nesting cannot exhaust the interpreter's recursion limit."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise PddlSyntaxError("empty input", line=1, column=1)
+    """The one top-level form of ``text``, read in one pass with an explicit
+    stack so that deep nesting cannot exhaust the interpreter's recursion limit."""
+    line, line_start = 1, 0
     open_lists: list[tuple[_Token, list]] = []
-    for pos, tok in enumerate(tokens):
-        if tok.text == "(":
+    top: Optional[_Tree] = None
+    for match in _LEXEME.finditer(text):
+        lexeme = match.group()
+        if lexeme == "\n":
+            line, line_start = line + 1, match.end()
+            continue
+        if lexeme[0] == ";":
+            continue
+        tok = _Token(lexeme, line, match.start() - line_start + 1)
+        if top is not None:
+            raise _fail("trailing text after top-level form", tok)
+        if lexeme == "(":
             open_lists.append((tok, []))
             continue
-        if tok.text == ")":
+        if lexeme == ")":
             if not open_lists:
-                raise PddlSyntaxError("unexpected ')'", line=tok.line, column=tok.column)
+                raise _fail("unexpected ')'", tok)
             item: _Tree = open_lists.pop()[1]
         else:
             item = tok
-        if not open_lists:
-            if pos + 1 != len(tokens):
-                extra = tokens[pos + 1]
-                raise PddlSyntaxError(
-                    "trailing text after top-level form", line=extra.line, column=extra.column
-                )
-            return item
-        open_lists[-1][1].append(item)
-    tok = open_lists[-1][0]
-    raise PddlSyntaxError("unbalanced parenthesis", line=tok.line, column=tok.column)
+        if open_lists:
+            open_lists[-1][1].append(item)
+        else:
+            top = item
+    if open_lists:
+        raise _fail("unbalanced parenthesis", open_lists[-1][0])
+    if top is None:
+        raise PddlSyntaxError("empty input", line=1, column=1)
+    return top
 
 
 def _head(tree: _Tree) -> str:
@@ -382,43 +355,76 @@ def _where(tree: _Tree) -> tuple[int, int]:
     return (node.line, node.column)
 
 
+def _fail(message: str, tree: _Tree) -> PddlSyntaxError:
+    """A syntax error placed at the first token of ``tree``."""
+    line, column = _where(tree)
+    return PddlSyntaxError(message, line=line, column=column)
+
+
 def _symbol(tree: _Tree, what: str) -> _Token:
     if not isinstance(tree, _Token):
-        line, column = _where(tree)
-        raise PddlSyntaxError(f"expected {what}", line=line, column=column)
+        raise _fail(f"expected {what}", tree)
     return tree
 
 
-def _restore(token: _Token, nm: Optional[NameMap]) -> str:
-    return nm.orig(token.text) if nm is not None else token.text
+def _only(section: list, message: str) -> _Tree:
+    """The single item after the head of ``section``."""
+    if len(section) != 2:
+        raise _fail(message, section)
+    return section[1]
 
 
-def _typed_list(
-    items: Sequence[_Tree], nm: Optional[NameMap], what: str
-) -> list[tuple[str, str]]:
+def _typed_list(items: Sequence[_Tree], nm: NameMap, what: str) -> list[tuple[str, str]]:
     """Parse 'a b - T c - S d' into (name, type) pairs; untyped means object."""
     out: list[tuple[str, str]] = []
-    pending: list[_Token] = []
+    pending: list[str] = []
     i = 0
     while i < len(items):
         tok = _symbol(items[i], f"{what} name")
-        if tok.text == "-":
-            if not pending:
-                raise PddlSyntaxError("dangling '-' in typed list", line=tok.line, column=tok.column)
-            if i + 1 >= len(items):
-                raise PddlSyntaxError("missing type after '-'", line=tok.line, column=tok.column)
-            type_tok = items[i + 1]
-            if isinstance(type_tok, list):
-                line, column = _where(type_tok)
-                raise UnsupportedFeature(f"compound types are not supported ({line}:{column})")
-            out.extend((_restore(p, nm), _restore(type_tok, nm)) for p in pending)
-            pending = []
-            i += 2
+        if tok.text != "-":
+            pending.append(nm.orig(tok.text))
+            i += 1
             continue
-        pending.append(tok)
-        i += 1
-    out.extend((_restore(p, nm), "object") for p in pending)
+        if not pending:
+            raise _fail("dangling '-' in typed list", tok)
+        if i + 1 >= len(items):
+            raise _fail("missing type after '-'", tok)
+        type_tok = items[i + 1]
+        if isinstance(type_tok, list):
+            raise UnsupportedFeature("compound types are not supported (%d:%d)" % _where(type_tok))
+        out.extend((p, nm.orig(type_tok.text)) for p in pending)
+        pending = []
+        i += 2
+    out.extend((p, "object") for p in pending)
     return out
+
+
+def _read(
+    text: str,
+    kind: str,
+    nm: NameMap,
+    readers: Mapping[str, Callable[[list], object]],
+    unsupported: Collection[str] = (),
+) -> tuple[str, dict[str, object]]:
+    """Check ``(define (<kind> <name>) <section>...)`` and hand each section to
+    the reader for its head. Returns the name and, per head, what its reader
+    returned for the last section with that head."""
+    tree = _read_all(text)
+    if _head(tree) != "define":
+        raise _fail("expected (define ...)", tree)
+    if len(tree) < 2 or _head(tree[1]) != kind or len(tree[1]) != 2:
+        raise _fail(f"expected ({kind} <name>)", tree)
+    name = nm.orig(_symbol(tree[1][1], f"{kind} name").text)
+    found: dict[str, object] = {}
+    for section in tree[2:]:
+        head = _head(section)
+        if head in readers:
+            found[head] = readers[head](section)
+        elif head in unsupported:
+            raise UnsupportedFeature(f"{head} is not supported")
+        else:
+            raise _fail(f"unexpected section {head!r}", section)
+    return name, found
 
 
 _CONDITION_UNSUPPORTED = {"forall", "exists", "when", "or", "imply", "oneof", "either"}
@@ -430,7 +436,7 @@ class _ParseScope:
     map, the type of each legal argument, and the domain's subtype relation."""
 
     vocabulary: Vocabulary
-    nm: Optional[NameMap]
+    nm: NameMap
     arg_types: Mapping[str, str]
     table: TypeTable
 
@@ -440,44 +446,33 @@ class _ParseScope:
 
 def _parse_literal(tree: _Tree, scope: _ParseScope) -> Literal:
     if not isinstance(tree, list) or not tree:
-        line, column = _where(tree)
-        raise PddlSyntaxError("expected a literal", line=line, column=column)
+        raise _fail("expected a literal", tree)
     head = _head(tree)
     if head in _CONDITION_UNSUPPORTED:
         raise UnsupportedFeature(f"'{head}' is not supported in this PDDL subset")
     if head == "not":
         if len(tree) != 2:
-            line, column = _where(tree)
-            raise PddlSyntaxError("'not' takes exactly one literal", line=line, column=column)
+            raise _fail("'not' takes exactly one literal", tree)
         if _head(tree[1]) == "not":
-            raise PddlSyntaxError("double negation", *_where(tree))
+            raise _fail("double negation", tree)
         return _parse_literal(tree[1], scope).negated()
     return Literal(_parse_atom(tree, scope), True)
 
 
 def _parse_atom(tree: _Tree, scope: _ParseScope) -> GroundAtom:
     head_tok = _symbol(tree[0], "predicate name")
-    name = _restore(head_tok, scope.nm)
+    at = f"at {head_tok.line}:{head_tok.column}"
+    name = scope.nm.orig(head_tok.text)
     if name not in scope.vocabulary:
-        raise ValidationError(
-            f"unknown predicate {name!r} at {head_tok.line}:{head_tok.column}"
-        )
+        raise ValidationError(f"unknown predicate {name!r} {at}")
     sig = scope.vocabulary.get(name)
-    args = []
-    for sub in tree[1:]:
-        tok = _symbol(sub, "argument")
-        args.append(_restore(tok, scope.nm))
+    args = [scope.nm.orig(_symbol(sub, "argument").text) for sub in tree[1:]]
     if len(args) != sig.arity:
-        raise ValidationError(
-            f"predicate {name!r} takes {sig.arity} arguments, got {len(args)} "
-            f"at {head_tok.line}:{head_tok.column}"
-        )
+        raise ValidationError(f"predicate {name!r} takes {sig.arity} arguments, got {len(args)} {at}")
     for arg, expected in zip(args, sig.arg_types):
         actual = scope.arg_types.get(arg)
         if actual is None:
-            raise ValidationError(
-                f"undeclared name {arg!r} at {head_tok.line}:{head_tok.column}"
-            )
+            raise ValidationError(f"undeclared name {arg!r} {at}")
         if not scope.compatible(actual, expected):
             raise ValidationError(
                 f"argument {arg!r} of {name!r} should be a {expected}, is a {actual}"
@@ -491,80 +486,34 @@ def _conjunction(tree: _Tree, scope: _ParseScope) -> list[Literal]:
     return [_parse_literal(tree, scope)]
 
 
-def _define(text: str, kind: str, nm: Optional[NameMap]) -> tuple[str, list]:
-    """The name and the remaining sections of ``(define (<kind> <name>) ...)``."""
-    tree = _read_all(text)
-    if _head(tree) != "define":
-        line, column = _where(tree)
-        raise PddlSyntaxError("expected (define ...)", line=line, column=column)
-    sections = tree[1:]
-    if not sections or _head(sections[0]) != kind or len(sections[0]) != 2:
-        line, column = _where(tree)
-        raise PddlSyntaxError(f"expected ({kind} <name>)", line=line, column=column)
-    return _restore(_symbol(sections[0][1], f"{kind} name"), nm), sections[1:]
-
-
-def parse_domain(text: str, name_map: Optional[NameMap] = None) -> DomainDoc:
+def parse_domain(text: str, name_map: NameMap = NameMap(())) -> DomainDoc:
     """Parse a domain file; raises PddlSyntaxError / UnsupportedFeature /
     ValidationError depending on what is wrong."""
-    domain_name, sections = _define(text, "domain", name_map)
-
-    requirements: tuple[str, ...] = REQUIREMENTS
+    nm = name_map
     types: dict[str, Optional[str]] = {}  # type -> parent, None for object
     predicates: list[PredicateSignature] = []
     actions: list[ActionSchema] = []
-    for section in sections:
-        head = _head(section)
-        if head == ":requirements":
-            seen = []
-            for item in section[1:]:
-                req = _symbol(item, "requirement").text.lower()
-                if req not in REQUIREMENTS:
-                    raise UnsupportedFeature(f"requirement {req} is not supported")
-                seen.append(req)
-            requirements = tuple(seen)
-        elif head == ":types":
-            for t, parent in _typed_list(section[1:], name_map, "type"):
-                parent = None if parent == "object" else parent
-                if types.setdefault(t, parent) != parent:
-                    raise ValidationError(f"type {t!r} is declared with two parents")
-        elif head == ":predicates":
-            for pred in section[1:]:
-                if not isinstance(pred, list) or not pred:
-                    line, column = _where(pred)
-                    raise PddlSyntaxError("malformed predicate declaration", line=line, column=column)
-                pname = _restore(_symbol(pred[0], "predicate name"), name_map)
-                params = _typed_list(pred[1:], name_map, "parameter")
-                for var, _ in params:
-                    if not var.startswith("?"):
-                        raise PddlSyntaxError(
-                            "predicate parameters must be variables",
-                            line=_where(pred)[0],
-                            column=_where(pred)[1],
-                        )
-                predicates.append(PredicateSignature(pname, tuple(t for _, t in params)))
-        elif head == ":functions":
-            for fn in section[1:]:
-                if isinstance(fn, _Token) and fn.text == "-":
-                    continue
-                if isinstance(fn, _Token) and fn.text.lower() == "number":
-                    continue
-                if _head(fn) != "total-cost" or len(fn) != 1:
-                    raise UnsupportedFeature("only the (total-cost) function is supported")
-        elif head == ":action":
-            actions.append(_parse_action(section, predicates, types, name_map))
-        elif head in (":durative-action", ":derived", ":constants", ":axiom"):
-            raise UnsupportedFeature(f"{head} is not supported")
-        else:
-            line, column = _where(section)
-            raise PddlSyntaxError(f"unexpected section {head!r}", line=line, column=column)
+
+    def read_types(section: list) -> None:
+        for t, parent in _typed_list(section[1:], nm, "type"):
+            parent = None if parent == "object" else parent
+            if types.setdefault(t, parent) != parent:
+                raise ValidationError(f"type {t!r} is declared with two parents")
+
+    domain_name, found = _read(text, "domain", nm, {
+        ":requirements": _requirements,
+        ":types": read_types,
+        ":predicates": lambda section: predicates.extend(_predicate(p, nm) for p in section[1:]),
+        ":functions": _check_functions,
+        ":action": lambda section: actions.append(_parse_action(section, predicates, types, nm)),
+    }, (":durative-action", ":derived", ":constants", ":axiom"))
 
     doc = DomainDoc(
         name=domain_name,
         types=tuple(sorted(types.items())),
         predicates=tuple(sorted(predicates, key=lambda s: s.name)),
         actions=tuple(sorted(actions, key=lambda a: a.name)),
-        requirements=requirements,
+        requirements=found.get(":requirements", REQUIREMENTS),
     )
     names = [a.name for a in doc.actions]
     if len(set(names)) != len(names):
@@ -573,53 +522,70 @@ def parse_domain(text: str, name_map: Optional[NameMap] = None) -> DomainDoc:
     return doc
 
 
+def _requirements(section: list) -> tuple[str, ...]:
+    seen = []
+    for item in section[1:]:
+        req = _symbol(item, "requirement").text.lower()
+        if req not in REQUIREMENTS:
+            raise UnsupportedFeature(f"requirement {req} is not supported")
+        seen.append(req)
+    return tuple(seen)
+
+
+def _predicate(pred: _Tree, nm: NameMap) -> PredicateSignature:
+    if not isinstance(pred, list) or not pred:
+        raise _fail("malformed predicate declaration", pred)
+    name = nm.orig(_symbol(pred[0], "predicate name").text)
+    params = _typed_list(pred[1:], nm, "parameter")
+    if not all(var.startswith("?") for var, _ in params):
+        raise _fail("predicate parameters must be variables", pred)
+    return PredicateSignature(name, tuple(t for _, t in params))
+
+
+def _check_functions(section: list) -> None:
+    for fn in section[1:]:
+        if isinstance(fn, _Token) and fn.text.lower() in ("-", "number"):
+            continue
+        if _head(fn) != "total-cost" or len(fn) != 1:
+            raise UnsupportedFeature("only the (total-cost) function is supported")
+
+
 def _parse_action(
     section: list,
     predicates: Sequence[PredicateSignature],
     types: Mapping[str, Optional[str]],
-    nm: Optional[NameMap],
+    nm: NameMap,
 ) -> ActionSchema:
     if len(section) < 2:
-        line, column = _where(section)
-        raise PddlSyntaxError("action needs a name", line=line, column=column)
-    name = _restore(_symbol(section[1], "action name"), nm)
+        raise _fail("action needs a name", section)
+    name = nm.orig(_symbol(section[1], "action name").text)
     vocabulary = Vocabulary(tuple(predicates))
     table = TypeTable({}, types)
 
     body: dict[str, _Tree] = {}
-    i = 2
-    while i < len(section):
+    for i in range(2, len(section), 2):
         key_tok = _symbol(section[i], "action keyword")
         key = key_tok.text.lower()
         if key not in (":parameters", ":precondition", ":effect"):
             raise UnsupportedFeature(f"action keyword {key} is not supported")
         if i + 1 >= len(section):
-            raise PddlSyntaxError(
-                f"missing value for {key}", line=key_tok.line, column=key_tok.column
-            )
+            raise _fail(f"missing value for {key}", key_tok)
         body[key] = section[i + 1]
-        i += 2
-    if ":parameters" not in body or ":precondition" not in body or ":effect" not in body:
-        line, column = _where(section)
-        raise PddlSyntaxError(
-            "action needs :parameters, :precondition and :effect", line=line, column=column
-        )
+    if len(body) != 3:
+        raise _fail("action needs :parameters, :precondition and :effect", section)
 
     if not isinstance(body[":parameters"], list):
-        line, column = _where(body[":parameters"])
-        raise PddlSyntaxError("expected a parameter list", line=line, column=column)
+        raise _fail("expected a parameter list", body[":parameters"])
     params = _typed_list(body[":parameters"], nm, "parameter")
-    param_types = dict(params)
     for var, type_id in params:
         if not var.startswith("?"):
-            line, column = _where(section)
-            raise PddlSyntaxError("action parameters must be variables", line=line, column=column)
+            raise _fail("action parameters must be variables", section)
         if type_id != "object" and type_id not in table.types:
             raise ValidationError(f"action {name!r} uses undeclared type {type_id!r}")
 
     # Constants are not supported in action bodies: only declared parameters
     # carry a type, so anything else fails the undeclared-name check.
-    scope = _ParseScope(vocabulary, nm, param_types, table)
+    scope = _ParseScope(vocabulary, nm, dict(params), table)
     pre = _conjunction(body[":precondition"], scope)
     adds, dels, cost = _parse_effect(body[":effect"], scope)
     return ActionSchema(
@@ -638,8 +604,7 @@ def _parse_effect(
         head = _head(item)
         if head == "increase":
             if cost is not None:
-                line, column = _where(item)
-                raise PddlSyntaxError("duplicate cost effect", line=line, column=column)
+                raise _fail("duplicate cost effect", item)
             cost = _parse_cost(item)
             continue
         if head in _CONDITION_UNSUPPORTED or head == "assign" or head == "decrease":
@@ -652,13 +617,12 @@ def _parse_effect(
 
 
 def _parse_cost(tree: list) -> int:
-    line, column = _where(tree)
     if len(tree) != 3 or _head(tree[1]) != "total-cost":
-        raise UnsupportedFeature(f"only (increase (total-cost) n) is supported ({line}:{column})")
+        raise UnsupportedFeature("only (increase (total-cost) n) is supported (%d:%d)" % _where(tree))
     tok = _symbol(tree[2], "cost value")
     # int() would also take 1_0, +3 and non-ASCII digits
     if not (tok.text.isascii() and tok.text.isdigit()):
-        raise PddlSyntaxError("cost must be a plain integer", line=tok.line, column=tok.column)
+        raise _fail("cost must be a plain integer", tok)
     value = int(tok.text)
     if value < 1:
         raise ValidationError(f"cost must be positive, got {value} at {tok.line}:{tok.column}")
@@ -668,47 +632,30 @@ def _parse_cost(tree: list) -> int:
 def parse_problem(
     text: str,
     domain: DomainDoc,
-    name_map: Optional[NameMap] = None,
+    name_map: NameMap = NameMap(()),
 ) -> ProblemDoc:
     """Parse a problem file, resolving predicates and types against its domain."""
-    problem_name, sections = _define(text, "problem", name_map)
-
-    domain_name = ""
-    objects: list[tuple[str, str]] = []
-    init_section: Optional[list] = None
-    goal_section: Optional[_Tree] = None
-    for section in sections:
-        head = _head(section)
-        if head == ":domain":
-            if len(section) != 2:
-                line, column = _where(section)
-                raise PddlSyntaxError("malformed :domain", line=line, column=column)
-            domain_name = _restore(_symbol(section[1], "domain name"), name_map)
-        elif head == ":objects":
-            objects = _typed_list(section[1:], name_map, "object")
-        elif head == ":init":
-            init_section = section[1:]
-        elif head == ":goal":
-            if len(section) != 2:
-                line, column = _where(section)
-                raise PddlSyntaxError(":goal takes one formula", line=line, column=column)
-            goal_section = section[1]
-        elif head == ":metric":
-            _check_metric(section)
-        else:
-            line, column = _where(section)
-            raise PddlSyntaxError(f"unexpected section {head!r}", line=line, column=column)
-
-    if init_section is None or goal_section is None:
+    nm = name_map
+    problem_name, found = _read(text, "problem", nm, {
+        ":domain": lambda section: nm.orig(
+            _symbol(_only(section, "malformed :domain"), "domain name").text
+        ),
+        ":objects": lambda section: _typed_list(section[1:], nm, "object"),
+        ":init": lambda section: section[1:],
+        ":goal": lambda section: _only(section, ":goal takes one formula"),
+        ":metric": _check_metric,
+    })
+    if ":init" not in found or ":goal" not in found:
         raise PddlSyntaxError("problem needs :init and :goal", line=1, column=1)
+    objects = found.get(":objects", [])
     if len(set(o for o, _ in objects)) != len(objects):
         raise ValidationError("duplicate object declarations")
 
     table = domain.type_table().with_instances(ObjectInstance(o, t) for o, t in objects)
-    scope = _ParseScope(domain.vocabulary(), name_map, dict(objects), table)
+    scope = _ParseScope(domain.vocabulary(), nm, dict(objects), table)
 
     init_atoms = []
-    for item in init_section:
+    for item in found[":init"]:
         if _head(item) == "=":
             _check_total_cost_init(item)
             continue
@@ -716,12 +663,12 @@ def parse_problem(
         if not literal.positive:
             raise ValidationError("negative literals are not allowed in :init")
         init_atoms.append(literal.atom)
-    goal = _conjunction(goal_section, scope)
+    goal = _conjunction(found[":goal"], scope)
     if not goal:
         raise ValidationError("goal must contain at least one literal")
     return ProblemDoc(
         name=problem_name,
-        domain_name=domain_name,
+        domain_name=found.get(":domain", ""),
         objects=tuple(sorted(objects)),
         init=tuple(sorted(set(init_atoms), key=GroundAtom.sort_key)),
         goal=tuple(sorted(set(goal), key=Literal.sort_key)),
@@ -738,9 +685,9 @@ def _check_metric(section: list) -> None:
 
 
 def _check_total_cost_init(item: list) -> None:
-    line, column = _where(item)
     if len(item) != 3 or _head(item[1]) != "total-cost":
-        raise UnsupportedFeature(f"only (= (total-cost) 0) is supported in :init ({line}:{column})")
-    tok = _symbol(item[2], "fluent value")
-    if tok.text != "0":
+        raise UnsupportedFeature(
+            "only (= (total-cost) 0) is supported in :init (%d:%d)" % _where(item)
+        )
+    if _symbol(item[2], "fluent value").text != "0":
         raise UnsupportedFeature("(total-cost) must start at 0")

@@ -208,6 +208,12 @@ def check_node_limit(node_limit: int) -> None:
         raise ValidationError(f"node limit must be a non-negative integer, got {node_limit!r}")
 
 
+def _check_heuristic(heuristic: str) -> None:
+    """Reject a heuristic name that ``plan`` does not know."""
+    if heuristic not in ("none", "hmax"):
+        raise ValidationError(f"unknown heuristic {heuristic!r}")
+
+
 class _Blockers(dict):
     """Byte value of one 8-atom chunk of a state -> mask of the actions that
     value blocks: those needing a true atom that is false there, or a false
@@ -321,8 +327,7 @@ class _Task:
         heuristic: str = "none",
     ) -> Optional[Plan]:
         """See ``plan``."""
-        if heuristic not in ("none", "hmax"):
-            raise ValidationError(f"unknown heuristic {heuristic!r}")
+        _check_heuristic(heuristic)
         check_node_limit(node_limit)
         goal_pos = goal_neg = 0
         for lit in goal:

@@ -237,6 +237,22 @@ class TestReporting:
         with pytest.raises(ValidationError):
             MonitorConfig(node_limit=-1)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("heuristic", "bogus", "unknown heuristic 'bogus'"),
+            ("max_replans", 2.5, "max_replans must be a non-negative integer, got 2.5"),
+            ("max_replans", True, "max_replans must be a non-negative integer, got True"),
+            ("node_limit", 1.0, "node limit must be a non-negative integer, got 1.0"),
+        ],
+    )
+    def test_config_checks_every_field_when_built(self, field, value, message):
+        # a bad field used to surface only at the first replan, after the
+        # world had already been stepped
+        with pytest.raises(ValidationError) as err:
+            MonitorConfig(**{field: value})
+        assert str(err.value) == message
+
 
 class TestAgainstTheCorpus:
     def test_faulty_grasp_recovers(self, corpus_actions):
