@@ -14,7 +14,6 @@ renderer is byte-stable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -39,6 +38,7 @@ from .model import (
     check_atom_types,
     expect,
     expect_keys,
+    json_text,
     literal_to_list,
     objects_to_json,
     read_file,
@@ -130,10 +130,6 @@ def _plan_payload(plan_: Optional[Plan]) -> dict:
     }
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # shared steps: learn, build a task, execute
 
@@ -221,7 +217,7 @@ def cmd_plan(args) -> int:
             raise ValidationError("either --library or --domain/--problem is required")
         _, init, goal, actions = _library_task(args, load_library(args.library))
     plan_ = plan(actions, init, goal, node_limit=args.node_limit, heuristic=args.heuristic)
-    text = _dump(_plan_payload(plan_))
+    text = json_text(_plan_payload(plan_))
     sys.stdout.write(text)
     if args.out:
         write_file(args.out, text)
@@ -242,7 +238,7 @@ def cmd_execute(args) -> int:
     log = _execute(args, library, objects, init, goal, actions, plan_)
     sys.stdout.write(format_transcript(log))
     if args.out:
-        write_file(args.out, _dump(log_to_dict(log)))
+        write_file(args.out, json_text(log_to_dict(log)))
     return EXIT_OK if log.succeeded else EXIT_EXECUTION
 
 
@@ -262,14 +258,14 @@ def cmd_pipeline(args) -> int:
     print(f"pddl: {out / 'domain.pddl'}, {out / 'problem.pddl'}")
 
     plan_ = plan(actions, init, goal, node_limit=args.node_limit, heuristic=args.heuristic)
-    write_file(out / "plan.json", _dump(_plan_payload(plan_)))
+    write_file(out / "plan.json", json_text(_plan_payload(plan_)))
     if plan_ is None:
         print("plan: goal is unsolvable")
         return EXIT_UNSOLVABLE
     print(f"plan: {len(plan_.actions)} steps, cost {plan_.total_cost} -> {out / 'plan.json'}")
 
     log = _execute(args, library, objects, init, goal, actions, plan_)
-    write_file(out / "execution.json", _dump(log_to_dict(log)))
+    write_file(out / "execution.json", json_text(log_to_dict(log)))
     write_file(out / "transcript.txt", format_transcript(log))
     print(f"execution: {log.outcome}" + (f" ({log.reason})" if log.reason else ""))
     return EXIT_OK if log.succeeded else EXIT_EXECUTION
@@ -295,12 +291,12 @@ def cmd_gen_traces(args) -> int:
         "objects": objects_to_json(planning_objects()),
         "atoms": [atom_to_list(a) for a in initial_state().sorted_atoms()],
     }
-    write_file(out / "init.json", _dump(init_payload))
+    write_file(out / "init.json", json_text(init_payload))
     goals_payload = {
         name: [literal_to_list(l) for l in literals]
         for name, literals in corpus_goals().items()
     }
-    write_file(out / "goals.json", _dump(goals_payload))
+    write_file(out / "goals.json", json_text(goals_payload))
     for path in paths:
         print(path)
     print(out / "init.json")

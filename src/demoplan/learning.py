@@ -15,7 +15,6 @@ found, and any other construction computes it in __post_init__.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -28,9 +27,9 @@ from .model import (
     Literal,
     TypeTable,
     Vocabulary,
-    enumerate_atoms,
     expect,
     expect_keys,
+    json_text,
     literal_from_list,
     literal_to_list,
     read_json,
@@ -119,47 +118,30 @@ class LiftedOperator:
         return adds, dels
 
 
-def changed_atoms(trace: Trace, seg: Segment) -> list[GroundAtom]:
-    """Atoms whose truth differs between the segment's anchor and final frame."""
+def extract(trace: Trace, seg: Segment) -> GroundedOperator:
+    """Read one operator off a segment; raises NoEffectSegment if nothing changed.
+
+    The objects are the actor, then every argument of an atom that changed
+    between the anchor and the final frame, in order of first appearance.
+    Both snapshots hold one literal per active atom whose arguments are all
+    among those objects. This relies on every atom being well typed, which
+    load_trace checks.
+    """
     start = trace.frames[seg.start_frame].true_atoms
     end = trace.frames[seg.end_frame].true_atoms
-    return sorted(start ^ end, key=GroundAtom.sort_key)
-
-
-def relevant_objects(trace: Trace, seg: Segment) -> list[str]:
-    """The actor, then every object of a changed atom in order of first appearance."""
-    ordered = [seg.actor]
-    for atom in changed_atoms(trace, seg):
-        for arg in atom.args:
-            if arg not in ordered:
-                ordered.append(arg)
-    return ordered
-
-
-def extract(trace: Trace, seg: Segment) -> GroundedOperator:
-    """Read one operator off a segment; raises NoEffectSegment if nothing changed."""
-    if not changed_atoms(trace, seg):
+    changed = sorted(start ^ end, key=GroundAtom.sort_key)
+    if not changed:
         raise NoEffectSegment(
             f"segment {seg.label!r} [{seg.start_frame}..{seg.end_frame}] changed no atoms"
         )
-    objects = relevant_objects(trace, seg)
-    active = trace.active_atoms
-
-    def snapshot(frame_index: int) -> frozenset[Literal]:
-        true_atoms = trace.frames[frame_index].true_atoms
-        literals = set()
-        for atom in enumerate_atoms(trace.vocabulary, objects, trace.types):
-            if atom in true_atoms:
-                literals.add(Literal(atom, True))
-            elif atom in active:
-                literals.add(Literal(atom, False))
-        return frozenset(literals)
-
+    objects = tuple(dict.fromkeys([seg.actor, *(arg for atom in changed for arg in atom.args)]))
+    allowed = set(objects)
+    atoms = [atom for atom in trace.active_atoms if allowed.issuperset(atom.args)]
     return GroundedOperator(
         name=seg.label,
-        objects=tuple(objects),
-        pre=snapshot(seg.start_frame),
-        post=snapshot(seg.end_frame),
+        objects=objects,
+        pre=frozenset(Literal(atom, atom in start) for atom in atoms),
+        post=frozenset(Literal(atom, atom in end) for atom in atoms),
     )
 
 
@@ -250,9 +232,6 @@ class OperatorLibrary:
     def empty(vocabulary: Vocabulary, types: TypeTable) -> "OperatorLibrary":
         hierarchy = TypeTable({}, types.type_to_parent, types.types)
         return OperatorLibrary(vocabulary=vocabulary, types=hierarchy)
-
-    def counts(self) -> dict[str, int]:
-        return {key: op.count for key, op in self.operators.items()}
 
     def sorted_items(self) -> list[tuple[str, LiftedOperator]]:
         return sorted(self.operators.items())
@@ -428,7 +407,7 @@ def library_from_dict(payload: dict) -> OperatorLibrary:
 
 
 def save_library(library: OperatorLibrary, path: str | Path) -> None:
-    write_file(path, json.dumps(library_to_dict(library), indent=2, sort_keys=True) + "\n")
+    write_file(path, json_text(library_to_dict(library)))
 
 
 def load_library(path: str | Path) -> OperatorLibrary:

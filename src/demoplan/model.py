@@ -9,13 +9,12 @@ immutable value, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-import itertools
 import json
 import reprlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import InputError, InvalidEffect, ParseError, SchemaError, ValidationError, located
 
@@ -333,23 +332,6 @@ def check_atom_types(atom: GroundAtom, types: TypeTable) -> None:
             )
 
 
-def enumerate_atoms(
-    vocabulary: Vocabulary, object_ids: Sequence[str], types: TypeTable
-) -> Iterator[GroundAtom]:
-    """Yield every well-typed ground atom over the given objects, in sorted order.
-
-    Repeated arguments are included; relevance filtering happens elsewhere.
-    """
-    pool = sorted(object_ids)
-    for sig in vocabulary.signatures:
-        candidates = [
-            [obj for obj in pool if types.is_subtype(types.type_of(obj), t)]
-            for t in sig.arg_types
-        ]
-        for args in itertools.product(*candidates):
-            yield GroundAtom(sig, args)
-
-
 # JSON codecs shared by every file format in this package. Decoders check the
 # shape of each value before they use it, so malformed JSON raises a ParseError
 # or SchemaError and never a builtin error. Atoms and literals are lists:
@@ -471,6 +453,12 @@ def write_file(path: str | Path, text: str) -> None:
 def read_json(path: str | Path, decode: Callable[[Any], T]) -> T:
     """read_file for a JSON file: ``decode`` gets the parsed payload."""
     return read_file(path, lambda text: decode(_parse_json(text)))
+
+
+def json_text(payload: Any) -> str:
+    """The text of every JSON file the package writes: two-space indent,
+    sorted keys and a final newline, so equal payloads give equal bytes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _parse_json(text: str) -> Any:

@@ -16,7 +16,8 @@ spaces, which makes emitted text byte-stable across runs.
 A domain document holds its actions as model.ActionSchema, the same form a
 library hands to the planner, so an emitted and re-parsed domain plans
 exactly like the library it came from. A problem is parsed against its
-domain: predicates, types and argument types all come from there.
+domain: predicates, types and argument types all come from there. A problem
+may declare its own :requirements, which are checked as a domain's are.
 """
 
 from __future__ import annotations
@@ -297,6 +298,16 @@ class _Token:
     column: int
 
 
+class _List(list):
+    """A parenthesized list; ``paren`` is its opening '(' token."""
+
+    __slots__ = ("paren",)
+
+    def __init__(self, paren: _Token):
+        super().__init__()
+        self.paren = paren
+
+
 _Tree = Union[_Token, list]
 
 # A newline, a comment, a parenthesis or a symbol. Spaces, tabs and carriage
@@ -308,7 +319,7 @@ def _read_all(text: str) -> _Tree:
     """The one top-level form of ``text``, read in one pass with an explicit
     stack so that deep nesting cannot exhaust the interpreter's recursion limit."""
     line, line_start = 1, 0
-    open_lists: list[tuple[_Token, list]] = []
+    open_lists: list[_List] = []
     top: Optional[_Tree] = None
     for match in _LEXEME.finditer(text):
         lexeme = match.group()
@@ -321,20 +332,20 @@ def _read_all(text: str) -> _Tree:
         if top is not None:
             raise _fail("trailing text after top-level form", tok)
         if lexeme == "(":
-            open_lists.append((tok, []))
+            open_lists.append(_List(tok))
             continue
         if lexeme == ")":
             if not open_lists:
                 raise _fail("unexpected ')'", tok)
-            item: _Tree = open_lists.pop()[1]
+            item: _Tree = open_lists.pop()
         else:
             item = tok
         if open_lists:
-            open_lists[-1][1].append(item)
+            open_lists[-1].append(item)
         else:
             top = item
     if open_lists:
-        raise _fail("unbalanced parenthesis", open_lists[-1][0])
+        raise _fail("unbalanced parenthesis", open_lists[-1].paren)
     if top is None:
         raise PddlSyntaxError("empty input", line=1, column=1)
     return top
@@ -347,11 +358,10 @@ def _head(tree: _Tree) -> str:
 
 
 def _where(tree: _Tree) -> tuple[int, int]:
+    """Where the first token of ``tree`` stands, or the '(' of an empty list."""
     node = tree
     while isinstance(node, list):
-        if not node:
-            return (0, 0)
-        node = node[0]
+        node = node[0] if node else node.paren
     return (node.line, node.column)
 
 
@@ -637,6 +647,7 @@ def parse_problem(
     """Parse a problem file, resolving predicates and types against its domain."""
     nm = name_map
     problem_name, found = _read(text, "problem", nm, {
+        ":requirements": _requirements,
         ":domain": lambda section: nm.orig(
             _symbol(_only(section, "malformed :domain"), "domain name").text
         ),

@@ -65,9 +65,6 @@ class CostModel:
             if not isinstance(cost, int) or cost < 1:
                 raise ValidationError(f"cost for {key!r} must be a positive integer, got {cost!r}")
 
-    def cost(self, key: str) -> int:
-        return self.costs[key]
-
 
 def derive_costs(library: OperatorLibrary) -> CostModel:
     """Map observation counts to costs so often-seen operators are preferred."""

@@ -93,10 +93,6 @@ class Segment:
         if not (0 <= self.start_frame < self.end_frame):
             raise ValidationError(f"segment frames out of order: {self}")
 
-    @property
-    def first_transition(self) -> int:
-        return self.start_frame + 1
-
 
 def validate_rules(rules: Sequence[ClassifierRule]) -> None:
     priorities = [r.priority for r in rules]
@@ -288,26 +284,6 @@ def rules_from_json(payload) -> tuple[ClassifierRule, ...]:
             ))
     validate_rules(rules)
     return tuple(rules)
-
-
-def rules_to_json(rules: Sequence[ClassifierRule]) -> list:
-    payload = []
-    for rule in rules:
-        conditions = []
-        for cond in rule.conditions:
-            literal = [cond.predicate, *cond.args]
-            if not cond.positive:
-                literal = ["!", *literal]
-            conditions.append({"scope": cond.scope, "literal": literal})
-        payload.append(
-            {
-                "name": rule.name,
-                "actor_type": rule.actor_type,
-                "priority": rule.priority,
-                "conditions": conditions,
-            }
-        )
-    return payload
 
 
 def load_rules(path: str | Path) -> tuple[ClassifierRule, ...]:

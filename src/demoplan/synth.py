@@ -10,7 +10,7 @@ sensor noise that a window-2 debounce provably removes again.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .model import (
@@ -23,7 +23,7 @@ from .model import (
     Vocabulary,
 )
 from .segmentation import Segment
-from .traces import Frame, Trace
+from .traces import Frame, Trace, rewrite_series
 
 TABLE = "Table_1"
 RIGHT_HAND = "Right_hand"
@@ -207,18 +207,12 @@ def _flip_positions(values: list[bool], budget: int, rng: random.Random) -> list
 def inject_flicker(trace: Trace, seed: int) -> Trace:
     """Add isolated one-frame sensor blips that debouncing removes exactly."""
     rng = random.Random(seed)
-    n = len(trace.frames)
-    budget = max(1, n // 10)
-    frame_sets = [set(frame.true_atoms) for frame in trace.frames]
-    for atom in sorted(trace.active_atoms, key=GroundAtom.sort_key):
-        values = [atom in frame.true_atoms for frame in trace.frames]
+    budget = max(1, len(trace.frames) // 10)
+
+    def flicker(values: list[bool]) -> list[bool]:
+        flipped = list(values)
         for i in _flip_positions(values, budget, rng):
-            if values[i]:
-                frame_sets[i].discard(atom)
-            else:
-                frame_sets[i].add(atom)
-    frames = tuple(
-        Frame(frame.timestamp, frozenset(atoms))
-        for frame, atoms in zip(trace.frames, frame_sets)
-    )
-    return replace(trace, frames=frames)
+            flipped[i] = not values[i]
+        return flipped
+
+    return rewrite_series(trace, flicker)

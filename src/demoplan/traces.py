@@ -14,11 +14,11 @@ plus optional ``meta`` (demonstrator id, scenario label) and optional
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from .errors import InputError, ValidationError
 from .model import (
@@ -31,6 +31,7 @@ from .model import (
     check_atom_types,
     expect,
     expect_keys,
+    json_text,
     objects_to_json,
     read_json,
     types_from_json,
@@ -149,7 +150,7 @@ def load_trace(path: str | Path) -> Trace:
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:
-    write_file(path, json.dumps(trace_to_dict(trace), indent=2, sort_keys=True) + "\n")
+    write_file(path, json_text(trace_to_dict(trace)))
 
 
 def _debounced_series(values: list[bool], window: int) -> list[bool]:
@@ -178,12 +179,19 @@ def debounce(trace: Trace, config: DebounceConfig = DebounceConfig()) -> Trace:
     """
     if config.window == 1:
         return trace
+    return rewrite_series(trace, lambda values: _debounced_series(values, config.window))
+
+
+def rewrite_series(trace: Trace, transform: Callable[[list[bool]], list[bool]]) -> Trace:
+    """The trace whose frames hold each active atom where ``transform`` of its
+    membership series says so. Atoms are visited in sorted order, so a
+    transform that draws random numbers gives the same trace every run."""
     frame_sets: list[set[GroundAtom]] = [set() for _ in trace.frames]
     for atom in sorted(trace.active_atoms, key=GroundAtom.sort_key):
-        raw = [atom in frame.true_atoms for frame in trace.frames]
-        for i, member in enumerate(_debounced_series(raw, config.window)):
+        series = transform([atom in frame.true_atoms for frame in trace.frames])
+        for atoms, member in zip(frame_sets, series):
             if member:
-                frame_sets[i].add(atom)
+                atoms.add(atom)
     frames = tuple(
         Frame(frame.timestamp, frozenset(atoms))
         for frame, atoms in zip(trace.frames, frame_sets)

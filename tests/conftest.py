@@ -12,13 +12,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 settings.register_profile("ci", derandomize=True, database=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
-import demoplan
 from demoplan.learning import build_library
 from demoplan.planner import derive_costs, ground
 from demoplan.segmentation import DEFAULT_RULES
 from demoplan.synth import corpus, planning_objects
 
-FIXTURE_PATH = Path(demoplan.__file__).parent / "data" / "put_fixture.json"
+FIXTURE_PATH = Path(__file__).parent / "data" / "put_fixture.json"
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from hypothesis import strategies as st
 
@@ -15,10 +16,12 @@ from demoplan.model import (
     State,
     TypeTable,
     Vocabulary,
-    enumerate_atoms,
 )
 from demoplan.planner import GroundedAction
+from demoplan.segmentation import ClassifierRule
 from demoplan.traces import Frame, Trace
+
+from oracles import enumerate_atoms
 
 # A compact typed world used whenever a test just needs "some" schema.  The
 # hierarchy (Block and Zone under Thing, Robot outside it) and the zero-arity
@@ -94,6 +97,32 @@ def random_library(rng: random.Random, operators: int | None = None) -> Operator
         if rng.random() < 0.3:
             merge(library, lifted)
     return library
+
+
+def counts(library: OperatorLibrary) -> dict[str, int]:
+    """The observation count of each operator, by canonical key."""
+    return {key: op.count for key, op in library.operators.items()}
+
+
+def rules_to_json(rules: Sequence[ClassifierRule]) -> list:
+    """The rules-file payload that ``segmentation.rules_from_json`` reads back."""
+    payload = []
+    for rule in rules:
+        conditions = []
+        for cond in rule.conditions:
+            literal = [cond.predicate, *cond.args]
+            if not cond.positive:
+                literal = ["!", *literal]
+            conditions.append({"scope": cond.scope, "literal": literal})
+        payload.append(
+            {
+                "name": rule.name,
+                "actor_type": rule.actor_type,
+                "priority": rule.priority,
+                "conditions": conditions,
+            }
+        )
+    return payload
 
 
 def random_planning_instance(

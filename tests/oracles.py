@@ -4,7 +4,8 @@ Everything in this module is deliberately written from scratch in the most
 direct style available: plain sets and dicts, exhaustive enumeration, no
 bitmasks (``applicable_reference`` only reads a compiled task's state
 integer), and no imports from demoplan beyond the frozen dataclasses whose
-public fields the oracles read or that ``ground_reference`` builds.  When an
+public fields the oracles read or that ``ground_reference`` and
+``extract_reference`` build, and the exception ``extract_reference`` raises.  When an
 oracle and the package disagree, one of them has a bug; the oracles are kept
 simple enough to audit by eye.
 """
@@ -14,6 +15,8 @@ from __future__ import annotations
 import heapq
 import itertools
 
+from demoplan.errors import NoEffectSegment
+from demoplan.learning import GroundedOperator
 from demoplan.model import GroundAtom, Literal
 from demoplan.planner import GroundedAction
 
@@ -248,6 +251,55 @@ def all_typed_atoms(signatures, object_types, parents):
         for combo in itertools.product(*pools):
             atoms.add((sig.name, combo))
     return atoms
+
+
+def enumerate_atoms(vocabulary, object_ids, types):
+    """Yield every well-typed ground atom over the given objects, in sorted
+    order, repeated arguments included."""
+    pool = sorted(object_ids)
+    for sig in vocabulary.signatures:
+        candidates = [
+            [obj for obj in pool if types.is_subtype(types.type_of(obj), t)]
+            for t in sig.arg_types
+        ]
+        for args in itertools.product(*candidates):
+            yield GroundAtom(sig, args)
+
+
+def extract_reference(trace, seg):
+    """What ``learning.extract`` must return, read off the type table.
+
+    The objects are the actor, then every argument of an atom that changed
+    between the segment's two frames, in sorted atom order.  Each snapshot
+    holds every well-typed atom over those objects that is true in its frame,
+    and, negated, every one that is false there but true in some frame.
+    """
+    start = trace.frames[seg.start_frame].true_atoms
+    end = trace.frames[seg.end_frame].true_atoms
+    changed = sorted(start ^ end, key=GroundAtom.sort_key)
+    if not changed:
+        raise NoEffectSegment(
+            f"segment {seg.label!r} [{seg.start_frame}..{seg.end_frame}] changed no atoms"
+        )
+    objects = [seg.actor]
+    for atom in changed:
+        for arg in atom.args:
+            if arg not in objects:
+                objects.append(arg)
+    active = set()
+    for frame in trace.frames:
+        active |= frame.true_atoms
+
+    def snapshot(true_atoms):
+        literals = set()
+        for atom in enumerate_atoms(trace.vocabulary, objects, trace.types):
+            if atom in true_atoms:
+                literals.add(Literal(atom, True))
+            elif atom in active:
+                literals.add(Literal(atom, False))
+        return frozenset(literals)
+
+    return GroundedOperator(seg.label, tuple(objects), snapshot(start), snapshot(end))
 
 
 def _relabeled(literals, mapping):

@@ -49,7 +49,7 @@ from demoplan.synth import (
 )
 from demoplan.traces import DebounceConfig, debounce
 
-from helpers import random_library, random_planning_instance, toy_schema
+from helpers import counts, random_library, random_planning_instance, toy_schema
 from oracles import dijkstra_plan, replay
 
 GOLDEN_PUT_PRE = {
@@ -120,7 +120,7 @@ def test_corpus_library_supports_every_stacking_goal(corpus_demos):
 
 
 def test_flicker_noise_does_not_change_what_is_learned(corpus_demos, corpus_library):
-    reference = corpus_library.counts()
+    reference = counts(corpus_library)
     for seed in range(20):
         flipped = 0
         recovered = []
@@ -134,7 +134,7 @@ def test_flicker_noise_does_not_change_what_is_learned(corpus_demos, corpus_libr
         assert flipped == 12, f"seed {seed} left the corpus unperturbed"
         library = build_library(recovered, DEFAULT_RULES)
         assert set(library.operators) == set(corpus_library.operators), seed
-        assert library.counts() == reference, seed
+        assert counts(library) == reference, seed
     print("acceptance: 20 noise seeds leave operator keys and counts untouched")
 
 
@@ -197,7 +197,7 @@ def test_practice_counts_steer_plans_through_common_variants(
 
     costs = derive_costs(corpus_library)
     names = corpus_library.variant_names()
-    by_name = {names[key]: costs.cost(key) for key in corpus_library.operators}
+    by_name = {names[key]: costs.costs[key] for key in corpus_library.operators}
     assert by_name == {
         "grasp": 1,
         "place": 13,
@@ -281,7 +281,7 @@ def test_execution_recovers_from_dropped_effects(corpus_actions):
 
 
 def test_library_is_order_invariant_and_additive(corpus_demos, corpus_library):
-    reference = corpus_library.counts()
+    reference = counts(corpus_library)
     traces = [d.trace for d in corpus_demos]
 
     rng = random.Random(5)
@@ -290,8 +290,8 @@ def test_library_is_order_invariant_and_additive(corpus_demos, corpus_library):
         rng.shuffle(shuffled)
         library = build_library(shuffled, DEFAULT_RULES)
         assert set(library.operators) == set(corpus_library.operators)
-        assert library.counts() == reference
+        assert counts(library) == reference
 
     doubled = build_library(traces + traces, DEFAULT_RULES)
-    assert doubled.counts() == {key: 2 * n for key, n in reference.items()}
+    assert counts(doubled) == {key: 2 * n for key, n in reference.items()}
     print("acceptance: learning order never matters and observation counts add up")

@@ -18,9 +18,11 @@ from demoplan.errors import ParseError, SchemaError
 from demoplan.learning import load_library
 from demoplan.model import Literal
 from demoplan.pddl import parse_domain
-from demoplan.segmentation import DEFAULT_RULES, rules_to_json
+from demoplan.segmentation import DEFAULT_RULES
 from demoplan.synth import stacking_types, stacking_vocabulary
 from demoplan.traces import debounce, load_trace
+
+from helpers import counts, rules_to_json
 
 GOAL = "onTop(Cube_red1,Cube_green1)"
 IMPOSSIBLE_GOAL = "onTop(Cube_red1,Cube_red1)"
@@ -161,7 +163,7 @@ class TestLearn:
         out = capsys.readouterr().out
         assert "0 new, 3 reobserved" in out
         library = load_library(lib)
-        assert set(library.counts().values()) == {2}
+        assert set(counts(library).values()) == {2}
 
     def test_corpus_library_summary(self, workspace, capsys):
         lib = workspace / "again.json"

@@ -23,9 +23,10 @@ from demoplan.model import atom_to_list, objects_to_json, read_file
 from demoplan.monitor import load_faults
 from demoplan.pddl import emit_domain, emit_problem, parse_domain, parse_problem
 from demoplan.planner import derive_costs
-from demoplan.segmentation import DEFAULT_RULES, load_rules, rules_to_json
+from demoplan.segmentation import DEFAULT_RULES, load_rules
 from demoplan.synth import corpus_goals, initial_state, planning_objects
 from demoplan.traces import load_trace
+from helpers import rules_to_json
 
 MUTATIONS = 400
 

@@ -2,6 +2,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from demoplan import learning
 from demoplan.errors import NoEffectSegment, SchemaError, ValidationError
@@ -11,7 +13,6 @@ from demoplan.learning import (
     OperatorLibrary,
     build_library,
     canonical_key,
-    changed_atoms,
     extract,
     learn_from_trace,
     library_from_dict,
@@ -19,7 +20,6 @@ from demoplan.learning import (
     lift,
     load_library,
     merge,
-    relevant_objects,
     save_library,
 )
 from demoplan.model import (
@@ -30,10 +30,28 @@ from demoplan.model import (
     Vocabulary,
 )
 from demoplan.segmentation import DEFAULT_RULES, Segment, segment
+from demoplan.synth import inject_flicker
 from demoplan.traces import Frame, Trace, debounce, load_trace
 
-from helpers import random_grounded_operator, toy_schema
-from oracles import operators_equivalent
+from helpers import counts, random_grounded_operator, random_trace, toy_schema, traces_st
+from oracles import extract_reference, operators_equivalent
+
+
+def _changed(op: GroundedOperator) -> list[GroundAtom]:
+    return sorted({lit.atom for lit in op.post - op.pre}, key=GroundAtom.sort_key)
+
+
+def _matches_reference(trace: Trace, seg: Segment) -> bool:
+    """Assert that extract agrees with the oracle on one segment, a segment
+    without change included; True when the segment had an effect."""
+    try:
+        expected = extract_reference(trace, seg)
+    except NoEffectSegment:
+        with pytest.raises(NoEffectSegment):
+            extract(trace, seg)
+        return False
+    assert extract(trace, seg) == expected
+    return True
 
 EXPECTED_PUT_PRE = {
     "!handMove(?h1)",
@@ -129,15 +147,21 @@ class TestOperatorInvariants:
 class TestExtraction:
     def test_changed_atoms_and_relevant_objects(self, fixture_path):
         trace = load_trace(fixture_path)
-        seg = Segment("put", "Right_hand", 1, 2)
-        changed = changed_atoms(trace, seg)
-        assert [repr(a) for a in changed] == [
+        op = extract(trace, Segment("put", "Right_hand", 1, 2))
+        assert [repr(a) for a in _changed(op)] == [
             "handMove(Right_hand)",
             "inTouch(Cube_green1,Table_1)",
             "onTop(Cube_green1,Table_1)",
         ]
         # the actor always leads; the rest follow in atom order
-        assert relevant_objects(trace, seg) == ["Right_hand", "Cube_green1", "Table_1"]
+        assert op.objects == ("Right_hand", "Cube_green1", "Table_1")
+        assert {repr(l) for l in op.pre} == {
+            "!handMove(Right_hand)",
+            "!handOpen(Right_hand)",
+            "inHand(Right_hand,Cube_green1)",
+            "inTouch(Cube_green1,Table_1)",
+            "onTop(Cube_green1,Table_1)",
+        }
 
     def test_extracted_literals_stay_inside_relevant_objects(self, corpus_demos):
         for demo in corpus_demos[:4]:
@@ -147,7 +171,44 @@ class TestExtraction:
                 allowed = set(op.objects)
                 for lit in op.pre | op.post:
                     assert set(lit.atom.args) <= allowed
-                assert list(op.objects) == relevant_objects(trace, seg)
+                assert op.objects[0] == seg.actor
+                assert set(op.objects) == {seg.actor}.union(
+                    *(atom.args for atom in _changed(op))
+                )
+
+    def test_extract_matches_the_reference_on_the_corpus(self, corpus_demos, fixture_path):
+        traces = [load_trace(fixture_path)]
+        for seed in range(20):
+            noisy = inject_flicker(corpus_demos[seed % len(corpus_demos)].trace, seed)
+            traces += [noisy, debounce(noisy)]
+        traces += [demo.trace for demo in corpus_demos]
+        checked = 0
+        for trace in traces:
+            for seg in segment(trace, DEFAULT_RULES):
+                checked += _matches_reference(trace, seg)
+        assert checked > 300
+
+    def test_extract_matches_the_reference_on_random_traces(self):
+        rng = random.Random(11)
+        outcomes = set()
+        for _ in range(150):
+            trace = random_trace(rng)
+            # a closing copy of the first frame gives a segment with no effect
+            last = Frame(trace.frames[-1].timestamp, trace.frames[0].true_atoms)
+            trace = replace(trace, frames=trace.frames + (last,))
+            actors = sorted(trace.types.instance_to_type)
+            for end in range(1, len(trace.frames)):
+                for start in range(end):
+                    seg = Segment("act", rng.choice(actors), start, end)
+                    outcomes.add(_matches_reference(trace, seg))
+        assert outcomes == {True, False}
+
+    @given(traces_st(), st.data())
+    def test_extract_matches_the_reference_on_drawn_traces(self, trace, data):
+        end = data.draw(st.integers(1, len(trace.frames) - 1))
+        start = data.draw(st.integers(0, end - 1))
+        actor = data.draw(st.sampled_from(sorted(trace.types.instance_to_type)))
+        _matches_reference(trace, Segment("act", actor, start, end))
 
     def test_segment_without_change_raises(self):
         vocabulary, table = toy_schema()
@@ -243,7 +304,7 @@ class TestLibrary:
         op = lift(random_grounded_operator(random.Random(9), "dock"), table)
         merge(library, op)
         merge(library, op)
-        assert list(library.counts().values()) == [2]
+        assert list(counts(library).values()) == [2]
         key = canonical_key(op)
         assert library.operators[key].count == 2
 
@@ -347,13 +408,13 @@ class TestLearning:
         for _ in range(3):
             rng.shuffle(traces)
             shuffled = build_library(traces, DEFAULT_RULES)
-            assert shuffled.counts() == corpus_library.counts()
+            assert counts(shuffled) == counts(corpus_library)
             assert shuffled.variant_names() == corpus_library.variant_names()
 
     def test_learning_twice_doubles_every_count(self, corpus_demos, corpus_library):
         traces = [d.trace for d in corpus_demos]
         doubled = build_library(traces + traces, DEFAULT_RULES)
-        assert doubled.counts() == {k: 2 * v for k, v in corpus_library.counts().items()}
+        assert counts(doubled) == {k: 2 * v for k, v in counts(corpus_library).items()}
 
 
 class TestLibraryFiles:
@@ -361,7 +422,7 @@ class TestLibraryFiles:
         path = tmp_path / "library.json"
         save_library(corpus_library, path)
         loaded = load_library(path)
-        assert loaded.counts() == corpus_library.counts()
+        assert counts(loaded) == counts(corpus_library)
         assert loaded.vocabulary == corpus_library.vocabulary
         assert loaded.types.type_to_parent == corpus_library.types.type_to_parent
         for key, op in corpus_library.operators.items():

@@ -23,7 +23,6 @@ from demoplan.model import (
     atom_from_list,
     atom_to_list,
     check_atom_types,
-    enumerate_atoms,
     holds,
     literal_from_list,
     literal_to_list,
@@ -37,7 +36,7 @@ from demoplan.traces import load_trace, save_trace
 
 import demoplan
 from helpers import atoms_st, literals_st, states_st, toy_schema
-from oracles import all_typed_atoms
+from oracles import all_typed_atoms, enumerate_atoms
 
 ON = PredicateSignature("on", ("Block", "Block"))
 CLEAR = PredicateSignature("clear", ("Block",))
@@ -298,9 +297,10 @@ class TestHashOnce:
         """Pickled under one PYTHONHASHSEED, loaded under another, every value
         must be found in a set of the same values built fresh there."""
         src = str(Path(demoplan.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, str(Path(__file__).resolve().parent)])
 
         def run(seed, mode, data=None):
-            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
             proc = subprocess.run(
                 [sys.executable, "-c", _PICKLE_SCRIPT, mode],
                 input=data, capture_output=True, env=env, timeout=120, check=True,
@@ -314,7 +314,8 @@ class TestHashOnce:
 
 _PICKLE_SCRIPT = """
 import pickle, sys
-from demoplan.model import Literal, enumerate_atoms
+from demoplan.model import Literal
+from oracles import enumerate_atoms
 from demoplan.synth import planning_objects, stacking_types, stacking_vocabulary
 ids = [o.id for o in planning_objects()]
 atoms = list(enumerate_atoms(stacking_vocabulary(), ids, stacking_types()))

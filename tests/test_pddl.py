@@ -419,7 +419,7 @@ READER_ERRORS = [
     ("predicate symbol", "domain", _crane("(armfree)\n", "armfree\n"), PddlSyntaxError,
      "malformed predicate declaration (line 7, column 5)"),
     ("predicate empty", "domain", _crane("(armfree)\n", "()\n"), PddlSyntaxError,
-     "malformed predicate declaration (line 0, column 0)"),
+     "malformed predicate declaration (line 7, column 5)"),
     ("predicate name", "domain", _crane("(armfree)\n", "((armfree))\n"), PddlSyntaxError,
      "expected predicate name (line 7, column 7)"),
     ("predicate variables", "domain", _crane("(lifted ?c - crate)", "(lifted c - crate)"),
@@ -448,7 +448,7 @@ READER_ERRORS = [
     ("symbol section", "domain", _crane("(:action hoist", "junk\n  (:action hoist"),
      PddlSyntaxError, "unexpected section '' (line 11, column 3)"),
     ("empty section", "domain", _crane("(:action hoist", "()\n  (:action hoist"),
-     PddlSyntaxError, "unexpected section '' (line 0, column 0)"),
+     PddlSyntaxError, "unexpected section '' (line 11, column 3)"),
     ("duplicate action", "domain",
      CRANE_DOMAIN[:-1] + CRANE_DOMAIN[CRANE_DOMAIN.index("(:action hoist"):],
      ValidationError, "duplicate action names in domain"),
@@ -481,7 +481,7 @@ READER_ERRORS = [
     ("literal symbol", "domain", _crane(_HOIST_PRE, "(and armfree)"), PddlSyntaxError,
      "expected a literal (line 13, column 24)"),
     ("literal empty", "domain", _crane(_HOIST_PRE, "(and ())"), PddlSyntaxError,
-     "expected a literal (line 0, column 0)"),
+     "expected a literal (line 13, column 24)"),
     ("or", "domain", _crane(_HOIST_PRE, "(or (armfree))"), UnsupportedFeature,
      "'or' is not supported in this PDDL subset"),
     ("imply", "domain", _crane(_HOIST_PRE, "(and (imply (armfree) (armfree)))"), UnsupportedFeature,
@@ -543,8 +543,9 @@ READER_ERRORS = [
     ("goal arity", "problem", _restack("(:goal (and (stacked c1 c2) (armfree)))",
                                        "(:goal (stacked c1 c2) (armfree))"),
      PddlSyntaxError, ":goal takes one formula (line 5, column 4)"),
-    ("problem section", "problem", _restack("(:domain crane)", "(:domain crane)\n  (:requirements)"),
-     PddlSyntaxError, "unexpected section ':requirements' (line 3, column 4)"),
+    ("problem section", "problem",
+     _restack("(:domain crane)", "(:domain crane)\n  (:requirements :fluents)"),
+     UnsupportedFeature, "requirement :fluents is not supported"),
     ("problem constants", "problem", _restack("(:domain crane)", "(:domain crane)\n  (:constants)"),
      PddlSyntaxError, "unexpected section ':constants' (line 3, column 4)"),
     ("init missing", "problem", _restack("(:init (armfree) (= (total-cost) 0))", ""), PddlSyntaxError,
@@ -574,6 +575,12 @@ READER_ERRORS = [
     ("goal name", "problem", _restack("(stacked c1 c2)", "(stacked c1 c9)"), ValidationError,
      "undeclared name 'c9' at 5:16"),
 ]
+
+
+def test_problem_requirements_are_read_and_ignored():
+    domain = parse_domain(CRANE_DOMAIN)
+    text = _restack("(:domain crane)", "(:domain crane)\n  (:requirements :strips :typing)")
+    assert parse_problem(text, domain) == parse_problem(CRANE_PROBLEM, domain)
 
 
 @pytest.mark.parametrize(

@@ -92,7 +92,7 @@ class TestActionInvariants:
 def test_derived_costs_prefer_frequent_operators(corpus_library):
     costs = derive_costs(corpus_library)
     names = corpus_library.variant_names()
-    by_name = {names[key]: costs.cost(key) for key in corpus_library.operators}
+    by_name = {names[key]: costs.costs[key] for key in corpus_library.operators}
     assert by_name == {
         "grasp": 1,
         "place": 13,
@@ -531,10 +531,8 @@ class TestDocAdapters:
     def test_parsed_documents_plan_identically(self, corpus_library, corpus_actions):
         costs = derive_costs(corpus_library)
         names = corpus_library.variant_names()
-        cost_by_name = {names[k]: costs.cost(k) for k in corpus_library.operators}
-        domain_text = emit_domain(
-            corpus_library, {k: costs.cost(k) for k in corpus_library.operators}
-        )
+        cost_by_name = {names[k]: costs.costs[k] for k in corpus_library.operators}
+        domain_text = emit_domain(corpus_library, costs.costs)
         goal = corpus_goals()["red_on_green"]
         problem_text = emit_problem(
             corpus_library, planning_objects(), initial_state(), goal
@@ -564,7 +562,7 @@ class TestDocAdapters:
 
     def test_schema_adapter_preserves_costs(self, corpus_library):
         costs = derive_costs(corpus_library)
-        text = emit_domain(corpus_library, {k: costs.cost(k) for k in corpus_library.operators})
+        text = emit_domain(corpus_library, costs.costs)
         nm = library_name_map(corpus_library).extended(["learned"])
         doc = parse_domain(text, name_map=nm)
         assert {s.name: s.cost for s in doc.actions} == {

@@ -23,11 +23,12 @@ from demoplan.segmentation import (
     frame_labels,
     load_rules,
     rules_from_json,
-    rules_to_json,
     segment,
     validate_rules,
 )
 from demoplan.traces import Frame, Trace, load_trace
+
+from helpers import rules_to_json
 
 NEAR = PredicateSignature("near", ("Hand", "Cube"))
 HOLD = PredicateSignature("inHand", ("Hand", "Cube"))
@@ -152,8 +153,16 @@ class TestSegments:
         with pytest.raises(ValidationError):
             Segment("move", "h", -1, 1)
 
-    def test_first_transition_follows_the_anchor_frame(self):
-        assert Segment("move", "h", 3, 5).first_transition == 4
+    def test_first_transition_follows_the_anchor_frame(self, corpus_demos):
+        """A segment's label covers the transitions into start_frame + 1 ..
+        end_frame, and the anchor frame itself carries another label."""
+        for demo in corpus_demos[:2]:
+            for seg in segment(demo.trace, DEFAULT_RULES):
+                labels = frame_labels(demo.trace, ObjectInstance(seg.actor, "Hand"), DEFAULT_RULES)
+                assert labels[seg.start_frame + 1 : seg.end_frame + 1] == [seg.label] * (
+                    seg.end_frame - seg.start_frame
+                )
+                assert labels[seg.start_frame] != seg.label
 
     def test_runs_of_equal_labels_become_one_segment(self):
         """Two approach transitions then two retreat transitions collapse to
@@ -176,7 +185,7 @@ class TestSegments:
             Segment("approach", "h", start_frame=0, end_frame=2),
             Segment("retreat", "h", start_frame=2, end_frame=4),
         ]
-        assert [s.first_transition for s in segs] == [1, 3]
+        assert [s.start_frame + 1 for s in segs] == [1, 3]
 
     def test_idle_gaps_split_segments(self):
         trace = _trace([set(), {_near("c1")}, {_near("c1")}, {_near("c1"), _near("c2")}])
