@@ -42,7 +42,6 @@ from .segmentation import (
     ClassifierRule,
     LiteralPattern,
     Segment,
-    classify_frame,
     load_rules,
     segment,
 )
@@ -137,7 +136,6 @@ __all__ = [
     "apply",
     "build_library",
     "canonical_key",
-    "classify_frame",
     "debounce",
     "derive_costs",
     "emit_domain",

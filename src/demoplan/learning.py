@@ -328,12 +328,15 @@ def learn_from_trace(
             continue
         operators.append(lift(grounded, cleaned.types))
     library.absorb_schema(trace.vocabulary, trace.types)
+    merged = []
     for lifted in operators:
         known = lifted.key in library.operators
         merge(library, lifted)
-        names = library.variant_names()
-        label = f"{names[lifted.key]} (count {library.operators[lifted.key].count})"
-        (report.incremented if known else report.added).append(label)
+        merged.append((lifted.key, library.operators[lifted.key].count, known))
+    # Named once all are merged, so a later variant cannot rename a reported one.
+    names = library.variant_names()
+    for key, count, known in merged:
+        (report.incremented if known else report.added).append(f"{names[key]} (count {count})")
     return report
 
 

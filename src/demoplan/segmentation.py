@@ -2,6 +2,7 @@
 
 Each frame transition (from frame i-1 into frame i) is classified per actor by
 matching declarative rules against the state at frame i and the delta into it.
+The deltas are computed once per transition and shared by every actor.
 Maximal runs of one label become segments.  A segment records ``start_frame``,
 the anchor frame *before* its first classified transition, and ``end_frame``,
 the frame reached by its last; operator extraction reads the precondition
@@ -11,11 +12,12 @@ snapshot at the anchor and the post snapshot at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NoActorError, ParseError, ValidationError, located
-from .model import GroundAtom, ObjectInstance, expect, expect_keys, read_json
+from .model import GroundAtom, expect, expect_keys, read_json
 from .traces import Trace
 
 IDLE = "idle"
@@ -117,89 +119,55 @@ def _bindings(cond: LiteralPattern, pool: Iterable[GroundAtom], binding: dict) -
             yield extended
 
 
-def _rule_fires(
-    rule: ClassifierRule,
-    actor_id: str,
-    state: frozenset[GroundAtom],
-    added: frozenset[GroundAtom],
-    deleted: frozenset[GroundAtom],
-) -> bool:
-    binders = [c for c in rule.conditions if c.binds()]
-    filters = [c for c in rule.conditions if not c.binds()]
-
-    def pool(cond: LiteralPattern) -> frozenset[GroundAtom]:
-        if cond.scope == STATE_SCOPE:
-            return state
-        return added if cond.positive else deleted
-
-    def search(index: int, binding: dict) -> bool:
-        if index == len(binders):
-            for cond in filters:
-                for _ in _bindings(cond, state, binding):
-                    return False
-            return True
-        cond = binders[index]
-        for extended in _bindings(cond, pool(cond), binding):
-            if search(index + 1, extended):
-                return True
-        return False
-
-    return search(0, {ACTOR_VAR: actor_id})
-
-
-def classify_frame(
-    trace: Trace,
-    frame_index: int,
-    actor: ObjectInstance,
-    rules: Sequence[ClassifierRule],
-) -> str:
-    """Label the transition into ``frame_index`` for one actor, or ``idle``."""
-    if frame_index < 1 or frame_index >= len(trace.frames):
-        raise IndexError(f"frame_index must be in 1..{len(trace.frames) - 1}, got {frame_index}")
-    state = trace.frames[frame_index].true_atoms
-    previous = trace.frames[frame_index - 1].true_atoms
-    added = state - previous
-    deleted = previous - state
-    applicable = [r for r in rules if trace.types.is_subtype(actor.type_id, r.actor_type)]
-    for rule in sorted(applicable, key=lambda r: -r.priority):
-        if _rule_fires(rule, actor.id, state, added, deleted):
-            return rule.name
-    return IDLE
-
-
-def frame_labels(trace: Trace, actor: ObjectInstance, rules: Sequence[ClassifierRule]) -> list[str]:
-    """Per-frame labels for one actor; frame 0 has no incoming transition."""
-    labels = [IDLE]
-    labels.extend(classify_frame(trace, i, actor, rules) for i in range(1, len(trace.frames)))
-    return labels
+def _rule_fires(rule: ClassifierRule, actor_id: str, state: frozenset[GroundAtom],
+                added: frozenset[GroundAtom], deleted: frozenset[GroundAtom]) -> bool:
+    """Whether some binding satisfies every binding condition, in condition
+    order, and leaves no non-binding condition matching a true atom."""
+    bindings = [{ACTOR_VAR: actor_id}]
+    filters = []
+    for cond in rule.conditions:
+        if not cond.binds():
+            filters.append(cond)
+            continue
+        pool = state if cond.scope == STATE_SCOPE else added if cond.positive else deleted
+        bindings = [extended for binding in bindings for extended in _bindings(cond, pool, binding)]
+    return any(not any(True for cond in filters for _ in _bindings(cond, state, binding))
+               for binding in bindings)
 
 
 def segment(trace: Trace, rules: Sequence[ClassifierRule]) -> list[Segment]:
-    """Segment a whole trace, one pass per actor, actors in id order."""
+    """Segment a whole trace, actors in id order.
+
+    Each transition is labelled, per actor, with the name of the
+    highest-priority rule for the actor's type that fires on it, else
+    ``idle``; every maximal run of one label other than ``idle`` is a segment.
+    """
     validate_rules(rules)
+    ordered = sorted(rules, key=lambda r: -r.priority)
     actors = [
-        obj
+        (obj.id, own)
         for obj in trace.objects
-        if any(trace.types.is_subtype(obj.type_id, r.actor_type) for r in rules)
+        if (own := [r for r in ordered if trace.types.is_subtype(obj.type_id, r.actor_type)])
     ]
     if not actors:
         raise NoActorError(
             f"trace declares no object matching any rule actor type "
             f"({sorted({r.actor_type for r in rules})})"
         )
+    states = [frame.true_atoms for frame in trace.frames]
+    transitions = [(now, now - before, before - now) for before, now in zip(states, states[1:])]
     segments: list[Segment] = []
-    for actor in actors:
-        labels = frame_labels(trace, actor, rules)
-        i = 1
-        while i < len(labels):
-            if labels[i] == IDLE:
-                i += 1
-                continue
-            j = i
-            while j + 1 < len(labels) and labels[j + 1] == labels[i]:
-                j += 1
-            segments.append(Segment(labels[i], actor.id, start_frame=i - 1, end_frame=j))
-            i = j + 1
+    for actor, own in actors:
+        labels = (
+            next((r.name for r in own if _rule_fires(r, actor, *delta)), IDLE)
+            for delta in transitions
+        )
+        start = 0
+        for label, run in groupby(labels):
+            end = start + sum(1 for _ in run)
+            if label != IDLE:
+                segments.append(Segment(label, actor, start_frame=start, end_frame=end))
+            start = end
     return segments
 
 

@@ -18,7 +18,7 @@ from demoplan.model import (
     Vocabulary,
 )
 from demoplan.planner import GroundedAction
-from demoplan.segmentation import ClassifierRule
+from demoplan.segmentation import DELTA_SCOPE, STATE_SCOPE, ClassifierRule, LiteralPattern
 from demoplan.traces import Frame, Trace
 
 from oracles import enumerate_atoms
@@ -165,6 +165,38 @@ def random_trace(rng: random.Random) -> Trace:
         frames.append(Frame(t, frozenset(a for a in atoms if rng.random() < 0.3)))
         t += rng.choice([0.0, 0.25, 0.5])
     return Trace(vocabulary, table, tuple(frames), demonstrator="gen", scenario="random")
+
+
+# Actor types for random rule tables: every toy type, the supertype Thing, and
+# one type no object has, so that some tables find no actor at all.
+_ACTOR_TYPES = ("Robot", "Block", "Zone", "Thing", "Drone")
+
+
+def random_rule_table(rng: random.Random) -> list[ClassifierRule]:
+    """1-4 rules with unique priorities over the toy vocabulary.
+
+    Each rule has 1-3 conditions of either polarity in either scope, at
+    least one of them a delta condition mentioning ``?actor``; arguments are
+    ``?actor``, variables shared between conditions, or object ids.
+    """
+    vocabulary, _ = toy_schema()
+    signatures = [sig for sig in vocabulary.signatures if sig.arity]
+    objects = sorted(_OBJECT_TYPES)
+    rules = []
+    for priority in rng.sample(range(-5, 20), rng.randint(1, 4)):
+        conditions = []
+        for i in range(rng.randint(1, 3)):
+            sig = rng.choice(signatures if i == 0 else vocabulary.signatures)
+            args = [rng.choice(["?actor", "?x", "?y", rng.choice(objects)]) for _ in range(sig.arity)]
+            if i == 0:
+                args[rng.randrange(len(args))] = "?actor"
+            scope = DELTA_SCOPE if i == 0 else rng.choice([DELTA_SCOPE, STATE_SCOPE])
+            conditions.append(LiteralPattern(scope, rng.random() < 0.6, sig.name, tuple(args)))
+        rng.shuffle(conditions)
+        rules.append(
+            ClassifierRule(rng.choice("abc"), rng.choice(_ACTOR_TYPES), priority, tuple(conditions))
+        )
+    return rules
 
 
 # hypothesis strategies over the same toy schema

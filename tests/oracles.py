@@ -4,8 +4,9 @@ Everything in this module is deliberately written from scratch in the most
 direct style available: plain sets and dicts, exhaustive enumeration, no
 bitmasks (``applicable_reference`` only reads a compiled task's state
 integer), and no imports from demoplan beyond the frozen dataclasses whose
-public fields the oracles read or that ``ground_reference`` and
-``extract_reference`` build, and the exception ``extract_reference`` raises.  When an
+public fields the oracles read or that ``ground_reference``,
+``extract_reference`` and ``segment_reference`` build, and the exceptions
+``extract_reference`` and ``segment_reference`` raise.  When an
 oracle and the package disagree, one of them has a bug; the oracles are kept
 simple enough to audit by eye.
 """
@@ -15,10 +16,11 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from demoplan.errors import NoEffectSegment
+from demoplan.errors import NoActorError, NoEffectSegment, ValidationError
 from demoplan.learning import GroundedOperator
 from demoplan.model import GroundAtom, Literal
 from demoplan.planner import GroundedAction
+from demoplan.segmentation import Segment
 
 
 def ground_reference(schemas, objects, types, allow_repeated_bindings=False):
@@ -300,6 +302,101 @@ def extract_reference(trace, seg):
         return frozenset(literals)
 
     return GroundedOperator(seg.label, tuple(objects), snapshot(start), snapshot(end))
+
+
+def _unify(cond, pool, binding):
+    """Every extension of ``binding`` that matches ``cond`` against an atom
+    of ``pool``; ``?``-arguments are variables, the rest object ids."""
+    for atom in pool:
+        if atom.predicate.name != cond.predicate or len(atom.args) != len(cond.args):
+            continue
+        extended = dict(binding)
+        for pattern, actual in zip(cond.args, atom.args):
+            if pattern.startswith("?"):
+                if extended.setdefault(pattern, actual) != actual:
+                    break
+            elif pattern != actual:
+                break
+        else:
+            yield extended
+
+
+def _fires_reference(rule, actor_id, state, added, deleted):
+    """Depth-first search for a binding of the binding conditions under
+    which no non-binding condition matches a true atom."""
+    binders = [c for c in rule.conditions if c.binds()]
+    filters = [c for c in rule.conditions if not c.binds()]
+
+    def pool(cond):
+        if cond.scope == "state":
+            return state
+        return added if cond.positive else deleted
+
+    def search(index, binding):
+        if index == len(binders):
+            for cond in filters:
+                for _ in _unify(cond, state, binding):
+                    return False
+            return True
+        cond = binders[index]
+        for extended in _unify(cond, pool(cond), binding):
+            if search(index + 1, extended):
+                return True
+        return False
+
+    return search(0, {"?actor": actor_id})
+
+
+def segment_reference(trace, rules):
+    """What ``segmentation.segment`` must return, or the exception it raises.
+
+    Each transition is classified separately for each actor: its added and
+    deleted atoms are recomputed, the actor's rules filtered and sorted by
+    priority, and the first that fires names it.  Runs of one label other
+    than ``idle`` become segments, actors in id order.
+    """
+    priorities = [r.priority for r in rules]
+    if len(set(priorities)) != len(priorities):
+        raise ValidationError(f"rule priorities must be unique, got {sorted(priorities)}")
+
+    def classify_frame(frame_index, actor):
+        state = trace.frames[frame_index].true_atoms
+        previous = trace.frames[frame_index - 1].true_atoms
+        added = state - previous
+        deleted = previous - state
+        applicable = [r for r in rules if trace.types.is_subtype(actor.type_id, r.actor_type)]
+        for rule in sorted(applicable, key=lambda r: -r.priority):
+            if _fires_reference(rule, actor.id, state, added, deleted):
+                return rule.name
+        return "idle"
+
+    def frame_labels(actor):
+        return ["idle"] + [classify_frame(i, actor) for i in range(1, len(trace.frames))]
+
+    actors = [
+        obj
+        for obj in trace.objects
+        if any(trace.types.is_subtype(obj.type_id, r.actor_type) for r in rules)
+    ]
+    if not actors:
+        raise NoActorError(
+            f"trace declares no object matching any rule actor type "
+            f"({sorted({r.actor_type for r in rules})})"
+        )
+    segments = []
+    for actor in actors:
+        labels = frame_labels(actor)
+        i = 1
+        while i < len(labels):
+            if labels[i] == "idle":
+                i += 1
+                continue
+            j = i
+            while j + 1 < len(labels) and labels[j + 1] == labels[i]:
+                j += 1
+            segments.append(Segment(labels[i], actor.id, start_frame=i - 1, end_frame=j))
+            i = j + 1
+    return segments
 
 
 def _relabeled(literals, mapping):

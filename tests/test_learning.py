@@ -30,7 +30,7 @@ from demoplan.model import (
     Vocabulary,
 )
 from demoplan.segmentation import DEFAULT_RULES, Segment, segment
-from demoplan.synth import inject_flicker
+from demoplan.synth import GREEN, RED, RIGHT_HAND, TABLE, inject_flicker, stacking_demo
 from demoplan.traces import Frame, Trace, debounce, load_trace
 
 from helpers import counts, random_grounded_operator, random_trace, toy_schema, traces_st
@@ -364,6 +364,20 @@ class TestLearning:
         report = learn_from_trace(library, trace, DEFAULT_RULES)
         assert report.added == []
         assert report.incremented == ["put (count 2)", "place (count 2)", "release (count 2)"]
+
+    def test_report_uses_the_names_the_library_ends_with(self):
+        """A variant merged later in the same trace may sort before one that
+        was already merged; the report names both as the library does."""
+        demo = stacking_demo("p9", RIGHT_HAND, ((RED, TABLE, GREEN), (RED, GREEN, TABLE)))
+        library = OperatorLibrary.empty(demo.trace.vocabulary, demo.trace.types)
+        report = learn_from_trace(library, demo.trace, DEFAULT_RULES)
+        names = library.variant_names()
+        assert sorted(label.split()[0] for label in report.added) == sorted(names.values())
+        assert report.added == [
+            "reach (count 1)", "grasp (count 1)", "put (count 1)", "place_2 (count 1)",
+            "release (count 1)", "reach_2 (count 1)", "put_2 (count 1)", "place (count 1)",
+        ]
+        assert report.incremented == ["grasp (count 2)", "release (count 2)"]
 
     def test_a_failing_trace_leaves_the_library_unchanged(self, corpus_demos):
         first, trace = corpus_demos[1].trace, corpus_demos[0].trace

@@ -14,7 +14,6 @@ from demoplan.model import (
 from demoplan.monitor import (
     DROP_EFFECTS,
     PERTURB,
-    ExecutionLog,
     Fault,
     MonitorConfig,
     WorldSim,

@@ -11,7 +11,7 @@ from demoplan.errors import (
     ValidationError,
 )
 from demoplan.learning import OperatorLibrary, lift, merge
-from demoplan.model import Literal, ObjectInstance, State, read_file
+from demoplan.model import ObjectInstance, read_file
 from demoplan.pddl import (
     NameMap,
     build_name_map,
@@ -21,7 +21,6 @@ from demoplan.pddl import (
     library_name_map,
     parse_domain,
     parse_problem,
-    problem_to_doc,
     render_domain,
     render_problem,
 )

@@ -11,7 +11,6 @@ from demoplan.model import (
     ActionSchema,
     GroundAtom,
     Literal,
-    ObjectInstance,
     PredicateSignature,
     State,
     TypeTable,

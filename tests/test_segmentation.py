@@ -1,11 +1,12 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 
 from demoplan.errors import NoActorError, ParseError, ValidationError
 from demoplan.model import (
     GroundAtom,
-    ObjectInstance,
     PredicateSignature,
     TypeTable,
     Vocabulary,
@@ -19,16 +20,16 @@ from demoplan.segmentation import (
     ClassifierRule,
     LiteralPattern,
     Segment,
-    classify_frame,
-    frame_labels,
     load_rules,
     rules_from_json,
     segment,
     validate_rules,
 )
-from demoplan.traces import Frame, Trace, load_trace
+from demoplan.synth import inject_flicker
+from demoplan.traces import Frame, Trace, debounce, load_trace
 
-from helpers import rules_to_json
+from helpers import random_rule_table, random_trace, rules_to_json
+from oracles import segment_reference
 
 NEAR = PredicateSignature("near", ("Hand", "Cube"))
 HOLD = PredicateSignature("inHand", ("Hand", "Cube"))
@@ -96,37 +97,31 @@ class TestPatternsAndRules:
 
 
 class TestClassify:
-    def test_transition_index_bounds(self):
-        trace = _trace([set(), {_near("c1")}])
-        hand = ObjectInstance("h", "Hand")
-        with pytest.raises(IndexError):
-            classify_frame(trace, 0, hand, [APPROACH])
-        with pytest.raises(IndexError):
-            classify_frame(trace, 2, hand, [APPROACH])
-
     def test_steady_frames_are_idle(self):
         trace = _trace([{_near("c1")}, {_near("c1")}])
-        assert classify_frame(trace, 1, ObjectInstance("h", "Hand"), [APPROACH, RETREAT]) == IDLE
+        assert segment(trace, [APPROACH, RETREAT]) == []
 
     def test_added_and_deleted_atoms_pick_the_rule(self):
         trace = _trace([set(), {_near("c1")}, set()])
-        hand = ObjectInstance("h", "Hand")
-        assert classify_frame(trace, 1, hand, [APPROACH, RETREAT]) == "approach"
-        assert classify_frame(trace, 2, hand, [APPROACH, RETREAT]) == "retreat"
+        assert segment(trace, [APPROACH, RETREAT]) == [
+            Segment("approach", "h", 0, 1),
+            Segment("retreat", "h", 1, 2),
+        ]
 
     def test_higher_priority_wins_on_overlap(self):
         # both rules key on the same added atom, only priorities differ
         contender = ClassifierRule("contender", "Hand", 9, APPROACH.conditions)
         trace = _trace([set(), {_near("c1")}])
-        hand = ObjectInstance("h", "Hand")
-        assert classify_frame(trace, 1, hand, [APPROACH, contender]) == "contender"
+        assert segment(trace, [APPROACH, contender]) == [Segment("contender", "h", 0, 1)]
         demoted = ClassifierRule("contender", "Hand", 0, APPROACH.conditions)
-        assert classify_frame(trace, 1, hand, [APPROACH, demoted]) == "approach"
+        assert segment(trace, [APPROACH, demoted]) == [Segment("approach", "h", 0, 1)]
 
     def test_rules_for_other_actor_types_never_fire(self):
+        # the cube rule outranks APPROACH but never applies to the hand
         cube_rule = ClassifierRule("roll", "Cube", 5, APPROACH.conditions)
         trace = _trace([set(), {_near("c1")}])
-        assert classify_frame(trace, 1, ObjectInstance("h", "Hand"), [cube_rule]) == IDLE
+        assert segment(trace, [cube_rule]) == []
+        assert segment(trace, [cube_rule, APPROACH]) == [Segment("approach", "h", 0, 1)]
 
     def test_unbound_negative_state_condition_reads_universally(self):
         # fires only when the actor holds nothing at all
@@ -137,12 +132,11 @@ class TestClassify:
                 LiteralPattern(STATE_SCOPE, False, "inHand", (ACTOR_VAR, "?x")),
             ),
         )
-        hand = ObjectInstance("h", "Hand")
         empty_handed = _trace([set(), {_near("c1")}])
-        assert classify_frame(empty_handed, 1, hand, [free_move]) == "free_move"
+        assert segment(empty_handed, [free_move]) == [Segment("free_move", "h", 0, 1)]
         # holding any cube, even one unrelated to the motion, blocks the rule
         loaded = _trace([{_hold("c2")}, {_hold("c2"), _near("c1")}])
-        assert classify_frame(loaded, 1, hand, [free_move]) == IDLE
+        assert segment(loaded, [free_move]) == []
 
 
 class TestSegments:
@@ -157,12 +151,12 @@ class TestSegments:
         """A segment's label covers the transitions into start_frame + 1 ..
         end_frame, and the anchor frame itself carries another label."""
         for demo in corpus_demos[:2]:
+            labels = {}
             for seg in segment(demo.trace, DEFAULT_RULES):
-                labels = frame_labels(demo.trace, ObjectInstance(seg.actor, "Hand"), DEFAULT_RULES)
-                assert labels[seg.start_frame + 1 : seg.end_frame + 1] == [seg.label] * (
-                    seg.end_frame - seg.start_frame
-                )
-                assert labels[seg.start_frame] != seg.label
+                frames = range(seg.start_frame + 1, seg.end_frame + 1)
+                assert all((seg.actor, i) not in labels for i in frames)
+                labels.update(((seg.actor, i), seg.label) for i in frames)
+                assert labels.get((seg.actor, seg.start_frame), IDLE) != seg.label
 
     def test_runs_of_equal_labels_become_one_segment(self):
         """Two approach transitions then two retreat transitions collapse to
@@ -176,10 +170,6 @@ class TestSegments:
                 set(),
             ]
         )
-        hand = ObjectInstance("h", "Hand")
-        assert frame_labels(trace, hand, [APPROACH, RETREAT]) == [
-            IDLE, "approach", "approach", "retreat", "retreat",
-        ]
         segs = segment(trace, [APPROACH, RETREAT])
         assert segs == [
             Segment("approach", "h", start_frame=0, end_frame=2),
@@ -234,6 +224,38 @@ class TestDefaultRules:
     def test_scripted_segments_are_recovered_exactly(self, corpus_demos):
         for demo in corpus_demos:
             assert tuple(segment(demo.trace, DEFAULT_RULES)) == demo.segments
+
+
+def _outcome(function, trace, rules):
+    """The segments ``function`` returns, or the class and message it raises."""
+    try:
+        return function(trace, rules)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+class TestReferenceParity:
+    """``segment`` returns exactly what ``oracles.segment_reference`` does."""
+
+    def test_corpus_raw_flickered_and_debounced(self, corpus_demos):
+        traces = [demo.trace for demo in corpus_demos]
+        for seed in range(1, 6):
+            for demo in corpus_demos:
+                noisy = inject_flicker(demo.trace, seed)
+                traces += [noisy, debounce(noisy)]
+        for trace in traces:
+            assert segment(trace, DEFAULT_RULES) == segment_reference(trace, DEFAULT_RULES)
+
+    def test_random_traces_and_rule_tables(self):
+        rng = random.Random(2024)
+        outcomes = Counter()
+        for _ in range(1000):
+            trace, rules = random_trace(rng), random_rule_table(rng)
+            expected = _outcome(segment_reference, trace, rules)
+            assert _outcome(segment, trace, rules) == expected
+            outcomes[expected[0] if isinstance(expected, tuple) else bool(expected)] += 1
+        # the draws reach segments, no segments, and tables without an actor
+        assert set(outcomes) == {True, False, NoActorError}
 
 
 class TestRuleFiles:

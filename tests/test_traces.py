@@ -19,7 +19,7 @@ from demoplan.traces import (
     trace_to_dict,
 )
 
-from helpers import bool_series_st, random_trace, toy_schema, traces_st
+from helpers import bool_series_st, random_trace, traces_st
 from oracles import debounced_reference
 
 SIG = PredicateSignature("lit", ("Lamp",))
