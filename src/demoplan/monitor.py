@@ -2,8 +2,10 @@
 
 Before each action the monitor checks preconditions against the sensed state;
 after each action it compares the sensed state with the predicted one. Any
-mismatch triggers replanning from the sensed state, up to a configurable
-budget. Faults are scripted per global step index so failures are repeatable:
+mismatch triggers a replan, up to a configurable budget: it keeps the rest of
+the last searched plan when the sensed state is on that plan's predicted path,
+and searches from the sensed state otherwise. Faults are scripted per global
+step index so failures are repeatable:
 ``drop_effects`` leaves the world untouched, ``perturb`` applies scripted
 effects in place of the action's own.
 """
@@ -32,7 +34,7 @@ from .model import (
     satisfies,
 )
 from .planner import (
-    DEFAULT_NODE_LIMIT, GroundedAction, Plan, _Task, _check_heuristic, check_node_limit,
+    DEFAULT_NODE_LIMIT, GroundedAction, Plan, Task, check_heuristic, check_node_limit,
 )
 
 DROP_EFFECTS = "drop_effects"
@@ -97,9 +99,7 @@ class WorldSim:
         fault = self.faults.get(step_index)
         if fault is None:
             self.current = apply(self.current, action.adds, action.dels)
-        elif fault.mode == DROP_EFFECTS:
-            pass
-        else:
+        elif fault.mode == PERTURB:
             self.current = apply(self.current, fault.adds, fault.dels)
         return self.current
 
@@ -115,7 +115,7 @@ class MonitorConfig:
         if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
             raise ValidationError(f"max_replans must be a non-negative integer, got {budget!r}")
         check_node_limit(self.node_limit)
-        _check_heuristic(self.heuristic)
+        check_heuristic(self.heuristic)
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,6 @@ class ExecutionLog:
         return self.outcome == "success"
 
 
-def _diff(expected: State, sensed: State) -> tuple[GroundAtom, ...]:
-    return tuple(sorted(expected.true_atoms ^ sensed.true_atoms, key=GroundAtom.sort_key))
-
-
 def execute(
     initial_plan: Plan,
     sim: WorldSim,
@@ -160,32 +156,36 @@ def execute(
 ) -> ExecutionLog:
     """Run a plan to completion, replanning over ``actions`` on any surprise.
 
-    ``actions`` is compiled once; every replan searches that compiled task.
+    ``actions`` is compiled once, unless the plan's own task was compiled
+    from an equal list. A replan keeps the rest of the last searched plan
+    when the whole sensed state is on its predicted path and it was searched
+    on this task, for this goal, under ``config.heuristic``; otherwise, and
+    for a plan built by hand or copied, it searches (``Task.rest_of``). A
+    kept rest expands no states: ``config.node_limit`` bounds searches only.
     """
-    goal = sorted(goal, key=Literal.sort_key)
-    task = _Task(actions)
-    queue = list(initial_plan.actions)
+    goal = frozenset(goal)
+    proof = initial_plan.proof
+    task = proof.task if proof and proof.task.source == tuple(actions) else Task(actions)
+    proved, queue = initial_plan, list(initial_plan.actions)
     steps: list[StepRecord] = []
     replans: list[ReplanEvent] = []
-    step_index = 0
-    replans_used = 0
 
     def replan(reason: str) -> Optional[str]:
         """Returns a failure reason, or None when a new plan was installed."""
-        nonlocal replans_used, queue
-        replans_used += 1
-        if replans_used > config.max_replans:
+        nonlocal proved, queue
+        if len(replans) >= config.max_replans:
             return "replan budget exhausted"
-        new_plan = task.search(sim.current, goal, config.node_limit, config.heuristic)
+        new_plan = task.rest_of(proved, sim.current, goal, config.heuristic)
+        if new_plan is None:
+            new_plan = proved = task.search(sim.current, goal, config.node_limit, config.heuristic)
         if new_plan is None:
             return "no plan reaches the goal from the sensed state"
-        replans.append(ReplanEvent(step_index, reason, new_plan))
+        replans.append(ReplanEvent(len(steps), reason, new_plan))
         queue = list(new_plan.actions)
         return None
 
     def advance() -> Optional[str]:
         """Execute the next action; returns the reason to replan, if any."""
-        nonlocal step_index
         if not queue:
             return "plan exhausted without reaching the goal"
         action = queue[0]
@@ -193,12 +193,11 @@ def execute(
         if unmet:
             return f"preconditions of {action!r} unmet: {unmet}"
         expected = apply(sim.current, action.adds, action.dels)
-        sensed = sim.step(action, step_index)
-        discrepancy = _diff(expected, sensed)
-        steps.append(StepRecord(step_index, action, expected, sensed, discrepancy))
-        step_index += 1
-        if discrepancy:
-            return f"state after {action!r} diverged on {list(discrepancy)}"
+        sensed = sim.step(action, len(steps))
+        delta = sorted(expected.true_atoms ^ sensed.true_atoms, key=GroundAtom.sort_key)
+        steps.append(StepRecord(len(steps), action, expected, sensed, tuple(delta)))
+        if delta:
+            return f"state after {action!r} diverged on {delta}"
         queue.pop(0)
         return None
 

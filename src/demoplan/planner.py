@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidEffect, SearchLimitExceeded, ValidationError
@@ -101,10 +101,15 @@ class GroundedAction:
         return f"{self.name}({','.join(self.objects)})"
 
 
+Proof = namedtuple("Proof", "task goal heuristic start")
+
+
 @dataclass(frozen=True)
 class Plan:
     actions: tuple[GroundedAction, ...]
     total_cost: int
+    # What Task.search found it on, for and from; a built or copied plan has none.
+    proof: Optional[Proof] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "actions", tuple(self.actions))
@@ -205,7 +210,7 @@ def check_node_limit(node_limit: int) -> None:
         raise ValidationError(f"node limit must be a non-negative integer, got {node_limit!r}")
 
 
-def _check_heuristic(heuristic: str) -> None:
+def check_heuristic(heuristic: str) -> None:
     """Reject a heuristic name that ``plan`` does not know."""
     if heuristic not in ("none", "hmax"):
         raise ValidationError(f"unknown heuristic {heuristic!r}")
@@ -228,7 +233,7 @@ class _Blockers(dict):
         return blocked
 
 
-class _Task:
+class Task:
     """A grounded action set compiled to bitmasks once, then searched many times.
 
     Actions are kept in (name, objects) order, the tie-break order. Each of
@@ -238,7 +243,8 @@ class _Task:
     """
 
     def __init__(self, actions: Iterable[GroundedAction]):
-        self.actions = sorted(actions, key=GroundedAction.sort_key)
+        self.source = tuple(actions)  # as given, to tell which list was compiled
+        self.actions = sorted(self.source, key=GroundedAction.sort_key)
         self.index: dict[GroundAtom, int] = {}
         masks = [
             (
@@ -276,9 +282,6 @@ class _Task:
             m |= 1 << self.index.setdefault(atom, len(self.index))
         return m
 
-    def facts(self, state: int) -> int:
-        return state | (self.all_atoms ^ state) << self.n
-
     def applicable(self, state: int) -> int:
         """The mask of actions whose preconditions hold in ``state``."""
         blocked = 0
@@ -294,7 +297,7 @@ class _Task:
         its effects at level + cost, so the first level that reaches every
         goal fact is the max over goal facts of their cost.
         """
-        reached = self.facts(state)
+        reached = state | (self.all_atoms ^ state) << self.n  # the facts true in state
         pending: dict[int, int] = {}
         unfired = self.relaxed
         level = 0
@@ -323,9 +326,10 @@ class _Task:
         node_limit: int = DEFAULT_NODE_LIMIT,
         heuristic: str = "none",
     ) -> Optional[Plan]:
-        """See ``plan``."""
-        _check_heuristic(heuristic)
+        """See ``plan``. The plan carries its proof, for ``rest_of``."""
+        check_heuristic(heuristic)
         check_node_limit(node_limit)
+        goal = frozenset(goal)
         goal_pos = goal_neg = 0
         for lit in goal:
             bit = self.index.get(lit.atom)
@@ -378,7 +382,9 @@ class _Task:
                         state, ai = parent[state]
                         steps.append(self.actions[ai])
                     steps.reverse()
-                    return Plan(tuple(steps), g)
+                    found = Plan(tuple(steps), g)
+                    object.__setattr__(found, "proof", Proof(self, goal, heuristic, init))
+                    return found
                 expanded += 1
                 if expanded > node_limit:
                     raise SearchLimitExceeded(f"expanded more than {node_limit} states")
@@ -403,6 +409,21 @@ class _Task:
             del buckets[key]
         return None
 
+    def rest_of(self, plan_: Plan, state: State, goal: frozenset, heuristic: str) -> Optional[Plan]:
+        """The rest of ``plan_`` from ``state``, if this task searched it for
+        ``goal`` under ``heuristic`` and ``state`` is on its predicted path,
+        else None. Costs do not depend on the state, so the rest is optimal."""
+        if plan_.proof is None or plan_.proof[:3] != (self, frozenset(goal), heuristic):
+            return None
+        path = itertools.accumulate(
+            plan_.actions, lambda at, a: apply(at, a.adds, a.dels), initial=plan_.proof.start
+        )
+        for i, at in enumerate(path):
+            if at == state:
+                rest = plan_.actions[i:]
+                return Plan(rest, sum(a.cost for a in rest))
+        return None
+
 
 def plan(
     actions: Sequence[GroundedAction],
@@ -417,7 +438,7 @@ def plan(
     ``init`` before any search. Raises SearchLimitExceeded after expanding
     ``node_limit`` states.
     """
-    return _Task(actions).search(init, goal, node_limit, heuristic)
+    return Task(actions).search(init, goal, node_limit, heuristic)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,27 @@ settings.register_profile("ci", derandomize=True, database=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 from demoplan.learning import build_library
-from demoplan.planner import derive_costs, ground
+from demoplan.planner import Task, derive_costs, ground
 from demoplan.segmentation import DEFAULT_RULES
 from demoplan.synth import corpus, planning_objects
 
 FIXTURE_PATH = Path(__file__).parent / "data" / "put_fixture.json"
+
+
+@pytest.fixture
+def task_calls(monkeypatch):
+    """How often a Task is compiled ("__init__") and searched ("search")
+    while the test runs."""
+    calls = Counter()
+    for name in ("__init__", "search"):
+        original = getattr(Task, name)
+
+        def counted(self, *args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Task, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

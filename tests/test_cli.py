@@ -288,6 +288,14 @@ class TestExecute:
         assert payload["outcome"] == "success"
         assert len(payload["replans"]) == 1
 
+    def test_a_faulty_run_compiles_its_actions_once(self, workspace, tmp_path, task_calls):
+        faults = tmp_path / "faults.json"
+        faults.write_text(json.dumps([{"step": 1, "mode": "drop_effects"}]))
+        assert main(self._execute_args(workspace, "--faults", str(faults))) == EXIT_OK
+        # the dropped step leaves the world on the plan's path, so the one
+        # replan keeps the rest of the plan instead of searching
+        assert task_calls == {"__init__": 1, "search": 1}
+
     def test_non_integer_fault_step_exits_3(self, workspace, capsys, tmp_path):
         faults = tmp_path / "faults.json"
         faults.write_text(json.dumps([{"step": "1", "mode": "drop_effects"}]))

@@ -1,4 +1,5 @@
-"""Every top-level import of the package and of the tests is read somewhere."""
+"""Every top-level import of the package and of the tests is read somewhere,
+and no package module imports a private name from a sibling module."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,41 @@ def test_no_module_imports_a_name_it_never_reads():
         if found:
             unused[str(path.relative_to(ROOT))] = found
     assert unused == {}
+
+
+def _private_imports(source: str) -> list[str]:
+    """The underscore-prefixed names the module imports from a sibling module
+    of its package."""
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "demoplan")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_private_imports_are_detected():
+    source = (
+        "from os import _exit\n"
+        "from .planner import Task, _Blockers\n"
+        "from demoplan.model import _parse\n"
+        "from . import _helpers\n"
+    )
+    assert _private_imports(source) == [
+        "line 2: _Blockers",
+        "line 3: _parse",
+        "line 4: _helpers",
+    ]
+
+
+def test_no_package_module_imports_a_private_name_from_a_sibling():
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    assert len(modules) > 10
+    private = {}
+    for path in modules:
+        found = _private_imports(path.read_text(encoding="utf-8"))
+        if found:
+            private[str(path.relative_to(ROOT))] = found
+    assert private == {}

@@ -1,8 +1,10 @@
+import dataclasses
 import json
+import random
 
 import pytest
 
-from demoplan.errors import ParseError, ValidationError
+from demoplan.errors import ParseError, SearchLimitExceeded, ValidationError
 from demoplan.model import (
     GroundAtom,
     Literal,
@@ -24,13 +26,17 @@ from demoplan.monitor import (
     log_to_dict,
 )
 from demoplan.planner import GroundedAction, Plan, plan
-from demoplan.synth import TABLE, YELLOW, corpus_goals, initial_state, stacking_vocabulary
+from demoplan.synth import TABLE as TABLE_ID
+from demoplan.synth import YELLOW, corpus_goals, initial_state, stacking_vocabulary
+
+from helpers import random_planning_instance
 
 SIG = PredicateSignature("lit", ("Lamp",))
 VOCAB = Vocabulary((SIG,))
 TABLE = TypeTable({"l1": "Lamp", "l2": "Lamp"})
 ON1 = GroundAtom(SIG, ("l1",))
 ON2 = GroundAtom(SIG, ("l2",))
+SPARE = GroundAtom(SIG, ("l3",))  # no action mentions it
 
 
 def _switch(lamp, atom):
@@ -285,3 +291,131 @@ class TestAgainstTheCorpus:
                 sensed = log.steps[event.step - 1].sensed
                 fresh = plan(corpus_actions, sensed, goal, heuristic=heuristic)
                 assert event.plan == fresh, (name, event.step)
+
+
+def _random_perturbs(rng, atoms, count=3):
+    """``count`` random (adds, dels) effects over ``atoms``."""
+    perturbs = []
+    for _ in range(count):
+        adds = frozenset(rng.sample(atoms, min(len(atoms), rng.randint(0, 2))))
+        dels = frozenset(rng.sample(atoms, min(len(atoms), rng.randint(0, 2)))) - adds
+        perturbs.append((adds, dels))
+    return perturbs
+
+
+def _random_faults(rng, first, perturbs):
+    """One to three faults on distinct steps of a run of ``first``: drop the
+    step's effects, do two steps of ``first`` at once, or apply one of the
+    (adds, dels) ``perturbs`` instead."""
+    faults = []
+    steps = len(first.actions) + 1
+    for step in sorted(rng.sample(range(steps), min(steps, rng.randint(1, 3)))):
+        kind = rng.randrange(3)
+        if kind == 0:
+            faults.append(Fault(step, DROP_EFFECTS))
+            continue
+        if kind == 1 and step + 1 < len(first.actions):
+            a, b = first.actions[step : step + 2]
+            adds, dels = (a.adds - b.dels) | b.adds, (a.dels - b.adds) | b.dels
+        else:
+            adds, dels = rng.choice(perturbs)
+        faults.append(Fault(step, PERTURB, adds, dels))
+    return faults
+
+
+def _check_replans_equal_fresh_plans(tasks, heuristic, rng, task_calls):
+    """Execute a plan for each (actions, init, goal, perturbs) task under
+    seeded faults, and check every replan against a fresh ``plan()`` from its
+    sensed state. Returns (replans, searches made by ``execute``)."""
+    config = MonitorConfig(heuristic=heuristic)
+    replans = searches = 0
+    for actions, init, goal, perturbs in tasks:
+        first = plan(actions, init, goal, heuristic=heuristic)
+        if first is None:
+            continue
+        faults = _random_faults(rng, first, perturbs)
+        before = task_calls["search"]
+        log = execute(first, WorldSim(init, faults), goal, actions, config)
+        searches += task_calls["search"] - before
+        for event in log.replans:
+            sensed = log.steps[event.step - 1].sensed if event.step else init
+            assert event.plan == plan(actions, sensed, goal, heuristic=heuristic)
+        if log.reason == "no plan reaches the goal from the sensed state":
+            assert plan(actions, log.final_state, goal, heuristic=heuristic) is None
+        replans += len(log.replans)
+    return replans, searches
+
+
+class TestKeepingTheRestOfAPlan:
+    """A replan from a state on the last searched plan's predicted path keeps
+    the rest of that plan; every other replan searches."""
+
+    @pytest.mark.parametrize("heuristic", ["none", "hmax"])
+    def test_kept_rests_equal_fresh_plans(self, corpus_actions, task_calls, heuristic):
+        rng = random.Random(11)
+        # Random effects would leave the cubes in states that no demonstration
+        # reaches, and a blind search of such a state can take minutes, so the
+        # corpus perturb knocks yellow, which no goal names, off the table.
+        v = stacking_vocabulary()
+        yellow_on_table = {v.atom("onTop", YELLOW, TABLE_ID), v.atom("inTouch", YELLOW, TABLE_ID)}
+        knock_yellow = (frozenset(), frozenset(yellow_on_table))
+        tasks = [
+            (corpus_actions, initial_state(), list(goal), [knock_yellow])
+            for goal in corpus_goals().values()
+            for _ in range(4)
+        ]
+        for _ in range(300):
+            actions, init, goal = random_planning_instance(rng)
+            atoms = sorted({l.atom for l in goal} | init.true_atoms, key=GroundAtom.sort_key)
+            tasks.append((actions, init, goal, _random_perturbs(rng, atoms + [SPARE])))
+        replans, searches = _check_replans_equal_fresh_plans(tasks, heuristic, rng, task_calls)
+        assert replans > 100
+        assert searches < replans // 2  # most replans kept the rest of a plan
+
+    def test_a_dropped_effect_keeps_the_rest_of_the_plan(self, task_calls):
+        first = plan(ACTIONS, State(), BOTH_GOAL)
+        # an equal action list, not the same one, still shares the compiled task
+        log = execute(first, WorldSim(State(), [Fault(0, DROP_EFFECTS)]), BOTH_GOAL, list(ACTIONS))
+        assert log.succeeded and log.replans[0].plan == first
+        assert task_calls == {"__init__": 1, "search": 1}
+
+    @pytest.mark.parametrize(
+        "case", ["built", "copied", "other goal", "other heuristic", "other actions"]
+    )
+    def test_a_plan_without_a_proof_for_this_replan_is_searched_past(self, task_calls, case):
+        if case == "other goal":
+            first = plan(ACTIONS, State(), BOTH_GOAL + [Literal(SPARE, False)])
+        elif case == "other heuristic":
+            first = plan(ACTIONS, State(), BOTH_GOAL, heuristic="hmax")
+        elif case == "other actions":
+            first = plan(ACTIONS + [_switch("l3", SPARE)], State(), BOTH_GOAL)
+        else:
+            first = plan(ACTIONS, State(), BOTH_GOAL)
+            if case == "built":
+                first = Plan(first.actions, first.total_cost)
+            else:
+                first = dataclasses.replace(first)
+        assert first.actions == (SWITCH1, SWITCH2)
+        before = task_calls["search"]
+        log = execute(first, WorldSim(State(), [Fault(0, DROP_EFFECTS)]), BOTH_GOAL, ACTIONS)
+        assert log.succeeded and log.replans[0].plan == first
+        assert task_calls["search"] - before == 1
+
+    def test_a_change_to_an_atom_no_action_mentions_is_searched_past(self, task_calls):
+        # Over the atoms the task compiles, the sensed state {SPARE} matches
+        # the plan's first state; as a whole state it is off the path.
+        first = plan(ACTIONS, State(), BOTH_GOAL)
+        sim = WorldSim(State(), [Fault(0, PERTURB, adds=frozenset([SPARE]))])
+        log = execute(first, sim, BOTH_GOAL, ACTIONS)
+        assert log.succeeded and log.replans[0].plan == first
+        assert task_calls["search"] == 2
+
+    def test_node_limit_bounds_only_the_replans_that_search(self):
+        first = plan(ACTIONS, State(), BOTH_GOAL)
+        config = MonitorConfig(node_limit=0)
+        faults = [Fault(0, DROP_EFFECTS)]
+        log = execute(first, WorldSim(State(), faults), BOTH_GOAL, ACTIONS, config)
+        assert log.succeeded and len(log.replans) == 1  # the kept rest expanded nothing
+        copy = dataclasses.replace(first)  # no proof, so its replan searches
+        with pytest.raises(SearchLimitExceeded):
+            execute(copy, WorldSim(State(), faults), BOTH_GOAL, ACTIONS, config)

@@ -27,7 +27,7 @@ from demoplan.planner import (
     CostModel,
     GroundedAction,
     Plan,
-    _Task,
+    Task,
     derive_costs,
     ground,
     ground_schemas,
@@ -334,7 +334,7 @@ class TestHmax:
         finite = 0
         for _ in range(200):
             actions, init, goal = random_planning_instance(rng)
-            task = _Task(actions)
+            task = Task(actions)
             goal = [lit for lit in goal if lit.atom in task.index]
             pool = sorted(task.index, key=GroundAtom.sort_key)
             states = [init.true_atoms] + [
@@ -350,14 +350,14 @@ class TestHmax:
         self, corpus_actions, monkeypatch
     ):
         evaluated = {}
-        original = _Task.hmax
+        original = Task.hmax
 
         def recording(task, state, goal_facts):
             value = original(task, state, goal_facts)
             evaluated[state] = (task, value)
             return value
 
-        monkeypatch.setattr(_Task, "hmax", recording)
+        monkeypatch.setattr(Task, "hmax", recording)
         goal = corpus_goals()["tower_blue_red_green"]
         assert plan(corpus_actions, initial_state(), goal, heuristic="hmax").total_cost == 32
         assert len(evaluated) > 1000
@@ -379,7 +379,7 @@ class TestSuccessorGenerator:
             actions, init, _ = random_planning_instance(
                 rng, atom_count=(atoms, atoms), action_count=(2 * atoms, 3 * atoms + 4)
             )
-            task = _Task(actions)
+            task = Task(actions)
             compiled_sizes.add(task.n)
             for _ in range(25):
                 state = rng.getrandbits(task.n) if task.n else 0
@@ -390,13 +390,13 @@ class TestSuccessorGenerator:
         self, corpus_actions, monkeypatch
     ):
         expanded = []
-        original = _Task.applicable
+        original = Task.applicable
 
         def recording(task, state):
             expanded.append((task, state))
             return original(task, state)
 
-        monkeypatch.setattr(_Task, "applicable", recording)
+        monkeypatch.setattr(Task, "applicable", recording)
         goal = corpus_goals()["tower_blue_red_green"]
         assert plan(corpus_actions, initial_state(), goal).total_cost == 32
         assert len(expanded) > 1000
@@ -449,7 +449,7 @@ class TestLazyHmax:
 
     def test_evaluates_at_most_half_the_states_eager_astar_does(self, corpus_actions, monkeypatch):
         eager, lazy = set(), []
-        reference, compiled = oracles.hmax_reference, _Task.hmax
+        reference, compiled = oracles.hmax_reference, Task.hmax
 
         def eager_h(actions, atoms, goal):
             eager.add(frozenset(atoms))
@@ -460,7 +460,7 @@ class TestLazyHmax:
             return compiled(task, state, goal_facts)
 
         monkeypatch.setattr(oracles, "hmax_reference", eager_h)
-        monkeypatch.setattr(_Task, "hmax", lazy_h)
+        monkeypatch.setattr(Task, "hmax", lazy_h)
         goal = corpus_goals()["tower_blue_red_green"]
         astar_plan(corpus_actions, initial_state(), goal)
         plan(corpus_actions, initial_state(), goal, heuristic="hmax")
