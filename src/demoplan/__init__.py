@@ -47,7 +47,6 @@ from .segmentation import (
 )
 from .learning import (
     GroundedOperator,
-    LiftedOperator,
     OperatorLibrary,
     TraceReport,
     build_library,
@@ -107,7 +106,6 @@ __all__ = [
     "GroundedOperator",
     "InputError",
     "InvalidEffect",
-    "LiftedOperator",
     "Literal",
     "LiteralPattern",
     "MonitorConfig",

@@ -191,8 +191,8 @@ def cmd_learn(args) -> int:
         print(line)
     names = library.variant_names()
     costs = derive_costs(library).costs
-    for key, op in library.sorted_items():
-        print(f"  {names[key]}: observed {op.count}x, cost {costs[key]}")
+    for key, count in sorted(library.counts.items()):
+        print(f"  {names[key]}: observed {count}x, cost {costs[key]}")
     print(f"library: {len(library.operators)} operators -> {lib_path}")
     return EXIT_OK
 

@@ -5,11 +5,12 @@ activity touched: every literal holding at the anchor frame becomes a
 precondition and every literal holding at the final frame becomes the
 post-state.  Negative literals are admitted only for atoms that are true
 somewhere in the trace, which keeps never-observed facts out of the operators.
-Lifting replaces instances by typed variables; operators are identified up to
-variable renaming through a canonical key, and re-observing one increments its
-count instead of adding a duplicate. The key costs a search over parameter
-permutations, so every operator computes it once: lift() hands over the key it
-found, and any other construction computes it in __post_init__.
+Lifting replaces instances by typed variables and gives an ActionSchema named
+by the rule label, whose adds and deletes are what changed; the post-state is
+derived from it. Operators are identified up to variable renaming through a
+canonical key, and re-observing one increments its count instead of adding a
+duplicate. Only lift() and library_from_dict search for the canonical
+parameter order; canonical_key() reads the key off the result.
 """
 
 from __future__ import annotations
@@ -74,50 +75,6 @@ class GroundedOperator:
         _check_literals(f"{self.name} post", self.post, allowed)
 
 
-@dataclass(frozen=True)
-class LiftedOperator:
-    """An operator over typed variables, with an observation count.
-
-    ``key`` is the canonical key, left out of equality. dataclasses.replace
-    carries it over unchanged, so replace only the count.
-    """
-
-    name: str
-    params: tuple[tuple[str, str], ...]  # (variable, type_id), canonical order
-    pre: frozenset[Literal]
-    post: frozenset[Literal]
-    count: int = 1
-    key: str = field(default="", compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", tuple((v, t) for v, t in self.params))
-        variables = [v for v, _ in self.params]
-        if len(set(variables)) != len(variables):
-            raise ValidationError(f"operator {self.name!r} repeats a parameter: {variables}")
-        allowed = set(variables)
-        _check_literals(f"{self.name} pre", self.pre, allowed)
-        _check_literals(f"{self.name} post", self.post, allowed)
-        used = {arg for lit in self.pre | self.post for arg in lit.atom.args}
-        if allowed - used:
-            raise ValidationError(
-                f"operator {self.name!r} has unused parameter(s) {sorted(allowed - used)}"
-            )
-        if self.pre == self.post:
-            raise ValidationError(f"operator {self.name!r} has no effect")
-        if self.count < 1:
-            raise ValidationError(f"operator {self.name!r} needs a positive count")
-        if not self.key:
-            key = _canonical_form(self.name, self.params, self.pre, self.post)[3]
-            object.__setattr__(self, "key", key)
-
-    def delta(self) -> tuple[frozenset[GroundAtom], frozenset[GroundAtom]]:
-        """Added and deleted atoms: the post literals absent from the preconditions."""
-        changed = self.post - self.pre
-        adds = frozenset(lit.atom for lit in changed if lit.positive)
-        dels = frozenset(lit.atom for lit in changed if not lit.positive)
-        return adds, dels
-
-
 def extract(trace: Trace, seg: Segment) -> GroundedOperator:
     """Read one operator off a segment; raises NoEffectSegment if nothing changed.
 
@@ -152,8 +109,27 @@ def _substituted(literals: Iterable[Literal], mapping: Mapping[str, str]) -> fro
     )
 
 
-def _serialized(literals: frozenset[Literal]) -> str:
-    return ";".join(sorted(repr(l) for l in literals))
+def _key(name: str, ordering: Sequence[tuple[str, str]], *snapshots: frozenset[Literal]) -> str:
+    """Name, parameter types and each snapshot's sorted literal reprs, with the
+    parameters renamed ?x0, ?x1, ... in ``ordering``; no literal is built."""
+    renaming = {token: f"?x{i}" for i, (token, _) in enumerate(ordering)}
+
+    def text(lit: Literal) -> str:
+        args = ",".join([renaming[arg] for arg in lit.atom.args])
+        return f"{'' if lit.positive else '!'}{lit.atom.name}({args})"
+
+    serialized = (";".join(sorted(map(text, snapshot))) for snapshot in snapshots)
+    return "|".join((name, ",".join(t for _, t in ordering), *serialized))
+
+
+def _post(schema: ActionSchema) -> frozenset[Literal]:
+    """The post-state of a learned operator: its preconditions with the delta applied."""
+    changed = schema.adds | schema.dels
+    return frozenset(
+        [l for l in schema.pre if l.atom not in changed]
+        + [Literal(a) for a in schema.adds]
+        + [Literal(a, False) for a in schema.dels]
+    )
 
 
 def _canonical_form(
@@ -161,8 +137,8 @@ def _canonical_form(
     entries: Sequence[tuple[str, str]],
     pre: frozenset[Literal],
     post: frozenset[Literal],
-) -> tuple[tuple[tuple[str, str], ...], frozenset[Literal], frozenset[Literal], str]:
-    """Choose a canonical parameter order and variable naming.
+) -> tuple[ActionSchema, str]:
+    """The canonical schema of an operator and its key.
 
     Parameters are grouped by type (types in sorted order), then every
     permutation inside each same-type group is serialized and the
@@ -177,22 +153,11 @@ def _canonical_form(
     for type_id in sorted({t for _, t in entries}):
         groups.append([e for e in entries if e[1] == type_id])
 
-    best: tuple[str, tuple[tuple[str, str], ...]] | None = None
-    for permuted in itertools.product(*(itertools.permutations(g) for g in groups)):
-        ordering = tuple(itertools.chain.from_iterable(permuted))
-        renaming = {token: f"?x{i}" for i, (token, _) in enumerate(ordering)}
-        key = "|".join(
-            (
-                name,
-                ",".join(t for _, t in ordering),
-                _serialized(_substituted(pre, renaming)),
-                _serialized(_substituted(post, renaming)),
-            )
-        )
-        if best is None or key < best[0]:
-            best = (key, ordering)
-
-    key, ordering = best
+    orderings = (
+        tuple(itertools.chain.from_iterable(permuted))
+        for permuted in itertools.product(*(itertools.permutations(g) for g in groups))
+    )
+    key, ordering = min(((_key(name, o, pre, post), o) for o in orderings), key=lambda p: p[0])
     letter_counts: dict[str, int] = {}
     final_names = []
     for _, type_id in ordering:
@@ -201,24 +166,31 @@ def _canonical_form(
         final_names.append(f"?{letter}{letter_counts[letter]}")
     renaming = {token: final_names[i] for i, (token, _) in enumerate(ordering)}
     params = tuple((renaming[token], type_id) for token, type_id in ordering)
-    return params, _substituted(pre, renaming), _substituted(post, renaming), key
+    pre, changed = _substituted(pre, renaming), _substituted(post - pre, renaming)
+    adds = frozenset(l.atom for l in changed if l.positive)
+    dels = frozenset(l.atom for l in changed if not l.positive)
+    return ActionSchema(name, params, pre, adds, dels), key
 
 
-def lift(op: GroundedOperator, types: TypeTable) -> LiftedOperator:
+def lift(op: GroundedOperator, types: TypeTable) -> ActionSchema:
     """Replace instances by typed variables and put the result in canonical form."""
     entries = [(obj, types.type_of(obj)) for obj in op.objects]
-    params, pre, post, key = _canonical_form(op.name, entries, op.pre, op.post)
-    return LiftedOperator(name=op.name, params=params, pre=pre, post=post, count=1, key=key)
+    return _canonical_form(op.name, entries, op.pre, op.post)[0]
 
 
-def canonical_key(op: LiftedOperator) -> str:
-    """The renaming-invariant identity of an operator inside a library."""
-    return op.key
+def canonical_key(schema: ActionSchema) -> str:
+    """The renaming-invariant identity of an operator inside a library.
+
+    ``schema`` must be canonical, as lift() and load_library return it: the
+    key is read off its parameters in their stored order, without a search.
+    """
+    return _key(schema.name, schema.params, schema.pre, _post(schema))
 
 
 @dataclass
 class OperatorLibrary:
-    """Lifted operators keyed by canonical key, plus the shared schema.
+    """Canonical action schemas (named by rule label, cost 1) and their
+    observation counts, both keyed by canonical key, plus the shared schema.
 
     Only merge() writes to the operator map; concurrent readers are fine, a
     single writer at a time is assumed.
@@ -226,20 +198,18 @@ class OperatorLibrary:
 
     vocabulary: Vocabulary
     types: TypeTable
-    operators: dict[str, LiftedOperator] = field(default_factory=dict)
+    operators: dict[str, ActionSchema] = field(default_factory=dict)
+    counts: dict[str, int] = field(default_factory=dict)
 
     @staticmethod
     def empty(vocabulary: Vocabulary, types: TypeTable) -> "OperatorLibrary":
         hierarchy = TypeTable({}, types.type_to_parent, types.types)
         return OperatorLibrary(vocabulary=vocabulary, types=hierarchy)
 
-    def sorted_items(self) -> list[tuple[str, LiftedOperator]]:
-        return sorted(self.operators.items())
-
     def variant_names(self) -> dict[str, str]:
         """A unique, deterministic name per operator: label, label_2, ..."""
         by_label: dict[str, list[str]] = {}
-        for key, op in self.sorted_items():
+        for key, op in sorted(self.operators.items()):
             by_label.setdefault(op.name, []).append(key)
         names = {}
         for label, keys in by_label.items():
@@ -252,11 +222,10 @@ class OperatorLibrary:
         name. ``costs`` maps canonical keys to costs; without it every
         action costs 1."""
         names = self.variant_names()
-        schemas = []
-        for key, op in self.sorted_items():
-            adds, dels = op.delta()
-            cost = 1 if costs is None else costs[key]
-            schemas.append(ActionSchema(names[key], op.params, op.pre, adds, dels, cost))
+        schemas = [
+            replace(op, name=names[key], cost=1 if costs is None else costs[key])
+            for key, op in self.operators.items()
+        ]
         return sorted(schemas, key=lambda s: s.name)
 
     def absorb_schema(self, vocabulary: Vocabulary, types: TypeTable) -> None:
@@ -267,12 +236,11 @@ class OperatorLibrary:
         self.types = self.types.merged(hierarchy)
         self.vocabulary = merged
 
-    def _check_schema(self, op: LiftedOperator) -> None:
+    def _check_schema(self, op: ActionSchema) -> None:
         for _, type_id in op.params:
             if type_id not in self.types.types:
                 raise SchemaError(f"operator {op.name!r} uses unknown type {type_id!r}")
-        for lit in op.pre | op.post:
-            sig = lit.atom.predicate
+        for sig in {atom.predicate for atom in (*(l.atom for l in op.pre), *op.adds, *op.dels)}:
             if sig.name not in self.vocabulary:
                 raise SchemaError(f"operator {op.name!r} uses unknown predicate {sig.name!r}")
             if self.vocabulary.get(sig.name) != sig:
@@ -281,14 +249,15 @@ class OperatorLibrary:
                 )
 
 
-def merge(library: OperatorLibrary, op: LiftedOperator) -> OperatorLibrary:
-    """Add a canonicalized operator, or bump the count of its twin."""
+def merge(
+    library: OperatorLibrary, op: ActionSchema, count: int = 1, key: Optional[str] = None
+) -> OperatorLibrary:
+    """Add a canonical schema seen ``count`` times, or add that to the count
+    of its twin. ``key`` is canonical_key(op), computed here if not given."""
     library._check_schema(op)
-    existing = library.operators.get(op.key)
-    if existing is None:
-        library.operators[op.key] = op
-    else:
-        library.operators[op.key] = replace(existing, count=existing.count + op.count)
+    key = key or canonical_key(op)
+    library.operators.setdefault(key, op)
+    library.counts[key] = library.counts.get(key, 0) + count
     return library
 
 
@@ -330,9 +299,10 @@ def learn_from_trace(
     library.absorb_schema(trace.vocabulary, trace.types)
     merged = []
     for lifted in operators:
-        known = lifted.key in library.operators
-        merge(library, lifted)
-        merged.append((lifted.key, library.operators[lifted.key].count, known))
+        key = canonical_key(lifted)
+        known = key in library.operators
+        merge(library, lifted, key=key)
+        merged.append((key, library.counts[key], known))
     # Named once all are merged, so a later variant cannot rename a reported one.
     names = library.variant_names()
     for key, count, known in merged:
@@ -360,14 +330,14 @@ def library_to_dict(library: OperatorLibrary) -> dict:
     from .pddl import library_name_map  # local import: pddl depends on this module
 
     operators = []
-    for key, op in library.sorted_items():
+    for key, op in sorted(library.operators.items()):
         operators.append(
             {
                 "name": op.name,
                 "params": [[v, t] for v, t in op.params],
                 "pre": [literal_to_list(l) for l in sorted(op.pre, key=Literal.sort_key)],
-                "post": [literal_to_list(l) for l in sorted(op.post, key=Literal.sort_key)],
-                "count": op.count,
+                "post": [literal_to_list(l) for l in sorted(_post(op), key=Literal.sort_key)],
+                "count": library.counts[key],
             }
         )
     return {
@@ -381,7 +351,31 @@ def library_to_dict(library: OperatorLibrary) -> dict:
     }
 
 
+def _check_entry(name: str, params: list, pre: frozenset, post: frozenset, count: int) -> None:
+    """The checks of a library file entry that no operator lift() returns can fail."""
+    variables = [v for v, _ in params]
+    if len(set(variables)) != len(variables):
+        raise ValidationError(f"operator {name!r} repeats a parameter: {variables}")
+    allowed = set(variables)
+    _check_literals(f"{name} pre", pre, allowed)
+    _check_literals(f"{name} post", post, allowed)
+    used = {arg for lit in pre | post for arg in lit.atom.args}
+    if allowed - used:
+        raise ValidationError(f"operator {name!r} has unused parameter(s) {sorted(allowed - used)}")
+    left_out = {l.atom for l in pre} - {l.atom for l in post}
+    if left_out:
+        raise ValidationError(
+            f"operator {name!r} post leaves out {sorted(map(repr, left_out))} of its pre"
+        )
+    if pre == post:
+        raise ValidationError(f"operator {name!r} has no effect")
+    if count < 1:
+        raise ValidationError(f"operator {name!r} needs a positive count")
+
+
 def library_from_dict(payload: dict) -> OperatorLibrary:
+    """Check each entry and store it in canonical form, as lift() gives it,
+    so a hand-written entry saves back as learn would have written it."""
     expect_keys(payload, "library", "vocabulary", "types", "operators")
     vocabulary = vocabulary_from_json(payload["vocabulary"])
     raw_types = expect(payload["types"], dict, "library 'types'")
@@ -391,21 +385,20 @@ def library_from_dict(payload: dict) -> OperatorLibrary:
     for i, entry in enumerate(expect(payload["operators"], list, "library 'operators'")):
         with located(f"operator {i}"):
             expect_keys(entry, "entry", "name", "params", "pre", "post", "count")
+            name = expect(entry["name"], str, "'name'")
             params = expect(entry["params"], list, "'params'")
             if not all(isinstance(p, list) and list(map(type, p)) == [str, str] for p in params):
                 raise ParseError("each parameter must be a [variable, type] pair")
-            pre, post = (expect(entry[key], list, f"'{key}'") for key in ("pre", "post"))
-            op = LiftedOperator(
-                name=expect(entry["name"], str, "'name'"),
-                params=tuple((v, t) for v, t in params),
-                pre=frozenset(literal_from_list(l, vocabulary) for l in pre),
-                post=frozenset(literal_from_list(l, vocabulary) for l in post),
-                count=expect(entry["count"], int, "count"),
+            pre, post = (
+                frozenset(literal_from_list(l, vocabulary) for l in expect(entry[k], list, f"'{k}'"))
+                for k in ("pre", "post")
             )
-        if op.key in library.operators:
-            raise SchemaError(f"library file repeats operator {op.name!r} (key {op.key!r})")
-        library._check_schema(op)
-        library.operators[op.key] = op
+            count = expect(entry["count"], int, "count")
+            _check_entry(name, params, pre, post, count)
+            op, key = _canonical_form(name, [(v, t) for v, t in params], pre, post)
+            if key in library.operators:
+                raise SchemaError(f"library file repeats operator {name!r} (key {key!r})")
+            merge(library, op, count, key)
     return library
 
 

@@ -167,11 +167,12 @@ def apply(state: State, adds: Iterable[GroundAtom], dels: Iterable[GroundAtom]) 
 @dataclass(frozen=True)
 class ActionSchema:
     """A lifted action: typed parameters, preconditions, add and delete
-    effects over the parameter variables, and a positive integer cost.
+    effects over the parameter variables, and a positive integer cost. No
+    atom is both added and deleted.
 
-    A learned library (``OperatorLibrary.schemas``) and a parsed PDDL domain
-    (``DomainDoc.actions``) both hold actions in this one form, so both are
-    grounded the same way.
+    A learned library (``OperatorLibrary.operators``) and a parsed PDDL
+    domain (``DomainDoc.actions``) both hold actions in this one form, so
+    both are grounded the same way.
     """
 
     name: str
@@ -186,6 +187,8 @@ class ActionSchema:
             raise ValidationError(
                 f"cost of action {self.name!r} must be a positive integer, got {self.cost!r}"
             )
+        if self.adds & self.dels:
+            raise ValidationError("effect adds and deletes the same atom")
 
 
 @dataclass(frozen=True, eq=True)

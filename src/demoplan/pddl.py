@@ -621,8 +621,6 @@ def _parse_effect(
             raise UnsupportedFeature(f"'{head}' is not supported in effects")
         literal = _parse_literal(item, scope)
         (adds if literal.positive else dels).append(literal.atom)
-    if set(adds) & set(dels):
-        raise ValidationError("effect adds and deletes the same atom")
     return adds, dels, 1 if cost is None else cost
 
 

@@ -68,10 +68,8 @@ class CostModel:
 
 def derive_costs(library: OperatorLibrary) -> CostModel:
     """Map observation counts to costs so often-seen operators are preferred."""
-    if not library.operators:
-        return CostModel({})
-    top = max(op.count for op in library.operators.values())
-    return CostModel({key: top - op.count + 1 for key, op in library.operators.items()})
+    top = max(library.counts.values(), default=0)
+    return CostModel({key: top - count + 1 for key, count in library.counts.items()})
 
 
 @dataclass(frozen=True)
@@ -346,6 +344,10 @@ class Task:
             if atom in self.index:
                 start |= 1 << self.index[atom]
 
+        known: dict[int, float] = {start: self.hmax(start, goal_facts)}  # h_max seen so far
+        if known[start] == INF:  # unreachable even relaxed: no search, blind or not
+            return None
+
         # With h_max, a generated state is queued under g plus a lower bound
         # on its h: its h if known, else h(parent) - cost, which h_max's
         # consistency allows. Its h is computed once, when it is popped; if
@@ -355,7 +357,6 @@ class Task:
         # evaluation would give.
         hmax = self.hmax if heuristic == "hmax" else None
         applicable, ops = self.applicable, self.ops
-        known: dict[int, float] = {}  # h_max of every state evaluated so far
         dist: dict[int, int] = {start: 0}
         parent: dict[int, tuple[int, int]] = {}
         # key -> its (tie, state, g) entries in tie order; see the module docstring
@@ -435,8 +436,8 @@ def plan(
     """Optimal plan from init to goal, or None when the goal is unreachable.
 
     A goal literal on an atom that no action mentions is decided against
-    ``init`` before any search. Raises SearchLimitExceeded after expanding
-    ``node_limit`` states.
+    ``init`` before any search, and so is a goal whose h_max from ``init`` is
+    infinite. Raises SearchLimitExceeded after expanding ``node_limit`` states.
     """
     return Task(actions).search(init, goal, node_limit, heuristic)
 

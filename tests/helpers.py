@@ -99,11 +99,6 @@ def random_library(rng: random.Random, operators: int | None = None) -> Operator
     return library
 
 
-def counts(library: OperatorLibrary) -> dict[str, int]:
-    """The observation count of each operator, by canonical key."""
-    return {key: op.count for key, op in library.operators.items()}
-
-
 def rules_to_json(rules: Sequence[ClassifierRule]) -> list:
     """The rules-file payload that ``segmentation.rules_from_json`` reads back."""
     payload = []

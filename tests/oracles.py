@@ -154,7 +154,8 @@ def hmax_reference(actions, atoms, goal):
 def astar_plan(actions, init, goal, blind=False):
     """Textbook eager A* with ``hmax_reference``, or with h = 0 when
     ``blind`` (Dijkstra): the expansion order the package's search must keep
-    however it evaluates the heuristic and queues states.
+    however it evaluates the heuristic and queues states. Either way, a
+    start state whose h_max is infinite ends the search at once.
 
     Actions are tried in (name, objects) order. A successor that lowers its
     best known cost is evaluated at once, dropped when its h is infinite, and
@@ -166,21 +167,15 @@ def astar_plan(actions, init, goal, blind=False):
     actions = sorted(actions, key=lambda act: (act.name, act.objects))
     goal = list(goal)
     start = frozenset(init.true_atoms)
-    mentioned = {lit.atom for act in actions for lit in act.pre}
-    mentioned |= {atom for act in actions for atom in act.adds | act.dels}
 
     def estimate(atoms):
-        if not blind:
-            return hmax_reference(actions, atoms, goal)
-        # a goal atom no action mentions never changes: unmet, it is final
-        static_unmet = any(
-            lit.atom not in mentioned and (lit.atom in atoms) != lit.positive for lit in goal
-        )
-        return float("inf") if static_unmet else 0
+        return 0 if blind else hmax_reference(actions, atoms, goal)
 
-    h = estimate(start)
-    if h == float("inf"):
+    # Blind or not, a goal that h_max finds unreachable from the start (an
+    # unmet goal atom that no action mentions, say) is decided before search.
+    if hmax_reference(actions, start, goal) == float("inf"):
         return None, 0
+    h = estimate(start)
     best = {start: 0}
     tie = itertools.count()
     heap = [(h, next(tie), 0, start, ())]
@@ -406,6 +401,10 @@ def _relabeled(literals, mapping):
     }
 
 
+def _effects(schema):
+    return [Literal(atom) for atom in schema.adds] + [Literal(atom, False) for atom in schema.dels]
+
+
 def operators_equivalent(a, b):
     """True when some type-preserving parameter bijection maps a onto b.
 
@@ -421,12 +420,12 @@ def operators_equivalent(a, b):
     if sorted(a_types) != sorted(b_types):
         return False
     b_pre = _relabeled(b.pre, {})
-    b_post = _relabeled(b.post, {})
+    b_effects = _relabeled(_effects(b), {})
     for perm in itertools.permutations(range(len(b_vars))):
         if any(a_types[i] != b_types[perm[i]] for i in range(len(a_vars))):
             continue
         mapping = {a_vars[i]: b_vars[perm[i]] for i in range(len(a_vars))}
-        if _relabeled(a.pre, mapping) == b_pre and _relabeled(a.post, mapping) == b_post:
+        if _relabeled(a.pre, mapping) == b_pre and _relabeled(_effects(a), mapping) == b_effects:
             return True
     return False
 

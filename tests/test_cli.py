@@ -22,7 +22,7 @@ from demoplan.segmentation import DEFAULT_RULES
 from demoplan.synth import stacking_types, stacking_vocabulary
 from demoplan.traces import debounce, load_trace
 
-from helpers import counts, rules_to_json
+from helpers import rules_to_json
 
 GOAL = "onTop(Cube_red1,Cube_green1)"
 IMPOSSIBLE_GOAL = "onTop(Cube_red1,Cube_red1)"
@@ -163,7 +163,7 @@ class TestLearn:
         out = capsys.readouterr().out
         assert "0 new, 3 reobserved" in out
         library = load_library(lib)
-        assert set(counts(library).values()) == {2}
+        assert set(library.counts.values()) == {2}
 
     def test_corpus_library_summary(self, workspace, capsys):
         lib = workspace / "again.json"
@@ -173,6 +173,13 @@ class TestLearn:
         assert f"library: 7 operators -> {lib}" in out
         assert "  grasp: observed 18x, cost 1" in out
         assert "  place: observed 6x, cost 13" in out
+
+    def test_one_trace_per_run_gives_the_one_shot_library(self, workspace, tmp_path, capsys):
+        """Each run loads, merges into and saves the library of the last."""
+        lib = tmp_path / "incremental.json"
+        for trace in sorted((workspace / "traces").glob("p*.json")):
+            assert main(["learn", str(trace), "--library", str(lib)]) == EXIT_OK
+        assert lib.read_bytes() == (workspace / "library.json").read_bytes()
 
 
 class TestPlan:
@@ -378,6 +385,10 @@ def _break_params(payload):
     payload["operators"][0]["params"][0] = payload["operators"][0]["params"][0][:1]
 
 
+def _break_post(payload):
+    del payload["operators"][0]["post"][0]
+
+
 def _trace_case(breaks):
     """A learn run over a corpus trace edited by ``breaks``."""
 
@@ -493,6 +504,7 @@ class TestMalformedInput:
             (_break_count, "operator 0: count must be an integer"),
             (_break_types, "library 'types' must be an object"),
             (_break_params, "operator 0: each parameter must be a [variable, type] pair"),
+            (_break_post, "operator 0: operator 'grasp' post leaves out ['graspable(?w1)'] of its pre"),
         ],
     )
     def test_malformed_library_entry_exits_3(self, workspace, capsys, tmp_path, breaks, message):

@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import replace
 
@@ -9,7 +10,6 @@ from demoplan import learning
 from demoplan.errors import NoEffectSegment, SchemaError, ValidationError
 from demoplan.learning import (
     GroundedOperator,
-    LiftedOperator,
     OperatorLibrary,
     build_library,
     canonical_key,
@@ -23,17 +23,19 @@ from demoplan.learning import (
     save_library,
 )
 from demoplan.model import (
+    ActionSchema,
     GroundAtom,
     Literal,
     PredicateSignature,
     TypeTable,
     Vocabulary,
+    json_text,
 )
 from demoplan.segmentation import DEFAULT_RULES, Segment, segment
 from demoplan.synth import GREEN, RED, RIGHT_HAND, TABLE, inject_flicker, stacking_demo
 from demoplan.traces import Frame, Trace, debounce, load_trace
 
-from helpers import counts, random_grounded_operator, random_trace, toy_schema, traces_st
+from helpers import random_grounded_operator, random_trace, toy_schema, traces_st
 from oracles import extract_reference, operators_equivalent
 
 
@@ -60,13 +62,8 @@ EXPECTED_PUT_PRE = {
     "inTouch(?w1,?t1)",
     "onTop(?w1,?t1)",
 }
-EXPECTED_PUT_POST = {
-    "!handOpen(?h1)",
-    "!inTouch(?w1,?t1)",
-    "!onTop(?w1,?t1)",
-    "handMove(?h1)",
-    "inHand(?h1,?w1)",
-}
+EXPECTED_PUT_ADDS = {"handMove(?h1)"}
+EXPECTED_PUT_DELS = {"inTouch(?w1,?t1)", "onTop(?w1,?t1)"}
 
 
 def _relabel(op: GroundedOperator, mapping: dict) -> GroundedOperator:
@@ -107,30 +104,40 @@ class TestOperatorInvariants:
             )
 
     def test_lifted_operator_rejects_unused_params_and_empty_deltas(self):
-        sig = PredicateSignature("p", ("T",))
-        lit = Literal(GroundAtom(sig, ("?t1",)))
-        with pytest.raises(ValidationError):
-            LiftedOperator(
-                "op", (("?t1", "T"), ("?t2", "T")), frozenset([lit]), frozenset([lit.negated()])
-            )
-        with pytest.raises(ValidationError):
-            LiftedOperator("op", (("?t1", "T"),), frozenset([lit]), frozenset([lit]))
-        with pytest.raises(ValidationError):
-            LiftedOperator(
-                "op", (("?t1", "T"),), frozenset([lit]), frozenset([lit.negated()]), count=0
-            )
+        """A library file entry is checked where it is read; learn never writes these."""
+        cases = [
+            ([["?t1", "T"], ["?t2", "T"]], [["p", "?t1"]], [["!", "p", "?t1"]], 1,
+             "operator 'op' has unused parameter(s) ['?t2']"),
+            ([["?t1", "T"]], [["p", "?t1"]], [["p", "?t1"]], 1, "operator 'op' has no effect"),
+            ([["?t1", "T"]], [["p", "?t1"]], [["!", "p", "?t1"]], 0,
+             "operator 'op' needs a positive count"),
+            ([["?t1", "T"], ["?t1", "T"]], [["p", "?t1"]], [["!", "p", "?t1"]], 1,
+             "operator 'op' repeats a parameter: ['?t1', '?t1']"),
+            ([["?t1", "T"]], [["p", "?t1"]], [["!", "p", "?t2"]], 1,
+             "op post literal !p(?t2) mentions unknown argument '?t2'"),
+            ([["?t1", "T"]], [["p", "?t1"], ["!", "p", "?t1"]], [["p", "?t1"]], 1,
+             "op pre contains p(?t1) with both polarities"),
+        ]
+        for params, pre, post, count, message in cases:
+            entry = {"name": "op", "params": params, "pre": pre, "post": post, "count": count}
+            payload = {
+                "vocabulary": [{"name": "p", "arg_types": ["T"]}],
+                "types": {"all": ["T"]},
+                "operators": [entry],
+            }
+            with pytest.raises(ValidationError) as caught:
+                library_from_dict(payload)
+            assert str(caught.value) == f"operator 0: {message}"
 
     def test_delta_reports_what_changed(self):
         sig = PredicateSignature("p", ("T",))
-        a = GroundAtom(sig, ("?t1",))
-        op = LiftedOperator(
-            "op",
-            (("?t1", "T"),),
-            frozenset([Literal(a, False)]),
-            frozenset([Literal(a)]),
+        a = GroundAtom(sig, ("t1",))
+        op = lift(
+            GroundedOperator("op", ("t1",), frozenset([Literal(a, False)]), frozenset([Literal(a)])),
+            TypeTable({"t1": "T"}),
         )
-        adds, dels = op.delta()
-        assert adds == frozenset([a]) and dels == frozenset()
+        assert op.adds == frozenset([GroundAtom(sig, ("?t1",))]) and op.dels == frozenset()
+        assert op.pre == frozenset([Literal(GroundAtom(sig, ("?t1",)), False)])
 
     def test_too_many_objects_is_an_error(self):
         sig = PredicateSignature("row", tuple("ABCDEF"))
@@ -222,7 +229,9 @@ class TestExtraction:
         op = lift(extract(trace, Segment("put", "Right_hand", 1, 2)), trace.types)
         assert op.params == (("?h1", "Hand"), ("?t1", "Table"), ("?w1", "Wooden_cube"))
         assert {repr(l) for l in op.pre} == EXPECTED_PUT_PRE
-        assert {repr(l) for l in op.post} == EXPECTED_PUT_POST
+        assert {repr(a) for a in op.adds} == EXPECTED_PUT_ADDS
+        assert {repr(a) for a in op.dels} == EXPECTED_PUT_DELS
+        assert op.cost == 1
 
 
 class TestCanonicalization:
@@ -268,16 +277,24 @@ class TestCanonicalization:
         assert canonical_key(lift(op, table)) != canonical_key(lift(renamed, table))
 
 
-    def test_key_is_computed_once_and_kept(self):
+    def test_key_is_computed_once_and_kept(self, monkeypatch, corpus_demos):
+        """canonical_key reads, without a search, the key that the search of
+        the canonical form found; learning computes it once per operator."""
         _, table = toy_schema()
-        op = lift(random_grounded_operator(random.Random(5), "go"), table)
-        assert canonical_key(op) == op.key
-        assert replace(op, count=3).key == op.key
-        # built by hand, an operator computes the same key itself
-        rebuilt = LiftedOperator(op.name, op.params, op.pre, op.post)
-        assert rebuilt.key == op.key and rebuilt == op
-        # the key is bookkeeping and takes no part in equality
-        assert LiftedOperator(op.name, op.params, op.pre, op.post, key="other") == op
+        rng = random.Random(5)
+        for _ in range(40):
+            grounded = random_grounded_operator(rng, "go")
+            entries = [(obj, table.type_of(obj)) for obj in grounded.objects]
+            op, key = learning._canonical_form(grounded.name, entries, grounded.pre, grounded.post)
+            assert lift(grounded, table) == op
+            assert canonical_key(op) == key
+            # a schema built by hand has the same key; the cost takes no part
+            assert canonical_key(ActionSchema(op.name, op.params, op.pre, op.adds, op.dels, 3)) == key
+        calls = []
+        real = learning.canonical_key
+        monkeypatch.setattr(learning, "canonical_key", lambda op: calls.append(op) or real(op))
+        build_library([d.trace for d in corpus_demos], DEFAULT_RULES)
+        assert len(calls) == 90
 
     def test_canonical_form_runs_once_per_operator(self, monkeypatch, corpus_demos, corpus_library):
         calls = []
@@ -304,24 +321,25 @@ class TestLibrary:
         op = lift(random_grounded_operator(random.Random(9), "dock"), table)
         merge(library, op)
         merge(library, op)
-        assert list(counts(library).values()) == [2]
-        key = canonical_key(op)
-        assert library.operators[key].count == 2
+        assert library.counts == {canonical_key(op): 2}
+        assert library.operators == {canonical_key(op): op}
 
     def test_merge_carries_incoming_counts(self):
         vocabulary, table = toy_schema()
         library = OperatorLibrary.empty(vocabulary, table)
         op = lift(random_grounded_operator(random.Random(9), "dock"), table)
         merge(library, op)
-        merge(library, LiftedOperator(op.name, op.params, op.pre, op.post, count=4))
-        assert library.operators[canonical_key(op)].count == 5
+        merge(library, op, count=4)
+        assert library.counts[canonical_key(op)] == 5
 
     def test_merge_rejects_operators_outside_the_schema(self):
         vocabulary, table = toy_schema()
         library = OperatorLibrary.empty(vocabulary, table)
         alien_sig = PredicateSignature("alien", ("Robot",))
         lit = Literal(GroundAtom(alien_sig, ("?r1",)))
-        op = LiftedOperator("visit", (("?r1", "Robot"),), frozenset([lit.negated()]), frozenset([lit]))
+        op = ActionSchema(
+            "visit", (("?r1", "Robot"),), frozenset([lit.negated()]), frozenset([lit.atom]), frozenset()
+        )
         with pytest.raises(SchemaError):
             merge(library, op)
 
@@ -399,8 +417,8 @@ class TestLearning:
 
     def test_corpus_library_contents(self, corpus_library):
         names = corpus_library.variant_names()
-        by_name = {names[key]: op for key, op in corpus_library.operators.items()}
-        assert {name: op.count for name, op in by_name.items()} == {
+        by_name = {names[key]: count for key, count in corpus_library.counts.items()}
+        assert by_name == {
             "grasp": 18,
             "place": 6,
             "place_2": 12,
@@ -410,7 +428,7 @@ class TestLearning:
             "release": 18,
         }
         # every demonstration contributes five segments, none dropped
-        assert sum(op.count for op in by_name.values()) == 90
+        assert sum(by_name.values()) == 90
 
     def test_build_library_requires_traces(self):
         with pytest.raises(ValidationError):
@@ -422,13 +440,13 @@ class TestLearning:
         for _ in range(3):
             rng.shuffle(traces)
             shuffled = build_library(traces, DEFAULT_RULES)
-            assert counts(shuffled) == counts(corpus_library)
+            assert shuffled.counts == corpus_library.counts
             assert shuffled.variant_names() == corpus_library.variant_names()
 
     def test_learning_twice_doubles_every_count(self, corpus_demos, corpus_library):
         traces = [d.trace for d in corpus_demos]
         doubled = build_library(traces + traces, DEFAULT_RULES)
-        assert counts(doubled) == {k: 2 * v for k, v in counts(corpus_library).items()}
+        assert doubled.counts == {k: 2 * v for k, v in corpus_library.counts.items()}
 
 
 class TestLibraryFiles:
@@ -436,13 +454,10 @@ class TestLibraryFiles:
         path = tmp_path / "library.json"
         save_library(corpus_library, path)
         loaded = load_library(path)
-        assert counts(loaded) == counts(corpus_library)
+        assert loaded.counts == corpus_library.counts
         assert loaded.vocabulary == corpus_library.vocabulary
         assert loaded.types.type_to_parent == corpus_library.types.type_to_parent
-        for key, op in corpus_library.operators.items():
-            assert loaded.operators[key].pre == op.pre
-            assert loaded.operators[key].post == op.post
-            assert loaded.operators[key].params == op.params
+        assert loaded.operators == corpus_library.operators
 
     def test_payload_keys_are_recomputed_on_load(self, corpus_library):
         payload = library_to_dict(corpus_library)
@@ -450,8 +465,28 @@ class TestLibraryFiles:
         loaded = library_from_dict(payload)
         assert set(loaded.operators) == set(corpus_library.operators)
 
+    def test_an_entry_in_another_parameter_order_saves_in_canonical_form(self, corpus_library):
+        """An entry written by hand is stored as learn would have written it."""
+        payload = library_to_dict(corpus_library)
+        edited = copy.deepcopy(payload)
+        for entry in edited["operators"]:
+            # reverse the parameters and rename them, so each entry must be canonicalized
+            renaming = {v: f"?o{i}" for i, (v, _) in enumerate(reversed(entry["params"]))}
+            entry["params"] = [[renaming[v], t] for v, t in reversed(entry["params"])]
+            for side in ("pre", "post"):
+                entry[side] = [[renaming.get(part, part) for part in lit] for lit in entry[side][::-1]]
+        assert edited != payload
+        loaded = library_from_dict(edited)
+        assert loaded.operators == corpus_library.operators
+        assert json_text(library_to_dict(loaded)) == json_text(payload)
+
     def test_duplicate_operators_in_a_file_are_rejected(self, corpus_library):
         payload = library_to_dict(corpus_library)
         payload["operators"].append(payload["operators"][0])
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"^operator 7: library file repeats operator 'grasp'"):
+            library_from_dict(payload)
+        # an entry outside the library's schema is named by its place too
+        payload = library_to_dict(corpus_library)
+        payload["operators"][3]["params"][0][1] = "Robot"
+        with pytest.raises(SchemaError, match=r"^operator 3: operator 'put' uses unknown type 'Robot'"):
             library_from_dict(payload)

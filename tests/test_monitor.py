@@ -26,14 +26,13 @@ from demoplan.monitor import (
     log_to_dict,
 )
 from demoplan.planner import GroundedAction, Plan, plan
-from demoplan.synth import TABLE as TABLE_ID
-from demoplan.synth import YELLOW, corpus_goals, initial_state, stacking_vocabulary
+from demoplan.synth import TABLE, YELLOW, corpus_goals, initial_state, stacking_vocabulary
 
 from helpers import random_planning_instance
 
 SIG = PredicateSignature("lit", ("Lamp",))
 VOCAB = Vocabulary((SIG,))
-TABLE = TypeTable({"l1": "Lamp", "l2": "Lamp"})
+LAMPS = TypeTable({"l1": "Lamp", "l2": "Lamp"})
 ON1 = GroundAtom(SIG, ("l1",))
 ON2 = GroundAtom(SIG, ("l2",))
 SPARE = GroundAtom(SIG, ("l3",))  # no action mentions it
@@ -73,31 +72,31 @@ class TestFaults:
             {"step": 1, "mode": "drop_effects"},
             {"step": 3, "mode": "perturb", "adds": [["lit", "l1"]], "dels": []},
         ]
-        faults = faults_from_list(raw, VOCAB, TABLE)
+        faults = faults_from_list(raw, VOCAB, LAMPS)
         assert [f.step for f in faults] == [1, 3]
         assert faults[1].adds == frozenset([ON1])
         # a top-level object with a "faults" key is accepted too
-        assert faults_from_list({"faults": raw}, VOCAB, TABLE) == faults
+        assert faults_from_list({"faults": raw}, VOCAB, LAMPS) == faults
 
     def test_one_fault_per_step(self):
         raw = [{"step": 1, "mode": "drop_effects"}, {"step": 1, "mode": "drop_effects"}]
         with pytest.raises(ValidationError):
-            faults_from_list(raw, VOCAB, TABLE)
+            faults_from_list(raw, VOCAB, LAMPS)
 
     def test_malformed_records(self):
         with pytest.raises(ParseError):
-            faults_from_list("nope", VOCAB, TABLE)
+            faults_from_list("nope", VOCAB, LAMPS)
         with pytest.raises(ParseError):
-            faults_from_list([{"mode": "perturb"}], VOCAB, TABLE)
+            faults_from_list([{"mode": "perturb"}], VOCAB, LAMPS)
         for step in ("1", 1.0, True):
             record = {"step": 0, "mode": "drop_effects"}
             with pytest.raises(ParseError, match="record 1"):
-                faults_from_list([record, {"step": step, "mode": "drop_effects"}], VOCAB, TABLE)
+                faults_from_list([record, {"step": step, "mode": "drop_effects"}], VOCAB, LAMPS)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "faults.json"
         path.write_text(json.dumps([{"step": 0, "mode": "drop_effects"}]))
-        assert load_faults(path, VOCAB, TABLE) == [Fault(0, DROP_EFFECTS)]
+        assert load_faults(path, VOCAB, LAMPS) == [Fault(0, DROP_EFFECTS)]
 
 
 class TestWorldSim:
@@ -275,11 +274,9 @@ class TestAgainstTheCorpus:
         """execute compiles its actions once and searches that task on every
         replan; no search may leave state behind for the next one."""
         v = stacking_vocabulary()
-        knock_yellow = Fault(
-            2,
-            PERTURB,
-            dels=frozenset({v.atom("onTop", YELLOW, TABLE), v.atom("inTouch", YELLOW, TABLE)}),
-        )
+        yellow_on_table = {v.atom("onTop", YELLOW, TABLE), v.atom("inTouch", YELLOW, TABLE)}
+        assert yellow_on_table <= initial_state().true_atoms
+        knock_yellow = Fault(2, PERTURB, dels=frozenset(yellow_on_table))
         config = MonitorConfig(heuristic=heuristic)
         for name, goal in sorted(corpus_goals().items()):
             first = plan(corpus_actions, initial_state(), goal, heuristic=heuristic)
@@ -357,7 +354,7 @@ class TestKeepingTheRestOfAPlan:
         # reaches, and a blind search of such a state can take minutes, so the
         # corpus perturb knocks yellow, which no goal names, off the table.
         v = stacking_vocabulary()
-        yellow_on_table = {v.atom("onTop", YELLOW, TABLE_ID), v.atom("inTouch", YELLOW, TABLE_ID)}
+        yellow_on_table = {v.atom("onTop", YELLOW, TABLE), v.atom("inTouch", YELLOW, TABLE)}
         knock_yellow = (frozenset(), frozenset(yellow_on_table))
         tasks = [
             (corpus_actions, initial_state(), list(goal), [knock_yellow])

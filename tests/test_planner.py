@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -35,7 +36,14 @@ from demoplan.planner import (
     task_from_docs,
     validate,
 )
-from demoplan.synth import corpus_goals, initial_state, planning_objects
+from demoplan.synth import (
+    BLUE,
+    GREEN,
+    corpus_goals,
+    initial_state,
+    planning_objects,
+    stacking_vocabulary,
+)
 
 import oracles
 from helpers import random_planning_instance
@@ -288,6 +296,18 @@ class TestSearch:
                 heuristic=heuristic,
             )
             assert [a.name for a in result.actions] == ["on"]
+
+    def test_a_relaxed_unreachable_goal_is_decided_before_any_search(self, corpus_actions):
+        """Placing blue on green needs the two apart, and no action deletes
+        inTouch(blue, green). A blind search used to take tens of seconds
+        exhausting the state space to find that out."""
+        init = State(initial_state().true_atoms | {stacking_vocabulary().atom("inTouch", BLUE, GREEN)})
+        goal = corpus_goals()["blue_on_green"]
+        started = time.perf_counter()
+        for heuristic in ("none", "hmax"):
+            # node_limit=0 raises at the first expansion
+            assert plan(corpus_actions, init, goal, node_limit=0, heuristic=heuristic) is None
+        assert time.perf_counter() - started < 2.0
 
     @pytest.mark.parametrize("heuristic", ["none", "hmax"])
     def test_matches_reference_dijkstra(self, heuristic):
