@@ -249,16 +249,16 @@ class OperatorLibrary:
                 )
 
 
-def merge(
-    library: OperatorLibrary, op: ActionSchema, count: int = 1, key: Optional[str] = None
-) -> OperatorLibrary:
-    """Add a canonical schema seen ``count`` times, or add that to the count
-    of its twin. ``key`` is canonical_key(op), computed here if not given."""
+def merge(library: OperatorLibrary, op: ActionSchema, count: int = 1) -> str:
+    """Add a schema seen ``count`` times, or add that to the count of its
+    twin, and return its canonical key. ``op`` must be canonical, as lift()
+    and load_library return it: a schema built by hand, or renamed and priced
+    by schemas(), is stored under a key that no lift() gives."""
     library._check_schema(op)
-    key = key or canonical_key(op)
+    key = canonical_key(op)
     library.operators.setdefault(key, op)
     library.counts[key] = library.counts.get(key, 0) + count
-    return library
+    return key
 
 
 @dataclass
@@ -299,10 +299,8 @@ def learn_from_trace(
     library.absorb_schema(trace.vocabulary, trace.types)
     merged = []
     for lifted in operators:
-        key = canonical_key(lifted)
-        known = key in library.operators
-        merge(library, lifted, key=key)
-        merged.append((key, library.counts[key], known))
+        key = merge(library, lifted)
+        merged.append((key, library.counts[key], library.counts[key] > 1))
     # Named once all are merged, so a later variant cannot rename a reported one.
     names = library.variant_names()
     for key, count, known in merged:
@@ -398,7 +396,7 @@ def library_from_dict(payload: dict) -> OperatorLibrary:
             op, key = _canonical_form(name, [(v, t) for v, t in params], pre, post)
             if key in library.operators:
                 raise SchemaError(f"library file repeats operator {name!r} (key {key!r})")
-            merge(library, op, count, key)
+            merge(library, op, count)
     return library
 
 

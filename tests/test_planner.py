@@ -1,5 +1,4 @@
 import random
-import time
 
 import pytest
 
@@ -303,11 +302,9 @@ class TestSearch:
         exhausting the state space to find that out."""
         init = State(initial_state().true_atoms | {stacking_vocabulary().atom("inTouch", BLUE, GREEN)})
         goal = corpus_goals()["blue_on_green"]
-        started = time.perf_counter()
         for heuristic in ("none", "hmax"):
             # node_limit=0 raises at the first expansion
             assert plan(corpus_actions, init, goal, node_limit=0, heuristic=heuristic) is None
-        assert time.perf_counter() - started < 2.0
 
     @pytest.mark.parametrize("heuristic", ["none", "hmax"])
     def test_matches_reference_dijkstra(self, heuristic):
