@@ -33,6 +33,7 @@ from .model import (
     json_text,
     literal_from_list,
     literal_to_list,
+    once_per_entry,
     read_json,
     types_from_json,
     vocabulary_from_json,
@@ -166,7 +167,9 @@ def _canonical_form(
         final_names.append(f"?{letter}{letter_counts[letter]}")
     renaming = {token: final_names[i] for i, (token, _) in enumerate(ordering)}
     params = tuple((renaming[token], type_id) for token, type_id in ordering)
-    pre, changed = _substituted(pre, renaming), _substituted(post - pre, renaming)
+    changed = post - pre
+    if params != ordering:  # entries that save_library wrote already have these names
+        pre, changed = _substituted(pre, renaming), _substituted(changed, renaming)
     adds = frozenset(l.atom for l in changed if l.positive)
     dels = frozenset(l.atom for l in changed if not l.positive)
     return ActionSchema(name, params, pre, adds, dels), key
@@ -380,6 +383,7 @@ def library_from_dict(payload: dict) -> OperatorLibrary:
     types = types_from_json([], raw_types.get("parents"), raw_types.get("all"))
 
     library = OperatorLibrary(vocabulary=vocabulary, types=types)
+    decode = once_per_entry(lambda entry: literal_from_list(entry, vocabulary))
     for i, entry in enumerate(expect(payload["operators"], list, "library 'operators'")):
         with located(f"operator {i}"):
             expect_keys(entry, "entry", "name", "params", "pre", "post", "count")
@@ -388,7 +392,7 @@ def library_from_dict(payload: dict) -> OperatorLibrary:
             if not all(isinstance(p, list) and list(map(type, p)) == [str, str] for p in params):
                 raise ParseError("each parameter must be a [variable, type] pair")
             pre, post = (
-                frozenset(literal_from_list(l, vocabulary) for l in expect(entry[k], list, f"'{k}'"))
+                frozenset(map(decode, expect(entry[k], list, f"'{k}'")))
                 for k in ("pre", "post")
             )
             count = expect(entry["count"], int, "count")

@@ -18,6 +18,8 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import InputError, InvalidEffect, ParseError, SchemaError, ValidationError, located
 
+T = TypeVar("T")
+
 # PredicateSignature, GroundAtom and Literal are the members of every state,
 # precondition and effect set, so each hashes its fields once, when it is
 # built, into the value the dataclass would compute. Hashes of strings differ
@@ -323,8 +325,8 @@ class Vocabulary:
         return Vocabulary(tuple(combined.values()))
 
 
-def check_atom_types(atom: GroundAtom, types: TypeTable) -> None:
-    """Raise ValidationError unless every argument is a declared object of a fitting type."""
+def check_atom_types(atom: GroundAtom, types: TypeTable) -> GroundAtom:
+    """``atom`` if every argument is a declared object of a fitting type, else a ValidationError."""
     for arg, expected in zip(atom.args, atom.predicate.arg_types):
         if not types.has_instance(arg):
             raise ValidationError(f"{atom!r}: argument {arg!r} is not a declared object")
@@ -333,6 +335,7 @@ def check_atom_types(atom: GroundAtom, types: TypeTable) -> None:
             raise ValidationError(
                 f"{atom!r}: argument {arg!r} has type {actual!r}, expected {expected!r}"
             )
+    return atom
 
 
 # JSON codecs shared by every file format in this package. Decoders check the
@@ -377,6 +380,26 @@ def atom_from_list(entry: Any, vocabulary: Vocabulary) -> GroundAtom:
     if not isinstance(entry, list) or not entry or not all(isinstance(p, str) for p in entry):
         raise SchemaError(f"atom entry must be a list of strings, got {reprlib.repr(entry)}")
     return vocabulary.atom(entry[0], *entry[1:])
+
+
+def once_per_entry(decode: Callable[[Any], T]) -> Callable[[Any], T]:
+    """``decode``, which takes only lists of strings, for the atom or literal
+    entries of one file: it runs once per distinct entry. Only successes are
+    kept, so a bad entry raises wherever it stands, the first time included."""
+    done: dict[tuple, T] = {}
+
+    def decode_once(entry: Any) -> T:
+        if type(entry) is not list:
+            return decode(entry)
+        key = tuple(entry)
+        try:
+            return done[key]
+        except (KeyError, TypeError):  # not decoded yet, or an unhashable part and so bad
+            pass
+        done[key] = value = decode(entry)
+        return value
+
+    return decode_once
 
 
 def literal_to_list(literal: Literal) -> list[str]:
@@ -428,8 +451,6 @@ def types_from_json(objects: Any, parents: Any = None, types: Any = None) -> Typ
 # is not UTF-8 or holds bad content raises an InputError whose message starts
 # with its path, like any other bad input. Every output file is written
 # through write_file, so one that cannot be written is bad input too.
-
-T = TypeVar("T")
 
 
 def read_file(path: str | Path, decode: Callable[[str], T]) -> T:

@@ -291,11 +291,18 @@ def emit_problem(
 # Parsing
 
 
-@dataclass(frozen=True)
 class _Token:
-    text: str
-    line: int
-    column: int
+    """A symbol or parenthesis at index ``offset`` of ``source``."""
+
+    __slots__ = ("text", "offset", "source")
+
+    def __init__(self, text: str, offset: int, source: str):
+        self.text, self.offset, self.source = text, offset, source
+
+    def place(self) -> tuple[int, int]:
+        """The line and column, counted only when a message needs them."""
+        newline = self.source.rfind("\n", 0, self.offset)
+        return self.source.count("\n", 0, self.offset) + 1, self.offset - newline
 
 
 class _List(list):
@@ -310,25 +317,21 @@ class _List(list):
 
 _Tree = Union[_Token, list]
 
-# A newline, a comment, a parenthesis or a symbol. Spaces, tabs and carriage
-# returns only separate tokens; any other character belongs to a symbol.
-_LEXEME = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
+# A comment, a parenthesis or a symbol. Spaces, tabs, carriage returns and
+# newlines only separate tokens; any other character belongs to a symbol.
+_LEXEME = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")
 
 
 def _read_all(text: str) -> _Tree:
     """The one top-level form of ``text``, read in one pass with an explicit
     stack so that deep nesting cannot exhaust the interpreter's recursion limit."""
-    line, line_start = 1, 0
     open_lists: list[_List] = []
     top: Optional[_Tree] = None
     for match in _LEXEME.finditer(text):
         lexeme = match.group()
-        if lexeme == "\n":
-            line, line_start = line + 1, match.end()
-            continue
         if lexeme[0] == ";":
             continue
-        tok = _Token(lexeme, line, match.start() - line_start + 1)
+        tok = _Token(lexeme, match.start(), text)
         if top is not None:
             raise _fail("trailing text after top-level form", tok)
         if lexeme == "(":
@@ -362,13 +365,17 @@ def _where(tree: _Tree) -> tuple[int, int]:
     node = tree
     while isinstance(node, list):
         node = node[0] if node else node.paren
-    return (node.line, node.column)
+    return node.place()
 
 
 def _fail(message: str, tree: _Tree) -> PddlSyntaxError:
     """A syntax error placed at the first token of ``tree``."""
     line, column = _where(tree)
     return PddlSyntaxError(message, line=line, column=column)
+
+
+def _at(tok: _Token) -> str:
+    return "at %d:%d" % tok.place()
 
 
 def _symbol(tree: _Tree, what: str) -> _Token:
@@ -471,18 +478,17 @@ def _parse_literal(tree: _Tree, scope: _ParseScope) -> Literal:
 
 def _parse_atom(tree: _Tree, scope: _ParseScope) -> GroundAtom:
     head_tok = _symbol(tree[0], "predicate name")
-    at = f"at {head_tok.line}:{head_tok.column}"
     name = scope.nm.orig(head_tok.text)
     if name not in scope.vocabulary:
-        raise ValidationError(f"unknown predicate {name!r} {at}")
+        raise ValidationError(f"unknown predicate {name!r} {_at(head_tok)}")
     sig = scope.vocabulary.get(name)
     args = [scope.nm.orig(_symbol(sub, "argument").text) for sub in tree[1:]]
     if len(args) != sig.arity:
-        raise ValidationError(f"predicate {name!r} takes {sig.arity} arguments, got {len(args)} {at}")
+        raise ValidationError(f"predicate {name!r} takes {sig.arity} arguments, got {len(args)} {_at(head_tok)}")
     for arg, expected in zip(args, sig.arg_types):
         actual = scope.arg_types.get(arg)
         if actual is None:
-            raise ValidationError(f"undeclared name {arg!r} {at}")
+            raise ValidationError(f"undeclared name {arg!r} {_at(head_tok)}")
         if not scope.compatible(actual, expected):
             raise ValidationError(
                 f"argument {arg!r} of {name!r} should be a {expected}, is a {actual}"
@@ -503,8 +509,19 @@ def parse_domain(text: str, name_map: NameMap = NameMap(())) -> DomainDoc:
     types: dict[str, Optional[str]] = {}  # type -> parent, None for object
     predicates: list[PredicateSignature] = []
     actions: list[ActionSchema] = []
+    declared: list[tuple[Vocabulary, TypeTable]] = []  # built for an action, kept until a declaration
+
+    def schema() -> tuple[Vocabulary, TypeTable]:
+        if not declared:
+            declared.append((Vocabulary(tuple(predicates)), TypeTable({}, types)))
+        return declared[0]
+
+    def read_predicates(section: list) -> None:
+        declared.clear()
+        predicates.extend(_predicate(p, nm) for p in section[1:])
 
     def read_types(section: list) -> None:
+        declared.clear()
         for t, parent in _typed_list(section[1:], nm, "type"):
             parent = None if parent == "object" else parent
             if types.setdefault(t, parent) != parent:
@@ -513,9 +530,9 @@ def parse_domain(text: str, name_map: NameMap = NameMap(())) -> DomainDoc:
     domain_name, found = _read(text, "domain", nm, {
         ":requirements": _requirements,
         ":types": read_types,
-        ":predicates": lambda section: predicates.extend(_predicate(p, nm) for p in section[1:]),
+        ":predicates": read_predicates,
         ":functions": _check_functions,
-        ":action": lambda section: actions.append(_parse_action(section, predicates, types, nm)),
+        ":action": lambda section: actions.append(_parse_action(section, schema, nm)),
     }, (":durative-action", ":derived", ":constants", ":axiom"))
 
     doc = DomainDoc(
@@ -561,16 +578,13 @@ def _check_functions(section: list) -> None:
 
 
 def _parse_action(
-    section: list,
-    predicates: Sequence[PredicateSignature],
-    types: Mapping[str, Optional[str]],
-    nm: NameMap,
+    section: list, schema: Callable[[], tuple[Vocabulary, TypeTable]], nm: NameMap
 ) -> ActionSchema:
+    """An action checked against ``schema()``, the predicates and types declared before it."""
     if len(section) < 2:
         raise _fail("action needs a name", section)
     name = nm.orig(_symbol(section[1], "action name").text)
-    vocabulary = Vocabulary(tuple(predicates))
-    table = TypeTable({}, types)
+    vocabulary, table = schema()
 
     body: dict[str, _Tree] = {}
     for i in range(2, len(section), 2):
@@ -633,7 +647,7 @@ def _parse_cost(tree: list) -> int:
         raise _fail("cost must be a plain integer", tok)
     value = int(tok.text)
     if value < 1:
-        raise ValidationError(f"cost must be positive, got {value} at {tok.line}:{tok.column}")
+        raise ValidationError(f"cost must be positive, got {value} {_at(tok)}")
     return value
 
 

@@ -33,6 +33,7 @@ from .model import (
     expect_keys,
     json_text,
     objects_to_json,
+    once_per_entry,
     read_json,
     types_from_json,
     vocabulary_from_json,
@@ -100,6 +101,7 @@ def trace_from_dict(payload: dict) -> Trace:
     extra = expect(payload.get("types") or {}, dict, "'types'")
     types = types_from_json(payload["objects"], extra.get("parents"))
 
+    decode = once_per_entry(lambda entry: check_atom_types(atom_from_list(entry, vocabulary), types))
     frames = []
     for i, raw in enumerate(expect(payload["frames"], list, "'frames'")):
         expect_keys(raw, f"frame {i}", "t", "atoms")
@@ -109,8 +111,7 @@ def trace_from_dict(payload: dict) -> Trace:
         atoms = set()
         for entry in expect(raw["atoms"], list, f"frame {i} 'atoms'"):
             try:
-                atom = atom_from_list(entry, vocabulary)
-                check_atom_types(atom, types)
+                atom = decode(entry)
             except InputError as exc:
                 raise ValidationError(str(exc), frame=i, atom=repr(entry)) from exc
             atoms.add(atom)

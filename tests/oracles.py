@@ -6,21 +6,47 @@ bitmasks (``applicable_reference`` only reads a compiled task's state
 integer), and no imports from demoplan beyond the frozen dataclasses whose
 public fields the oracles read or that ``ground_reference``,
 ``extract_reference`` and ``segment_reference`` build, and the exceptions
-``extract_reference`` and ``segment_reference`` raise.  When an
-oracle and the package disagree, one of them has a bug; the oracles are kept
-simple enough to audit by eye.
+``extract_reference`` and ``segment_reference`` raise. The decoding
+references (``trace_from_dict_reference``, ``library_from_dict_reference``)
+also use the package's JSON codecs for the single values they decode, and
+decode every atom and literal entry where it stands;
+``canonical_form_reference`` renames every literal of an operator, and
+``read_all_reference`` counts lines and columns as its scan meets each
+newline. When an oracle and the package disagree, one of them has a bug; the
+oracles are kept simple enough to audit by eye.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import re
+from collections import Counter
 
-from demoplan.errors import NoActorError, NoEffectSegment, ValidationError
-from demoplan.learning import GroundedOperator
-from demoplan.model import GroundAtom, Literal
+from demoplan.errors import (
+    InputError,
+    NoActorError,
+    NoEffectSegment,
+    PddlSyntaxError,
+    ValidationError,
+)
+from demoplan.learning import GroundedOperator, OperatorLibrary
+from demoplan.model import (
+    ActionSchema,
+    GroundAtom,
+    Literal,
+    atom_from_list,
+    check_atom_types,
+    expect,
+    expect_keys,
+    literal_from_list,
+    types_from_json,
+    vocabulary_from_json,
+)
 from demoplan.planner import GroundedAction
 from demoplan.segmentation import Segment
+from demoplan.traces import Frame, Trace
 
 
 def ground_reference(schemas, objects, types, allow_repeated_bindings=False):
@@ -454,3 +480,147 @@ def debounced_reference(values, window):
             current = values[i]
         out.append(current)
     return out
+
+
+def trace_from_dict_reference(payload):
+    """``traces.trace_from_dict`` that decodes and type-checks every atom
+    entry of every frame anew."""
+    expect_keys(payload, "trace", "vocabulary", "objects", "frames")
+    vocabulary = vocabulary_from_json(payload["vocabulary"])
+    extra = expect(payload.get("types") or {}, dict, "'types'")
+    types = types_from_json(payload["objects"], extra.get("parents"))
+    frames = []
+    for i, raw in enumerate(expect(payload["frames"], list, "'frames'")):
+        expect_keys(raw, f"frame {i}", "t", "atoms")
+        timestamp = expect(raw["t"], (int, float), f"frame {i} 't'")
+        if not math.isfinite(timestamp):
+            raise ValidationError(f"timestamp must be finite, got {timestamp}", frame=i)
+        atoms = set()
+        for entry in expect(raw["atoms"], list, f"frame {i} 'atoms'"):
+            try:
+                atom = atom_from_list(entry, vocabulary)
+                check_atom_types(atom, types)
+            except InputError as exc:
+                raise ValidationError(str(exc), frame=i, atom=repr(entry)) from exc
+            atoms.add(atom)
+        frames.append(Frame(float(timestamp), frozenset(atoms)))
+    meta = expect(payload.get("meta") or {}, dict, "'meta'")
+    return Trace(
+        vocabulary=vocabulary,
+        types=types,
+        frames=tuple(frames),
+        demonstrator=str(meta.get("demonstrator", "")),
+        scenario=str(meta.get("scenario", "")),
+    )
+
+
+def _literal_text(lit, renaming):
+    args = ",".join(renaming[a] for a in lit.atom.args)
+    return f"{'' if lit.positive else '!'}{lit.atom.name}({args})"
+
+
+def canonical_form_reference(name, params, pre, post):
+    """The canonical schema of an operator and its key: of every
+    type-preserving parameter order (types sorted), the one whose
+    serialization is smallest, with every literal renamed into it."""
+    groups = [[p for p in params if p[1] == t] for t in sorted({t for _, t in params})]
+    best = None
+    for permuted in itertools.product(*(itertools.permutations(g) for g in groups)):
+        ordering = [p for group in permuted for p in group]
+        numbered = {v: f"?x{i}" for i, (v, _) in enumerate(ordering)}
+        snapshots = [";".join(sorted(_literal_text(l, numbered) for l in s)) for s in (pre, post)]
+        key = "|".join([name, ",".join(t for _, t in ordering), *snapshots])
+        if best is None or key < best[0]:
+            best = (key, ordering)
+    key, ordering = best
+    letters = Counter()
+    renaming = {}
+    for var, type_id in ordering:
+        letter = next((ch for ch in type_id.lower() if ch.isalpha()), "v")
+        letters[letter] += 1
+        renaming[var] = f"?{letter}{letters[letter]}"
+
+    def rename(atom):
+        return GroundAtom(atom.predicate, tuple(renaming[a] for a in atom.args))
+
+    changed = post - pre
+    schema = ActionSchema(
+        name,
+        tuple((renaming[v], t) for v, t in ordering),
+        frozenset(Literal(rename(l.atom), l.positive) for l in pre),
+        frozenset(rename(l.atom) for l in changed if l.positive),
+        frozenset(rename(l.atom) for l in changed if not l.positive),
+    )
+    return schema, key
+
+
+def library_from_dict_reference(payload):
+    """``learning.library_from_dict`` for a well-formed payload: every
+    literal entry decoded anew and every entry renamed into canonical form."""
+    vocabulary = vocabulary_from_json(payload["vocabulary"])
+    types = types_from_json([], payload["types"].get("parents"), payload["types"].get("all"))
+    library = OperatorLibrary(vocabulary=vocabulary, types=types)
+    for entry in payload["operators"]:
+        pre, post = (
+            frozenset(literal_from_list(l, vocabulary) for l in entry[k]) for k in ("pre", "post")
+        )
+        schema, key = canonical_form_reference(
+            entry["name"], [tuple(p) for p in entry["params"]], pre, post
+        )
+        assert key not in library.operators
+        library.operators[key] = schema
+        library.counts[key] = entry["count"]
+    return library
+
+
+class RefList(list):
+    """A parenthesized list of ``read_all_reference``; ``paren`` is its '('."""
+
+    def __init__(self, paren):
+        super().__init__()
+        self.paren = paren
+
+
+class RefToken:
+    def __init__(self, text, line, column):
+        self.text, self.line, self.column = text, line, column
+
+    def place(self):
+        return self.line, self.column
+
+
+def read_all_reference(text):
+    """The one top-level form of a PDDL text, with each token's line and
+    column counted as the scan meets each newline."""
+    line, line_start = 1, 0
+    open_lists = []
+    top = None
+    for match in re.finditer(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+", text):
+        lexeme = match.group()
+        if lexeme == "\n":
+            line, line_start = line + 1, match.end()
+            continue
+        if lexeme[0] == ";":
+            continue
+        tok = RefToken(lexeme, line, match.start() - line_start + 1)
+        if top is not None:
+            raise PddlSyntaxError("trailing text after top-level form", tok.line, tok.column)
+        if lexeme == "(":
+            open_lists.append(RefList(tok))
+            continue
+        if lexeme == ")":
+            if not open_lists:
+                raise PddlSyntaxError("unexpected ')'", tok.line, tok.column)
+            item = open_lists.pop()
+        else:
+            item = tok
+        if open_lists:
+            open_lists[-1].append(item)
+        else:
+            top = item
+    if open_lists:
+        paren = open_lists[-1].paren
+        raise PddlSyntaxError("unbalanced parenthesis", paren.line, paren.column)
+    if top is None:
+        raise PddlSyntaxError("empty input", line=1, column=1)
+    return top

@@ -35,8 +35,8 @@ from demoplan.segmentation import DEFAULT_RULES, Segment, segment
 from demoplan.synth import GREEN, RED, RIGHT_HAND, TABLE, inject_flicker, stacking_demo
 from demoplan.traces import Frame, Trace, debounce, load_trace
 
-from helpers import random_grounded_operator, random_trace, toy_schema, traces_st
-from oracles import extract_reference, operators_equivalent
+from helpers import random_grounded_operator, random_library, random_trace, toy_schema, traces_st
+from oracles import extract_reference, library_from_dict_reference, operators_equivalent
 
 
 def _changed(op: GroundedOperator) -> list[GroundAtom]:
@@ -464,6 +464,46 @@ class TestLibraryFiles:
         assert set(payload) >= {"vocabulary", "operators", "pddl_names"}
         loaded = library_from_dict(payload)
         assert set(loaded.operators) == set(corpus_library.operators)
+
+    @staticmethod
+    def assert_loads_as_the_reference_does(payload):
+        loaded, expected = library_from_dict(payload), library_from_dict_reference(payload)
+        assert loaded.operators == expected.operators
+        assert loaded.counts == expected.counts
+        assert (loaded.vocabulary, loaded.types) == (expected.vocabulary, expected.types)
+        assert all(canonical_key(op) == key for key, op in loaded.operators.items())
+        assert json_text(library_to_dict(loaded)) == json_text(library_to_dict(expected))
+
+    def test_learned_libraries_load_as_the_reference_does(self, corpus_demos, corpus_library):
+        self.assert_loads_as_the_reference_does(library_to_dict(corpus_library))
+        for seed in range(1, 6):
+            traces = [inject_flicker(demo.trace, seed) for demo in corpus_demos]
+            payload = library_to_dict(build_library(traces, DEFAULT_RULES))
+            self.assert_loads_as_the_reference_does(payload)
+
+    def test_random_libraries_with_shuffled_parameters_load_as_the_reference_does(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            payload = library_to_dict(random_library(rng))
+            self.assert_loads_as_the_reference_does(payload)
+            for entry in payload["operators"]:
+                rng.shuffle(entry["params"])
+            self.assert_loads_as_the_reference_does(payload)
+
+    def test_a_canonical_entry_is_not_renamed_again(self, monkeypatch, corpus_library):
+        calls = []
+        real = learning._substituted
+        monkeypatch.setattr(learning, "_substituted", lambda *args: calls.append(1) or real(*args))
+        payload = library_to_dict(corpus_library)
+        assert library_from_dict(payload).operators == corpus_library.operators
+        assert calls == []
+        entry = payload["operators"][0]
+        renaming = {v: f"?o{i}" for i, (v, _) in enumerate(entry["params"])}
+        entry["params"] = [[renaming[v], t] for v, t in entry["params"]]
+        for side in ("pre", "post"):
+            entry[side] = [[renaming.get(part, part) for part in lit] for lit in entry[side]]
+        assert library_from_dict(payload).operators == corpus_library.operators
+        assert calls == [1, 1]  # the preconditions and the changes of that one entry
 
     def test_an_entry_in_another_parameter_order_saves_in_canonical_form(self, corpus_library):
         """An entry written by hand is stored as learn would have written it."""

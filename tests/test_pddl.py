@@ -12,8 +12,10 @@ from demoplan.errors import (
 )
 from demoplan.learning import OperatorLibrary, lift, merge
 from demoplan.model import ObjectInstance, read_file
+from demoplan import pddl
 from demoplan.pddl import (
     NameMap,
+    _read_all,
     build_name_map,
     domain_to_doc,
     emit_domain,
@@ -33,6 +35,7 @@ from helpers import (
     random_library,
     toy_schema,
 )
+from oracles import read_all_reference
 
 CRANE_DOMAIN = """(define (domain crane)
   (:requirements :strips :typing :negative-preconditions :action-costs)
@@ -598,3 +601,99 @@ def test_every_reader_error_is_pinned(parse, text, error, message):
     assert str(caught.value) == message
     if error is PddlSyntaxError:
         assert message.endswith(f" (line {caught.value.line}, column {caught.value.column})")
+
+
+class TestDeclarationOrder:
+    """An action is checked against the predicates and types declared before it."""
+
+    LATE_LIFTED = _crane("    (lifted ?c - crate)\n", "").replace(
+        "  (:action drop-onto", "  (:predicates (lifted ?c - crate))\n  (:action drop-onto"
+    )
+
+    def test_a_predicate_declared_after_an_action_is_unknown_to_it(self):
+        with pytest.raises(ValidationError, match="unknown predicate 'lifted' at 12:40"):
+            parse_domain(self.LATE_LIFTED)
+
+    def test_a_predicate_declared_before_an_action_is_known_to_it(self):
+        early = self.LATE_LIFTED.replace("(:action hoist", "(:predicates (lifted ?c - crate))\n  (:action hoist")
+        early = early.replace("  (:predicates (lifted ?c - crate))\n  (:action drop-onto", "  (:action drop-onto")
+        assert parse_domain(early) == parse_domain(CRANE_DOMAIN)
+
+    def test_a_type_declared_after_an_action_is_unknown_to_it(self):
+        text = _crane("(:types crate - object)", "").replace(
+            "  (:action drop-onto", "  (:types crate - object)\n  (:action drop-onto"
+        )
+        with pytest.raises(ValidationError, match="action 'hoist' uses undeclared type 'crate'"):
+            parse_domain(text)
+
+    def test_the_schema_is_built_again_only_after_a_declaration(self, monkeypatch):
+        built = []
+        for name in ("Vocabulary", "TypeTable"):
+            real = getattr(pddl, name)
+            monkeypatch.setattr(pddl, name, lambda *a, _real=real, _name=name: built.append(_name) or _real(*a))
+        parse_domain(CRANE_DOMAIN)
+        # one of each for both actions, and the vocabulary the document checks at the end
+        assert built == ["Vocabulary", "TypeTable", "Vocabulary"]
+        built.clear()
+        text = _crane(_HOIST_EFF, "(and (not (armfree)))", _crane(_HOIST_PRE, "(armfree)", self.LATE_LIFTED))
+        assert parse_domain(text).actions[1].adds == frozenset()
+        assert built == ["Vocabulary", "TypeTable"] * 2 + ["Vocabulary"]
+
+
+def _random_pddl_text(rng: random.Random) -> str:
+    """A PDDL-like text: nested lists of symbols with every kind of
+    separator, comments, and sometimes a stray, missing or trailing token."""
+    symbols = ["define", ":action", "?c", "-", "crate", "lift-ed", "a1", "ü", "x\x0by", "12"]
+    separators = [" ", "  ", "\t", "\n", "\r\n", "\r", "\n\n", " ; note\n", "; (not code)\r\n"]
+
+    def form(depth: int) -> str:
+        if depth > 3 or rng.random() < 0.3:
+            return rng.choice(symbols)
+        items = [form(depth + 1) for _ in range(rng.randint(0, 4))]
+        parts = ["("]
+        for item in items:
+            parts += [rng.choice(separators) if rng.random() < 0.7 else " ", item]
+        return "".join(parts + [rng.choice(["", *separators]), ")"])
+
+    text = rng.choice(["", *separators]) + form(0)
+    roll = rng.random()
+    if roll < 0.1:
+        text += rng.choice([")", " junk", "("])
+    elif roll < 0.2 and ")" in text:
+        cut = text.rindex(")")
+        text = text[:cut] + text[cut + 1:]
+    return text + rng.choice(["", "\n", "\r\n", " ; last line, no newline", "\t"])
+
+
+def _positions(tree):
+    """Each token of ``tree`` with its line and column, nested as in the tree."""
+    if isinstance(tree, list):
+        return ("(", *tree.paren.place(), [_positions(sub) for sub in tree])
+    return (tree.text, *tree.place())
+
+
+def _read_outcome(read, text):
+    try:
+        return "tree", _positions(read(text))
+    except PddlSyntaxError as exc:
+        return "error", str(exc), exc.line, exc.column
+
+
+def test_every_token_keeps_the_line_and_column_the_reference_counts():
+    rng = random.Random(31)
+    texts = [_random_pddl_text(rng) for _ in range(500)]
+    outcomes = []
+    for text in texts:
+        outcomes.append(_read_outcome(read_all_reference, text))
+        assert _read_outcome(_read_all, text) == outcomes[-1], text
+    assert 50 < sum(outcome[0] == "error" for outcome in outcomes) < 250
+    assert all(
+        any(test(text) for text in texts)
+        for test in (
+            lambda t: "\r\n" in t,
+            lambda t: "\r" in t.replace("\r\n", ""),
+            lambda t: "\t" in t,
+            lambda t: ";" in t,
+            lambda t: not t.endswith("\n") and "\n" in t,
+        )
+    )

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from demoplan.errors import ParseError, ValidationError
+from demoplan.errors import InputError, ParseError, ValidationError
+from demoplan.synth import corpus, inject_flicker
 from demoplan.model import GroundAtom, PredicateSignature, TypeTable, Vocabulary
 from demoplan.traces import (
     DebounceConfig,
@@ -20,7 +22,7 @@ from demoplan.traces import (
 )
 
 from helpers import bool_series_st, random_trace, traces_st
-from oracles import debounced_reference
+from oracles import debounced_reference, trace_from_dict_reference
 
 SIG = PredicateSignature("lit", ("Lamp",))
 VOCAB = Vocabulary((SIG,))
@@ -130,6 +132,81 @@ class TestTraceFiles:
         path.write_text("{nope")
         with pytest.raises(ParseError):
             load_trace(path)
+
+
+class TestDecodingOncePerFile:
+    """trace_from_dict decodes each distinct atom entry of a file once and
+    keeps only successes; it must load and fail exactly like decoding every
+    entry where it stands."""
+
+    # Each is bad in a toy trace: unknown predicate, arity, undeclared
+    # object, argument type, a non-string part, an unhashable part, no parts,
+    # no list (a tuple, which a caller may pass, equals a good entry's key),
+    # and a negation mark, which atoms do not take.
+    BAD_ENTRIES = (
+        ["fly", "blockA"], ["at", "bot1"], ["clear", "ghost"], ["at", "blockA", "zone_1"],
+        ["holding", "bot1", 3], ["at", ["bot1"], "zone_1"], [], "at", 7, None, {"at": 1},
+        ("clear", "blockA"), ["!", "clear", "blockA"],
+    )
+
+    @staticmethod
+    def outcome(decode, payload):
+        try:
+            return decode(copy.deepcopy(payload))
+        except InputError as exc:
+            return type(exc), str(exc), getattr(exc, "frame", None), getattr(exc, "atom", None)
+
+    def test_the_corpus_and_its_flickered_copies_decode_as_the_reference_does(self):
+        clean = [demo.trace for demo in corpus()]
+        flickered = [inject_flicker(trace, seed) for seed in range(1, 6) for trace in clean]
+        for trace in clean + flickered:
+            payload = json.loads(json.dumps(trace_to_dict(trace)))
+            assert trace_from_dict(payload) == trace_from_dict_reference(payload) == trace
+
+    def test_random_payloads_with_bad_entries_fail_as_the_reference_does(self):
+        rng = random.Random(13)
+        failures = 0
+        for _ in range(1000):
+            payload = trace_to_dict(random_trace(rng))
+            if rng.random() < 0.2:  # retype an object, so that its atoms go bad everywhere
+                rng.choice(payload["objects"])["type"] = rng.choice(["Robot", "Block", "Zone"])
+            for _ in range(rng.randint(0, 3)):
+                bad = copy.deepcopy(rng.choice(self.BAD_ENTRIES))
+                for _ in range(rng.randint(1, 3)):  # the same entry in one to three frames
+                    atoms = rng.choice(payload["frames"])["atoms"]
+                    atoms.insert(rng.randint(0, len(atoms)), bad)
+            expected = self.outcome(trace_from_dict_reference, payload)
+            assert self.outcome(trace_from_dict, payload) == expected
+            failures += isinstance(expected, tuple)
+        assert 500 < failures < 1000
+
+    def test_a_repeated_bad_atom_raises_at_its_first_frame(self):
+        payload = {
+            "vocabulary": [{"name": "lit", "arg_types": ["Lamp"]}],
+            "objects": [{"id": "l1", "type": "Lamp"}],
+            "frames": [
+                {"t": 0.0, "atoms": [["lit", "l1"]]},
+                {"t": 1.0, "atoms": [["lit", "l1"], ["lit", "l9"]]},
+                {"t": 2.0, "atoms": [["lit", "l9"]]},
+            ],
+        }
+        for _ in range(2):
+            with pytest.raises(ValidationError) as err:
+                trace_from_dict(payload)
+            assert (err.value.frame, err.value.atom) == (1, "['lit', 'l9']")
+
+    def test_an_entry_is_decoded_against_the_table_of_its_own_file(self):
+        def payload(lamp_type):
+            return {
+                "vocabulary": [{"name": "lit", "arg_types": ["Lamp"]}],
+                "objects": [{"id": "l1", "type": lamp_type}],
+                "frames": [{"t": 0.0, "atoms": [["lit", "l1"]]}, {"t": 1.0, "atoms": []}],
+            }
+
+        assert trace_from_dict(payload("Lamp")).frames[0].true_atoms == {A1}
+        with pytest.raises(ValidationError, match="has type 'Bulb', expected 'Lamp'") as err:
+            trace_from_dict(payload("Bulb"))
+        assert err.value.frame == 0
 
 
 def test_debounce_window_must_be_a_positive_integer():
