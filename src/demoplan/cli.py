@@ -41,7 +41,6 @@ from .model import (
     json_text,
     literal_to_list,
     objects_to_json,
-    once_per_entry,
     read_file,
     read_json,
     types_from_json,
@@ -100,7 +99,7 @@ def load_init(path, vocabulary: Vocabulary, types) -> tuple[list[ObjectInstance]
         objects = types_from_json(payload["objects"]).objects()
         table = types.with_instances(objects)
         entries = expect(payload["atoms"], list, "'atoms'")
-        atoms = list(map(once_per_entry(lambda entry: atom_from_list(entry, vocabulary)), entries))
+        atoms = [atom_from_list(entry, vocabulary) for entry in entries]
         for atom in atoms:
             check_atom_types(atom, table)
         return objects, State.of(atoms)

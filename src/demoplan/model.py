@@ -383,9 +383,7 @@ def atom_from_list(entry: Any, vocabulary: Vocabulary) -> GroundAtom:
 
 
 def once_per_entry(decode: Callable[[Any], T]) -> Callable[[Any], T]:
-    """``decode``, which takes only lists of strings, for the atom or literal
-    entries of one file: it runs once per distinct entry. Only successes are
-    kept, so a bad entry raises wherever it stands, the first time included."""
+    """``decode`` run once per distinct atom or literal entry of one file; only successes are kept."""
     done: dict[tuple, T] = {}
 
     def decode_once(entry: Any) -> T:

@@ -30,7 +30,6 @@ from .model import (
     expect,
     expect_keys,
     holds,
-    once_per_entry,
     read_json,
     satisfies,
 )
@@ -67,14 +66,13 @@ class Fault:
 def faults_from_list(raw: object, vocabulary: Vocabulary, types: TypeTable) -> list[Fault]:
     if isinstance(raw, dict):
         raw = raw.get("faults", [])
-    decode = once_per_entry(lambda entry: atom_from_list(entry, vocabulary))
     faults = []
     for i, entry in enumerate(expect(raw, list, "fault file")):
         with located(f"fault record {i}"):
             expect_keys(entry, "entry", "step", "mode")
             step = expect(entry["step"], int, "step")
             adds, dels = (
-                list(map(decode, expect(entry.get(k, []), list, k)))
+                [atom_from_list(a, vocabulary) for a in expect(entry.get(k, []), list, k)]
                 for k in ("adds", "dels")
             )
             for atom in adds + dels:

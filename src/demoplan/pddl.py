@@ -291,13 +291,11 @@ def emit_problem(
 # Parsing
 
 
+@dataclass(slots=True)
 class _Token:
-    """A symbol or parenthesis at index ``offset`` of ``source``."""
-
-    __slots__ = ("text", "offset", "source")
-
-    def __init__(self, text: str, offset: int, source: str):
-        self.text, self.offset, self.source = text, offset, source
+    text: str
+    offset: int  # into source, the whole text
+    source: str
 
     def place(self) -> tuple[int, int]:
         """The line and column, counted only when a message needs them."""
@@ -372,10 +370,6 @@ def _fail(message: str, tree: _Tree) -> PddlSyntaxError:
     """A syntax error placed at the first token of ``tree``."""
     line, column = _where(tree)
     return PddlSyntaxError(message, line=line, column=column)
-
-
-def _at(tok: _Token) -> str:
-    return "at %d:%d" % tok.place()
 
 
 def _symbol(tree: _Tree, what: str) -> _Token:
@@ -480,15 +474,17 @@ def _parse_atom(tree: _Tree, scope: _ParseScope) -> GroundAtom:
     head_tok = _symbol(tree[0], "predicate name")
     name = scope.nm.orig(head_tok.text)
     if name not in scope.vocabulary:
-        raise ValidationError(f"unknown predicate {name!r} {_at(head_tok)}")
+        raise ValidationError(f"unknown predicate {name!r} at " + "%d:%d" % head_tok.place())
     sig = scope.vocabulary.get(name)
     args = [scope.nm.orig(_symbol(sub, "argument").text) for sub in tree[1:]]
     if len(args) != sig.arity:
-        raise ValidationError(f"predicate {name!r} takes {sig.arity} arguments, got {len(args)} {_at(head_tok)}")
+        raise ValidationError(
+            f"predicate {name!r} takes {sig.arity} arguments, got {len(args)} at " + "%d:%d" % head_tok.place()
+        )
     for arg, expected in zip(args, sig.arg_types):
         actual = scope.arg_types.get(arg)
         if actual is None:
-            raise ValidationError(f"undeclared name {arg!r} {_at(head_tok)}")
+            raise ValidationError(f"undeclared name {arg!r} at " + "%d:%d" % head_tok.place())
         if not scope.compatible(actual, expected):
             raise ValidationError(
                 f"argument {arg!r} of {name!r} should be a {expected}, is a {actual}"
@@ -509,19 +505,21 @@ def parse_domain(text: str, name_map: NameMap = NameMap(())) -> DomainDoc:
     types: dict[str, Optional[str]] = {}  # type -> parent, None for object
     predicates: list[PredicateSignature] = []
     actions: list[ActionSchema] = []
-    declared: list[tuple[Vocabulary, TypeTable]] = []  # built for an action, kept until a declaration
+    declared: Optional[tuple[Vocabulary, TypeTable]] = None  # built for an action, kept until a declaration
 
     def schema() -> tuple[Vocabulary, TypeTable]:
-        if not declared:
-            declared.append((Vocabulary(tuple(predicates)), TypeTable({}, types)))
-        return declared[0]
+        nonlocal declared
+        declared = declared or (Vocabulary(tuple(predicates)), TypeTable({}, types))
+        return declared
 
     def read_predicates(section: list) -> None:
-        declared.clear()
+        nonlocal declared
+        declared = None
         predicates.extend(_predicate(p, nm) for p in section[1:])
 
     def read_types(section: list) -> None:
-        declared.clear()
+        nonlocal declared
+        declared = None
         for t, parent in _typed_list(section[1:], nm, "type"):
             parent = None if parent == "object" else parent
             if types.setdefault(t, parent) != parent:
@@ -647,7 +645,7 @@ def _parse_cost(tree: list) -> int:
         raise _fail("cost must be a plain integer", tok)
     value = int(tok.text)
     if value < 1:
-        raise ValidationError(f"cost must be positive, got {value} {_at(tok)}")
+        raise ValidationError(f"cost must be positive, got {value} at " + "%d:%d" % tok.place())
     return value
 
 
