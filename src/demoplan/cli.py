@@ -134,20 +134,16 @@ def _plan_payload(plan_: Optional[Plan]) -> dict:
 # shared steps: learn, build a task, execute
 
 
-def _learn(args, library=None) -> tuple[OperatorLibrary, list[TraceReport]]:
-    """Learn the traces of ``args`` into ``library``, or into a fresh one."""
+def _learn(args, library: OperatorLibrary) -> list[TraceReport]:
+    """Learn the traces of ``args`` into ``library``."""
     rules = load_rules(args.rules) if args.rules else DEFAULT_RULES
     config = DebounceConfig(window=args.debounce)
     reports = []
     for trace_path in args.traces:
         trace = load_trace(trace_path)
-        if library is None:
-            library = OperatorLibrary.empty(trace.vocabulary, trace.types)
         with located(trace_path):
             reports.append(learn_from_trace(library, trace, rules, config, source=str(trace_path)))
-    if library is None:
-        raise ValidationError("no traces supplied")
-    return library, reports
+    return reports
 
 
 def _library_task(args, library: OperatorLibrary):
@@ -179,7 +175,8 @@ def _execute(args, library, objects, init, goal, actions, plan_: Plan) -> Execut
 
 def cmd_learn(args) -> int:
     lib_path = Path(args.library)
-    library, reports = _learn(args, load_library(lib_path) if lib_path.exists() else None)
+    library = load_library(lib_path) if lib_path.exists() else OperatorLibrary()
+    reports = _learn(args, library)
     save_library(library, lib_path)  # before any report, so none claims an unsaved library
     for report in reports:
         line = (
@@ -248,7 +245,8 @@ def cmd_execute(args) -> int:
 
 def cmd_pipeline(args) -> int:
     out = _out_dir(args.out)
-    library, _ = _learn(args)
+    library = OperatorLibrary()
+    _learn(args, library)
     save_library(library, out / "library.json")
     print(f"library: {len(library.operators)} operators -> {out / 'library.json'}")
 

@@ -192,22 +192,23 @@ def canonical_key(schema: ActionSchema) -> str:
 
 @dataclass
 class OperatorLibrary:
-    """Canonical action schemas (named by rule label, cost 1) and their
-    observation counts, both keyed by canonical key, plus the shared schema.
+    """Canonical action schemas (named by rule label, cost 1) and their observation
+    counts, both keyed by canonical key, plus the shared schema, empty until learned.
 
     Only merge() writes to the operator map; concurrent readers are fine, a
     single writer at a time is assumed.
     """
 
-    vocabulary: Vocabulary
-    types: TypeTable
+    vocabulary: Vocabulary = Vocabulary(())
+    types: TypeTable = TypeTable()
     operators: dict[str, ActionSchema] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
 
     @staticmethod
     def empty(vocabulary: Vocabulary, types: TypeTable) -> "OperatorLibrary":
-        hierarchy = TypeTable({}, types.type_to_parent, types.types)
-        return OperatorLibrary(vocabulary=vocabulary, types=hierarchy)
+        library = OperatorLibrary()
+        library.absorb_schema(vocabulary, types)
+        return library
 
     def variant_names(self) -> dict[str, str]:
         """A unique, deterministic name per operator: label, label_2, ..."""
@@ -317,12 +318,11 @@ def build_library(
     debounce_config: DebounceConfig = DebounceConfig(),
 ) -> OperatorLibrary:
     """Learn a fresh library from a sequence of traces."""
-    library: OperatorLibrary | None = None
-    for trace in traces:
-        if library is None:
-            library = OperatorLibrary.empty(trace.vocabulary, trace.types)
+    library = OperatorLibrary()
+    learned = 0
+    for learned, trace in enumerate(traces, 1):
         learn_from_trace(library, trace, rules, debounce_config)
-    if library is None:
+    if not learned:
         raise ValidationError("no traces supplied")
     return library
 

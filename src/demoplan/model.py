@@ -222,15 +222,6 @@ class TypeTable:
                     raise SchemaError(f"type hierarchy contains a cycle through {start!r}")
                 seen.add(cur)
 
-    def __hash__(self):
-        return hash(
-            (
-                tuple(sorted(self.instance_to_type.items())),
-                tuple(sorted(self.type_to_parent.items())),
-                tuple(sorted(self.types)),
-            )
-        )
-
     def has_instance(self, obj_id: str) -> bool:
         return obj_id in self.instance_to_type
 

@@ -505,21 +505,8 @@ def parse_domain(text: str, name_map: NameMap = NameMap(())) -> DomainDoc:
     types: dict[str, Optional[str]] = {}  # type -> parent, None for object
     predicates: list[PredicateSignature] = []
     actions: list[ActionSchema] = []
-    declared: Optional[tuple[Vocabulary, TypeTable]] = None  # built for an action, kept until a declaration
-
-    def schema() -> tuple[Vocabulary, TypeTable]:
-        nonlocal declared
-        declared = declared or (Vocabulary(tuple(predicates)), TypeTable({}, types))
-        return declared
-
-    def read_predicates(section: list) -> None:
-        nonlocal declared
-        declared = None
-        predicates.extend(_predicate(p, nm) for p in section[1:])
 
     def read_types(section: list) -> None:
-        nonlocal declared
-        declared = None
         for t, parent in _typed_list(section[1:], nm, "type"):
             parent = None if parent == "object" else parent
             if types.setdefault(t, parent) != parent:
@@ -528,9 +515,9 @@ def parse_domain(text: str, name_map: NameMap = NameMap(())) -> DomainDoc:
     domain_name, found = _read(text, "domain", nm, {
         ":requirements": _requirements,
         ":types": read_types,
-        ":predicates": read_predicates,
+        ":predicates": lambda section: predicates.extend(_predicate(p, nm) for p in section[1:]),
         ":functions": _check_functions,
-        ":action": lambda section: actions.append(_parse_action(section, schema, nm)),
+        ":action": lambda section: actions.append(_parse_action(section, predicates, types, nm)),
     }, (":durative-action", ":derived", ":constants", ":axiom"))
 
     doc = DomainDoc(
@@ -544,6 +531,7 @@ def parse_domain(text: str, name_map: NameMap = NameMap(())) -> DomainDoc:
     if len(set(names)) != len(names):
         raise ValidationError("duplicate action names in domain")
     doc.vocabulary()  # raises SchemaError on duplicate predicates
+    doc.type_table()  # and on a cycle in the type hierarchy
     return doc
 
 
@@ -576,13 +564,16 @@ def _check_functions(section: list) -> None:
 
 
 def _parse_action(
-    section: list, schema: Callable[[], tuple[Vocabulary, TypeTable]], nm: NameMap
+    section: list,
+    predicates: Sequence[PredicateSignature],
+    types: Mapping[str, Optional[str]],
+    nm: NameMap,
 ) -> ActionSchema:
-    """An action checked against ``schema()``, the predicates and types declared before it."""
     if len(section) < 2:
         raise _fail("action needs a name", section)
     name = nm.orig(_symbol(section[1], "action name").text)
-    vocabulary, table = schema()
+    vocabulary = Vocabulary(tuple(predicates))
+    table = TypeTable({}, types)
 
     body: dict[str, _Tree] = {}
     for i in range(2, len(section), 2):

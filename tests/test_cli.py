@@ -486,11 +486,13 @@ class TestMalformedInput:
             (_domain_cost_case("1_0"), "cost must be a plain integer (line 51, column 30)"),
             (_domain_cost_case("+3"), "cost must be a plain integer (line 51, column 30)"),
             (_domain_cost_case("\u0663"), "cost must be a plain integer (line 51, column 30)"),
+            (_domain_case("(define (domain learned)\n  (:types a - b b - a))\n"),
+             "type hierarchy contains a cycle through 'a'"),
         ],
         ids=["trace-t", "trace-types", "trace-meta", "trace-object-type", "rules-priority",
              "faults-adds", "library-directory", "domain-unbalanced", "domain-deep-nesting",
              "trace-deep-nesting", "trace-without-actor", "domain-cost-underscore",
-             "domain-cost-plus", "domain-cost-arabic-indic-digit"],
+             "domain-cost-plus", "domain-cost-arabic-indic-digit", "domain-type-cycle"],
     )
     def test_bad_file_exits_3_with_its_path(self, workspace, capsys, tmp_path, case, message):
         path, argv = case(workspace, tmp_path)

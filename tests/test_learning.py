@@ -431,8 +431,18 @@ class TestLearning:
         assert sum(by_name.values()) == 90
 
     def test_build_library_requires_traces(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="no traces supplied"):
             build_library([], DEFAULT_RULES)
+
+    def test_an_empty_library_learns_what_one_holding_the_first_schema_learns(self, corpus_demos):
+        clean = [d.trace for d in corpus_demos]
+        noisy = [[inject_flicker(trace, seed) for trace in clean] for seed in range(1, 6)]
+        for traces in [clean, *noisy]:
+            empty, seeded = OperatorLibrary(), OperatorLibrary.empty(traces[0].vocabulary, traces[0].types)
+            for library in (empty, seeded):
+                for trace in traces:
+                    learn_from_trace(library, trace, DEFAULT_RULES)
+            assert json_text(library_to_dict(empty)) == json_text(library_to_dict(seeded))
 
     def test_build_order_does_not_matter(self, corpus_demos, corpus_library):
         rng = random.Random(77)

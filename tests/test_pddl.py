@@ -12,7 +12,6 @@ from demoplan.errors import (
 )
 from demoplan.learning import OperatorLibrary, lift, merge
 from demoplan.model import ObjectInstance, read_file
-from demoplan import pddl
 from demoplan.pddl import (
     NameMap,
     _read_all,
@@ -418,6 +417,8 @@ READER_ERRORS = [
      ValidationError, "type 'crate' is declared with two parents"),
     ("type cycle", "domain", _crane("crate - object)", "crate - box box - crate)"),
      SchemaError, "type hierarchy contains a cycle through 'crate'"),
+    ("type cycle without actions", "domain", "(define (domain d) (:types a - b b - a))",
+     SchemaError, "type hierarchy contains a cycle through 'a'"),
     ("predicate symbol", "domain", _crane("(armfree)\n", "armfree\n"), PddlSyntaxError,
      "malformed predicate declaration (line 7, column 5)"),
     ("predicate empty", "domain", _crane("(armfree)\n", "()\n"), PddlSyntaxError,
@@ -613,6 +614,9 @@ class TestDeclarationOrder:
     def test_a_predicate_declared_after_an_action_is_unknown_to_it(self):
         with pytest.raises(ValidationError, match="unknown predicate 'lifted' at 12:40"):
             parse_domain(self.LATE_LIFTED)
+        # without 'lifted' in hoist, the action after the declaration may use it
+        text = _crane(_HOIST_EFF, "(and (not (armfree)))", _crane(_HOIST_PRE, "(armfree)", self.LATE_LIFTED))
+        assert parse_domain(text).actions[1].adds == frozenset()
 
     def test_a_predicate_declared_before_an_action_is_known_to_it(self):
         early = self.LATE_LIFTED.replace("(:action hoist", "(:predicates (lifted ?c - crate))\n  (:action hoist")
@@ -625,19 +629,6 @@ class TestDeclarationOrder:
         )
         with pytest.raises(ValidationError, match="action 'hoist' uses undeclared type 'crate'"):
             parse_domain(text)
-
-    def test_the_schema_is_built_again_only_after_a_declaration(self, monkeypatch):
-        built = []
-        for name in ("Vocabulary", "TypeTable"):
-            real = getattr(pddl, name)
-            monkeypatch.setattr(pddl, name, lambda *a, _real=real, _name=name: built.append(_name) or _real(*a))
-        parse_domain(CRANE_DOMAIN)
-        # one of each for both actions, and the vocabulary the document checks at the end
-        assert built == ["Vocabulary", "TypeTable", "Vocabulary"]
-        built.clear()
-        text = _crane(_HOIST_EFF, "(and (not (armfree)))", _crane(_HOIST_PRE, "(armfree)", self.LATE_LIFTED))
-        assert parse_domain(text).actions[1].adds == frozenset()
-        assert built == ["Vocabulary", "TypeTable"] * 2 + ["Vocabulary"]
 
 
 def _random_pddl_text(rng: random.Random) -> str:
