@@ -156,7 +156,7 @@ def _library_task(args, library: OperatorLibrary):
     for literal in goal:
         check_atom_types(literal.atom, table)
     cost_model = None if args.unit_costs else derive_costs(library)
-    actions = ground(library, objects, cost_model, args.allow_repeated_bindings)
+    actions = ground(library, objects, cost_model)
     return objects, init, goal, actions
 
 
@@ -208,7 +208,7 @@ def cmd_plan(args) -> int:
             raise ValidationError("--unit-costs only applies to --library planning")
         domain = read_file(args.domain, parse_domain)
         problem = read_file(args.problem, lambda text: parse_problem(text, domain))
-        actions, init, goal = task_from_docs(domain, problem, args.allow_repeated_bindings)
+        actions, init, goal = task_from_docs(domain, problem)
     else:
         if not args.library:
             raise ValidationError("either --library or --domain/--problem is required")
@@ -250,7 +250,8 @@ def cmd_pipeline(args) -> int:
     save_library(library, out / "library.json")
     print(f"library: {len(library.operators)} operators -> {out / 'library.json'}")
 
-    write_file(out / "domain.pddl", emit_domain(library, derive_costs(library).costs))
+    costs = None if args.unit_costs else derive_costs(library).costs  # the ones the plan uses
+    write_file(out / "domain.pddl", emit_domain(library, costs))
     objects, init, goal, actions = _library_task(args, library)
     write_file(out / "problem.pddl", emit_problem(library, objects, init, goal))
     print(f"pddl: {out / 'domain.pddl'}, {out / 'problem.pddl'}")
@@ -311,8 +312,6 @@ def _add_planning_options(p: argparse.ArgumentParser) -> None:
                    help="abort search after this many expanded states")
     p.add_argument("--heuristic", choices=("none", "hmax"), default="none",
                    help="optional admissible heuristic (same optimum, fewer expansions)")
-    p.add_argument("--allow-repeated-bindings", action="store_true",
-                   help="let one object fill several parameters of an action")
     p.add_argument("--unit-costs", action="store_true",
                    help="ignore observation counts and give every action cost 1")
 

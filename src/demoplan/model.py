@@ -168,9 +168,9 @@ def apply(state: State, adds: Iterable[GroundAtom], dels: Iterable[GroundAtom]) 
 
 @dataclass(frozen=True)
 class ActionSchema:
-    """A lifted action: typed parameters, preconditions, add and delete
-    effects over the parameter variables, and a positive integer cost. No
-    atom is both added and deleted.
+    """A lifted action: distinct typed parameters, preconditions, add and
+    delete effects over those parameters only, and a positive integer cost.
+    No atom is both added and deleted, or required both true and false.
 
     A learned library (``OperatorLibrary.operators``) and a parsed PDDL
     domain (``DomainDoc.actions``) both hold actions in this one form, so
@@ -191,6 +191,15 @@ class ActionSchema:
             )
         if self.adds & self.dels:
             raise ValidationError("effect adds and deletes the same atom")
+        variables = [var for var, _ in self.params]
+        if len(set(variables)) != len(variables):
+            raise ValidationError(f"action {self.name!r} repeats a parameter: {variables}")
+        if len({l.atom for l in self.pre}) != len(self.pre):
+            raise ValidationError(f"action {self.name!r} has contradictory preconditions")
+        atoms = [*(l.atom for l in self.pre), *self.adds, *self.dels]
+        stray = {arg for atom in atoms for arg in atom.args}.difference(variables)
+        if stray:
+            raise ValidationError(f"action {self.name!r} mentions non-parameters {sorted(stray)}")
 
 
 @dataclass(frozen=True, eq=True)

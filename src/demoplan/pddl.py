@@ -127,17 +127,13 @@ def library_name_map(library: OperatorLibrary) -> NameMap:
 
 @dataclass(frozen=True)
 class DomainDoc:
+    """A domain with its types and predicates in the forms a library holds them."""
+
     name: str
-    types: tuple[tuple[str, Optional[str]], ...]
-    predicates: tuple[PredicateSignature, ...]
+    types: TypeTable  # the type hierarchy, no instances
+    vocabulary: Vocabulary
     actions: tuple[ActionSchema, ...]  # sorted by name, original-case names
     requirements: tuple[str, ...] = REQUIREMENTS
-
-    def vocabulary(self) -> Vocabulary:
-        return Vocabulary(self.predicates)
-
-    def type_table(self) -> TypeTable:
-        return TypeTable({}, {t: parent for t, parent in self.types})
 
 
 @dataclass(frozen=True)
@@ -155,13 +151,10 @@ def domain_to_doc(
     """Build the document form of a library; costs default to 1 per action."""
     if not library.operators:
         raise EmptyDomain("cannot emit a domain from an empty operator library")
-    types = tuple(
-        sorted((t, library.types.type_to_parent.get(t)) for t in library.types.types)
-    )
     return DomainDoc(
         name=_DOMAIN_NAME,
-        types=types,
-        predicates=library.vocabulary.signatures,
+        types=library.types,
+        vocabulary=library.vocabulary,
         actions=tuple(library.schemas(costs)),
     )
 
@@ -217,16 +210,18 @@ def render_domain(doc: DomainDoc, nm: NameMap) -> str:
     out = [f"(define (domain {nm.pddl(doc.name)})"]
     out.append(f"  (:requirements {' '.join(doc.requirements)})")
     out.append("  (:types")
+    parents = doc.types.type_to_parent
     out.extend(
         _block(
-            (f"{nm.pddl(t)} - {nm.pddl(parent) if parent else 'object'}" for t, parent in doc.types),
+            (f"{nm.pddl(t)} - {nm.pddl(parents[t]) if t in parents else 'object'}"
+             for t in doc.types.types),
             "    ",
         )
     )
     out.append("  )")
     out.append("  (:predicates")
     pred_lines = []
-    for sig in doc.predicates:
+    for sig in doc.vocabulary.signatures:
         args = " ".join(f"?x{i + 1} - {nm.pddl(t)}" for i, t in enumerate(sig.arg_types))
         pred_lines.append(f"({nm.pddl(sig.name)}{' ' + args if args else ''})")
     out.extend(_block(pred_lines, "    "))
@@ -520,19 +515,21 @@ def parse_domain(text: str, name_map: NameMap = NameMap(())) -> DomainDoc:
         ":action": lambda section: actions.append(_parse_action(section, predicates, types, nm)),
     }, (":durative-action", ":derived", ":constants", ":axiom"))
 
-    doc = DomainDoc(
+    names = [a.name for a in actions]
+    if len(set(names)) != len(names):
+        raise ValidationError("duplicate action names in domain")
+    return DomainDoc(  # a duplicate predicate or a type cycle raises SchemaError here
         name=domain_name,
-        types=tuple(sorted(types.items())),
-        predicates=tuple(sorted(predicates, key=lambda s: s.name)),
+        types=_hierarchy(types),
+        vocabulary=Vocabulary(tuple(predicates)),
         actions=tuple(sorted(actions, key=lambda a: a.name)),
         requirements=found.get(":requirements", REQUIREMENTS),
     )
-    names = [a.name for a in doc.actions]
-    if len(set(names)) != len(names):
-        raise ValidationError("duplicate action names in domain")
-    doc.vocabulary()  # raises SchemaError on duplicate predicates
-    doc.type_table()  # and on a cycle in the type hierarchy
-    return doc
+
+
+def _hierarchy(types: Mapping[str, Optional[str]]) -> TypeTable:
+    """The TypeTable of a :types dict, without the None parent of a root type."""
+    return TypeTable({}, {t: parent for t, parent in types.items() if parent}, frozenset(types))
 
 
 def _requirements(section: list) -> tuple[str, ...]:
@@ -573,7 +570,7 @@ def _parse_action(
         raise _fail("action needs a name", section)
     name = nm.orig(_symbol(section[1], "action name").text)
     vocabulary = Vocabulary(tuple(predicates))
-    table = TypeTable({}, types)
+    table = _hierarchy(types)
 
     body: dict[str, _Tree] = {}
     for i in range(2, len(section), 2):
@@ -663,8 +660,8 @@ def parse_problem(
     if len(set(o for o, _ in objects)) != len(objects):
         raise ValidationError("duplicate object declarations")
 
-    table = domain.type_table().with_instances(ObjectInstance(o, t) for o, t in objects)
-    scope = _ParseScope(domain.vocabulary(), nm, dict(objects), table)
+    table = domain.types.with_instances(ObjectInstance(o, t) for o, t in objects)
+    scope = _ParseScope(domain.vocabulary, nm, dict(objects), table)
 
     init_atoms = []
     for item in found[":init"]:

@@ -116,36 +116,26 @@ class Plan:
 
 
 def _templates(schema: ActionSchema) -> tuple:
-    """A schema's atoms as (predicate, positions) templates: position i < k
-    names the object bound to parameter i of k, and the rest name the
-    schema's constants, returned last. Returns (precondition templates with
-    polarities, add templates, delete templates, constants)."""
+    """A schema's atoms as (predicate, positions) templates, position i
+    naming the object bound to parameter i. Returns (precondition templates
+    with polarities, add templates, delete templates)."""
     position = {var: i for i, (var, _) in enumerate(schema.params)}
-    constants: list[str] = []
 
     def template(atom: GroundAtom) -> tuple:
-        for arg in atom.args:
-            if arg not in position:
-                position[arg] = len(schema.params) + len(constants)
-                constants.append(arg)
         return atom.predicate, tuple(position[arg] for arg in atom.args)
 
     pre = [(template(l.atom), l.positive) for l in schema.pre]
     adds = [template(a) for a in schema.adds]
     dels = [template(a) for a in schema.dels]
-    return pre, adds, dels, tuple(constants)
+    return pre, adds, dels
 
 
 def ground_schemas(
-    schemas: Sequence[ActionSchema],
-    objects: Iterable[ObjectInstance],
-    types: TypeTable,
-    allow_repeated_bindings: bool = False,
+    schemas: Sequence[ActionSchema], objects: Iterable[ObjectInstance], types: TypeTable
 ) -> list[GroundedAction]:
-    """All type-consistent bindings; objects bound to distinct params differ
-    unless repeated bindings are explicitly allowed. Each distinct ground
-    atom and literal is built once per call and shared by every action that
-    mentions it."""
+    """All type-consistent bindings of distinct objects to the parameters.
+    Each distinct ground atom and literal is built once per call and shared
+    by every action that mentions it."""
     table = types.with_instances(objects)
     atoms: dict[tuple, GroundAtom] = {}
     literals: dict[tuple, Literal] = {}
@@ -162,18 +152,17 @@ def ground_schemas(
     actions = []
     for schema in sorted(schemas, key=lambda s: s.name):
         candidates = [table.instances_of(type_id) for _, type_id in schema.params]
-        pre, adds, dels, constants = _templates(schema)
+        pre, adds, dels = _templates(schema)
         for chosen in itertools.product(*candidates):
-            if not allow_repeated_bindings and len(set(chosen)) != len(chosen):
+            if len(set(chosen)) != len(chosen):
                 continue
-            values = chosen + constants
             actions.append(
                 GroundedAction(
                     name=schema.name,
                     objects=chosen,
-                    pre=frozenset([literal(t, positive, values) for t, positive in pre]),
-                    adds=frozenset([atom(t, values) for t in adds]),
-                    dels=frozenset([atom(t, values) for t in dels]),
+                    pre=frozenset([literal(t, positive, chosen) for t, positive in pre]),
+                    adds=frozenset([atom(t, chosen) for t in adds]),
+                    dels=frozenset([atom(t, chosen) for t in dels]),
                     cost=schema.cost,
                 )
             )
@@ -184,21 +173,16 @@ def ground(
     library: OperatorLibrary,
     objects: Iterable[ObjectInstance],
     cost_model: Optional[CostModel] = None,
-    allow_repeated_bindings: bool = False,
 ) -> list[GroundedAction]:
     """Ground every operator of a library; unit costs if no model is given."""
     costs = None if cost_model is None else cost_model.costs
-    return ground_schemas(library.schemas(costs), objects, library.types, allow_repeated_bindings)
+    return ground_schemas(library.schemas(costs), objects, library.types)
 
 
-def task_from_docs(
-    domain_doc, problem_doc, allow_repeated_bindings: bool = False
-) -> tuple[list[GroundedAction], State, list[Literal]]:
+def task_from_docs(domain_doc, problem_doc) -> tuple[list[GroundedAction], State, list[Literal]]:
     """Ground a parsed domain against a parsed problem."""
     objects = [ObjectInstance(o, t) for o, t in problem_doc.objects]
-    actions = ground_schemas(
-        domain_doc.actions, objects, domain_doc.type_table(), allow_repeated_bindings
-    )
+    actions = ground_schemas(domain_doc.actions, objects, domain_doc.types)
     return actions, State.of(problem_doc.init), list(problem_doc.goal)
 
 

@@ -49,13 +49,10 @@ from demoplan.segmentation import Segment
 from demoplan.traces import Frame, Trace
 
 
-def ground_reference(schemas, objects, types, allow_repeated_bindings=False):
+def ground_reference(schemas, objects, types):
     """Every type-consistent binding of every schema, by substituting a
     binding dict into each atom: what ``planner.ground_schemas`` must return,
-    in the same order, or the same exception type it raises.
-
-    Objects bound to distinct parameters differ unless repeated bindings
-    are allowed; an argument that is no parameter is a constant.
+    in the same order. Objects bound to distinct parameters differ.
     """
     table = types.with_instances(objects)
     actions = []
@@ -63,12 +60,12 @@ def ground_reference(schemas, objects, types, allow_repeated_bindings=False):
         candidates = [table.instances_of(type_id) for _, type_id in schema.params]
         variables = [var for var, _ in schema.params]
         for chosen in itertools.product(*candidates):
-            if not allow_repeated_bindings and len(set(chosen)) != len(chosen):
+            if len(set(chosen)) != len(chosen):
                 continue
             binding = dict(zip(variables, chosen))
 
             def substitute(atom):
-                return GroundAtom(atom.predicate, tuple(binding.get(a, a) for a in atom.args))
+                return GroundAtom(atom.predicate, tuple(binding[a] for a in atom.args))
 
             actions.append(
                 GroundedAction(
@@ -456,14 +453,9 @@ def operators_equivalent(a, b):
     return False
 
 
-def count_groundings(pools, injective):
-    """How many argument tuples a parameter list admits over candidate pools."""
-    total = 0
-    for combo in itertools.product(*pools):
-        if injective and len(set(combo)) != len(combo):
-            continue
-        total += 1
-    return total
+def count_groundings(pools):
+    """How many tuples of distinct objects a parameter list admits over candidate pools."""
+    return sum(len(set(combo)) == len(combo) for combo in itertools.product(*pools))
 
 
 def debounced_reference(values, window):

@@ -372,6 +372,28 @@ class TestPipeline:
         assert "plan: 4 steps, cost 8" in out
         assert "execution: success" in out
 
+    def test_unit_costs_reach_the_emitted_domain(self, workspace, capsys, tmp_path):
+        traces = sorted(str(p) for p in (workspace / "traces").glob("p1_*.json"))
+        code = main(
+            [
+                "pipeline",
+                *traces,
+                "--init", str(workspace / "traces" / "init.json"),
+                "--goal", GOAL,
+                "--out", str(tmp_path),
+                "--unit-costs",
+            ]
+        )
+        assert code == EXIT_OK
+        capsys.readouterr()
+        code = main(
+            ["plan", "--domain", str(tmp_path / "domain.pddl"),
+             "--problem", str(tmp_path / "problem.pddl")]
+        )
+        assert code == EXIT_OK
+        pddl_cost = json.loads(capsys.readouterr().out)["cost"]
+        assert pddl_cost == json.loads((tmp_path / "plan.json").read_text())["cost"] == 4
+
 
 def _break_count(payload):
     payload["operators"][0]["count"] = "abc"
@@ -443,17 +465,20 @@ def _domain_case(text):
     return case
 
 
-def _domain_cost_case(cost):
-    """The learned domain with its first cost-13 clause (line 51) spelled ``cost``."""
+def _learned_domain_case(old, new):
+    """The learned domain with its first ``old`` replaced by ``new``."""
 
     def case(workspace, tmp_path):
         text = (workspace / "artifacts" / "domain.pddl").read_text()
-        clause = "(increase (total-cost) 13)"
-        return _domain_case(text.replace(clause, f"(increase (total-cost) {cost})", 1))(
-            workspace, tmp_path
-        )
+        assert old in text
+        return _domain_case(text.replace(old, new, 1))(workspace, tmp_path)
 
     return case
+
+
+def _domain_cost_case(cost):
+    """The learned domain with its first cost-13 clause (line 51) spelled ``cost``."""
+    return _learned_domain_case("(increase (total-cost) 13)", f"(increase (total-cost) {cost})")
 
 
 def _deep_trace_case(workspace, tmp_path):
@@ -488,11 +513,17 @@ class TestMalformedInput:
             (_domain_cost_case("\u0663"), "cost must be a plain integer (line 51, column 30)"),
             (_domain_case("(define (domain learned)\n  (:types a - b b - a))\n"),
              "type hierarchy contains a cycle through 'a'"),
+            (_learned_domain_case("      (graspable ?w1)\n",
+                                  "      (graspable ?w1)\n      (not (graspable ?w1))\n"),
+             "action 'grasp' has contradictory preconditions"),
+            (_learned_domain_case("(?h1 - hand ?w1", "(?h1 ?h1 - hand ?w1"),
+             "action 'grasp' repeats a parameter"),
         ],
         ids=["trace-t", "trace-types", "trace-meta", "trace-object-type", "rules-priority",
              "faults-adds", "library-directory", "domain-unbalanced", "domain-deep-nesting",
              "trace-deep-nesting", "trace-without-actor", "domain-cost-underscore",
-             "domain-cost-plus", "domain-cost-arabic-indic-digit", "domain-type-cycle"],
+             "domain-cost-plus", "domain-cost-arabic-indic-digit", "domain-type-cycle",
+             "domain-contradictory-precondition", "domain-duplicate-parameter"],
     )
     def test_bad_file_exits_3_with_its_path(self, workspace, capsys, tmp_path, case, message):
         path, argv = case(workspace, tmp_path)

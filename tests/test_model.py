@@ -202,6 +202,30 @@ def test_action_schema_requires_a_positive_integer_cost():
             ActionSchema("noop", (), frozenset(), frozenset(), frozenset(), bad)
 
 
+class TestActionSchemaParameters:
+    """Every argument of an action is one of its distinct parameters, and no
+    precondition atom is required both true and false."""
+
+    PARAMS = (("?a", "Block"), ("?b", "Block"))
+
+    def test_an_argument_that_is_no_parameter_is_rejected(self):
+        stray = GroundAtom(ON, ("?a", "table"))
+        with pytest.raises(ValidationError, match=r"action 'stack' mentions non-parameters \['table'\]"):
+            ActionSchema("stack", self.PARAMS, frozenset(), frozenset([stray]), frozenset())
+        with pytest.raises(ValidationError, match="non-parameters"):
+            ActionSchema("stack", self.PARAMS, frozenset([Literal(stray)]), frozenset(), frozenset())
+
+    def test_a_repeated_parameter_is_rejected(self):
+        with pytest.raises(ValidationError, match="action 'stack' repeats a parameter"):
+            ActionSchema("stack", (("?a", "Block"), ("?a", "Block")), frozenset(), frozenset(), frozenset())
+
+    def test_a_precondition_with_both_polarities_is_rejected(self):
+        clear = GroundAtom(CLEAR, ("?a",))
+        pre = frozenset([Literal(clear), Literal(clear, False)])
+        with pytest.raises(ValidationError, match="action 'stack' has contradictory preconditions"):
+            ActionSchema("stack", self.PARAMS, pre, frozenset(), frozenset())
+
+
 def test_enumerate_atoms_matches_brute_force():
     vocabulary, table = toy_schema()
     got = list(enumerate_atoms(vocabulary, sorted(table.instance_to_type), table))

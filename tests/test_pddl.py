@@ -11,7 +11,7 @@ from demoplan.errors import (
     ValidationError,
 )
 from demoplan.learning import OperatorLibrary, lift, merge
-from demoplan.model import ObjectInstance, read_file
+from demoplan.model import ObjectInstance, TypeTable, read_file
 from demoplan.pddl import (
     NameMap,
     _read_all,
@@ -195,6 +195,11 @@ class TestRoundTrips:
         reference = domain_to_doc(corpus_library)
         assert doc == reference
 
+    def test_a_parsed_domain_has_the_library_types(self, corpus_library):
+        doc = parse_domain(emit_domain(corpus_library), name_map=library_name_map(corpus_library))
+        assert doc.types == corpus_library.types
+        assert doc.vocabulary == corpus_library.vocabulary
+
     def test_random_libraries_round_trip(self):
         rng = random.Random(2024)
         for _ in range(10):
@@ -234,8 +239,8 @@ class TestParsing:
         assert [a.name for a in doc.actions] == ["drop-onto", "hoist"]
         assert doc.actions[1].cost == 2
         assert doc.actions[0].cost == 1  # no increase clause defaults to one
-        armfree = [s for s in doc.predicates if s.name == "armfree"]
-        assert armfree and armfree[0].arity == 0
+        assert doc.vocabulary.get("armfree").arity == 0
+        assert doc.types == TypeTable(types=frozenset({"crate"}))  # no parent for a root
 
     def test_crane_problem_plans_and_validates(self):
         domain_doc = parse_domain(CRANE_DOMAIN)
@@ -523,6 +528,10 @@ READER_ERRORS = [
      "expected a literal (line 14, column 30)"),
     ("add and delete", "domain", _crane(_HOIST_EFF, "(and (armfree) (not (armfree)))"),
      ValidationError, "effect adds and deletes the same atom"),
+    ("duplicate parameter", "domain", _crane("(?c - crate)", "(?c ?c - crate)"),
+     ValidationError, "action 'hoist' repeats a parameter: ['?c', '?c']"),
+    ("contradictory precondition", "domain", _crane(_HOIST_PRE, "(and (armfree) (not (armfree)))"),
+     ValidationError, "action 'hoist' has contradictory preconditions"),
     ("cost fluent", "domain", _crane("(increase (total-cost) 2)", "(increase (fuel) 2)"),
      UnsupportedFeature, "only (increase (total-cost) n) is supported (14:47)"),
     ("cost value", "domain", _crane("(increase (total-cost) 2)", "(increase (total-cost) (2))"),

@@ -130,15 +130,7 @@ class TestGrounding:
         grounded = ground_schemas([self._schema()], objs, table)
         assert [g.objects for g in grounded] == [("a", "b"), ("b", "a")]
         assert all(g.cost == 2 for g in grounded)
-        assert len(grounded) == count_groundings([["a", "b"], ["a", "b"]], injective=True)
-
-    def test_repeated_bindings_on_request(self):
-        table = TypeTable({"a": "Node", "b": "Node"})
-        grounded = ground_schemas(
-            [self._schema()], table.objects(), table, allow_repeated_bindings=True
-        )
-        assert len(grounded) == count_groundings([["a", "b"], ["a", "b"]], injective=False)
-        assert ("a", "a") in {g.objects for g in grounded}
+        assert len(grounded) == count_groundings([["a", "b"], ["a", "b"]])
 
     def test_parameters_accept_subtype_instances(self):
         sig = PredicateSignature("parked", ("Vehicle",))
@@ -162,8 +154,9 @@ class TestGrounding:
 
     def test_matches_the_substituting_reference_on_random_schemas(self):
         """Template grounding must give the reference's actions in its order,
-        or raise the same exception type, with constants in atoms, a subtype
-        chain and repeated bindings in play. Equal atoms must be one object."""
+        with a subtype chain in play. Equal atoms must be one object. Atom
+        arguments are drawn from the parameters; a schema that ActionSchema
+        rejects (a precondition required true and false) is counted."""
         parents = {"Cube": "Block", "Block": "Thing", "Zone": "Thing"}
         table = TypeTable({"c1": "Cube", "c2": "Cube", "b1": "Block", "z1": "Zone",
                            "r1": "Robot"}, parents)
@@ -173,9 +166,8 @@ class TestGrounding:
             PredicateSignature("at", ("Robot", "Zone")),
             PredicateSignature("free", ()),
         ]
-        constants = ["c1", "z1", "r1", "home"]  # "home" is no declared object
         rng = random.Random(707)
-        outcomes = {"equal": 0, "repeats": 0, InvalidEffect: 0, ValidationError: 0}
+        outcomes = {"equal": 0, "rejected": 0}
         for _ in range(1000):
             schemas = []
             for _ in range(rng.randint(0, 4)):
@@ -183,26 +175,24 @@ class TestGrounding:
                     (f"?p{i}", rng.choice(["Cube", "Block", "Thing", "Zone", "Robot"]))
                     for i in range(rng.randint(0, 3))
                 )
-                terms = [v for v, _ in params] + constants
+                terms = [v for v, _ in params]
+                usable = [sig for sig in signatures if terms or not sig.arity]
 
                 def atom():
-                    sig = rng.choice(signatures)
+                    sig = rng.choice(usable)
                     return GroundAtom(sig, tuple(rng.choice(terms) for _ in sig.arg_types))
 
                 pre = frozenset(Literal(atom(), rng.random() < 0.6) for _ in range(rng.randint(0, 4)))
                 adds = frozenset(atom() for _ in range(rng.randint(0, 2)))
                 dels = frozenset(atom() for _ in range(rng.randint(0, 2))) - adds
                 name = rng.choice(["move", "push", "wait"])  # names repeat on purpose
-                schemas.append(ActionSchema(name, params, pre, adds, dels, rng.randint(1, 3)))
-            repeated = rng.random() < 0.5
-            args = (schemas, [], table, repeated)
-            try:
-                expected = ground_reference(*args)
-            except (InvalidEffect, ValidationError) as exc:
-                with pytest.raises(type(exc)):
-                    ground_schemas(*args)
-                outcomes[type(exc)] += 1
-                continue
+                try:
+                    schemas.append(ActionSchema(name, params, pre, adds, dels, rng.randint(1, 3)))
+                except ValidationError as exc:
+                    assert "contradictory preconditions" in str(exc)
+                    outcomes["rejected"] += 1
+            args = (schemas, [], table)
+            expected = ground_reference(*args)
             found = ground_schemas(*args)
             assert found == expected
             assert [(a.name, a.objects, a.cost) for a in found] == [
@@ -213,7 +203,6 @@ class TestGrounding:
             ]
             assert len({id(a) for a in atoms}) == len(set(atoms))
             outcomes["equal"] += 1
-            outcomes["repeats"] += any(len(set(a.objects)) < len(a.objects) for a in found)
         assert min(outcomes.values()) >= 10, outcomes
 
     def test_schemas_from_library_default_to_unit_costs(self, corpus_library):
@@ -574,7 +563,7 @@ class TestDocAdapters:
         doc = parse_domain(emit_domain(corpus_library, costs.costs), name_map=nm)
         assert doc.actions == tuple(corpus_library.schemas(costs.costs))
         objects = planning_objects()
-        assert ground_schemas(doc.actions, objects, doc.type_table()) == corpus_actions
+        assert ground_schemas(doc.actions, objects, doc.types) == corpus_actions
 
     def test_schema_adapter_preserves_costs(self, corpus_library):
         costs = derive_costs(corpus_library)
