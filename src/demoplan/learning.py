@@ -1,16 +1,16 @@
 """Operator extraction, lifting, and the counted operator library.
 
-From each segment we read two snapshots, restricted to the objects the
-activity touched: every literal holding at the anchor frame becomes a
-precondition and every literal holding at the final frame becomes the
-post-state.  Negative literals are admitted only for atoms that are true
+Extraction reads each segment as a ground ActionSchema named by the rule
+label, restricted to the objects the activity touched: its parameters are
+those objects with their types, every literal holding at the anchor frame is
+a precondition, and the atoms that changed by the final frame are its adds
+and deletes. Negative literals are admitted only for atoms that are true
 somewhere in the trace, which keeps never-observed facts out of the operators.
-Lifting replaces instances by typed variables and gives an ActionSchema named
-by the rule label, whose adds and deletes are what changed; the post-state is
-derived from it. Operators are identified up to variable renaming through a
-canonical key, and re-observing one increments its count instead of adding a
-duplicate. Only lift() and library_from_dict search for the canonical
-parameter order; canonical_key() reads the key off the result.
+Lifting renames those objects to typed variables; an operator's post-state is
+its preconditions with the delta applied. Operators are identified up to
+variable renaming through a canonical key, and re-observing one increments its
+count instead of adding a duplicate. Only lift() and library_from_dict search
+for the canonical parameter order; canonical_key() reads the key off the result.
 """
 
 from __future__ import annotations
@@ -48,42 +48,15 @@ logger = logging.getLogger(__name__)
 MAX_PARAMS = 5
 
 
-def _check_literals(name: str, literals: frozenset[Literal], allowed_args: set[str]) -> None:
-    by_atom: dict[GroundAtom, bool] = {}
-    for lit in literals:
-        if by_atom.setdefault(lit.atom, lit.positive) != lit.positive:
-            raise ValidationError(f"{name} contains {lit.atom!r} with both polarities")
-        for arg in lit.atom.args:
-            if arg not in allowed_args:
-                raise ValidationError(f"{name} literal {lit!r} mentions unknown argument {arg!r}")
+def extract(trace: Trace, seg: Segment) -> ActionSchema:
+    """Read one ground operator off a segment; raises NoEffectSegment if nothing changed.
 
-
-@dataclass(frozen=True)
-class GroundedOperator:
-    """A single observed transition, still expressed over concrete objects."""
-
-    name: str
-    objects: tuple[str, ...]
-    pre: frozenset[Literal]
-    post: frozenset[Literal]
-
-    def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
-        if len(set(self.objects)) != len(self.objects):
-            raise ValidationError(f"operator {self.name!r} repeats an object: {self.objects}")
-        allowed = set(self.objects)
-        _check_literals(f"{self.name} pre", self.pre, allowed)
-        _check_literals(f"{self.name} post", self.post, allowed)
-
-
-def extract(trace: Trace, seg: Segment) -> GroundedOperator:
-    """Read one operator off a segment; raises NoEffectSegment if nothing changed.
-
-    The objects are the actor, then every argument of an atom that changed
-    between the anchor and the final frame, in order of first appearance.
-    Both snapshots hold one literal per active atom whose arguments are all
-    among those objects. This relies on every atom being well typed, which
-    load_trace checks.
+    Its parameters are the actor, then every argument of an atom that changed
+    between the anchor and the final frame, in order of first appearance, each
+    with its type in the trace. Its preconditions hold one literal per active
+    atom whose arguments are all among those objects, as at the anchor frame;
+    it adds the changed atoms true at the final frame and deletes the others.
+    This relies on every atom being well typed, which load_trace checks.
     """
     start = trace.frames[seg.start_frame].true_atoms
     end = trace.frames[seg.end_frame].true_atoms
@@ -95,19 +68,23 @@ def extract(trace: Trace, seg: Segment) -> GroundedOperator:
     objects = tuple(dict.fromkeys([seg.actor, *(arg for atom in changed for arg in atom.args)]))
     allowed = set(objects)
     atoms = [atom for atom in trace.active_atoms if allowed.issuperset(atom.args)]
-    return GroundedOperator(
-        name=seg.label,
-        objects=objects,
-        pre=frozenset(Literal(atom, atom in start) for atom in atoms),
-        post=frozenset(Literal(atom, atom in end) for atom in atoms),
+    return ActionSchema(
+        seg.label,
+        tuple((obj, trace.types.type_of(obj)) for obj in objects),
+        frozenset(Literal(atom, atom in start) for atom in atoms),
+        frozenset(atom for atom in changed if atom in end),
+        frozenset(atom for atom in changed if atom in start),
     )
 
 
-def _substituted(literals: Iterable[Literal], mapping: Mapping[str, str]) -> frozenset[Literal]:
-    return frozenset(
-        Literal(GroundAtom(l.atom.predicate, tuple(mapping[a] for a in l.atom.args)), l.positive)
-        for l in literals
-    )
+def _substituted(op: ActionSchema, mapping: Mapping[str, str]) -> tuple[frozenset, ...]:
+    """The preconditions, adds and deletes of ``op``, every argument renamed by ``mapping``."""
+
+    def rename(atom: GroundAtom) -> GroundAtom:
+        return GroundAtom(atom.predicate, tuple(mapping[a] for a in atom.args))
+
+    pre = frozenset(Literal(rename(l.atom), l.positive) for l in op.pre)
+    return pre, frozenset(map(rename, op.adds)), frozenset(map(rename, op.dels))
 
 
 def _key(name: str, ordering: Sequence[tuple[str, str]], *snapshots: frozenset[Literal]) -> str:
@@ -133,31 +110,27 @@ def _post(schema: ActionSchema) -> frozenset[Literal]:
     )
 
 
-def _canonical_form(
-    name: str,
-    entries: Sequence[tuple[str, str]],
-    pre: frozenset[Literal],
-    post: frozenset[Literal],
-) -> tuple[ActionSchema, str]:
+def _canonical_form(op: ActionSchema) -> tuple[ActionSchema, str]:
     """The canonical schema of an operator and its key.
 
     Parameters are grouped by type (types in sorted order), then every
     permutation inside each same-type group is serialized and the
     lexicographically smallest serialization wins.  The result is therefore
-    invariant under any type-preserving renaming of the original entries.
+    invariant under any type-preserving renaming of the original parameters.
     """
-    if len(entries) > MAX_PARAMS:
+    if len(op.params) > MAX_PARAMS:
         raise ValidationError(
-            f"operator {name!r} touches {len(entries)} objects; only {MAX_PARAMS} supported"
+            f"operator {op.name!r} touches {len(op.params)} objects; only {MAX_PARAMS} supported"
         )
     groups: list[list[tuple[str, str]]] = []
-    for type_id in sorted({t for _, t in entries}):
-        groups.append([e for e in entries if e[1] == type_id])
+    for type_id in sorted({t for _, t in op.params}):
+        groups.append([p for p in op.params if p[1] == type_id])
 
     orderings = (
         tuple(itertools.chain.from_iterable(permuted))
         for permuted in itertools.product(*(itertools.permutations(g) for g in groups))
     )
+    name, pre, post = op.name, op.pre, _post(op)
     key, ordering = min(((_key(name, o, pre, post), o) for o in orderings), key=lambda p: p[0])
     letter_counts: dict[str, int] = {}
     final_names = []
@@ -167,18 +140,17 @@ def _canonical_form(
         final_names.append(f"?{letter}{letter_counts[letter]}")
     renaming = {token: final_names[i] for i, (token, _) in enumerate(ordering)}
     params = tuple((renaming[token], type_id) for token, type_id in ordering)
-    changed = post - pre
+    adds, dels = op.adds, op.dels
     if params != ordering:  # entries that save_library wrote already have these names
-        pre, changed = _substituted(pre, renaming), _substituted(changed, renaming)
-    adds = frozenset(l.atom for l in changed if l.positive)
-    dels = frozenset(l.atom for l in changed if not l.positive)
+        pre, adds, dels = _substituted(op, renaming)
     return ActionSchema(name, params, pre, adds, dels), key
 
 
-def lift(op: GroundedOperator, types: TypeTable) -> ActionSchema:
-    """Replace instances by typed variables and put the result in canonical form."""
-    entries = [(obj, types.type_of(obj)) for obj in op.objects]
-    return _canonical_form(op.name, entries, op.pre, op.post)[0]
+def lift(op: ActionSchema, types: TypeTable) -> ActionSchema:
+    """Rename a ground operator, as extract() returns it, into canonical form.
+    ``types`` goes unread, since extract() typed the parameters; it stays
+    because the benchmark harness calls ``lift(grounded, types)``."""
+    return _canonical_form(op)[0]
 
 
 def canonical_key(schema: ActionSchema) -> str:
@@ -352,17 +324,21 @@ def library_to_dict(library: OperatorLibrary) -> dict:
     }
 
 
-def _check_entry(name: str, params: list, pre: frozenset, post: frozenset, count: int) -> None:
-    """The checks of a library file entry that no operator lift() returns can fail."""
-    variables = [v for v, _ in params]
-    if len(set(variables)) != len(variables):
-        raise ValidationError(f"operator {name!r} repeats a parameter: {variables}")
-    allowed = set(variables)
-    _check_literals(f"{name} pre", pre, allowed)
-    _check_literals(f"{name} post", post, allowed)
-    used = {arg for lit in pre | post for arg in lit.atom.args}
-    if allowed - used:
-        raise ValidationError(f"operator {name!r} has unused parameter(s) {sorted(allowed - used)}")
+def _entry_schema(
+    name: str, params: list, pre: frozenset, post: frozenset, count: int
+) -> ActionSchema:
+    """A library file entry as the ActionSchema it stores, after the checks
+    that ActionSchema does not make and that no operator lift() returns fails."""
+    both = sorted(repr(l.atom) for l in post if l.positive and l.negated() in post)
+    if both:
+        raise ValidationError(f"{name} post contains {both[0]} with both polarities")
+    changed = post - pre
+    adds = frozenset(l.atom for l in changed if l.positive)
+    dels = frozenset(l.atom for l in changed if not l.positive)
+    op = ActionSchema(name, tuple((v, t) for v, t in params), pre, adds, dels)
+    unused = {v for v, _ in params} - {arg for lit in pre | post for arg in lit.atom.args}
+    if unused:
+        raise ValidationError(f"operator {name!r} has unused parameter(s) {sorted(unused)}")
     left_out = {l.atom for l in pre} - {l.atom for l in post}
     if left_out:
         raise ValidationError(
@@ -372,6 +348,7 @@ def _check_entry(name: str, params: list, pre: frozenset, post: frozenset, count
         raise ValidationError(f"operator {name!r} has no effect")
     if count < 1:
         raise ValidationError(f"operator {name!r} needs a positive count")
+    return op
 
 
 def library_from_dict(payload: dict) -> OperatorLibrary:
@@ -396,8 +373,7 @@ def library_from_dict(payload: dict) -> OperatorLibrary:
                 for k in ("pre", "post")
             )
             count = expect(entry["count"], int, "count")
-            _check_entry(name, params, pre, post, count)
-            op, key = _canonical_form(name, [(v, t) for v, t in params], pre, post)
+            op, key = _canonical_form(_entry_schema(name, params, pre, post, count))
             if key in library.operators:
                 raise SchemaError(f"library file repeats operator {name!r} (key {key!r})")
             merge(library, op, count)

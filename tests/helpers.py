@@ -7,9 +7,9 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from demoplan.errors import ValidationError
-from demoplan.learning import GroundedOperator, OperatorLibrary, lift, merge
+from demoplan.learning import OperatorLibrary, lift, merge
 from demoplan.model import (
+    ActionSchema,
     GroundAtom,
     Literal,
     PredicateSignature,
@@ -57,12 +57,13 @@ def toy_atoms() -> list[GroundAtom]:
     return list(enumerate_atoms(vocabulary, sorted(_OBJECT_TYPES), table))
 
 
-def random_grounded_operator(rng: random.Random, name: str) -> GroundedOperator:
-    """A random observed transition over the toy schema.
+def random_grounded_operator(rng: random.Random, name: str) -> ActionSchema:
+    """A random observed transition over the toy schema, as the ground
+    ActionSchema that extract returns.
 
-    Retries until the draw satisfies the operator invariants: every chosen
-    object appears in some literal, and the postcondition differs from the
-    precondition.
+    Retries until every chosen object appears in some literal and the
+    post-state differs from the preconditions. An atom the post-state
+    mentions and the preconditions do not is added or deleted.
     """
     vocabulary, table = toy_schema()
     while True:
@@ -76,15 +77,14 @@ def random_grounded_operator(rng: random.Random, name: str) -> GroundedOperator:
         used = {arg for atom in set(pre) | set(post) for arg in atom.args}
         if used != set(objs) or pre == post:
             continue
-        try:
-            return GroundedOperator(
-                name,
-                objs,
-                frozenset(Literal(a, p) for a, p in pre.items()),
-                frozenset(Literal(a, p) for a, p in post.items()),
-            )
-        except ValidationError:
-            continue
+        changed = {atom: value for atom, value in post.items() if pre.get(atom) != value}
+        return ActionSchema(
+            name,
+            tuple((obj, table.type_of(obj)) for obj in objs),
+            frozenset(Literal(a, p) for a, p in pre.items()),
+            frozenset(a for a, value in changed.items() if value),
+            frozenset(a for a, value in changed.items() if not value),
+        )
 
 
 def random_library(rng: random.Random, operators: int | None = None) -> OperatorLibrary:

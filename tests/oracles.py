@@ -31,7 +31,7 @@ from demoplan.errors import (
     PddlSyntaxError,
     ValidationError,
 )
-from demoplan.learning import GroundedOperator, OperatorLibrary
+from demoplan.learning import OperatorLibrary
 from demoplan.model import (
     ActionSchema,
     GroundAtom,
@@ -289,10 +289,12 @@ def enumerate_atoms(vocabulary, object_ids, types):
 def extract_reference(trace, seg):
     """What ``learning.extract`` must return, read off the type table.
 
-    The objects are the actor, then every argument of an atom that changed
-    between the segment's two frames, in sorted atom order.  Each snapshot
-    holds every well-typed atom over those objects that is true in its frame,
-    and, negated, every one that is false there but true in some frame.
+    The parameters are the actor, then every argument of an atom that changed
+    between the segment's two frames, in sorted atom order, with their types.
+    The preconditions hold every well-typed atom over those objects that is
+    true in the first frame, and, negated, every one that is false there but
+    true in some frame. The adds are the atoms true only in the last frame,
+    the deletes those true only in the first.
     """
     start = trace.frames[seg.start_frame].true_atoms
     end = trace.frames[seg.end_frame].true_atoms
@@ -319,7 +321,10 @@ def extract_reference(trace, seg):
                 literals.add(Literal(atom, False))
         return frozenset(literals)
 
-    return GroundedOperator(seg.label, tuple(objects), snapshot(start), snapshot(end))
+    params = tuple((obj, trace.types.instance_to_type[obj]) for obj in objects)
+    return ActionSchema(
+        seg.label, params, snapshot(start), frozenset(end - start), frozenset(start - end)
+    )
 
 
 def _unify(cond, pool, binding):

@@ -12,14 +12,13 @@ import time
 
 from demoplan.cli import main
 from demoplan.learning import (
-    GroundedOperator,
     OperatorLibrary,
     build_library,
     lift,
     load_library,
     merge,
 )
-from demoplan.model import Literal, ObjectInstance, State
+from demoplan.model import ActionSchema, Literal, ObjectInstance, State
 from demoplan.monitor import (
     DROP_EFFECTS,
     Fault,
@@ -173,10 +172,10 @@ def _two_rival_operators(count_a, count_b, name_a="alpha", name_b="beta"):
     vocabulary, table = toy_schema()
     library = OperatorLibrary.empty(vocabulary, table)
     atom = vocabulary.atom("stored", "blockA", "zone_1")
+    params = (("blockA", "Block"), ("zone_1", "Zone"))
     pre = frozenset([Literal(atom, False)])
-    post = frozenset([Literal(atom)])
     for name, count in ((name_a, count_a), (name_b, count_b)):
-        op = lift(GroundedOperator(name, ("blockA", "zone_1"), pre, post), table)
+        op = lift(ActionSchema(name, params, pre, frozenset([atom]), frozenset()), table)
         for _ in range(count):
             merge(library, op)
     objects = [ObjectInstance("blockA", "Block"), ObjectInstance("zone_1", "Zone")]

@@ -8,8 +8,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _unused_imports(source: str) -> list[str]:
-    """The names bound by the module's top-level imports that it never reads;
-    a name listed in ``__all__`` counts as read."""
+    """The names bound by the module's top-level imports that it never reads."""
     tree = ast.parse(source)
     imported = {}
     for node in tree.body:
@@ -19,9 +18,6 @@ def _unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
-            read.update(ast.literal_eval(node.value))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
 
 
@@ -31,7 +27,6 @@ def test_unused_imports_are_detected():
         "line 2: d",
     ]
     assert _unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n") == []
-    assert _unused_imports("from a import b\n__all__ = ['b']\n") == []
 
 
 def test_no_module_imports_a_name_it_never_reads():
@@ -43,6 +38,13 @@ def test_no_module_imports_a_name_it_never_reads():
         if found:
             unused[str(path.relative_to(ROOT))] = found
     assert unused == {}
+
+
+def test_the_package_module_holds_only_its_docstring():
+    """Each name has one import path: the module that defines it."""
+    tree = ast.parse((ROOT / "src" / "demoplan" / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1
 
 
 def _private_imports(source: str) -> list[str]:

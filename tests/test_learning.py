@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from demoplan import learning
 from demoplan.errors import NoEffectSegment, SchemaError, ValidationError
 from demoplan.learning import (
-    GroundedOperator,
     OperatorLibrary,
     build_library,
     canonical_key,
@@ -39,8 +38,8 @@ from helpers import random_grounded_operator, random_library, random_trace, toy_
 from oracles import extract_reference, library_from_dict_reference, operators_equivalent
 
 
-def _changed(op: GroundedOperator) -> list[GroundAtom]:
-    return sorted({lit.atom for lit in op.post - op.pre}, key=GroundAtom.sort_key)
+def _changed(op: ActionSchema) -> list[GroundAtom]:
+    return sorted(op.adds | op.dels, key=GroundAtom.sort_key)
 
 
 def _matches_reference(trace: Trace, seg: Segment) -> bool:
@@ -66,43 +65,20 @@ EXPECTED_PUT_ADDS = {"handMove(?h1)"}
 EXPECTED_PUT_DELS = {"inTouch(?w1,?t1)", "onTop(?w1,?t1)"}
 
 
-def _relabel(op: GroundedOperator, mapping: dict) -> GroundedOperator:
-    def sub(literals):
-        return frozenset(
-            Literal(
-                GroundAtom(l.atom.predicate, tuple(mapping.get(a, a) for a in l.atom.args)),
-                l.positive,
-            )
-            for l in literals
-        )
+def _relabel(op: ActionSchema, mapping: dict) -> ActionSchema:
+    def sub(atom):
+        return GroundAtom(atom.predicate, tuple(mapping.get(a, a) for a in atom.args))
 
-    return GroundedOperator(
-        op.name, tuple(mapping.get(o, o) for o in op.objects), sub(op.pre), sub(op.post)
+    return ActionSchema(
+        op.name,
+        tuple((mapping.get(o, o), t) for o, t in op.params),
+        frozenset(Literal(sub(l.atom), l.positive) for l in op.pre),
+        frozenset(map(sub, op.adds)),
+        frozenset(map(sub, op.dels)),
     )
 
 
 class TestOperatorInvariants:
-    def test_grounded_operator_objects_are_distinct(self):
-        with pytest.raises(ValidationError):
-            GroundedOperator("op", ("a", "a"), frozenset(), frozenset())
-
-    def test_literals_may_only_mention_listed_objects(self):
-        vocabulary, _ = toy_schema()
-        stray = Literal(vocabulary.atom("at", "bot1", "zone_1"))
-        with pytest.raises(ValidationError):
-            GroundedOperator("op", ("bot1",), frozenset([stray]), frozenset())
-
-    def test_one_atom_cannot_carry_both_polarities(self):
-        vocabulary, _ = toy_schema()
-        atom = vocabulary.atom("at", "bot1", "zone_1")
-        with pytest.raises(ValidationError):
-            GroundedOperator(
-                "op",
-                ("bot1", "zone_1"),
-                frozenset([Literal(atom), Literal(atom, False)]),
-                frozenset(),
-            )
-
     def test_lifted_operator_rejects_unused_params_and_empty_deltas(self):
         """A library file entry is checked where it is read; learn never writes these."""
         cases = [
@@ -111,12 +87,16 @@ class TestOperatorInvariants:
             ([["?t1", "T"]], [["p", "?t1"]], [["p", "?t1"]], 1, "operator 'op' has no effect"),
             ([["?t1", "T"]], [["p", "?t1"]], [["!", "p", "?t1"]], 0,
              "operator 'op' needs a positive count"),
+            ([["?t1", "T"]], [["p", "?t1"]], [["p", "?t1"], ["!", "p", "?t1"]], 1,
+             "op post contains p(?t1) with both polarities"),
+            ([["?t1", "T"]], [], [["p", "?t1"], ["!", "p", "?t1"]], 1,
+             "op post contains p(?t1) with both polarities"),
             ([["?t1", "T"], ["?t1", "T"]], [["p", "?t1"]], [["!", "p", "?t1"]], 1,
-             "operator 'op' repeats a parameter: ['?t1', '?t1']"),
+             "action 'op' repeats a parameter: ['?t1', '?t1']"),
             ([["?t1", "T"]], [["p", "?t1"]], [["!", "p", "?t2"]], 1,
-             "op post literal !p(?t2) mentions unknown argument '?t2'"),
+             "action 'op' mentions non-parameters ['?t2']"),
             ([["?t1", "T"]], [["p", "?t1"], ["!", "p", "?t1"]], [["p", "?t1"]], 1,
-             "op pre contains p(?t1) with both polarities"),
+             "action 'op' has contradictory preconditions"),
         ]
         for params, pre, post, count, message in cases:
             entry = {"name": "op", "params": params, "pre": pre, "post": post, "count": count}
@@ -132,10 +112,10 @@ class TestOperatorInvariants:
     def test_delta_reports_what_changed(self):
         sig = PredicateSignature("p", ("T",))
         a = GroundAtom(sig, ("t1",))
-        op = lift(
-            GroundedOperator("op", ("t1",), frozenset([Literal(a, False)]), frozenset([Literal(a)])),
-            TypeTable({"t1": "T"}),
+        ground = ActionSchema(
+            "op", (("t1", "T"),), frozenset([Literal(a, False)]), frozenset([a]), frozenset()
         )
+        op = lift(ground, TypeTable({"t1": "T"}))
         assert op.adds == frozenset([GroundAtom(sig, ("?t1",))]) and op.dels == frozenset()
         assert op.pre == frozenset([Literal(GroundAtom(sig, ("?t1",)), False)])
 
@@ -143,9 +123,9 @@ class TestOperatorInvariants:
         sig = PredicateSignature("row", tuple("ABCDEF"))
         table = TypeTable({c.lower(): c for c in "ABCDEF"})
         atom = GroundAtom(sig, tuple(c.lower() for c in "ABCDEF"))
-        op = GroundedOperator(
-            "wide", tuple(c.lower() for c in "ABCDEF"),
-            frozenset([Literal(atom, False)]), frozenset([Literal(atom)]),
+        op = ActionSchema(
+            "wide", tuple((c.lower(), c) for c in "ABCDEF"),
+            frozenset([Literal(atom, False)]), frozenset([atom]), frozenset(),
         )
         with pytest.raises(ValidationError):
             lift(op, table)
@@ -160,8 +140,10 @@ class TestExtraction:
             "inTouch(Cube_green1,Table_1)",
             "onTop(Cube_green1,Table_1)",
         ]
-        # the actor always leads; the rest follow in atom order
-        assert op.objects == ("Right_hand", "Cube_green1", "Table_1")
+        # the actor always leads; the rest follow in atom order, each with its type
+        assert op.params == (
+            ("Right_hand", "Hand"), ("Cube_green1", "Wooden_cube"), ("Table_1", "Table")
+        )
         assert {repr(l) for l in op.pre} == {
             "!handMove(Right_hand)",
             "!handOpen(Right_hand)",
@@ -175,13 +157,11 @@ class TestExtraction:
             trace = debounce(demo.trace)
             for seg in segment(trace, DEFAULT_RULES):
                 op = extract(trace, seg)
-                allowed = set(op.objects)
-                for lit in op.pre | op.post:
-                    assert set(lit.atom.args) <= allowed
-                assert op.objects[0] == seg.actor
-                assert set(op.objects) == {seg.actor}.union(
-                    *(atom.args for atom in _changed(op))
-                )
+                objects = [obj for obj, _ in op.params]
+                for atom in (*(l.atom for l in op.pre), *op.adds, *op.dels):
+                    assert set(atom.args) <= set(objects)
+                assert objects[0] == seg.actor
+                assert set(objects) == {seg.actor}.union(*(atom.args for atom in _changed(op)))
 
     def test_extract_matches_the_reference_on_the_corpus(self, corpus_demos, fixture_path):
         traces = [load_trace(fixture_path)]
@@ -246,8 +226,9 @@ class TestCanonicalization:
         sig = PredicateSignature("beside", ("Table", "Thing"))
         table = TypeTable({"t1": "Table", "x1": "Thing"})
         atom = GroundAtom(sig, ("t1", "x1"))
-        op = GroundedOperator(
-            "park", ("t1", "x1"), frozenset([Literal(atom, False)]), frozenset([Literal(atom)])
+        op = ActionSchema(
+            "park", (("t1", "Table"), ("x1", "Thing")),
+            frozenset([Literal(atom, False)]), frozenset([atom]), frozenset(),
         )
         lifted = lift(op, table)
         # Table and Thing share a first letter, so the counter disambiguates
@@ -273,7 +254,7 @@ class TestCanonicalization:
     def test_key_depends_on_the_rule_label(self):
         vocabulary, table = toy_schema()
         op = random_grounded_operator(random.Random(3), "lhs")
-        renamed = GroundedOperator("rhs", op.objects, op.pre, op.post)
+        renamed = replace(op, name="rhs")
         assert canonical_key(lift(op, table)) != canonical_key(lift(renamed, table))
 
 
@@ -284,8 +265,7 @@ class TestCanonicalization:
         rng = random.Random(5)
         for _ in range(40):
             grounded = random_grounded_operator(rng, "go")
-            entries = [(obj, table.type_of(obj)) for obj in grounded.objects]
-            op, key = learning._canonical_form(grounded.name, entries, grounded.pre, grounded.post)
+            op, key = learning._canonical_form(grounded)
             assert lift(grounded, table) == op
             assert canonical_key(op) == key
             # a schema built by hand has the same key; the cost takes no part
@@ -513,7 +493,7 @@ class TestLibraryFiles:
         for side in ("pre", "post"):
             entry[side] = [[renaming.get(part, part) for part in lit] for lit in entry[side]]
         assert library_from_dict(payload).operators == corpus_library.operators
-        assert calls == [1, 1]  # the preconditions and the changes of that one entry
+        assert calls == [1]  # that one entry
 
     def test_an_entry_in_another_parameter_order_saves_in_canonical_form(self, corpus_library):
         """An entry written by hand is stored as learn would have written it."""
