@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -87,17 +88,22 @@ def _substituted(op: ActionSchema, mapping: Mapping[str, str]) -> tuple[frozense
     return pre, frozenset(map(rename, op.adds)), frozenset(map(rename, op.dels))
 
 
+# Percent-encoding the separators of a key in each name keeps keys injective.
+_ESCAPE = str.maketrans({c: f"%{ord(c):02X}" for c in "%|;,()!"})
+_escaped = lru_cache(maxsize=4096)(lambda name: name.translate(_ESCAPE))
+
+
 def _key(name: str, ordering: Sequence[tuple[str, str]], *snapshots: frozenset[Literal]) -> str:
-    """Name, parameter types and each snapshot's sorted literal reprs, with the
-    parameters renamed ?x0, ?x1, ... in ``ordering``; no literal is built."""
+    """Name, parameter types and each snapshot's sorted literal reprs, names
+    escaped and parameters renamed ?x0, ?x1, ... in ``ordering``; no literal is built."""
     renaming = {token: f"?x{i}" for i, (token, _) in enumerate(ordering)}
 
     def text(lit: Literal) -> str:
         args = ",".join([renaming[arg] for arg in lit.atom.args])
-        return f"{'' if lit.positive else '!'}{lit.atom.name}({args})"
+        return f"{'' if lit.positive else '!'}{_escaped(lit.atom.name)}({args})"
 
     serialized = (";".join(sorted(map(text, snapshot))) for snapshot in snapshots)
-    return "|".join((name, ",".join(t for _, t in ordering), *serialized))
+    return "|".join((_escaped(name), ",".join(_escaped(t) for _, t in ordering), *serialized))
 
 
 def _post(schema: ActionSchema) -> frozenset[Literal]:
@@ -214,7 +220,7 @@ class OperatorLibrary:
 
     def _check_schema(self, op: ActionSchema) -> None:
         for _, type_id in op.params:
-            if type_id not in self.types.types:
+            if not self.types.declares(type_id):
                 raise SchemaError(f"operator {op.name!r} uses unknown type {type_id!r}")
         for sig in {atom.predicate for atom in (*(l.atom for l in op.pre), *op.adds, *op.dels)}:
             if sig.name not in self.vocabulary:
@@ -300,8 +306,6 @@ def build_library(
 
 
 def library_to_dict(library: OperatorLibrary) -> dict:
-    from .pddl import library_name_map  # local import: pddl depends on this module
-
     operators = []
     for key, op in sorted(library.operators.items()):
         operators.append(
@@ -320,7 +324,6 @@ def library_to_dict(library: OperatorLibrary) -> dict:
             "parents": dict(sorted(library.types.type_to_parent.items())),
         },
         "operators": operators,
-        "pddl_names": library_name_map(library).as_dict(),
     }
 
 
@@ -331,7 +334,7 @@ def _entry_schema(
     that ActionSchema does not make and that no operator lift() returns fails."""
     both = sorted(repr(l.atom) for l in post if l.positive and l.negated() in post)
     if both:
-        raise ValidationError(f"{name} post contains {both[0]} with both polarities")
+        raise ValidationError(f"operator {name!r} post contains {both[0]} with both polarities")
     changed = post - pre
     adds = frozenset(l.atom for l in changed if l.positive)
     dels = frozenset(l.atom for l in changed if not l.positive)

@@ -207,7 +207,9 @@ class TypeTable:
     """Instance-to-type assignments plus an optional parent link per type.
 
     The table is flat unless parent links are supplied; subtype checks walk
-    the parent chain and are reflexive.
+    the parent chain and are reflexive. As in PDDL, ``object`` is the implicit
+    root: every type is a subtype of it, a parent ``object`` is no parent, and
+    ``object`` is never one of ``types`` and has no parent itself.
     """
 
     instance_to_type: Mapping[str, str] = field(default_factory=dict)
@@ -216,12 +218,12 @@ class TypeTable:
 
     def __post_init__(self):
         object.__setattr__(self, "instance_to_type", dict(self.instance_to_type))
-        object.__setattr__(self, "type_to_parent", dict(self.type_to_parent))
-        declared = set(self.types)
-        declared.update(self.instance_to_type.values())
-        declared.update(self.type_to_parent.keys())
-        declared.update(self.type_to_parent.values())
-        object.__setattr__(self, "types", frozenset(declared))
+        parents = {t: p for t, p in self.type_to_parent.items() if p != "object"}
+        if "object" in parents:
+            raise SchemaError(f"the root type 'object' cannot have the parent {parents['object']!r}")
+        object.__setattr__(self, "type_to_parent", parents)
+        declared = {*self.types, *self.instance_to_type.values(), *parents, *parents.values()}
+        object.__setattr__(self, "types", frozenset(declared - {"object"}))
         for start in self.type_to_parent:
             seen = {start}
             cur = start
@@ -247,7 +249,11 @@ class TypeTable:
             cur = self.type_to_parent.get(cur)
 
     def is_subtype(self, type_id: str, ancestor: str) -> bool:
-        return ancestor in self.ancestors(type_id)
+        return ancestor == "object" or ancestor in self.ancestors(type_id)
+
+    def declares(self, type_id: str) -> bool:
+        """Whether ``type_id`` is one of ``types`` or the root ``object``."""
+        return type_id == "object" or type_id in self.types
 
     def objects(self) -> list[ObjectInstance]:
         return [

@@ -82,9 +82,6 @@ class NameMap:
     def orig(self, name: str) -> str:
         return self._backward.get(name, name)
 
-    def as_dict(self) -> dict[str, str]:
-        return {orig: pddl for orig, pddl in sorted(self.pairs)}
-
     def extended(self, names: Iterable[str]) -> "NameMap":
         """Add names without disturbing existing assignments."""
         pairs = list(self.pairs)
@@ -113,16 +110,12 @@ def _assign(name: str, taken: set) -> str:
     return f"{base}_{n}"
 
 
-def build_name_map(names: Iterable[str]) -> NameMap:
-    return NameMap(()).extended(names)
-
-
 def library_name_map(library: OperatorLibrary) -> NameMap:
     """Deterministic map over every identifier the domain file will mention."""
     names = set(library.types.types)
     names.update(sig.name for sig in library.vocabulary.signatures)
     names.update(library.variant_names().values())
-    return build_name_map(names)
+    return NameMap(()).extended(names)
 
 
 @dataclass(frozen=True)
@@ -198,8 +191,13 @@ def _literal_text(literal: Literal, nm: NameMap) -> str:
     return text if literal.positive else f"(not {text})"
 
 
+def _type_text(type_id: str, nm: NameMap) -> str:
+    """A type's PDDL spelling; the root stays ``object`` even if the map renames that name."""
+    return type_id if type_id == "object" else nm.pddl(type_id)
+
+
 def _typed_params(params: Sequence[tuple[str, str]], nm: NameMap) -> str:
-    return " ".join(f"{var} - {nm.pddl(type_id)}" for var, type_id in params)
+    return " ".join(f"{var} - {_type_text(type_id, nm)}" for var, type_id in params)
 
 
 def _block(lines: Iterable[str], indent: str) -> list[str]:
@@ -213,8 +211,7 @@ def render_domain(doc: DomainDoc, nm: NameMap) -> str:
     parents = doc.types.type_to_parent
     out.extend(
         _block(
-            (f"{nm.pddl(t)} - {nm.pddl(parents[t]) if t in parents else 'object'}"
-             for t in doc.types.types),
+            (f"{nm.pddl(t)} - {_type_text(parents.get(t, 'object'), nm)}" for t in doc.types.types),
             "    ",
         )
     )
@@ -222,7 +219,7 @@ def render_domain(doc: DomainDoc, nm: NameMap) -> str:
     out.append("  (:predicates")
     pred_lines = []
     for sig in doc.vocabulary.signatures:
-        args = " ".join(f"?x{i + 1} - {nm.pddl(t)}" for i, t in enumerate(sig.arg_types))
+        args = " ".join(f"?x{i + 1} - {_type_text(t, nm)}" for i, t in enumerate(sig.arg_types))
         pred_lines.append(f"({nm.pddl(sig.name)}{' ' + args if args else ''})")
     out.extend(_block(pred_lines, "    "))
     out.append("  )")
@@ -250,7 +247,7 @@ def render_problem(doc: ProblemDoc, nm: NameMap) -> str:
     out = [f"(define (problem {nm.pddl(doc.name)})"]
     out.append(f"  (:domain {nm.pddl(doc.domain_name)})")
     out.append("  (:objects")
-    out.extend(_block((f"{nm.pddl(o)} - {nm.pddl(t)}" for o, t in doc.objects), "    "))
+    out.extend(_block((f"{nm.pddl(o)} - {_type_text(t, nm)}" for o, t in doc.objects), "    "))
     out.append("  )")
     out.append("  (:init")
     out.extend(_block((_atom_text(a, nm) for a in doc.init), "    "))
@@ -446,9 +443,6 @@ class _ParseScope:
     arg_types: Mapping[str, str]
     table: TypeTable
 
-    def compatible(self, actual: str, expected: str) -> bool:
-        return "object" in (actual, expected) or self.table.is_subtype(actual, expected)
-
 
 def _parse_literal(tree: _Tree, scope: _ParseScope) -> Literal:
     if not isinstance(tree, list) or not tree:
@@ -480,7 +474,7 @@ def _parse_atom(tree: _Tree, scope: _ParseScope) -> GroundAtom:
         actual = scope.arg_types.get(arg)
         if actual is None:
             raise ValidationError(f"undeclared name {arg!r} at " + "%d:%d" % head_tok.place())
-        if not scope.compatible(actual, expected):
+        if actual != "object" and not scope.table.is_subtype(actual, expected):  # untyped fits all
             raise ValidationError(
                 f"argument {arg!r} of {name!r} should be a {expected}, is a {actual}"
             )
@@ -497,13 +491,12 @@ def parse_domain(text: str, name_map: NameMap = NameMap(())) -> DomainDoc:
     """Parse a domain file; raises PddlSyntaxError / UnsupportedFeature /
     ValidationError depending on what is wrong."""
     nm = name_map
-    types: dict[str, Optional[str]] = {}  # type -> parent, None for object
+    types: dict[str, str] = {}  # type -> parent
     predicates: list[PredicateSignature] = []
     actions: list[ActionSchema] = []
 
     def read_types(section: list) -> None:
         for t, parent in _typed_list(section[1:], nm, "type"):
-            parent = None if parent == "object" else parent
             if types.setdefault(t, parent) != parent:
                 raise ValidationError(f"type {t!r} is declared with two parents")
 
@@ -520,16 +513,11 @@ def parse_domain(text: str, name_map: NameMap = NameMap(())) -> DomainDoc:
         raise ValidationError("duplicate action names in domain")
     return DomainDoc(  # a duplicate predicate or a type cycle raises SchemaError here
         name=domain_name,
-        types=_hierarchy(types),
+        types=TypeTable({}, types, frozenset(types)),
         vocabulary=Vocabulary(tuple(predicates)),
         actions=tuple(sorted(actions, key=lambda a: a.name)),
         requirements=found.get(":requirements", REQUIREMENTS),
     )
-
-
-def _hierarchy(types: Mapping[str, Optional[str]]) -> TypeTable:
-    """The TypeTable of a :types dict, without the None parent of a root type."""
-    return TypeTable({}, {t: parent for t, parent in types.items() if parent}, frozenset(types))
 
 
 def _requirements(section: list) -> tuple[str, ...]:
@@ -563,14 +551,14 @@ def _check_functions(section: list) -> None:
 def _parse_action(
     section: list,
     predicates: Sequence[PredicateSignature],
-    types: Mapping[str, Optional[str]],
+    types: Mapping[str, str],
     nm: NameMap,
 ) -> ActionSchema:
     if len(section) < 2:
         raise _fail("action needs a name", section)
     name = nm.orig(_symbol(section[1], "action name").text)
     vocabulary = Vocabulary(tuple(predicates))
-    table = _hierarchy(types)
+    table = TypeTable({}, types, frozenset(types))
 
     body: dict[str, _Tree] = {}
     for i in range(2, len(section), 2):
@@ -590,7 +578,7 @@ def _parse_action(
     for var, type_id in params:
         if not var.startswith("?"):
             raise _fail("action parameters must be variables", section)
-        if type_id != "object" and type_id not in table.types:
+        if not table.declares(type_id):
             raise ValidationError(f"action {name!r} uses undeclared type {type_id!r}")
 
     # Constants are not supported in action bodies: only declared parameters

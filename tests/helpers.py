@@ -12,6 +12,7 @@ from demoplan.model import (
     ActionSchema,
     GroundAtom,
     Literal,
+    ObjectInstance,
     PredicateSignature,
     State,
     TypeTable,
@@ -96,6 +97,54 @@ def random_library(rng: random.Random, operators: int | None = None) -> Operator
         merge(library, lifted)
         if rng.random() < 0.3:
             merge(library, lifted)
+    return library
+
+
+# Identifiers that PDDL reserves, spells differently or cannot spell at all.
+# None has the form label_N, which variant_names() may also give a label.
+HOSTILE_NAMES = (
+    "object", "Object", "OBJECT", "define", "domain", "and", "not", "either", "number",
+    "total-cost", "Block", "block", "BLOCK", "-", "a-b", "_", "_x", "1abc", "9", "é", "Ωmega",
+)
+
+
+def hostile_library(rng: random.Random) -> OperatorLibrary:
+    """A random library whose type, predicate and operator names all come
+    from HOSTILE_NAMES; a type draws its parent from the types before it, or
+    from ``object``, and ``object`` itself gets none."""
+    type_names = rng.sample(HOSTILE_NAMES, rng.randint(1, 4))
+    parents = {
+        t: rng.choice(["object", *type_names[:i]])
+        for i, t in enumerate(type_names)
+        if t != "object" and rng.random() < 0.5
+    }
+    table = TypeTable({}, parents, frozenset(type_names))
+    arg_types = [*type_names, "object"]
+    vocabulary = Vocabulary(
+        tuple(
+            PredicateSignature(name, tuple(rng.choices(arg_types, k=rng.randint(0, 2))))
+            for name in rng.sample(HOSTILE_NAMES, rng.randint(1, 4))
+        )
+    )
+    library = OperatorLibrary.empty(vocabulary, table)
+    for _ in range(rng.randint(1, 4)):
+        objects = {f"o{i}": rng.choice(arg_types) for i in range(rng.randint(1, 3))}
+        typed = table.with_instances(ObjectInstance(o, t) for o, t in objects.items())
+        pool = [a for a in enumerate_atoms(vocabulary, objects, typed) if a.args]
+        if not pool:
+            continue
+        needed = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+        pre = {atom: rng.random() < 0.5 for atom in needed}
+        changed = {atom: not pre.get(atom, rng.random() < 0.5) for atom in rng.sample(pool, 1)}
+        used = sorted({arg for atom in [*pre, *changed] for arg in atom.args})
+        op = ActionSchema(
+            rng.choice(HOSTILE_NAMES),
+            tuple((o, objects[o]) for o in used),
+            frozenset(Literal(a, value) for a, value in pre.items()),
+            frozenset(a for a, value in changed.items() if value),
+            frozenset(a for a, value in changed.items() if not value),
+        )
+        merge(library, lift(op, table))
     return library
 
 

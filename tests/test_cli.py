@@ -224,6 +224,22 @@ class TestPlan:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cost"] == 16
 
+    def test_an_untyped_parameter_binds_objects_of_every_type(self, capsys, tmp_path):
+        (tmp_path / "domain.pddl").write_text(
+            "(define (domain marks) (:requirements :strips :typing) (:types thing)"
+            " (:predicates (p ?x)) (:action mark :parameters (?x) :precondition (and) :effect (p ?x)))"
+        )
+        (tmp_path / "problem.pddl").write_text(
+            "(define (problem two) (:domain marks) (:objects a - thing b)"
+            " (:init) (:goal (and (p a) (p b))))"
+        )
+        code = main(["plan", "--domain", str(tmp_path / "domain.pddl"),
+                     "--problem", str(tmp_path / "problem.pddl")])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cost"] == 2
+        assert sorted(a["objects"] for a in payload["actions"]) == [["a"], ["b"]]
+
     def test_flag_conflicts_exit_3(self, workspace, capsys):
         cases = [
             ["plan", "--domain", str(workspace / "artifacts" / "domain.pddl")],

@@ -7,7 +7,9 @@ byte for byte: a refactor that keeps plans, costs and file formats must leave
 them untouched. The same plan must come out of ``plan --library`` and, up to
 the PDDL spelling of names, out of ``plan --domain/--problem`` on the emitted
 PDDL. ``tests/golden/hmax/`` holds the plan and execution log of the same
-run with ``--heuristic hmax``.
+run with ``--heuristic hmax``. ``tests/data/library_with_pddl_names.json`` is
+the golden library as it was saved before library files dropped their
+``pddl_names`` map; it must still load and plan the same.
 """
 
 import json
@@ -21,6 +23,7 @@ from demoplan.pddl import library_name_map
 from demoplan.synth import corpus_goals
 
 GOLDEN = Path(__file__).parent / "golden"
+OLD_LIBRARY = Path(__file__).parent / "data" / "library_with_pddl_names.json"
 ARTIFACTS = (
     "library.json",
     "domain.pddl",
@@ -98,3 +101,15 @@ def test_library_and_pddl_planning_agree_with_the_golden_plan(run, capsys):
         action["name"] = names.pddl(action["name"])
         action["objects"] = [names.pddl(o) for o in action["objects"]]
     assert pddl_plan == expected
+
+
+def test_a_library_file_with_pddl_names_loads_and_plans_as_before(run, capsys):
+    old, new = load_library(OLD_LIBRARY), load_library(GOLDEN / "library.json")
+    assert (old.operators, old.counts) == (new.operators, new.counts)
+    assert (old.vocabulary, old.types) == (new.vocabulary, new.types)
+    capsys.readouterr()
+    code = main(
+        ["plan", "--library", str(OLD_LIBRARY), "--init", str(run / "traces" / "init.json"), *GOAL_ARGS]
+    )
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / "plan.json").read_text()

@@ -83,3 +83,61 @@ def test_no_package_module_imports_a_private_name_from_a_sibling():
         if found:
             private[str(path.relative_to(ROOT))] = found
     assert private == {}
+
+
+def _import_graph(sources: dict[str, str]) -> dict[str, set[str]]:
+    """Each package module -> the package modules it imports, at any depth of
+    its code, function-level imports included. ``sources`` maps module names
+    to their text."""
+    graph = {}
+    for name, source in sources.items():
+        targets = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                targets.update([node.module] if node.module else [a.name for a in node.names])
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("demoplan."):
+                targets.add(node.module.split(".")[1])
+            elif isinstance(node, ast.Import):
+                targets.update(a.name.split(".")[1] for a in node.names if a.name.startswith("demoplan."))
+        graph[name] = {t.split(".")[0] for t in targets} & set(sources)
+    return graph
+
+
+def _cycle(graph: dict[str, set[str]]) -> list[str]:
+    """Some import cycle of ``graph`` as a closed path of module names, or []."""
+    done: set[str] = set()
+
+    def visit(name: str, path: list[str]) -> list[str]:
+        if name in path:
+            return path[path.index(name):] + [name]
+        if name in done:
+            return []
+        for target in sorted(graph[name]):
+            found = visit(target, path + [name])
+            if found:
+                return found
+        done.add(name)
+        return []
+
+    return next((found for name in sorted(graph) if (found := visit(name, []))), [])
+
+
+def test_import_cycles_are_detected():
+    sources = {
+        "a": "from .b import x\n",
+        "b": "def f():\n    from .c import y  # function-level\n",
+        "c": "import demoplan.a\n",
+        "d": "from . import a\nfrom demoplan.b import z\n",
+    }
+    graph = _import_graph(sources)
+    assert graph == {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a", "b"}}
+    assert _cycle(graph) == ["a", "b", "c", "a"]
+    assert _cycle({**graph, "c": set()}) == []
+
+
+def test_the_package_import_graph_is_acyclic():
+    package = ROOT / "src" / "demoplan"
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    graph = _import_graph(sources)
+    assert graph["pddl"] >= {"learning", "model"}
+    assert _cycle(graph) == []

@@ -88,9 +88,9 @@ class TestOperatorInvariants:
             ([["?t1", "T"]], [["p", "?t1"]], [["!", "p", "?t1"]], 0,
              "operator 'op' needs a positive count"),
             ([["?t1", "T"]], [["p", "?t1"]], [["p", "?t1"], ["!", "p", "?t1"]], 1,
-             "op post contains p(?t1) with both polarities"),
+             "operator 'op' post contains p(?t1) with both polarities"),
             ([["?t1", "T"]], [], [["p", "?t1"], ["!", "p", "?t1"]], 1,
-             "op post contains p(?t1) with both polarities"),
+             "operator 'op' post contains p(?t1) with both polarities"),
             ([["?t1", "T"], ["?t1", "T"]], [["p", "?t1"]], [["!", "p", "?t1"]], 1,
              "action 'op' repeats a parameter: ['?t1', '?t1']"),
             ([["?t1", "T"]], [["p", "?t1"]], [["!", "p", "?t2"]], 1,
@@ -250,6 +250,24 @@ class TestCanonicalization:
         place = lift(extract(trace, Segment("place", "Right_hand", 3, 4)), trace.types)
         assert canonical_key(put) != canonical_key(place)
         assert not operators_equivalent(put, place)
+
+    def test_separators_in_names_cannot_make_two_operators_one(self):
+        """Unescaped, both keys read put|T|!r(?x0);p(?x0);q(?x0)|p(?x0);q(?x0);r(?x0)."""
+        p, q, r, pq = (PredicateSignature(n, ("T",)) for n in ("p", "q", "r", "p(?x0);q"))
+        table = TypeTable({}, {}, frozenset({"T"}))
+        library = OperatorLibrary.empty(Vocabulary((p, q, r, pq)), table)
+
+        def put(*needs):
+            pre = [Literal(GroundAtom(sig, ("a",))) for sig in needs]
+            done = GroundAtom(r, ("a",))
+            pre.append(Literal(done, False))
+            return ActionSchema("put", (("a", "T"),), frozenset(pre), frozenset([done]), frozenset())
+
+        for op in (put(pq), put(p, q)):
+            merge(library, lift(op, table))
+        assert sorted(library.counts.values()) == [1, 1]
+        loaded = library_from_dict(library_to_dict(library))
+        assert loaded.operators == library.operators and loaded.counts == library.counts
 
     def test_key_depends_on_the_rule_label(self):
         vocabulary, table = toy_schema()
@@ -451,7 +469,7 @@ class TestLibraryFiles:
 
     def test_payload_keys_are_recomputed_on_load(self, corpus_library):
         payload = library_to_dict(corpus_library)
-        assert set(payload) >= {"vocabulary", "operators", "pddl_names"}
+        assert set(payload) == {"vocabulary", "types", "operators"}
         loaded = library_from_dict(payload)
         assert set(loaded.operators) == set(corpus_library.operators)
 

@@ -143,6 +143,20 @@ class TestTypeTable:
             ObjectInstance("t1", "Table"),
         ]
 
+    def test_object_is_the_implicit_root(self):
+        table = TypeTable({"c1": "Cube", "t1": "Table", "x": "object"}, {"Cube": "object", "object": "object"})
+        assert table.type_to_parent == {}
+        assert table.types == {"Cube", "Table"}
+        assert table.is_subtype("Cube", "object") and table.is_subtype("object", "object")
+        assert not table.is_subtype("object", "Cube")
+        assert table.instances_of("object") == ["c1", "t1", "x"]
+        assert table.declares("object") and table.declares("Table") and not table.declares("Crate")
+        assert table == TypeTable({"c1": "Cube", "t1": "Table", "x": "object"})
+
+    def test_the_root_cannot_have_a_parent(self):
+        with pytest.raises(SchemaError, match="root type 'object'"):
+            TypeTable({}, {"object": "Thing"})
+
     def test_type_of_unknown_object_raises(self):
         with pytest.raises(ValidationError):
             TypeTable({}).type_of("ghost")

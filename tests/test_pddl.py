@@ -15,7 +15,6 @@ from demoplan.model import ObjectInstance, TypeTable, read_file
 from demoplan.pddl import (
     NameMap,
     _read_all,
-    build_name_map,
     domain_to_doc,
     emit_domain,
     emit_problem,
@@ -30,6 +29,7 @@ from demoplan.synth import corpus_goals, initial_state, planning_objects
 
 from helpers import (
     OPERATOR_NAME_POOL,
+    hostile_library,
     random_grounded_operator,
     random_library,
     toy_schema,
@@ -69,8 +69,9 @@ CRANE_PROBLEM = """(define (problem restack)
 
 class TestNameMap:
     def test_mangling_rules(self):
-        nm = build_name_map(["onTop", "OnTop", "1abc", "and", "hand move", "x"])
-        assert nm.as_dict() == {
+        names = ["onTop", "OnTop", "1abc", "and", "hand move", "x"]
+        nm = NameMap(()).extended(names)
+        assert {name: nm.pddl(name) for name in names} == {
             "1abc": "x1abc",
             "OnTop": "ontop",
             "and": "and_2",
@@ -81,7 +82,7 @@ class TestNameMap:
 
     def test_map_is_a_bijection(self):
         names = ["Wooden_cube", "wooden-CUBE", "put", "PUT", "define"]
-        nm = build_name_map(names)
+        nm = NameMap(()).extended(names)
         seen = set()
         for name in names:
             mapped = nm.pddl(name)
@@ -91,18 +92,12 @@ class TestNameMap:
 
     def test_assignment_ignores_input_order(self):
         names = ["zeta", "Alpha", "alpha", "Beta"]
-        a = build_name_map(names)
-        b = build_name_map(list(reversed(names)))
-        assert a.as_dict() == b.as_dict()
-
-    def test_dict_round_trip(self):
-        nm = build_name_map(["onTop", "inHand"])
-        restored = NameMap(tuple(nm.as_dict().items()))
-        assert restored.as_dict() == nm.as_dict()
-        assert [restored.orig(restored.pddl(n)) for n in ("onTop", "inHand")] == ["onTop", "inHand"]
+        a = NameMap(()).extended(names)
+        b = NameMap(()).extended(list(reversed(names)))
+        assert sorted(a.pairs) == sorted(b.pairs)
 
     def test_extended_keeps_existing_assignments(self):
-        nm = build_name_map(["onTop"])
+        nm = NameMap(()).extended(["onTop"])
         wider = nm.extended(["ONTOP"])
         assert wider.pddl("onTop") == nm.pddl("onTop")
         assert wider.pddl("ONTOP") != wider.pddl("onTop")
@@ -226,12 +221,32 @@ class TestRoundTrips:
         assert render_domain(doc, nm) == text
         assert doc == domain_to_doc(library)
 
+    def test_libraries_with_hostile_names_round_trip(self):
+        """Types, predicates and operators named like PDDL keywords, ``object``,
+        case variants and non-ASCII letters all come back as they were."""
+        rng = random.Random(17)
+        for _ in range(300):
+            library = hostile_library(rng)
+            if not library.operators:
+                continue
+            text = emit_domain(library)
+            parse_domain(text)  # valid PDDL without the map: every type it names is declared
+            doc = parse_domain(text, name_map=library_name_map(library))
+            assert doc.types == library.types
+            assert doc.vocabulary == library.vocabulary
+            assert doc.actions == tuple(library.schemas())
+
     def test_domain_costs_must_be_positive_integers(self, corpus_library):
         with pytest.raises(ValidationError, match="positive integer"):
             emit_domain(corpus_library, {key: 0 for key in corpus_library.operators})
 
 
 class TestParsing:
+    def test_a_declared_root_is_the_implicit_one(self):
+        doc = parse_domain("(define (domain d) (:types object block - object thing))")
+        assert doc.types == TypeTable({}, {}, frozenset({"block", "thing"}))
+        assert doc.types.is_subtype("block", "object")
+
     def test_crane_domain(self):
         doc = parse_domain(CRANE_DOMAIN)
         assert doc.name == "crane"
@@ -424,6 +439,10 @@ READER_ERRORS = [
      SchemaError, "type hierarchy contains a cycle through 'crate'"),
     ("type cycle without actions", "domain", "(define (domain d) (:types a - b b - a))",
      SchemaError, "type hierarchy contains a cycle through 'a'"),
+    ("root with a parent", "domain", _crane("(:types crate - object)", "(:types object - thing crate)"),
+     SchemaError, "the root type 'object' cannot have the parent 'thing'"),
+    ("root with a parent without actions", "domain", "(define (domain d) (:types object - thing))",
+     SchemaError, "the root type 'object' cannot have the parent 'thing'"),
     ("predicate symbol", "domain", _crane("(armfree)\n", "armfree\n"), PddlSyntaxError,
      "malformed predicate declaration (line 7, column 5)"),
     ("predicate empty", "domain", _crane("(armfree)\n", "()\n"), PddlSyntaxError,
