@@ -20,7 +20,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import NoEffectSegment, ParseError, SchemaError, ValidationError, located
 from .model import (
@@ -168,6 +168,15 @@ def canonical_key(schema: ActionSchema) -> str:
     return _key(schema.name, schema.params, schema.pre, _post(schema))
 
 
+def fresh_name(base: str, taken: Collection[str]) -> str:
+    """``base`` if it is not taken, else ``base_N`` with the smallest free N >= 2."""
+    name, n = base, 1
+    while name in taken:
+        n += 1
+        name = f"{base}_{n}"
+    return name
+
+
 @dataclass
 class OperatorLibrary:
     """Canonical action schemas (named by rule label, cost 1) and their observation
@@ -189,24 +198,28 @@ class OperatorLibrary:
         return library
 
     def variant_names(self) -> dict[str, str]:
-        """A unique, deterministic name per operator: label, label_2, ..."""
-        by_label: dict[str, list[str]] = {}
+        """A unique, deterministic name per operator. In key order, the first
+        operator of a label keeps the label; each further one gets
+        fresh_name(label), never a name another operator holds."""
+        unclaimed = {op.name for op in self.operators.values()}
+        taken, names = set(unclaimed), {}
         for key, op in sorted(self.operators.items()):
-            by_label.setdefault(op.name, []).append(key)
-        names = {}
-        for label, keys in by_label.items():
-            for i, key in enumerate(keys):
-                names[key] = label if i == 0 else f"{label}_{i + 1}"
+            name = names[key] = op.name if op.name in unclaimed else fresh_name(op.name, taken)
+            unclaimed.discard(op.name)
+            taken.add(name)
         return names
 
     def schemas(self, costs: Optional[Mapping[str, int]] = None) -> list[ActionSchema]:
         """One action schema per operator under its variant name, sorted by
         name. ``costs`` maps canonical keys to costs; without it every
-        action costs 1."""
+        action costs 1. A missing or non-positive cost raises ValidationError."""
         names = self.variant_names()
+        costs = dict.fromkeys(self.operators, 1) if costs is None else costs
+        missing = sorted(names[key] for key in self.operators if key not in costs)
+        if missing:
+            raise ValidationError(f"no cost given for operator {missing[0]!r}")
         schemas = [
-            replace(op, name=names[key], cost=1 if costs is None else costs[key])
-            for key, op in self.operators.items()
+            replace(op, name=names[key], cost=costs[key]) for key, op in self.operators.items()
         ]
         return sorted(schemas, key=lambda s: s.name)
 

@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedFeature,
     ValidationError,
 )
-from .learning import OperatorLibrary
+from .learning import OperatorLibrary, fresh_name
 from .model import (
     ActionSchema,
     GroundAtom,
@@ -87,7 +87,7 @@ class NameMap:
         pairs = list(self.pairs)
         taken = set(self._backward) | _RESERVED
         for name in sorted(set(names) - set(self._forward)):
-            pddl = _assign(name, taken)
+            pddl = fresh_name(_mangle(name), taken)
             taken.add(pddl)
             pairs.append((name, pddl))
         return NameMap(tuple(pairs))
@@ -98,16 +98,6 @@ def _mangle(name: str) -> str:
     if not out or not out[0].isalpha():
         out = "x" + out
     return out
-
-
-def _assign(name: str, taken: set) -> str:
-    base = _mangle(name)
-    if base not in taken:
-        return base
-    n = 2
-    while f"{base}_{n}" in taken:
-        n += 1
-    return f"{base}_{n}"
 
 
 def library_name_map(library: OperatorLibrary) -> NameMap:

@@ -59,12 +59,6 @@ class CostModel:
 
     costs: Mapping[str, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "costs", dict(self.costs))
-        for key, cost in self.costs.items():
-            if not isinstance(cost, int) or cost < 1:
-                raise ValidationError(f"cost for {key!r} must be a positive integer, got {cost!r}")
-
 
 def derive_costs(library: OperatorLibrary) -> CostModel:
     """Map observation counts to costs so often-seen operators are preferred."""
@@ -74,23 +68,14 @@ def derive_costs(library: OperatorLibrary) -> CostModel:
 
 @dataclass(frozen=True)
 class GroundedAction:
+    """A ground action, unchecked until a Task compiles it."""
+
     name: str
     objects: tuple[str, ...]
     pre: frozenset[Literal]
     adds: frozenset[GroundAtom]
     dels: frozenset[GroundAtom]
     cost: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
-        if self.adds & self.dels:
-            raise InvalidEffect(f"action {self.name!r} adds and deletes the same atom")
-        positives = {l.atom for l in self.pre if l.positive}
-        negatives = {l.atom for l in self.pre if not l.positive}
-        if positives & negatives:
-            raise ValidationError(f"action {self.name!r} has contradictory preconditions")
-        if not isinstance(self.cost, int) or self.cost < 1:
-            raise ValidationError(f"action {self.name!r} needs a positive integer cost")
 
     def sort_key(self) -> tuple:
         return (self.name, self.objects)
@@ -221,7 +206,9 @@ class Task:
     Actions are kept in (name, objects) order, the tie-break order. Each of
     the n atoms an action mentions gets one bit; any other atom is static.
     A fact is a literal: bit i says atom i is true, bit n + i that it is false.
-    A set of actions is a mask with bit a for action a.
+    A set of actions is a mask with bit a for action a. Compiling is the one
+    check of an action list: overlapping effects, contradictory preconditions
+    and a cost that is not a positive integer raise.
     """
 
     def __init__(self, actions: Iterable[GroundedAction]):
@@ -241,10 +228,15 @@ class Task:
         self.all_atoms = (1 << n) - 1
         # (precondition facts, add, del, cost) per action, and its delete
         # relaxation (precondition facts, effect facts, cost) for h_max.
-        self.ops = [
-            (pos | neg << n, add, dele, action.cost)
-            for (pos, neg, add, dele), action in zip(masks, self.actions)
-        ]
+        self.ops = []
+        for (pos, neg, add, dele), action in zip(masks, self.actions):
+            if add & dele:
+                raise InvalidEffect(f"action {action.name!r} adds and deletes the same atom")
+            if pos & neg:
+                raise ValidationError(f"action {action.name!r} has contradictory preconditions")
+            if not isinstance(action.cost, int) or action.cost < 1:
+                raise ValidationError(f"action {action.name!r} needs a positive integer cost")
+            self.ops.append((pos | neg << n, add, dele, action.cost))
         self.relaxed = [(pre, add | dele << n, cost) for pre, add, dele, cost in self.ops]
         # The actions that need atom i true (needs[i]) and false (forbids[i]).
         needs, forbids = [0] * n, [0] * n

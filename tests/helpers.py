@@ -88,11 +88,13 @@ def random_grounded_operator(rng: random.Random, name: str) -> ActionSchema:
         )
 
 
-def random_library(rng: random.Random, operators: int | None = None) -> OperatorLibrary:
+def random_library(
+    rng: random.Random, operators: int | None = None, labels: Sequence[str] = OPERATOR_NAME_POOL
+) -> OperatorLibrary:
     vocabulary, table = toy_schema()
     library = OperatorLibrary.empty(vocabulary, table)
     for _ in range(operators if operators is not None else rng.randint(2, 5)):
-        op = random_grounded_operator(rng, rng.choice(OPERATOR_NAME_POOL))
+        op = random_grounded_operator(rng, rng.choice(labels))
         lifted = lift(op, table)
         merge(library, lifted)
         if rng.random() < 0.3:
@@ -100,11 +102,12 @@ def random_library(rng: random.Random, operators: int | None = None) -> Operator
     return library
 
 
-# Identifiers that PDDL reserves, spells differently or cannot spell at all.
-# None has the form label_N, which variant_names() may also give a label.
+# Identifiers that PDDL reserves, spells differently or cannot spell at all,
+# and labels of the form label_N, which variant_names() also gives.
 HOSTILE_NAMES = (
     "object", "Object", "OBJECT", "define", "domain", "and", "not", "either", "number",
     "total-cost", "Block", "block", "BLOCK", "-", "a-b", "_", "_x", "1abc", "9", "é", "Ωmega",
+    "Block_2", "and_2",
 )
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -409,6 +410,27 @@ class TestPipeline:
         assert code == EXIT_OK
         pddl_cost = json.loads(capsys.readouterr().out)["cost"]
         assert pddl_cost == json.loads((tmp_path / "plan.json").read_text())["cost"] == 4
+
+    def test_a_rule_label_of_the_form_label_n_repeats_no_name(self, workspace, capsys, tmp_path):
+        """Both release rules named place_2: the second place variant gets
+        place_3, so the emitted domain plans at the library plan's cost."""
+        rules = str(Path(__file__).parent / "data" / "rules_place_2.json")
+        traces = sorted(str(p) for p in (workspace / "traces").glob("p*.json"))
+        learn = ["learn", *traces, "--rules", rules, "--library", str(tmp_path / "lib.json")]
+        assert main(learn) == EXIT_OK
+        names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  ")]
+        assert len(set(names)) == len(names) == 7
+        p1 = sorted(str(p) for p in (workspace / "traces").glob("p1_*.json"))
+        code = main(["pipeline", *p1, "--rules", rules, "--init",
+                     str(workspace / "traces" / "init.json"), "--goal", GOAL, "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        code = main(["plan", "--domain", str(tmp_path / "domain.pddl"),
+                     "--problem", str(tmp_path / "problem.pddl")])
+        assert code == EXIT_OK
+        pddl_cost = json.loads(capsys.readouterr().out)["cost"]
+        assert pddl_cost == json.loads((tmp_path / "plan.json").read_text())["cost"] == 8
 
 
 def _break_count(payload):

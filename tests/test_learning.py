@@ -345,6 +345,19 @@ class TestLibrary:
         names = sorted(corpus_library.variant_names().values())
         assert names == ["grasp", "place", "place_2", "put", "reach", "reach_2", "release"]
 
+    def test_a_label_of_the_form_label_n_never_repeats_a_variant_name(self):
+        p, q = PredicateSignature("p", ("T",)), PredicateSignature("q", ("T",))
+        library = OperatorLibrary.empty(Vocabulary((p, q)), TypeTable({}, {}, frozenset({"T"})))
+        for label, sig in (("put", p), ("put", q), ("put_2", p)):
+            atom = GroundAtom(sig, ("t",))
+            op = ActionSchema(
+                label, (("t", "T"),), frozenset([Literal(atom, False)]), frozenset([atom]), frozenset()
+            )
+            merge(library, lift(op, library.types))
+        names = library.variant_names()
+        assert sorted(names.values()) == ["put", "put_2", "put_3"]
+        assert [names[k] for k, op in library.operators.items() if op.name == "put_2"] == ["put_2"]
+
     def test_absorb_schema_rejects_conflicts(self):
         vocabulary, table = toy_schema()
         library = OperatorLibrary.empty(vocabulary, table)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from demoplan.errors import ParseError, SearchLimitExceeded, ValidationError
+from demoplan.errors import InvalidEffect, ParseError, SearchLimitExceeded, ValidationError
 from demoplan.model import (
     GroundAtom,
     Literal,
@@ -126,6 +126,11 @@ class TestExecute:
         assert log.replans == ()
         assert all(s.discrepancy == () for s in log.steps)
         assert log.final_state.true_atoms == frozenset([ON1, ON2])
+
+    def test_a_bad_hand_built_action_list_raises(self):
+        bad = GroundedAction("switch", ("l1",), frozenset(), frozenset([ON1]), frozenset([ON1]))
+        with pytest.raises(InvalidEffect, match="action 'switch' adds and deletes the same atom"):
+            execute(Plan((), 0), WorldSim(State()), [Literal(ON1)], [bad, SWITCH2])
 
     def test_goal_already_met_needs_nothing(self):
         sim = WorldSim(State.of([ON1, ON2]))

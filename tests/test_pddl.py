@@ -236,6 +236,16 @@ class TestRoundTrips:
             assert doc.vocabulary == library.vocabulary
             assert doc.actions == tuple(library.schemas())
 
+    def test_labels_of_the_form_label_n_round_trip(self):
+        """Labels that repeat a variant name still give every action its own name."""
+        rng = random.Random(5)
+        for _ in range(50):
+            library = random_library(rng, 6, labels=("put", "put_2", "Put", "put_3"))
+            names = list(library.variant_names().values())
+            assert len(set(names)) == len(names)
+            doc = parse_domain(emit_domain(library), name_map=library_name_map(library))
+            assert doc.actions == tuple(library.schemas())
+
     def test_domain_costs_must_be_positive_integers(self, corpus_library):
         with pytest.raises(ValidationError, match="positive integer"):
             emit_domain(corpus_library, {key: 0 for key in corpus_library.operators})

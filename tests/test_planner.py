@@ -69,20 +69,29 @@ def _action(name, pre, adds, dels=(), cost=1):
     )
 
 
+def _rejected(bad, error, message):
+    """Compiling [bad], alone or through plan(), raises ``error`` with ``message``."""
+    for compile_ in (lambda: Task([bad]), lambda: plan([bad], State(), [Literal(_atom(0))])):
+        with pytest.raises(error) as info:
+            compile_()
+        assert str(info.value) == message
+
+
 class TestActionInvariants:
+    """A GroundedAction is a plain record; Task checks each action it compiles."""
+
     def test_effects_must_not_overlap(self):
-        with pytest.raises(InvalidEffect):
-            _action("bad", [], [_atom(0)], [_atom(0)])
+        bad = _action("bad", [], [_atom(0)], [_atom(0)])
+        _rejected(bad, InvalidEffect, "action 'bad' adds and deletes the same atom")
 
     def test_preconditions_must_not_contradict(self):
-        with pytest.raises(ValidationError):
-            _action("bad", [Literal(_atom(0)), Literal(_atom(0), False)], [_atom(1)])
+        bad = _action("bad", [Literal(_atom(0)), Literal(_atom(0), False)], [_atom(1)])
+        _rejected(bad, ValidationError, "action 'bad' has contradictory preconditions")
 
     def test_cost_is_a_positive_integer(self):
-        with pytest.raises(ValidationError):
-            _action("bad", [], [_atom(0)], cost=0)
-        with pytest.raises(ValidationError):
-            _action("bad", [], [_atom(0)], cost=1.5)
+        for cost in (0, 1.5):
+            bad = _action("bad", [], [_atom(0)], cost=cost)
+            _rejected(bad, ValidationError, "action 'bad' needs a positive integer cost")
 
     def test_plan_total_must_match_its_actions(self):
         act = _action("a", [], [_atom(0)], cost=3)
@@ -90,9 +99,25 @@ class TestActionInvariants:
         with pytest.raises(ValidationError):
             Plan((act,), 4)
 
-    def test_cost_model_rejects_nonpositive_entries(self):
-        with pytest.raises(ValidationError):
-            CostModel({"k": 0})
+    def test_cost_model_rejects_nonpositive_entries(self, corpus_library):
+        costs = derive_costs(corpus_library).costs
+        key = next(k for k, name in corpus_library.variant_names().items() if name == "place_2")
+        with pytest.raises(ValidationError) as info:
+            ground(corpus_library, planning_objects(), CostModel({**costs, key: 0}))
+        assert str(info.value) == "cost of action 'place_2' must be a positive integer, got 0"
+
+    def test_a_cost_map_must_price_every_operator(self, corpus_library):
+        costs = derive_costs(corpus_library).costs
+        key = next(k for k, name in corpus_library.variant_names().items() if name == "reach_2")
+        short = {k: cost for k, cost in costs.items() if k != key}
+        for partial, named in ((short, "reach_2"), ({}, "grasp")):
+            message = f"no cost given for operator {named!r}"
+            with pytest.raises(ValidationError) as info:
+                emit_domain(corpus_library, partial)
+            assert str(info.value) == message
+            with pytest.raises(ValidationError) as info:
+                ground(corpus_library, planning_objects(), CostModel(partial))
+            assert str(info.value) == message
 
 
 def test_derived_costs_prefer_frequent_operators(corpus_library):
