@@ -9,8 +9,9 @@ somewhere in the trace, which keeps never-observed facts out of the operators.
 Lifting renames those objects to typed variables; an operator's post-state is
 its preconditions with the delta applied. Operators are identified up to
 variable renaming through a canonical key, and re-observing one increments its
-count instead of adding a duplicate. Only lift() and library_from_dict search
-for the canonical parameter order; canonical_key() reads the key off the result.
+count instead of adding a duplicate. lift(), learn_from_trace and
+library_from_dict search each operator's key once; the last two hand it to
+merge(), and canonical_key() reads it off a canonical schema without a search.
 """
 
 from __future__ import annotations
@@ -116,12 +117,12 @@ def _post(schema: ActionSchema) -> frozenset[Literal]:
     )
 
 
-def _canonical_form(op: ActionSchema) -> tuple[ActionSchema, str]:
-    """The canonical schema of an operator and its key.
+def _canonical_order(op: ActionSchema) -> tuple[str, tuple[tuple[str, str], ...]]:
+    """The canonical key of an operator and the parameter order that gives it.
 
     Parameters are grouped by type (types in sorted order), then every
     permutation inside each same-type group is serialized and the
-    lexicographically smallest serialization wins.  The result is therefore
+    lexicographically smallest serialization wins.  The key is therefore
     invariant under any type-preserving renaming of the original parameters.
     """
     if len(op.params) > MAX_PARAMS:
@@ -137,7 +138,11 @@ def _canonical_form(op: ActionSchema) -> tuple[ActionSchema, str]:
         for permuted in itertools.product(*(itertools.permutations(g) for g in groups))
     )
     name, pre, post = op.name, op.pre, _post(op)
-    key, ordering = min(((_key(name, o, pre, post), o) for o in orderings), key=lambda p: p[0])
+    return min(((_key(name, o, pre, post), o) for o in orderings), key=lambda p: p[0])
+
+
+def _renamed(op: ActionSchema, ordering: tuple[tuple[str, str], ...]) -> ActionSchema:
+    """``op`` with its parameters in the order _canonical_order() found, renamed ?<letter><n>."""
     letter_counts: dict[str, int] = {}
     final_names = []
     for _, type_id in ordering:
@@ -146,17 +151,17 @@ def _canonical_form(op: ActionSchema) -> tuple[ActionSchema, str]:
         final_names.append(f"?{letter}{letter_counts[letter]}")
     renaming = {token: final_names[i] for i, (token, _) in enumerate(ordering)}
     params = tuple((renaming[token], type_id) for token, type_id in ordering)
-    adds, dels = op.adds, op.dels
+    pre, adds, dels = op.pre, op.adds, op.dels
     if params != ordering:  # entries that save_library wrote already have these names
         pre, adds, dels = _substituted(op, renaming)
-    return ActionSchema(name, params, pre, adds, dels), key
+    return ActionSchema(op.name, params, pre, adds, dels)
 
 
 def lift(op: ActionSchema, types: TypeTable) -> ActionSchema:
     """Rename a ground operator, as extract() returns it, into canonical form.
     ``types`` goes unread, since extract() typed the parameters; it stays
     because the benchmark harness calls ``lift(grounded, types)``."""
-    return _canonical_form(op)[0]
+    return _renamed(op, _canonical_order(op)[1])
 
 
 def canonical_key(schema: ActionSchema) -> str:
@@ -244,13 +249,14 @@ class OperatorLibrary:
                 )
 
 
-def merge(library: OperatorLibrary, op: ActionSchema, count: int = 1) -> str:
+def merge(library: OperatorLibrary, op: ActionSchema, count: int = 1, key: str | None = None) -> str:
     """Add a schema seen ``count`` times, or add that to the count of its
     twin, and return its canonical key. ``op`` must be canonical, as lift()
     and load_library return it: a schema built by hand, or renamed and priced
-    by schemas(), is stored under a key that no lift() gives."""
+    by schemas(), is stored under a key that no lift() gives. Given its
+    ``key``, ``op`` need be canonical only if the key is new."""
     library._check_schema(op)
-    key = canonical_key(op)
+    key = canonical_key(op) if key is None else key
     library.operators.setdefault(key, op)
     library.counts[key] = library.counts.get(key, 0) + count
     return key
@@ -276,8 +282,8 @@ def learn_from_trace(
 ) -> TraceReport:
     """Debounce, segment, extract, lift, and merge one trace into the library.
 
-    Every segment is extracted and lifted before the library changes, so a
-    trace that raises leaves the library as it was.
+    Every segment's key is searched before the library changes, so a trace
+    that raises leaves it as it was; only an operator with a new key is renamed.
     """
     cleaned = debounce(trace, debounce_config)
     report = TraceReport(source=source or trace.scenario)
@@ -290,12 +296,13 @@ def learn_from_trace(
             logger.warning("dropping segment: %s", exc)
             report.dropped_no_effect += 1
             continue
-        operators.append(lift(grounded, cleaned.types))
+        operators.append((grounded, *_canonical_order(grounded)))
     library.absorb_schema(trace.vocabulary, trace.types)
     merged = []
-    for lifted in operators:
-        key = merge(library, lifted)
-        merged.append((key, library.counts[key], library.counts[key] > 1))
+    for grounded, key, ordering in operators:
+        known = key in library.operators
+        merge(library, grounded if known else _renamed(grounded, ordering), key=key)
+        merged.append((key, library.counts[key], known))
     # Named once all are merged, so a later variant cannot rename a reported one.
     names = library.variant_names()
     for key, count, known in merged:
@@ -389,10 +396,11 @@ def library_from_dict(payload: dict) -> OperatorLibrary:
                 for k in ("pre", "post")
             )
             count = expect(entry["count"], int, "count")
-            op, key = _canonical_form(_entry_schema(name, params, pre, post, count))
+            op = _entry_schema(name, params, pre, post, count)
+            key, ordering = _canonical_order(op)
             if key in library.operators:
                 raise SchemaError(f"library file repeats operator {name!r} (key {key!r})")
-            merge(library, op, count)
+            merge(library, _renamed(op, ordering), count, key)
     return library
 
 

@@ -190,7 +190,7 @@ class ActionSchema:
                 f"cost of action {self.name!r} must be a positive integer, got {self.cost!r}"
             )
         if self.adds & self.dels:
-            raise ValidationError("effect adds and deletes the same atom")
+            raise InvalidEffect(f"action {self.name!r} adds and deletes the same atom")
         variables = [var for var, _ in self.params]
         if len(set(variables)) != len(variables):
             raise ValidationError(f"action {self.name!r} repeats a parameter: {variables}")

@@ -33,9 +33,7 @@ from .model import (
     read_json,
     satisfies,
 )
-from .planner import (
-    DEFAULT_NODE_LIMIT, GroundedAction, Plan, Task, check_heuristic, check_node_limit,
-)
+from .planner import DEFAULT_NODE_LIMIT, GroundedAction, Plan, Task, check_search_options
 
 DROP_EFFECTS = "drop_effects"
 PERTURB = "perturb"
@@ -114,8 +112,7 @@ class MonitorConfig:
         budget = self.max_replans
         if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
             raise ValidationError(f"max_replans must be a non-negative integer, got {budget!r}")
-        check_node_limit(self.node_limit)
-        check_heuristic(self.heuristic)
+        check_search_options(self.node_limit, self.heuristic)
 
 
 @dataclass(frozen=True)
@@ -243,8 +240,7 @@ def format_transcript(log: ExecutionLog) -> str:
             f"replan at step {ev.step}: {ev.reason} -> {len(ev.plan.actions)} actions, cost {ev.plan.total_cost}"
         )
     for rec in log.steps:
-        for note in by_step.pop(rec.step, []):
-            lines.append(note)
+        lines.extend(by_step.pop(rec.step, []))
         status = "ok" if not rec.discrepancy else f"diverged on {[repr(a) for a in rec.discrepancy]}"
         lines.append(f"step {rec.step}: {rec.action!r} ... {status}")
     for step in sorted(by_step):

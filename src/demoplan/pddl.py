@@ -27,12 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import (
-    EmptyDomain,
-    PddlSyntaxError,
-    UnsupportedFeature,
-    ValidationError,
-)
+from .errors import EmptyDomain, PddlSyntaxError, UnsupportedFeature, ValidationError
 from .learning import OperatorLibrary, fresh_name
 from .model import (
     ActionSchema,

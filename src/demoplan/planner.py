@@ -171,16 +171,13 @@ def task_from_docs(domain_doc, problem_doc) -> tuple[list[GroundedAction], State
     return actions, State.of(problem_doc.init), list(problem_doc.goal)
 
 
-def check_node_limit(node_limit: int) -> None:
-    """Reject a node limit that is not a non-negative integer."""
-    if isinstance(node_limit, bool) or not isinstance(node_limit, int) or node_limit < 0:
-        raise ValidationError(f"node limit must be a non-negative integer, got {node_limit!r}")
-
-
-def check_heuristic(heuristic: str) -> None:
-    """Reject a heuristic name that ``plan`` does not know."""
+def check_search_options(node_limit: int, heuristic: str) -> None:
+    """Reject a heuristic name that ``plan`` does not know, then a node limit
+    that is not a non-negative integer."""
     if heuristic not in ("none", "hmax"):
         raise ValidationError(f"unknown heuristic {heuristic!r}")
+    if isinstance(node_limit, bool) or not isinstance(node_limit, int) or node_limit < 0:
+        raise ValidationError(f"node limit must be a non-negative integer, got {node_limit!r}")
 
 
 class _Blockers(dict):
@@ -301,8 +298,7 @@ class Task:
         heuristic: str = "none",
     ) -> Optional[Plan]:
         """See ``plan``. The plan carries its proof, for ``rest_of``."""
-        check_heuristic(heuristic)
-        check_node_limit(node_limit)
+        check_search_options(node_limit, heuristic)
         goal = frozenset(goal)
         goal_pos = goal_neg = 0
         for lit in goal:

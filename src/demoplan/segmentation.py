@@ -2,7 +2,8 @@
 
 Each frame transition (from frame i-1 into frame i) is classified per actor by
 matching declarative rules against the state at frame i and the delta into it.
-The deltas are computed once per transition and shared by every actor.
+The deltas are computed once per transition and shared by every actor; a rule
+whose delta predicates did not occur in them, added or deleted, is skipped.
 Maximal runs of one label become segments.  A segment records ``start_frame``,
 the anchor frame *before* its first classified transition, and ``end_frame``,
 the frame reached by its last; operator extraction reads the precondition
@@ -143,11 +144,12 @@ def segment(trace: Trace, rules: Sequence[ClassifierRule]) -> list[Segment]:
     ``idle``; every maximal run of one label other than ``idle`` is a segment.
     """
     validate_rules(rules)
-    ordered = sorted(rules, key=lambda r: -r.priority)
+    ordered = [(r, {(c.positive, c.predicate) for c in r.conditions if c.scope == DELTA_SCOPE})
+               for r in sorted(rules, key=lambda r: -r.priority)]
     actors = [
         (obj.id, own)
         for obj in trace.objects
-        if (own := [r for r in ordered if trace.types.is_subtype(obj.type_id, r.actor_type)])
+        if (own := [p for p in ordered if trace.types.is_subtype(obj.type_id, p[0].actor_type)])
     ]
     if not actors:
         raise NoActorError(
@@ -156,11 +158,14 @@ def segment(trace: Trace, rules: Sequence[ClassifierRule]) -> list[Segment]:
         )
     states = [frame.true_atoms for frame in trace.frames]
     transitions = [(now, now - before, before - now) for before, now in zip(states, states[1:])]
+    changes = [{(True, a.name) for a in added} | {(False, a.name) for a in deleted}
+               for _, added, deleted in transitions]
     segments: list[Segment] = []
     for actor, own in actors:
         labels = (
-            next((r.name for r in own if _rule_fires(r, actor, *delta)), IDLE)
-            for delta in transitions
+            next((r.name for r, needs in own if needs <= changed and _rule_fires(r, actor, *delta)),
+                 IDLE)
+            for changed, delta in zip(changes, transitions)
         )
         start = 0
         for label, run in groupby(labels):

@@ -75,11 +75,9 @@ class Trace:
         object.__setattr__(self, "frames", tuple(self.frames))
         if len(self.frames) < 2:
             raise ValidationError(f"a trace needs at least 2 frames, got {len(self.frames)}")
-        last = self.frames[0].timestamp
-        for i, frame in enumerate(self.frames[1:], start=1):
-            if frame.timestamp < last:
+        for i in range(1, len(self.frames)):
+            if self.frames[i].timestamp < self.frames[i - 1].timestamp:
                 raise ValidationError("timestamps must be monotone non-decreasing", frame=i)
-            last = frame.timestamp
 
     @property
     def objects(self) -> list[ObjectInstance]:

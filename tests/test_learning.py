@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from demoplan import learning
-from demoplan.errors import NoEffectSegment, SchemaError, ValidationError
+from demoplan.errors import NoActorError, NoEffectSegment, SchemaError, ValidationError
 from demoplan.learning import (
     OperatorLibrary,
     build_library,
@@ -32,9 +32,16 @@ from demoplan.model import (
 )
 from demoplan.segmentation import DEFAULT_RULES, Segment, segment
 from demoplan.synth import GREEN, RED, RIGHT_HAND, TABLE, inject_flicker, stacking_demo
-from demoplan.traces import Frame, Trace, debounce, load_trace
+from demoplan.traces import DebounceConfig, Frame, Trace, debounce, load_trace
 
-from helpers import random_grounded_operator, random_library, random_trace, toy_schema, traces_st
+from helpers import (
+    random_grounded_operator,
+    random_library,
+    random_rule_table,
+    random_trace,
+    toy_schema,
+    traces_st,
+)
 from oracles import extract_reference, library_from_dict_reference, operators_equivalent
 
 
@@ -278,12 +285,14 @@ class TestCanonicalization:
 
     def test_key_is_computed_once_and_kept(self, monkeypatch, corpus_demos):
         """canonical_key reads, without a search, the key that the search of
-        the canonical form found; learning computes it once per operator."""
+        the canonical form found; learning hands that key to merge and never
+        computes it again."""
         _, table = toy_schema()
         rng = random.Random(5)
         for _ in range(40):
             grounded = random_grounded_operator(rng, "go")
-            op, key = learning._canonical_form(grounded)
+            key, ordering = learning._canonical_order(grounded)
+            op = learning._renamed(grounded, ordering)
             assert lift(grounded, table) == op
             assert canonical_key(op) == key
             # a schema built by hand has the same key; the cost takes no part
@@ -292,24 +301,24 @@ class TestCanonicalization:
         real = learning.canonical_key
         monkeypatch.setattr(learning, "canonical_key", lambda op: calls.append(op) or real(op))
         build_library([d.trace for d in corpus_demos], DEFAULT_RULES)
-        assert len(calls) == 90
+        assert calls == []
 
     def test_canonical_form_runs_once_per_operator(self, monkeypatch, corpus_demos, corpus_library):
-        calls = []
-        real = learning._canonical_form
-
-        def counting(*args):
-            calls.append(args[0])
-            return real(*args)
-
-        monkeypatch.setattr(learning, "_canonical_form", counting)
-        build_library([d.trace for d in corpus_demos], DEFAULT_RULES)
+        """One key search per segment or library entry; build_library renames
+        only an operator whose key is new, so once per operator."""
+        searches, renames = [], []
+        for name, calls in (("_canonical_order", searches), ("_renamed", renames)):
+            real = getattr(learning, name)
+            monkeypatch.setattr(learning, name,
+                                lambda *args, real=real, calls=calls: calls.append(1) or real(*args))
+        library = build_library([d.trace for d in corpus_demos], DEFAULT_RULES)
         segments = sum(len(d.segments) for d in corpus_demos)
         assert segments == 90
-        assert len(calls) == segments
-        calls.clear()
+        assert len(searches) == segments
+        assert len(renames) == len(library.operators) == 7
+        searches.clear()
         library_from_dict(library_to_dict(corpus_library))
-        assert len(calls) == len(corpus_library.operators) == 7
+        assert len(searches) == len(corpus_library.operators) == 7
 
 
 class TestLibrary:
@@ -375,6 +384,16 @@ class TestLibrary:
         assert (library.vocabulary, library.types) == before
 
 
+def _touching_six_objects(trace: Trace) -> Trace:
+    """A corpus trace whose segment ending after frame 9 also touches four
+    cubes and the other hand: six objects, one more than an operator may take."""
+    v = trace.vocabulary
+    extra = {v.atom("graspable", c) for c in ("Cube_red1", "Cube_green1", "Cube_blue1", "Cube_yellow1")}
+    extra.add(v.atom("inTouch", "Cube_yellow1", "Left_hand"))
+    frames = trace.frames[:9] + tuple(Frame(f.timestamp, f.true_atoms | extra) for f in trace.frames[9:])
+    return replace(trace, frames=frames)
+
+
 class TestLearning:
     def test_fixture_report(self, fixture_path):
         trace = load_trace(fixture_path)
@@ -413,18 +432,73 @@ class TestLearning:
         library = OperatorLibrary.empty(first.vocabulary, first.types)
         learn_from_trace(library, first, DEFAULT_RULES)
         before = library_to_dict(library)
-        # From frame 9 on, the actor's last segment also touches four cubes
-        # and the other hand: six objects, one more than an operator may take.
-        v = trace.vocabulary
-        cubes = ("Cube_red1", "Cube_green1", "Cube_blue1", "Cube_yellow1")
-        extra = {v.atom("graspable", c) for c in cubes}
-        extra.add(v.atom("inTouch", "Cube_yellow1", "Left_hand"))
-        frames = trace.frames[:9] + tuple(
-            Frame(f.timestamp, f.true_atoms | extra) for f in trace.frames[9:]
-        )
         with pytest.raises(ValidationError, match="touches 6 objects"):
-            learn_from_trace(library, replace(trace, frames=frames), DEFAULT_RULES)
+            learn_from_trace(library, _touching_six_objects(trace), DEFAULT_RULES)
         assert library_to_dict(library) == before
+
+    def test_a_trace_failing_after_known_operators_changes_no_count(self, corpus_demos):
+        """Three of the segments before the one that raises re-observe
+        operators the library holds, and one is new; no count moves, and every
+        operator stays the object it was."""
+        trace = corpus_demos[0].trace
+        library = OperatorLibrary()
+        learn_from_trace(library, trace, DEFAULT_RULES)
+        operators, counts = dict(library.operators), dict(library.counts)
+        bad = _touching_six_objects(trace)
+        cleaned = debounce(bad)
+        known = []
+        for seg in segment(cleaned, DEFAULT_RULES):
+            try:
+                known.append(learning._canonical_order(extract(cleaned, seg))[0] in operators)
+            except ValidationError:
+                break
+        assert known == [True, True, True, False]
+        with pytest.raises(ValidationError, match="touches 6 objects"):
+            learn_from_trace(library, bad, DEFAULT_RULES)
+        assert library.operators == operators
+        assert all(library.operators[key] is op for key, op in operators.items())
+        assert library.counts == counts
+
+    def test_learning_a_trace_folds_merge_over_its_lifted_segments(self, corpus_demos):
+        """learn_from_trace, which renames only new operators and hands merge
+        the key it searched, ends with the library that merging lift(extract(...))
+        of each segment, one by one, gives; or both raise the same error."""
+
+        def folded(library, trace, rules, config):
+            cleaned = debounce(trace, config)
+            lifted = []
+            for seg in segment(cleaned, rules):
+                try:
+                    lifted.append(lift(extract(cleaned, seg), cleaned.types))
+                except NoEffectSegment:
+                    pass
+            library.absorb_schema(trace.vocabulary, trace.types)
+            for op in lifted:
+                merge(library, op)
+
+        def outcome(learn, traces, rules, config):
+            library = OperatorLibrary()
+            try:
+                for trace in traces:
+                    learn(library, trace, rules, config)
+            except Exception as exc:  # compared, not swallowed
+                return type(exc), str(exc), library_to_dict(library)
+            return library_to_dict(library)
+
+        rng = random.Random(19)
+        runs = [([d.trace for d in corpus_demos], DEFAULT_RULES, DebounceConfig())]
+        runs += [([inject_flicker(d.trace, seed) for d in corpus_demos], DEFAULT_RULES, DebounceConfig())
+                 for seed in (1, 2)]
+        runs += [([random_trace(rng) for _ in range(rng.randint(1, 4))], random_rule_table(rng),
+                  DebounceConfig(rng.randint(1, 2))) for _ in range(300)]
+        first = corpus_demos[0].trace
+        runs.append(([first, _touching_six_objects(first)], DEFAULT_RULES, DebounceConfig()))
+        kinds = set()
+        for traces, rules, config in runs:
+            expected = outcome(folded, traces, rules, config)
+            assert outcome(learn_from_trace, traces, rules, config) == expected
+            kinds.add(expected[0] if isinstance(expected, tuple) else bool(expected["operators"]))
+        assert kinds == {True, False, NoActorError, ValidationError}
 
     def test_corpus_library_contents(self, corpus_library):
         names = corpus_library.variant_names()

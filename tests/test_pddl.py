@@ -5,6 +5,7 @@ import pytest
 from demoplan.errors import (
     EmptyDomain,
     InputError,
+    InvalidEffect,
     PddlSyntaxError,
     SchemaError,
     UnsupportedFeature,
@@ -556,7 +557,7 @@ READER_ERRORS = [
     ("effect symbol", "domain", _crane(_HOIST_EFF, "(and (lifted ?c) armfree)"), PddlSyntaxError,
      "expected a literal (line 14, column 30)"),
     ("add and delete", "domain", _crane(_HOIST_EFF, "(and (armfree) (not (armfree)))"),
-     ValidationError, "effect adds and deletes the same atom"),
+     InvalidEffect, "action 'hoist' adds and deletes the same atom"),
     ("duplicate parameter", "domain", _crane("(?c - crate)", "(?c ?c - crate)"),
      ValidationError, "action 'hoist' repeats a parameter: ['?c', '?c']"),
     ("contradictory precondition", "domain", _crane(_HOIST_PRE, "(and (armfree) (not (armfree)))"),

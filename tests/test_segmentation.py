@@ -234,6 +234,40 @@ def _outcome(function, trace, rules):
         return type(exc), str(exc)
 
 
+def _bent(rng, rule):
+    """``rule`` with each delta condition kept, renamed to a predicate no
+    vocabulary has, flipped in polarity, or given one argument more or less."""
+    conditions = []
+    for cond in rule.conditions:
+        bend = rng.choice(["keep", "absent", "flip", "arity"]) if cond.scope == DELTA_SCOPE else "keep"
+        if bend == "absent":
+            cond = LiteralPattern(DELTA_SCOPE, cond.positive, "absent", cond.args)
+        elif bend == "flip":
+            cond = LiteralPattern(DELTA_SCOPE, not cond.positive, cond.predicate, cond.args)
+        elif bend == "arity":
+            shorter = cond.args[-1:] not in [(), (ACTOR_VAR,)] and rng.random() < 0.5
+            args = cond.args[:-1] if shorter else (*cond.args, "?z")
+            cond = LiteralPattern(DELTA_SCOPE, cond.positive, cond.predicate, args)
+        conditions.append(cond)
+    return ClassifierRule(rule.name, rule.actor_type, rule.priority, tuple(conditions))
+
+
+def _filter_cases(trace, rules):
+    """Per transition and delta condition, which case of the delta-predicate
+    filter it meets, if any."""
+    states = [frame.true_atoms for frame in trace.frames]
+    for before, now in zip(states, states[1:]):
+        pools = {True: now - before, False: before - now}
+        for cond in (c for rule in rules for c in rule.conditions if c.scope == DELTA_SCOPE):
+            if cond.predicate not in trace.vocabulary:
+                yield "absent"
+            elif cond.predicate not in {a.name for a in pools[cond.positive]}:
+                if cond.predicate in {a.name for a in pools[not cond.positive]}:
+                    yield "opposite pool only"
+            elif len(cond.args) != trace.vocabulary.get(cond.predicate).arity:
+                yield "other arity"
+
+
 class TestReferenceParity:
     """``segment`` returns exactly what ``oracles.segment_reference`` does."""
 
@@ -247,15 +281,23 @@ class TestReferenceParity:
             assert segment(trace, DEFAULT_RULES) == segment_reference(trace, DEFAULT_RULES)
 
     def test_random_traces_and_rule_tables(self):
-        rng = random.Random(2024)
-        outcomes = Counter()
+        """Also with delta conditions bent so that the filter on delta
+        predicates decides: a predicate missing from the vocabulary, a
+        polarity flipped so it may have changed only the other way, and an
+        argument added or dropped so its arity differs from the signature's."""
+        rng, bend_rng = random.Random(2024), random.Random(19)
+        outcomes, bends = Counter(), Counter()
         for _ in range(1000):
             trace, rules = random_trace(rng), random_rule_table(rng)
             expected = _outcome(segment_reference, trace, rules)
             assert _outcome(segment, trace, rules) == expected
             outcomes[expected[0] if isinstance(expected, tuple) else bool(expected)] += 1
+            bent = [_bent(bend_rng, rule) for rule in rules]
+            assert _outcome(segment, trace, bent) == _outcome(segment_reference, trace, bent)
+            bends.update(_filter_cases(trace, bent))
         # the draws reach segments, no segments, and tables without an actor
         assert set(outcomes) == {True, False, NoActorError}
+        assert set(bends) == {"absent", "opposite pool only", "other arity"}
 
 
 class TestRuleFiles:
