@@ -30,8 +30,8 @@ from .learning import (
 )
 from .model import (
     Literal,
-    ObjectInstance,
     State,
+    TypeTable,
     Vocabulary,
     atom_from_list,
     atom_to_list,
@@ -91,18 +91,18 @@ def parse_literal_text(text: str, vocabulary: Vocabulary) -> Literal:
     return Literal(vocabulary.atom(name, *args), positive=not negated)
 
 
-def load_init(path, vocabulary: Vocabulary, types) -> tuple[list[ObjectInstance], State]:
-    """Read an initial-state file: {"objects": [{id,type}...], "atoms": [[...]...]}."""
+def load_init(path, vocabulary: Vocabulary, types: TypeTable) -> tuple[TypeTable, State]:
+    """Read an initial-state file: {"objects": [{id,type}...], "atoms": [[...]...]}.
+    Returns ``types`` with the file's objects added, and the state."""
 
-    def decode(payload) -> tuple[list[ObjectInstance], State]:
+    def decode(payload) -> tuple[TypeTable, State]:
         expect_keys(payload, "init file", "objects", "atoms")
-        objects = types_from_json(payload["objects"]).objects()
-        table = types.with_instances(objects)
+        table = types.with_instances(types_from_json(payload["objects"]).objects())
         entries = expect(payload["atoms"], list, "'atoms'")
         atoms = [atom_from_list(entry, vocabulary) for entry in entries]
         for atom in atoms:
             check_atom_types(atom, table)
-        return objects, State.of(atoms)
+        return table, State.of(atoms)
 
     return read_json(path, decode)
 
@@ -147,22 +147,20 @@ def _learn(args, library: OperatorLibrary) -> list[TraceReport]:
 
 
 def _library_task(args, library: OperatorLibrary):
-    """Objects, initial state, goal, and grounded actions from --init/--goal."""
-    objects, init = load_init(args.init, library.vocabulary, library.types)
+    """Object table, initial state, goal, and grounded actions from --init/--goal."""
+    table, init = load_init(args.init, library.vocabulary, library.types)
     if not args.goal:
         raise ValidationError("at least one --goal literal is required")
     goal = [parse_literal_text(text, library.vocabulary) for text in args.goal]
-    table = library.types.with_instances(objects)
     for literal in goal:
         check_atom_types(literal.atom, table)
     cost_model = None if args.unit_costs else derive_costs(library)
-    actions = ground(library, objects, cost_model)
-    return objects, init, goal, actions
+    actions = ground(library, table.objects(), cost_model)
+    return table, init, goal, actions
 
 
-def _execute(args, library, objects, init, goal, actions, plan_: Plan) -> ExecutionLog:
+def _execute(args, library, table, init, goal, actions, plan_: Plan) -> ExecutionLog:
     """Run a plan in a simulated world with the --faults script, replanning as needed."""
-    table = library.types.with_instances(objects)
     faults = load_faults(args.faults, library.vocabulary, table) if args.faults else []
     config = MonitorConfig(max_replans=args.max_replans, node_limit=args.node_limit,
                            heuristic=args.heuristic)
@@ -227,12 +225,12 @@ def cmd_plan(args) -> int:
 
 def cmd_execute(args) -> int:
     library = load_library(args.library)
-    objects, init, goal, actions = _library_task(args, library)
+    table, init, goal, actions = _library_task(args, library)
     plan_ = plan(actions, init, goal, node_limit=args.node_limit, heuristic=args.heuristic)
     if plan_ is None:
         print("no plan reaches the goal from the initial state")
         return EXIT_UNSOLVABLE
-    log = _execute(args, library, objects, init, goal, actions, plan_)
+    log = _execute(args, library, table, init, goal, actions, plan_)
     sys.stdout.write(format_transcript(log))
     if args.out:
         write_file(args.out, json_text(log_to_dict(log)))
@@ -252,8 +250,8 @@ def cmd_pipeline(args) -> int:
 
     costs = None if args.unit_costs else derive_costs(library).costs  # the ones the plan uses
     write_file(out / "domain.pddl", emit_domain(library, costs))
-    objects, init, goal, actions = _library_task(args, library)
-    write_file(out / "problem.pddl", emit_problem(library, objects, init, goal))
+    table, init, goal, actions = _library_task(args, library)
+    write_file(out / "problem.pddl", emit_problem(library, table.objects(), init, goal))
     print(f"pddl: {out / 'domain.pddl'}, {out / 'problem.pddl'}")
 
     plan_ = plan(actions, init, goal, node_limit=args.node_limit, heuristic=args.heuristic)
@@ -263,7 +261,7 @@ def cmd_pipeline(args) -> int:
         return EXIT_UNSOLVABLE
     print(f"plan: {len(plan_.actions)} steps, cost {plan_.total_cost} -> {out / 'plan.json'}")
 
-    log = _execute(args, library, objects, init, goal, actions, plan_)
+    log = _execute(args, library, table, init, goal, actions, plan_)
     write_file(out / "execution.json", json_text(log_to_dict(log)))
     write_file(out / "transcript.txt", format_transcript(log))
     print(f"execution: {log.outcome}" + (f" ({log.reason})" if log.reason else ""))

@@ -232,8 +232,7 @@ class OperatorLibrary:
         """Extend the library schema; conflicting declarations raise SchemaError
         and change nothing."""
         merged = self.vocabulary.merged(vocabulary)
-        hierarchy = TypeTable({}, types.type_to_parent, types.types)
-        self.types = self.types.merged(hierarchy)
+        self.types = self.types.merged(types)
         self.vocabulary = merged
 
     def _check_schema(self, op: ActionSchema) -> None:
@@ -264,7 +263,8 @@ def merge(library: OperatorLibrary, op: ActionSchema, count: int = 1, key: str |
 
 @dataclass
 class TraceReport:
-    """What cmd_learn did with one trace."""
+    """What learning one trace did: its segments, the canonical key of each operator
+    it added or re-observed, in segment order, and how many no-effect segments it dropped."""
 
     source: str
     segments: list[Segment] = field(default_factory=list)
@@ -298,28 +298,22 @@ def learn_from_trace(
             continue
         operators.append((grounded, *_canonical_order(grounded)))
     library.absorb_schema(trace.vocabulary, trace.types)
-    merged = []
     for grounded, key, ordering in operators:
         known = key in library.operators
         merge(library, grounded if known else _renamed(grounded, ordering), key=key)
-        merged.append((key, library.counts[key], known))
-    # Named once all are merged, so a later variant cannot rename a reported one.
-    names = library.variant_names()
-    for key, count, known in merged:
-        (report.incremented if known else report.added).append(f"{names[key]} (count {count})")
+        (report.incremented if known else report.added).append(key)
     return report
 
 
 def build_library(
     traces: Iterable[Trace],
     rules: Sequence[ClassifierRule],
-    debounce_config: DebounceConfig = DebounceConfig(),
 ) -> OperatorLibrary:
-    """Learn a fresh library from a sequence of traces."""
+    """Learn a fresh library from a sequence of traces, debounced by the default window."""
     library = OperatorLibrary()
     learned = 0
     for learned, trace in enumerate(traces, 1):
-        learn_from_trace(library, trace, rules, debounce_config)
+        learn_from_trace(library, trace, rules)
     if not learned:
         raise ValidationError("no traces supplied")
     return library

@@ -233,9 +233,6 @@ class TypeTable:
                     raise SchemaError(f"type hierarchy contains a cycle through {start!r}")
                 seen.add(cur)
 
-    def has_instance(self, obj_id: str) -> bool:
-        return obj_id in self.instance_to_type
-
     def type_of(self, obj_id: str) -> str:
         type_id = self.instance_to_type.get(obj_id)
         if type_id is None:
@@ -279,14 +276,14 @@ class TypeTable:
         return TypeTable(merged, self.type_to_parent, self.types)
 
     def merged(self, other: "TypeTable") -> "TypeTable":
-        table = self.with_instances(other.objects())
-        parents = dict(table.type_to_parent)
+        """This table with the types and parent links of ``other``, not its instances."""
+        parents = dict(self.type_to_parent)
         for child, parent in other.type_to_parent.items():
             known = parents.get(child)
             if known is not None and known != parent:
                 raise SchemaError(f"type {child!r} has conflicting parents {known!r} and {parent!r}")
             parents[child] = parent
-        return TypeTable(table.instance_to_type, parents, self.types | other.types)
+        return TypeTable(self.instance_to_type, parents, self.types | other.types)
 
 
 @dataclass(frozen=True, eq=True)
@@ -334,9 +331,9 @@ class Vocabulary:
 def check_atom_types(atom: GroundAtom, types: TypeTable) -> GroundAtom:
     """``atom`` if every argument is a declared object of a fitting type, else a ValidationError."""
     for arg, expected in zip(atom.args, atom.predicate.arg_types):
-        if not types.has_instance(arg):
+        actual = types.instance_to_type.get(arg)
+        if actual is None:
             raise ValidationError(f"{atom!r}: argument {arg!r} is not a declared object")
-        actual = types.instance_to_type[arg]
         if not types.is_subtype(actual, expected):
             raise ValidationError(
                 f"{atom!r}: argument {arg!r} has type {actual!r}, expected {expected!r}"

@@ -119,7 +119,6 @@ class MonitorConfig:
 class StepRecord:
     step: int
     action: GroundedAction
-    expected: State
     sensed: State
     discrepancy: tuple[GroundAtom, ...]
 
@@ -192,7 +191,7 @@ def execute(
         expected = apply(sim.current, action.adds, action.dels)
         sensed = sim.step(action, len(steps))
         delta = sorted(expected.true_atoms ^ sensed.true_atoms, key=GroundAtom.sort_key)
-        steps.append(StepRecord(len(steps), action, expected, sensed, tuple(delta)))
+        steps.append(StepRecord(len(steps), action, sensed, tuple(delta)))
         if delta:
             return f"state after {action!r} diverged on {delta}"
         queue.pop(0)

@@ -17,7 +17,8 @@ A domain document holds its actions as model.ActionSchema, the same form a
 library hands to the planner, so an emitted and re-parsed domain plans
 exactly like the library it came from. A problem is parsed against its
 domain: predicates, types and argument types all come from there. A problem
-may declare its own :requirements, which are checked as a domain's are.
+may declare its own :requirements, which are checked as a domain's are. Only
+:types, :predicates and :action sections may repeat; any other is an error.
 """
 
 from __future__ import annotations
@@ -395,8 +396,8 @@ def _read(
     unsupported: Collection[str] = (),
 ) -> tuple[str, dict[str, object]]:
     """Check ``(define (<kind> <name>) <section>...)`` and hand each section to
-    the reader for its head. Returns the name and, per head, what its reader
-    returned for the last section with that head."""
+    the reader for its head; only :types, :predicates and :action may repeat.
+    Returns the name and, per head, what its reader returned."""
     tree = _read_all(text)
     if _head(tree) != "define":
         raise _fail("expected (define ...)", tree)
@@ -406,6 +407,8 @@ def _read(
     found: dict[str, object] = {}
     for section in tree[2:]:
         head = _head(section)
+        if head in found and head not in (":types", ":predicates", ":action"):
+            raise _fail(f"repeated section {head!r}", section)
         if head in readers:
             found[head] = readers[head](section)
         elif head in unsupported:

@@ -189,10 +189,10 @@ def _pattern(scope: str, entry: list[str]) -> LiteralPattern:
     return LiteralPattern(scope, positive, body[0], tuple(body[1:]))
 
 
-def _rule(name: str, priority: int, conditions: Sequence[tuple[str, Sequence[str]]],
-          actor_type: str = "Hand") -> ClassifierRule:
+def _rule(name: str, priority: int,
+          conditions: Sequence[tuple[str, Sequence[str]]]) -> ClassifierRule:
     return ClassifierRule(
-        name, actor_type, priority,
+        name, "Hand", priority,
         tuple(_pattern(scope, entry) for scope, entry in conditions),
     )
 

@@ -16,8 +16,8 @@ from demoplan.cli import (
     parse_literal_text,
 )
 from demoplan.errors import ParseError, SchemaError
-from demoplan.learning import load_library
-from demoplan.model import Literal
+from demoplan.learning import OperatorLibrary, load_library
+from demoplan.model import Literal, ObjectInstance
 from demoplan.pddl import parse_domain
 from demoplan.segmentation import DEFAULT_RULES
 from demoplan.synth import stacking_types, stacking_vocabulary
@@ -110,8 +110,12 @@ class TestLiteralSyntax:
                 }
             )
         )
-        objects, init = load_init(path, stacking_vocabulary(), stacking_types())
-        assert [o.id for o in objects] == ["Cube_red1", "Table_1"]
+        library = OperatorLibrary.empty(stacking_vocabulary(), stacking_types())
+        table, init = load_init(path, library.vocabulary, library.types)
+        assert table.objects() == [
+            ObjectInstance("Cube_red1", "Wooden_cube"), ObjectInstance("Table_1", "Table"),
+        ]
+        assert table.type_to_parent == library.types.type_to_parent
         assert len(init.true_atoms) == 1
         path.write_text(json.dumps({"atoms": []}))
         with pytest.raises(ParseError):
@@ -165,6 +169,30 @@ class TestLearn:
         assert "0 new, 3 reobserved" in out
         library = load_library(lib)
         assert set(library.counts.values()) == {2}
+
+    def test_a_segment_with_no_effect_is_dropped(self, tmp_path, capsys):
+        """One rule label for both transitions of a hand that starts and
+        stops moving: the segment changes nothing, so it gives no operator."""
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({
+            "meta": {"demonstrator": "d", "scenario": "wiggle"},
+            "vocabulary": [{"name": "handMove", "arg_types": ["Hand"]}],
+            "objects": [{"id": "Right_hand", "type": "Hand"}],
+            "frames": [{"t": t, "atoms": atoms}
+                       for t, atoms in enumerate([[], [["handMove", "Right_hand"]], []])],
+        }))
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([
+            {"name": "wiggle", "actor_type": "Hand", "priority": priority,
+             "conditions": [{"scope": "delta", "literal": literal}]}
+            for priority, literal in ((2, ["handMove", "?actor"]), (1, ["!", "handMove", "?actor"]))
+        ]))
+        lib = tmp_path / "lib.json"
+        argv = ["learn", str(trace), "--rules", str(rules), "--debounce", "1", "--library", str(lib)]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"{trace}: 1 segments, 0 new, 0 reobserved, 1 dropped (no effect)"
+        assert out[-1] == f"library: 0 operators -> {lib}"
 
     def test_corpus_library_summary(self, workspace, capsys):
         lib = workspace / "again.json"
@@ -251,6 +279,13 @@ class TestPlan:
         for argv in cases:
             assert main(argv) == EXIT_INVALID
             capsys.readouterr()
+
+    def test_unit_costs_with_pddl_files_exits_3(self, workspace, capsys):
+        artifacts = workspace / "artifacts"
+        argv = ["plan", "--domain", str(artifacts / "domain.pddl"),
+                "--problem", str(artifacts / "problem.pddl"), "--unit-costs"]
+        assert main(argv) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: --unit-costs only applies to --library planning\n"
 
     def test_missing_file_exits_3(self, workspace, capsys):
         code = main(
@@ -389,6 +424,15 @@ class TestPipeline:
         assert "plan: 4 steps, cost 8" in out
         assert "execution: success" in out
 
+    def test_an_unsolvable_goal_writes_no_execution(self, workspace, capsys, tmp_path):
+        traces = sorted(str(p) for p in (workspace / "traces").glob("p1_*.json"))
+        code = main(["pipeline", *traces, "--init", str(workspace / "traces" / "init.json"),
+                     "--goal", IMPOSSIBLE_GOAL, "--out", str(tmp_path)])
+        assert code == EXIT_UNSOLVABLE
+        assert capsys.readouterr().out.splitlines()[-1] == "plan: goal is unsolvable"
+        assert json.loads((tmp_path / "plan.json").read_text()) == {"solvable": False}
+        assert not (tmp_path / "execution.json").exists()
+
     def test_unit_costs_reach_the_emitted_domain(self, workspace, capsys, tmp_path):
         traces = sorted(str(p) for p in (workspace / "traces").glob("p1_*.json"))
         code = main(
@@ -519,6 +563,15 @@ def _domain_cost_case(cost):
     return _learned_domain_case("(increase (total-cost) 13)", f"(increase (total-cost) {cost})")
 
 
+def _repeated_init_case(workspace, tmp_path):
+    """The emitted problem with a second :init, which must not replace the first."""
+    text = (workspace / "artifacts" / "problem.pddl").read_text()
+    path = tmp_path / "problem.pddl"
+    path.write_text(text.replace("  (:goal", "  (:init (handopen left_hand))\n  (:goal", 1))
+    return path, ["plan", "--domain", str(workspace / "artifacts" / "domain.pddl"),
+                  "--problem", str(path)]
+
+
 def _deep_trace_case(workspace, tmp_path):
     path = tmp_path / "trace.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
@@ -556,12 +609,14 @@ class TestMalformedInput:
              "action 'grasp' has contradictory preconditions"),
             (_learned_domain_case("(?h1 - hand ?w1", "(?h1 ?h1 - hand ?w1"),
              "action 'grasp' repeats a parameter"),
+            (_repeated_init_case, "repeated section ':init' (line 23, column 4)"),
         ],
         ids=["trace-t", "trace-types", "trace-meta", "trace-object-type", "rules-priority",
              "faults-adds", "library-directory", "domain-unbalanced", "domain-deep-nesting",
              "trace-deep-nesting", "trace-without-actor", "domain-cost-underscore",
              "domain-cost-plus", "domain-cost-arabic-indic-digit", "domain-type-cycle",
-             "domain-contradictory-precondition", "domain-duplicate-parameter"],
+             "domain-contradictory-precondition", "domain-duplicate-parameter",
+             "problem-repeated-init"],
     )
     def test_bad_file_exits_3_with_its_path(self, workspace, capsys, tmp_path, case, message):
         path, argv = case(workspace, tmp_path)

@@ -350,6 +350,18 @@ class TestLibrary:
         with pytest.raises(SchemaError):
             merge(library, op)
 
+    def test_merge_rejects_a_predicate_of_another_signature(self):
+        p = PredicateSignature("p", ("T",))
+        library = OperatorLibrary.empty(Vocabulary((p,)), TypeTable({}, {}, frozenset({"T", "U"})))
+        atom = GroundAtom(PredicateSignature("p", ("U",)), ("?u1",))
+        op = ActionSchema(
+            "visit", (("?u1", "U"),), frozenset([Literal(atom, False)]), frozenset([atom]), frozenset()
+        )
+        message = "^operator 'visit' disagrees with the library signature of 'p'$"
+        with pytest.raises(SchemaError, match=message):
+            merge(library, op)
+        assert library.operators == {}
+
     def test_variant_names_suffix_repeated_labels(self, corpus_library):
         names = sorted(corpus_library.variant_names().values())
         assert names == ["grasp", "place", "place_2", "put", "reach", "reach_2", "release"]
@@ -394,13 +406,19 @@ def _touching_six_objects(trace: Trace) -> Trace:
     return replace(trace, frames=frames)
 
 
+def _named(library: OperatorLibrary, keys: list[str]) -> list[str]:
+    """Each key of a TraceReport with the name and count the library ends with."""
+    names = library.variant_names()
+    return [f"{names[key]} (count {library.counts[key]})" for key in keys]
+
+
 class TestLearning:
     def test_fixture_report(self, fixture_path):
         trace = load_trace(fixture_path)
         library = OperatorLibrary.empty(trace.vocabulary, trace.types)
         report = learn_from_trace(library, trace, DEFAULT_RULES, source="fixture")
         assert report.source == "fixture"
-        assert report.added == ["put (count 1)", "place (count 1)", "release (count 1)"]
+        assert _named(library, report.added) == ["put (count 1)", "place (count 1)", "release (count 1)"]
         assert report.incremented == []
         assert report.dropped_no_effect == 0
         assert len(library.operators) == 3
@@ -411,21 +429,22 @@ class TestLearning:
         learn_from_trace(library, trace, DEFAULT_RULES)
         report = learn_from_trace(library, trace, DEFAULT_RULES)
         assert report.added == []
-        assert report.incremented == ["put (count 2)", "place (count 2)", "release (count 2)"]
+        assert _named(library, report.incremented) == [
+            "put (count 2)", "place (count 2)", "release (count 2)",
+        ]
 
     def test_report_uses_the_names_the_library_ends_with(self):
         """A variant merged later in the same trace may sort before one that
-        was already merged; the report names both as the library does."""
+        was already merged; the report's keys name both as the library does."""
         demo = stacking_demo("p9", RIGHT_HAND, ((RED, TABLE, GREEN), (RED, GREEN, TABLE)))
         library = OperatorLibrary.empty(demo.trace.vocabulary, demo.trace.types)
         report = learn_from_trace(library, demo.trace, DEFAULT_RULES)
-        names = library.variant_names()
-        assert sorted(label.split()[0] for label in report.added) == sorted(names.values())
-        assert report.added == [
-            "reach (count 1)", "grasp (count 1)", "put (count 1)", "place_2 (count 1)",
-            "release (count 1)", "reach_2 (count 1)", "put_2 (count 1)", "place (count 1)",
+        assert sorted(report.added) == sorted(library.operators)
+        assert _named(library, report.added) == [  # grasp and release are re-observed later
+            "reach (count 1)", "grasp (count 2)", "put (count 1)", "place_2 (count 1)",
+            "release (count 2)", "reach_2 (count 1)", "put_2 (count 1)", "place (count 1)",
         ]
-        assert report.incremented == ["grasp (count 2)", "release (count 2)"]
+        assert _named(library, report.incremented) == ["grasp (count 2)", "release (count 2)"]
 
     def test_a_failing_trace_leaves_the_library_unchanged(self, corpus_demos):
         first, trace = corpus_demos[1].trace, corpus_demos[0].trace
@@ -518,6 +537,18 @@ class TestLearning:
     def test_build_library_requires_traces(self):
         with pytest.raises(ValidationError, match="no traces supplied"):
             build_library([], DEFAULT_RULES)
+
+    def test_building_a_library_names_no_operator(self, monkeypatch, corpus_demos):
+        """A report holds keys, so learning leaves naming to whoever prints."""
+        calls = []
+        real = OperatorLibrary.variant_names
+        monkeypatch.setattr(OperatorLibrary, "variant_names", lambda self: calls.append(1) or real(self))
+        build_library([d.trace for d in corpus_demos], DEFAULT_RULES)
+        assert calls == []
+
+    def test_a_learned_library_holds_types_but_no_objects(self, corpus_library):
+        assert corpus_library.types.instance_to_type == {}
+        assert corpus_library.types.types == {"Hand", "Support", "Table", "Wooden_cube"}
 
     def test_an_empty_library_learns_what_one_holding_the_first_schema_learns(self, corpus_demos):
         clean = [d.trace for d in corpus_demos]

@@ -173,12 +173,17 @@ class TestTypeTable:
         b = TypeTable({}, {"Cube": "Solid"})
         with pytest.raises(SchemaError):
             a.merged(b)
-        merged = a.merged(TypeTable({"c1": "Cube"}))
-        assert merged.type_of("c1") == "Cube"
+        merged = a.merged(TypeTable({"c1": "Cube", "b1": "Ball"}))
+        assert merged.instance_to_type == {}
+        assert merged.declares("Ball")
         assert merged.is_subtype("Cube", "Thing")
 
 
 class TestVocabulary:
+    def test_a_predicate_needs_a_name(self):
+        with pytest.raises(SchemaError, match="predicate name must be nonempty"):
+            PredicateSignature("", ("Block",))
+
     def test_signatures_are_sorted_and_unique(self):
         vocab = Vocabulary((ON, CLEAR))
         assert [s.name for s in vocab.signatures] == ["clear", "on"]

@@ -223,6 +223,15 @@ class TestReporting:
             "outcome: success",
         ]
 
+    def test_a_replan_after_the_last_step_ends_the_transcript(self):
+        sim = WorldSim(State(), [Fault(0, PERTURB, frozenset([ON1, SPARE]))])
+        log = execute(Plan((SWITCH1,), 1), sim, [Literal(ON1)], ACTIONS)
+        assert format_transcript(log).splitlines() == [
+            "step 0: switch(l1) ... diverged on ['lit(l3)']",
+            "replan at step 1: state after switch(l1) diverged on [lit(l3)] -> 0 actions, cost 0",
+            "outcome: success",
+        ]
+
     def test_failure_transcript_names_the_reason(self):
         sim = WorldSim(State(), [Fault(0, DROP_EFFECTS)])
         log = execute(

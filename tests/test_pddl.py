@@ -12,7 +12,14 @@ from demoplan.errors import (
     ValidationError,
 )
 from demoplan.learning import OperatorLibrary, lift, merge
-from demoplan.model import ObjectInstance, TypeTable, read_file
+from demoplan.model import (
+    GroundAtom,
+    ObjectInstance,
+    PredicateSignature,
+    State,
+    TypeTable,
+    read_file,
+)
 from demoplan.pddl import (
     NameMap,
     _read_all,
@@ -128,6 +135,12 @@ class TestEmission:
         )
         assert text.endswith(")\n")
         assert text.count("(:action ") == 7
+
+    def test_problem_rejects_an_atom_of_another_signature(self, corpus_library):
+        odd = GroundAtom(PredicateSignature("handOpen", ("Wooden_cube",)), ("Cube_red1",))
+        goal = corpus_goals()["red_on_green"]
+        with pytest.raises(ValidationError, match="^signature mismatch for predicate 'handOpen'$"):
+            emit_problem(corpus_library, planning_objects(), State.of([odd]), goal)
 
     def test_problem_text_shape(self, corpus_library):
         goal = corpus_goals()["red_on_green"]
@@ -616,6 +629,12 @@ READER_ERRORS = [
      ValidationError, "goal must contain at least one literal"),
     ("goal name", "problem", _restack("(stacked c1 c2)", "(stacked c1 c9)"), ValidationError,
      "undeclared name 'c9' at 5:16"),
+    ("init repeated", "problem", _restack("(:goal", "(:init (armfree))\n  (:goal"), PddlSyntaxError,
+     "repeated section ':init' (line 5, column 4)"),
+    ("goal repeated", "problem", _restack("(:metric", "(:goal (armfree))\n  (:metric"),
+     PddlSyntaxError, "repeated section ':goal' (line 6, column 4)"),
+    ("requirements repeated", "domain", _crane("(:types", "(:requirements :strips)\n  (:types"),
+     PddlSyntaxError, "repeated section ':requirements' (line 3, column 4)"),
 ]
 
 

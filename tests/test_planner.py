@@ -478,6 +478,20 @@ class TestLazyHmax:
     def test_matches_eager_astar_on_corpus_goals(self, corpus_actions, name):
         _expands_like_the_reference(corpus_actions, initial_state(), corpus_goals()[name])
 
+    def test_a_cheaper_path_into_a_known_dead_end_is_dropped(self):
+        """{d} leaves the frontier first, through a_dead, with h_max infinite;
+        c_dead later reaches it more cheaply, and the search must skip it."""
+        a, d, g = _atom(0), _atom(1), _atom(2)
+        actions = [
+            _action("a_dead", [Literal(d, False), Literal(a, False)], [d], cost=5),
+            _action("b_go", [Literal(d, False)], [a]),
+            _action("c_dead", [Literal(a)], [d], [a]),
+            _action("d_goal", [Literal(a), Literal(d, False)], [g], cost=10),
+        ]
+        found = plan(actions, State(), [Literal(g)], heuristic="hmax")
+        assert [x.name for x in found.actions] == ["b_go", "d_goal"] and found.total_cost == 11
+        _expands_like_the_reference(actions, State(), [Literal(g)])
+
     def test_evaluates_at_most_half_the_states_eager_astar_does(self, corpus_actions, monkeypatch):
         eager, lazy = set(), []
         reference, compiled = oracles.hmax_reference, Task.hmax
