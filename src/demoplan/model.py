@@ -10,6 +10,7 @@ immutable value, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import json
+import os
 import reprlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -468,9 +469,23 @@ def read_file(path: str | Path, decode: Callable[[str], T]) -> T:
 
 
 def write_file(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, or raise an InputError naming it."""
+    """Write ``text`` to ``path`` as UTF-8, whole or not at all, or raise an
+    InputError naming it. The text goes to a new file in the target's
+    directory, which then takes an existing target's mode and replaces it."""
+    target = os.path.realpath(path)  # a symlink is written through, not replaced
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}")
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies
+        try:
+            with open(fd, "w", encoding="utf-8") as out:
+                out.write(text)
+            if os.path.exists(target):
+                os.chmod(temp, os.stat(target).st_mode & 0o7777)
+            os.replace(temp, target)
+        except BaseException:
+            os.unlink(temp)
+            raise
     except OSError as exc:
         raise InputError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 

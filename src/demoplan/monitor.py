@@ -33,7 +33,7 @@ from .model import (
     read_json,
     satisfies,
 )
-from .planner import DEFAULT_NODE_LIMIT, GroundedAction, Plan, Task, check_search_options
+from .planner import DEFAULT_NODE_LIMIT, GroundedAction, Plan, check_search_options, compiled
 
 DROP_EFFECTS = "drop_effects"
 PERTURB = "perturb"
@@ -152,16 +152,16 @@ def execute(
 ) -> ExecutionLog:
     """Run a plan to completion, replanning over ``actions`` on any surprise.
 
-    ``actions`` is compiled once, unless the plan's own task was compiled
-    from an equal list. A replan keeps the rest of the last searched plan
-    when the whole sensed state is on its predicted path and it was searched
-    on this task, for this goal, under ``config.heuristic``; otherwise, and
+    ``actions`` is compiled once, unless the plan's task or the one that
+    grounding left on the list was compiled from an equal list (``compiled``).
+    A replan keeps the rest of the last searched plan when the whole sensed
+    state is on its predicted path and it was searched on this task, for
+    this goal, under ``config.heuristic``; otherwise, and
     for a plan built by hand or copied, it searches (``Task.rest_of``). A
     kept rest expands no states: ``config.node_limit`` bounds searches only.
     """
     goal = frozenset(goal)
-    proof = initial_plan.proof
-    task = proof.task if proof and proof.task.source == tuple(actions) else Task(actions)
+    task = compiled(actions, initial_plan.proof and initial_plan.proof.task)
     proved, queue = initial_plan, list(initial_plan.actions)
     steps: list[StepRecord] = []
     replans: list[ReplanEvent] = []

@@ -618,13 +618,11 @@ def parse_problem(
     domain: DomainDoc,
     name_map: NameMap = NameMap(()),
 ) -> ProblemDoc:
-    """Parse a problem file, resolving predicates and types against its domain."""
+    """Parse a problem file for ``domain``, resolving predicates and types against it."""
     nm = name_map
     problem_name, found = _read(text, "problem", nm, {
         ":requirements": _requirements,
-        ":domain": lambda section: nm.orig(
-            _symbol(_only(section, "malformed :domain"), "domain name").text
-        ),
+        ":domain": lambda section: _symbol(_only(section, "malformed :domain"), "domain name"),
         ":objects": lambda section: _typed_list(section[1:], nm, "object"),
         ":init": lambda section: section[1:],
         ":goal": lambda section: _only(section, ":goal takes one formula"),
@@ -632,6 +630,12 @@ def parse_problem(
     })
     if ":init" not in found or ":goal" not in found:
         raise PddlSyntaxError("problem needs :init and :goal", line=1, column=1)
+    if ":domain" not in found:
+        raise ValidationError(f"problem needs a (:domain {domain.name}) section")
+    domain_name = nm.orig(found[":domain"].text)
+    if domain_name.lower() != domain.name.lower():  # PDDL names ignore case
+        raise ValidationError(f"problem is for domain {domain_name!r}, not {domain.name!r} at "
+                              + "%d:%d" % found[":domain"].place())
     objects = found.get(":objects", [])
     if len(set(o for o, _ in objects)) != len(objects):
         raise ValidationError("duplicate object declarations")
@@ -653,7 +657,7 @@ def parse_problem(
         raise ValidationError("goal must contain at least one literal")
     return ProblemDoc(
         name=problem_name,
-        domain_name=found.get(":domain", ""),
+        domain_name=domain.name,
         objects=tuple(sorted(objects)),
         init=tuple(sorted(set(init_atoms), key=GroundAtom.sort_key)),
         goal=tuple(sorted(set(goal), key=Literal.sort_key)),

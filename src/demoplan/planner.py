@@ -4,12 +4,16 @@ Costs come from observation counts: cost(op) = max_count - count(op) + 1, so
 the most frequently demonstrated operator costs 1 and rarities cost more.
 A learned library and a parsed PDDL domain both reach grounding as the same
 ActionSchema list (OperatorLibrary.schemas, DomainDoc.actions), so there is
-one grounding path. A grounded action set is compiled once to integer bitmasks over the atoms its
-actions mention; a goal literal on any other atom is static and is decided
-against the initial state before searching. Search is uniform-cost (A* with a
-zero heuristic) over closed-world states, with an optional admissible h_max
-heuristic that never changes the optimum cost; among equal-cost plans it may
-pick a different one than blind search, always the same one for a task.
+one grounding path. A grounded action set is compiled once to integer
+bitmasks over the atoms its actions mention; a goal literal on any other atom
+is static and is decided against the initial state before searching.
+Grounding compiles as it goes: it numbers each atom when it first builds it,
+once per binding prefix, and the list it returns carries the resulting Task,
+which plan() and the monitor use while the list is the one it was built from.
+Search is uniform-cost (A* with a zero heuristic) over closed-world states,
+with an optional admissible h_max heuristic that never changes the optimum
+cost; among equal-cost plans it may pick a different one than blind search,
+always the same one for a task.
 h_max is computed cost level by cost level on one bitmask of the facts (atom
 true, atom false) reachable so far, and lazily: once per state, when it leaves
 the frontier, in the expansion order an eager evaluation would give.
@@ -34,6 +38,8 @@ import itertools
 from bisect import insort
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidEffect, SearchLimitExceeded, ValidationError
@@ -100,71 +106,108 @@ class Plan:
             raise ValidationError("plan total_cost does not match its actions")
 
 
-def _templates(schema: ActionSchema) -> tuple:
-    """A schema's atoms as (predicate, positions) templates, position i
-    naming the object bound to parameter i. Returns (precondition templates
-    with polarities, add templates, delete templates)."""
-    position = {var: i for i, (var, _) in enumerate(schema.params)}
+class GroundedActions(list):
+    """A ground action list carrying ``task``, the Task its grounding compiled."""
 
-    def template(atom: GroundAtom) -> tuple:
-        return atom.predicate, tuple(position[arg] for arg in atom.args)
-
-    pre = [(template(l.atom), l.positive) for l in schema.pre]
-    adds = [template(a) for a in schema.adds]
-    dels = [template(a) for a in schema.dels]
-    return pre, adds, dels
+    task: "Task"
 
 
 def ground_schemas(
     schemas: Sequence[ActionSchema], objects: Iterable[ObjectInstance], types: TypeTable
-) -> list[GroundedAction]:
-    """All type-consistent bindings of distinct objects to the parameters.
-    Each distinct ground atom and literal is built once per call and shared
-    by every action that mentions it."""
-    table = types.with_instances(objects)
-    atoms: dict[tuple, GroundAtom] = {}
-    literals: dict[tuple, Literal] = {}
+) -> GroundedActions:
+    """All type-consistent bindings of distinct objects to the parameters, in
+    (name, objects) order, carrying the Task they compile to.
 
-    def atom(template: tuple, values: tuple) -> GroundAtom:
-        predicate, picks = template
-        key = (predicate, tuple([values[i] for i in picks]))
-        return atoms.get(key) or atoms.setdefault(key, GroundAtom(*key))
+    Parameters are bound depth first. An atom or literal is looked up by its
+    predicate and arguments when the deepest parameter it names is bound,
+    once per binding prefix that some action completes. Each distinct one is
+    built once per call, shared by every action that mentions it, and given
+    its Task bit when it is built. An action's sets and masks are unions of
+    its prefixes' parts.
+    """
+    instances_of = lru_cache(maxsize=None)(types.with_instances(objects).instances_of)
+    index: dict[GroundAtom, int] = {}
+    # predicate, or (predicate, polarity) -> {arguments: (atom or literal, its bit)}
+    built: dict[object, dict] = defaultdict(dict)
+    actions, masks = GroundedActions(), []
 
-    def literal(template: tuple, positive: bool, values: tuple) -> Literal:
-        key = (atom(template, values), positive)
-        return literals.get(key) or literals.setdefault(key, Literal(*key))
+    def extend(level: list, values: tuple, parts: tuple) -> tuple:
+        """``parts`` (pre, adds, dels, and the masks of the atoms needed true,
+        needed false, added and deleted) joined with ``level``'s."""
+        if not level:
+            return parts
+        found: tuple[list, ...] = ([], [], [], [])
+        bits = [*parts[3:]]
+        for lookup, get, slot, predicate, picks, positive in level:
+            key = get(values)
+            hit = lookup(key)
+            if hit is None:
+                hit = built[predicate].get(key)
+                if hit is None:
+                    atom = GroundAtom(predicate, tuple([values[i] for i in picks]))
+                    hit = built[predicate][key] = (atom, 1 << index.setdefault(atom, len(index)))
+                if positive is not None:
+                    hit = built[predicate, positive][key] = (Literal(hit[0], positive), hit[1])
+            found[slot].append(hit[0])
+            bits[slot] |= hit[1]
+        pre, adds, dels = parts[:3]
+        pre = pre.union(found[0], found[1]) if found[0] or found[1] else pre
+        adds = adds.union(found[2]) if found[2] else adds
+        return pre, adds, dels.union(found[3]) if found[3] else dels, *bits
 
-    actions = []
     for schema in sorted(schemas, key=lambda s: s.name):
-        candidates = [table.instances_of(type_id) for _, type_id in schema.params]
-        pre, adds, dels = _templates(schema)
-        for chosen in itertools.product(*candidates):
-            if len(set(chosen)) != len(chosen):
-                continue
-            actions.append(
-                GroundedAction(
-                    name=schema.name,
-                    objects=chosen,
-                    pre=frozenset([literal(t, positive, chosen) for t, positive in pre]),
-                    adds=frozenset([atom(t, chosen) for t in adds]),
-                    dels=frozenset([atom(t, chosen) for t in dels]),
-                    cost=schema.cost,
-                )
+        position = {var: i for i, (var, _) in enumerate(schema.params)}
+        width = len(position)
+        levels: list[list] = [[] for _ in range(width + 1)]  # by 1 + the deepest position named
+        for slot, atom, positive in (
+            *((1 - l.positive, l.atom, l.positive) for l in schema.pre),
+            *((2, a, None) for a in schema.adds),
+            *((3, a, None) for a in schema.dels),
+        ):
+            picks = tuple([position[arg] for arg in atom.args])
+            get = itemgetter(*picks) if picks else lambda values: ()
+            lookup = built[atom.predicate if positive is None else (atom.predicate, positive)].get
+            levels[max(picks, default=-1) + 1].append(
+                (lookup, get, slot, atom.predicate, picks, positive)
             )
-    return sorted(actions, key=GroundedAction.sort_key)
+        candidates = [instances_of(type_id) for _, type_id in schema.params]
+        # stack[j + 1]: the parts of the binding prefix of length j, once an action needs them
+        stack = [(frozenset(), frozenset(), frozenset(), 0, 0, 0, 0)]
+
+        def bind(values: tuple) -> None:
+            depth = len(values)
+            if depth < width:
+                for obj in candidates[depth]:
+                    if obj not in values:
+                        del stack[depth + 2 :]
+                        bind(values + (obj,))
+                return
+            for j in range(len(stack) - 1, width + 1):
+                stack.append(extend(levels[j], values, stack[-1]))
+            actions.append(GroundedAction(schema.name, values, *stack[-1][:3], schema.cost))
+            masks.append(stack[-1][3:])
+
+        bind(())
+        del bind  # bind names itself: end that cycle, or it keeps the tables until a GC pass
+    if len({s.name for s in schemas}) < len(schemas):  # equal names: restore the tie-break order
+        order = sorted(range(len(actions)), key=lambda i: actions[i].sort_key())
+        actions[:], masks = [actions[i] for i in order], [masks[i] for i in order]
+    actions.task = Task.__new__(Task)
+    actions.task._compile(tuple(actions), tuple(actions), index, masks)
+    return actions
 
 
 def ground(
     library: OperatorLibrary,
     objects: Iterable[ObjectInstance],
     cost_model: Optional[CostModel] = None,
-) -> list[GroundedAction]:
+) -> GroundedActions:
     """Ground every operator of a library; unit costs if no model is given."""
     costs = None if cost_model is None else cost_model.costs
     return ground_schemas(library.schemas(costs), objects, library.types)
 
 
-def task_from_docs(domain_doc, problem_doc) -> tuple[list[GroundedAction], State, list[Literal]]:
+def task_from_docs(domain_doc, problem_doc) -> tuple[GroundedActions, State, list[Literal]]:
     """Ground a parsed domain against a parsed problem."""
     objects = [ObjectInstance(o, t) for o, t in problem_doc.objects]
     actions = ground_schemas(domain_doc.actions, objects, domain_doc.types)
@@ -201,7 +244,8 @@ class Task:
     """A grounded action set compiled to bitmasks once, then searched many times.
 
     Actions are kept in (name, objects) order, the tie-break order. Each of
-    the n atoms an action mentions gets one bit; any other atom is static.
+    the n atoms an action mentions gets one bit, in an order that no answer
+    depends on; any other atom is static.
     A fact is a literal: bit i says atom i is true, bit n + i that it is false.
     A set of actions is a mask with bit a for action a. Compiling is the one
     check of an action list: overlapping effects, contradictory preconditions
@@ -209,24 +253,38 @@ class Task:
     """
 
     def __init__(self, actions: Iterable[GroundedAction]):
-        self.source = tuple(actions)  # as given, to tell which list was compiled
-        self.actions = sorted(self.source, key=GroundedAction.sort_key)
-        self.index: dict[GroundAtom, int] = {}
+        source = tuple(actions)  # as given, to tell which list was compiled
+        ordered = sorted(source, key=GroundedAction.sort_key)
+        index: dict[GroundAtom, int] = {}
+
+        def bits(atoms: Iterable[GroundAtom]) -> int:
+            m = 0
+            for atom in atoms:
+                m |= 1 << index.setdefault(atom, len(index))
+            return m
+
         masks = [
             (
-                self._bits(l.atom for l in action.pre if l.positive),
-                self._bits(l.atom for l in action.pre if not l.positive),
-                self._bits(action.adds),
-                self._bits(action.dels),
+                bits(l.atom for l in action.pre if l.positive),
+                bits(l.atom for l in action.pre if not l.positive),
+                bits(action.adds),
+                bits(action.dels),
             )
-            for action in self.actions
+            for action in ordered
         ]
-        n = self.n = len(self.index)
+        self._compile(source, ordered, index, masks)
+
+    def _compile(self, source: tuple, actions: Sequence, index: dict, masks: list) -> None:
+        """The compile tail that ``Task(actions)`` and grounding share: ``masks``
+        holds each action's (atoms needed true, needed false, added, deleted)
+        under the atom bits ``index``, in ``actions``' order."""
+        self.source, self.actions, self.index = source, actions, index
+        n = self.n = len(index)
         self.all_atoms = (1 << n) - 1
         # (precondition facts, add, del, cost) per action, and its delete
         # relaxation (precondition facts, effect facts, cost) for h_max.
         self.ops = []
-        for (pos, neg, add, dele), action in zip(masks, self.actions):
+        for (pos, neg, add, dele), action in zip(masks, actions):
             if add & dele:
                 raise InvalidEffect(f"action {action.name!r} adds and deletes the same atom")
             if pos & neg:
@@ -238,20 +296,18 @@ class Task:
         # The actions that need atom i true (needs[i]) and false (forbids[i]).
         needs, forbids = [0] * n, [0] * n
         for ai, (pos, neg, _, _) in enumerate(masks):
-            for atoms, table in ((pos, needs), (neg, forbids)):
-                while atoms:
-                    low = atoms & -atoms
-                    table[low.bit_length() - 1] |= 1 << ai
-                    atoms ^= low
-        self.all_actions = (1 << len(self.actions)) - 1
+            bit = 1 << ai
+            while pos:
+                low = pos & -pos
+                needs[low.bit_length() - 1] |= bit
+                pos ^= low
+            while neg:
+                low = neg & -neg
+                forbids[low.bit_length() - 1] |= bit
+                neg ^= low
+        self.all_actions = (1 << len(actions)) - 1
         pairs = list(zip(needs, forbids))
         self.blockers = [(shift, _Blockers(pairs[shift : shift + 8])) for shift in range(0, n, 8)]
-
-    def _bits(self, atoms: Iterable[GroundAtom]) -> int:
-        m = 0
-        for atom in atoms:
-            m |= 1 << self.index.setdefault(atom, len(self.index))
-        return m
 
     def applicable(self, state: int) -> int:
         """The mask of actions whose preconditions hold in ``state``."""
@@ -411,7 +467,17 @@ def plan(
     ``init`` before any search, and so is a goal whose h_max from ``init`` is
     infinite. Raises SearchLimitExceeded after expanding ``node_limit`` states.
     """
-    return Task(actions).search(init, goal, node_limit, heuristic)
+    return compiled(actions).search(init, goal, node_limit, heuristic)
+
+
+def compiled(actions: Sequence[GroundedAction], *known: Optional[Task]) -> Task:
+    """The first of ``known`` and the task that ``actions`` carries from
+    grounding whose source equals ``actions``, else a new Task of it."""
+    source = tuple(actions)
+    for task in (*known, getattr(actions, "task", None)):
+        if task is not None and task.source == source:
+            return task
+    return Task(source)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,10 @@ FIXTURE_PATH = Path(__file__).parent / "data" / "put_fixture.json"
 
 @pytest.fixture
 def task_calls(monkeypatch):
-    """How often a Task is compiled ("__init__") and searched ("search")
-    while the test runs."""
+    """How often a Task is compiled ("_compile", by ``Task(actions)`` or by
+    grounding) and searched ("search") while the test runs."""
     calls = Counter()
-    for name in ("__init__", "search"):
+    for name in ("_compile", "search"):
         original = getattr(Task, name)
 
         def counted(self, *args, _original=original, _name=name, **kwargs):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -353,7 +354,7 @@ class TestExecute:
         assert main(self._execute_args(workspace, "--faults", str(faults))) == EXIT_OK
         # the dropped step leaves the world on the plan's path, so the one
         # replan keeps the rest of the plan instead of searching
-        assert task_calls == {"__init__": 1, "search": 1}
+        assert task_calls == {"_compile": 1, "search": 1}
 
     def test_non_integer_fault_step_exits_3(self, workspace, capsys, tmp_path):
         faults = tmp_path / "faults.json"
@@ -563,13 +564,22 @@ def _domain_cost_case(cost):
     return _learned_domain_case("(increase (total-cost) 13)", f"(increase (total-cost) {cost})")
 
 
-def _repeated_init_case(workspace, tmp_path):
-    """The emitted problem with a second :init, which must not replace the first."""
-    text = (workspace / "artifacts" / "problem.pddl").read_text()
-    path = tmp_path / "problem.pddl"
-    path.write_text(text.replace("  (:goal", "  (:init (handopen left_hand))\n  (:goal", 1))
-    return path, ["plan", "--domain", str(workspace / "artifacts" / "domain.pddl"),
-                  "--problem", str(path)]
+def _problem_case(old, new):
+    """The emitted problem with its first ``old`` replaced by ``new``."""
+
+    def case(workspace, tmp_path):
+        text = (workspace / "artifacts" / "problem.pddl").read_text()
+        assert old in text
+        path = tmp_path / "problem.pddl"
+        path.write_text(text.replace(old, new, 1))
+        return path, ["plan", "--domain", str(workspace / "artifacts" / "domain.pddl"),
+                      "--problem", str(path)]
+
+    return case
+
+
+# a second :init must not replace the first
+_repeated_init_case = _problem_case("  (:goal", "  (:init (handopen left_hand))\n  (:goal")
 
 
 def _deep_trace_case(workspace, tmp_path):
@@ -610,13 +620,16 @@ class TestMalformedInput:
             (_learned_domain_case("(?h1 - hand ?w1", "(?h1 ?h1 - hand ?w1"),
              "action 'grasp' repeats a parameter"),
             (_repeated_init_case, "repeated section ':init' (line 23, column 4)"),
+            (_problem_case("(:domain learned)", "(:domain blocksworld)"),
+             "problem is for domain 'blocksworld', not 'learned' at 2:12"),
+            (_problem_case("  (:domain learned)\n", ""), "problem needs a (:domain learned) section"),
         ],
         ids=["trace-t", "trace-types", "trace-meta", "trace-object-type", "rules-priority",
              "faults-adds", "library-directory", "domain-unbalanced", "domain-deep-nesting",
              "trace-deep-nesting", "trace-without-actor", "domain-cost-underscore",
              "domain-cost-plus", "domain-cost-arabic-indic-digit", "domain-type-cycle",
              "domain-contradictory-precondition", "domain-duplicate-parameter",
-             "problem-repeated-init"],
+             "problem-repeated-init", "problem-other-domain", "problem-without-domain"],
     )
     def test_bad_file_exits_3_with_its_path(self, workspace, capsys, tmp_path, case, message):
         path, argv = case(workspace, tmp_path)
@@ -734,6 +747,34 @@ class TestUnwritableOutput:
         # nothing reports operators as learned when they were never saved
         assert "segments" not in captured.out and captured.out == ""
         assert not target.exists()
+
+    @pytest.mark.parametrize("failure", ["file size limit", "replace"])
+    def test_a_failed_save_leaves_the_old_library_whole(self, workspace, capsys, tmp_path,
+                                                        monkeypatch, failure):
+        traces = [str(p) for p in sorted((workspace / "traces").glob("p1_*.json"))]
+        library = tmp_path / "library.json"
+        assert main(["learn", *traces, "--library", str(library)]) == EXIT_OK
+        before = library.read_bytes()
+        argv = ["learn", *traces, "--library", str(library)]
+        if failure == "replace":
+            def replace(*args):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(os, "replace", replace)
+            assert main(argv) == EXIT_INVALID
+            err = capsys.readouterr().err
+        else:  # the limit holds in the child process only
+            resource = pytest.importorskip("resource")
+            limit = len(before) // 2
+            proc = subprocess.run(
+                [sys.executable, "-m", "demoplan", *argv], capture_output=True, text=True,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+            )
+            assert proc.returncode == EXIT_INVALID and proc.stdout == ""
+            err = proc.stderr
+        assert err.startswith(f"error: {library}: cannot write: ")
+        assert library.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["library.json"]  # no temporary file left
 
     def test_artifact_directory_that_is_a_file(self, capsys, tmp_path):
         blocker = tmp_path / "taken"

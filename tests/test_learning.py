@@ -396,12 +396,14 @@ class TestLibrary:
         assert (library.vocabulary, library.types) == before
 
 
-def _touching_six_objects(trace: Trace) -> Trace:
+def _touching(trace: Trace, objects: int) -> Trace:
     """A corpus trace whose segment ending after frame 9 also touches four
-    cubes and the other hand: six objects, one more than an operator may take."""
+    cubes, so five objects with its hand, the most an operator may take;
+    for six it also touches the other hand."""
     v = trace.vocabulary
     extra = {v.atom("graspable", c) for c in ("Cube_red1", "Cube_green1", "Cube_blue1", "Cube_yellow1")}
-    extra.add(v.atom("inTouch", "Cube_yellow1", "Left_hand"))
+    if objects == 6:
+        extra.add(v.atom("inTouch", "Cube_yellow1", "Left_hand"))
     frames = trace.frames[:9] + tuple(Frame(f.timestamp, f.true_atoms | extra) for f in trace.frames[9:])
     return replace(trace, frames=frames)
 
@@ -452,8 +454,17 @@ class TestLearning:
         learn_from_trace(library, first, DEFAULT_RULES)
         before = library_to_dict(library)
         with pytest.raises(ValidationError, match="touches 6 objects"):
-            learn_from_trace(library, _touching_six_objects(trace), DEFAULT_RULES)
+            learn_from_trace(library, _touching(trace, 6), DEFAULT_RULES)
         assert library_to_dict(library) == before
+
+    def test_an_operator_may_touch_five_objects_but_not_six(self, corpus_demos):
+        trace = corpus_demos[0].trace
+        library = OperatorLibrary()
+        learn_from_trace(library, _touching(trace, 5), DEFAULT_RULES)
+        assert max(len(op.params) for op in library.operators.values()) == learning.MAX_PARAMS == 5
+        with pytest.raises(ValidationError) as info:
+            learn_from_trace(OperatorLibrary(), _touching(trace, 6), DEFAULT_RULES)
+        assert str(info.value) == "operator 'release' touches 6 objects; only 5 supported"
 
     def test_a_trace_failing_after_known_operators_changes_no_count(self, corpus_demos):
         """Three of the segments before the one that raises re-observe
@@ -463,7 +474,7 @@ class TestLearning:
         library = OperatorLibrary()
         learn_from_trace(library, trace, DEFAULT_RULES)
         operators, counts = dict(library.operators), dict(library.counts)
-        bad = _touching_six_objects(trace)
+        bad = _touching(trace, 6)
         cleaned = debounce(bad)
         known = []
         for seg in segment(cleaned, DEFAULT_RULES):
@@ -511,7 +522,7 @@ class TestLearning:
         runs += [([random_trace(rng) for _ in range(rng.randint(1, 4))], random_rule_table(rng),
                   DebounceConfig(rng.randint(1, 2))) for _ in range(300)]
         first = corpus_demos[0].trace
-        runs.append(([first, _touching_six_objects(first)], DEFAULT_RULES, DebounceConfig()))
+        runs.append(([first, _touching(first, 6)], DEFAULT_RULES, DebounceConfig()))
         kinds = set()
         for traces, rules, config in runs:
             expected = outcome(folded, traces, rules, config)

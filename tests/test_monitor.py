@@ -25,8 +25,15 @@ from demoplan.monitor import (
     load_faults,
     log_to_dict,
 )
-from demoplan.planner import GroundedAction, Plan, plan
-from demoplan.synth import TABLE, YELLOW, corpus_goals, initial_state, stacking_vocabulary
+from demoplan.planner import GroundedAction, Plan, derive_costs, ground, plan
+from demoplan.synth import (
+    TABLE,
+    YELLOW,
+    corpus_goals,
+    initial_state,
+    planning_objects,
+    stacking_vocabulary,
+)
 
 from helpers import random_planning_instance
 
@@ -388,7 +395,17 @@ class TestKeepingTheRestOfAPlan:
         # an equal action list, not the same one, still shares the compiled task
         log = execute(first, WorldSim(State(), [Fault(0, DROP_EFFECTS)]), BOTH_GOAL, list(ACTIONS))
         assert log.succeeded and log.replans[0].plan == first
-        assert task_calls == {"__init__": 1, "search": 1}
+        assert task_calls == {"_compile": 1, "search": 1}
+
+    def test_ground_plan_plan_execute_compiles_once(self, corpus_library, task_calls):
+        """The task grounding compiled serves both plans and every replan."""
+        actions = ground(corpus_library, planning_objects(), derive_costs(corpus_library))
+        goal = corpus_goals()["tower_blue_red_green"]
+        first = plan(actions, initial_state(), goal)
+        assert plan(actions, initial_state(), goal, heuristic="hmax").total_cost == first.total_cost
+        log = execute(first, WorldSim(initial_state(), [Fault(1, DROP_EFFECTS)]), goal, actions)
+        assert log.succeeded and log.replans
+        assert task_calls == {"_compile": 1, "search": 2}
 
     @pytest.mark.parametrize(
         "case", ["built", "copied", "other goal", "other heuristic", "other actions"]

@@ -575,6 +575,8 @@ READER_ERRORS = [
      ValidationError, "action 'hoist' repeats a parameter: ['?c', '?c']"),
     ("contradictory precondition", "domain", _crane(_HOIST_PRE, "(and (armfree) (not (armfree)))"),
      ValidationError, "action 'hoist' has contradictory preconditions"),
+    ("action name only", "domain", _crane("(:action drop-onto", "(:action foo)\n  (:action drop-onto"),
+     PddlSyntaxError, "action needs :parameters, :precondition and :effect (line 16, column 4)"),
     ("cost fluent", "domain", _crane("(increase (total-cost) 2)", "(increase (fuel) 2)"),
      UnsupportedFeature, "only (increase (total-cost) n) is supported (14:47)"),
     ("cost value", "domain", _crane("(increase (total-cost) 2)", "(increase (total-cost) (2))"),
@@ -591,6 +593,10 @@ READER_ERRORS = [
      "malformed :domain (line 2, column 4)"),
     ("domain name", "problem", _restack("(:domain crane)", "(:domain (crane))"), PddlSyntaxError,
      "expected domain name (line 2, column 13)"),
+    ("other domain", "problem", _restack("(:domain crane)", "(:domain blocksworld)"),
+     ValidationError, "problem is for domain 'blocksworld', not 'crane' at 2:12"),
+    ("domain missing", "problem", _restack("  (:domain crane)\n", ""), ValidationError,
+     "problem needs a (:domain crane) section"),
     ("object name", "problem", _restack("(:objects c1", "(:objects (c1)"), PddlSyntaxError,
      "expected object name (line 3, column 14)"),
     ("object type missing", "problem", _restack("c1 c2 - crate", "c1 c2 -"), PddlSyntaxError,
@@ -636,6 +642,13 @@ READER_ERRORS = [
     ("requirements repeated", "domain", _crane("(:types", "(:requirements :strips)\n  (:types"),
      PddlSyntaxError, "repeated section ':requirements' (line 3, column 4)"),
 ]
+
+
+def test_a_problem_names_its_domain_in_any_case():
+    domain = parse_domain(CRANE_DOMAIN)
+    assert parse_problem(_restack("(:domain crane)", "(:domain CRANE)"), domain) == parse_problem(
+        CRANE_PROBLEM, domain
+    )
 
 
 def test_problem_requirements_are_read_and_ignored():

@@ -1,4 +1,7 @@
+import gc
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +14,7 @@ from demoplan.model import (
     ActionSchema,
     GroundAtom,
     Literal,
+    ObjectInstance,
     PredicateSignature,
     State,
     TypeTable,
@@ -28,6 +32,7 @@ from demoplan.planner import (
     GroundedAction,
     Plan,
     Task,
+    compiled,
     derive_costs,
     ground,
     ground_schemas,
@@ -38,6 +43,7 @@ from demoplan.planner import (
 from demoplan.synth import (
     BLUE,
     GREEN,
+    RED,
     corpus_goals,
     initial_state,
     planning_objects,
@@ -142,6 +148,45 @@ def test_derive_costs_of_empty_library_is_empty():
     assert derive_costs(library).costs == {}
 
 
+_PARENTS = {"Cube": "Block", "Block": "Thing", "Zone": "Thing"}
+_SIGNATURES = [
+    PredicateSignature("on", ("Block", "Thing")),
+    PredicateSignature("clear", ("Thing",)),
+    PredicateSignature("at", ("Robot", "Zone")),
+    PredicateSignature("free", ()),
+]
+
+
+def _random_schemas(rng: random.Random) -> tuple[list[ActionSchema], int]:
+    """Up to four schemas of 0 to 3 parameters over ``_PARENTS``' types, whose
+    atoms draw their arguments from the parameters, so that nullary atoms and
+    atoms repeating a parameter occur; names repeat on purpose. Also returns
+    how many drawn schemas ActionSchema rejected for contradictory preconditions."""
+    schemas, rejected = [], 0
+    for _ in range(rng.randint(0, 4)):
+        params = tuple(
+            (f"?p{i}", rng.choice(["Cube", "Block", "Thing", "Zone", "Robot"]))
+            for i in range(rng.randint(0, 3))
+        )
+        terms = [v for v, _ in params]
+        usable = [sig for sig in _SIGNATURES if terms or not sig.arity]
+
+        def atom():
+            sig = rng.choice(usable)
+            return GroundAtom(sig, tuple(rng.choice(terms) for _ in sig.arg_types))
+
+        pre = frozenset(Literal(atom(), rng.random() < 0.6) for _ in range(rng.randint(0, 4)))
+        adds = frozenset(atom() for _ in range(rng.randint(0, 2)))
+        dels = frozenset(atom() for _ in range(rng.randint(0, 2))) - adds
+        name = rng.choice(["move", "push", "wait"])
+        try:
+            schemas.append(ActionSchema(name, params, pre, adds, dels, rng.randint(1, 3)))
+        except ValidationError as exc:
+            assert "contradictory preconditions" in str(exc)
+            rejected += 1
+    return schemas, rejected
+
+
 class TestGrounding:
     def _schema(self):
         sig = PredicateSignature("linked", ("Node", "Node"))
@@ -182,40 +227,13 @@ class TestGrounding:
         with a subtype chain in play. Equal atoms must be one object. Atom
         arguments are drawn from the parameters; a schema that ActionSchema
         rejects (a precondition required true and false) is counted."""
-        parents = {"Cube": "Block", "Block": "Thing", "Zone": "Thing"}
         table = TypeTable({"c1": "Cube", "c2": "Cube", "b1": "Block", "z1": "Zone",
-                           "r1": "Robot"}, parents)
-        signatures = [
-            PredicateSignature("on", ("Block", "Thing")),
-            PredicateSignature("clear", ("Thing",)),
-            PredicateSignature("at", ("Robot", "Zone")),
-            PredicateSignature("free", ()),
-        ]
+                           "r1": "Robot"}, _PARENTS)
         rng = random.Random(707)
         outcomes = {"equal": 0, "rejected": 0}
         for _ in range(1000):
-            schemas = []
-            for _ in range(rng.randint(0, 4)):
-                params = tuple(
-                    (f"?p{i}", rng.choice(["Cube", "Block", "Thing", "Zone", "Robot"]))
-                    for i in range(rng.randint(0, 3))
-                )
-                terms = [v for v, _ in params]
-                usable = [sig for sig in signatures if terms or not sig.arity]
-
-                def atom():
-                    sig = rng.choice(usable)
-                    return GroundAtom(sig, tuple(rng.choice(terms) for _ in sig.arg_types))
-
-                pre = frozenset(Literal(atom(), rng.random() < 0.6) for _ in range(rng.randint(0, 4)))
-                adds = frozenset(atom() for _ in range(rng.randint(0, 2)))
-                dels = frozenset(atom() for _ in range(rng.randint(0, 2))) - adds
-                name = rng.choice(["move", "push", "wait"])  # names repeat on purpose
-                try:
-                    schemas.append(ActionSchema(name, params, pre, adds, dels, rng.randint(1, 3)))
-                except ValidationError as exc:
-                    assert "contradictory preconditions" in str(exc)
-                    outcomes["rejected"] += 1
+            schemas, rejected = _random_schemas(rng)
+            outcomes["rejected"] += rejected
             args = (schemas, [], table)
             expected = ground_reference(*args)
             found = ground_schemas(*args)
@@ -236,6 +254,105 @@ class TestGrounding:
             "grasp", "place", "place_2", "put", "reach", "reach_2", "release",
         ]
         assert all(s.cost == 1 for s in schemas)
+
+
+def _has_dead_prefix(schema: ActionSchema, table: TypeTable) -> bool:
+    """Whether some injective, type-consistent binding of the first
+    parameters of ``schema`` completes to no action."""
+    candidates = [table.instances_of(type_id) for _, type_id in schema.params]
+
+    def injective(depth):
+        return {c for c in itertools.product(*candidates[:depth]) if len(set(c)) == depth}
+
+    complete = {c[:depth] for c in injective(len(candidates)) for depth in range(len(candidates))}
+    return any(injective(depth) - complete for depth in range(len(candidates)))
+
+
+class TestCarriedTask:
+    """ground_schemas numbers atoms as it builds them and hands back the Task
+    it compiled; that task must answer every search as compiling the list
+    afresh does, and plan() and execute() must use it only while the list is
+    the one it was compiled from."""
+
+    def test_answers_as_a_fresh_compile_on_random_schemas(self, monkeypatch):
+        expansions = []
+        applicable = Task.applicable
+        monkeypatch.setattr(
+            Task, "applicable", lambda task, state: expansions.append(state) or applicable(task, state)
+        )
+        rng = random.Random(808)
+        pool = [("c1", "Cube"), ("c2", "Cube"), ("c3", "Cube"), ("b1", "Block"), ("b2", "Block"),
+                ("t1", "Thing"), ("z1", "Zone"), ("r1", "Robot"), ("r2", "Robot")]
+        seen = Counter()
+        for _ in range(300):
+            schemas = _random_schemas(rng)[0]
+            objects = [ObjectInstance(*o) for o in pool if rng.random() < 0.5]
+            table = TypeTable({}, _PARENTS).with_instances(objects)
+            actions = ground_schemas(schemas, objects, TypeTable({}, _PARENTS))
+            carried, fresh = actions.task, Task(list(actions))
+            assert carried is not fresh and list(carried.actions) == fresh.actions == actions
+            assert set(carried.index) == set(fresh.index)  # no atom of a dead prefix gets a bit
+            atoms = [
+                GroundAtom(sig, args)
+                for sig in _SIGNATURES
+                for args in itertools.product(*(table.instances_of(t) for t in sig.arg_types))
+            ]
+            init = State.of(a for a in atoms if rng.random() < 0.3)
+            goal = [Literal(a, rng.random() < 0.7) for a in rng.sample(atoms, min(len(atoms), 3))]
+            for heuristic in ("none", "hmax"):
+                answers = []
+                for task in (carried, fresh):
+                    expansions.clear()
+                    try:
+                        found = task.search(init, goal, node_limit=3000, heuristic=heuristic)
+                    except SearchLimitExceeded:
+                        found = "node limit"
+                    answers.append((found, len(expansions)))
+                assert answers[0] == answers[1]
+                seen["solved"] += answers[0][0] not in (None, "node limit")
+            lifted = [a for s in schemas for a in (*(l.atom for l in s.pre), *s.adds, *s.dels)]
+            seen["dead prefix"] += any(_has_dead_prefix(s, table) for s in schemas)
+            seen["zero parameters"] += any(not s.params for s in schemas)
+            seen["nullary atom"] += any(not a.args for a in lifted)
+            seen["atom repeating a parameter"] += any(len(set(a.args)) < len(a.args) for a in lifted)
+            seen["subtype instance bound"] += any(
+                table.type_of(obj) != type_id
+                for s in schemas
+                for a in ground_schemas([s], objects, table)
+                for obj, (_, type_id) in zip(a.objects, s.params)
+            )
+            seen["goal on an atom no action mentions"] += any(l.atom not in fresh.index for l in goal)
+        assert len(seen) == 7 and min(seen.values()) >= 10, seen
+
+    def test_an_edited_list_is_compiled_afresh(self, corpus_library, task_calls):
+        actions = ground(corpus_library, planning_objects(), derive_costs(corpus_library))
+        goal = corpus_goals()["red_on_green"]
+        assert task_calls["_compile"] == 1 and compiled(actions) is actions.task
+        on_green = stacking_vocabulary().atom("onTop", RED, GREEN)
+        teleport = GroundedAction("teleport", (RED,), frozenset(), frozenset([on_green]), frozenset())
+        actions.append(teleport)
+        assert plan(actions, initial_state(), goal).actions == (teleport,)
+        assert task_calls["_compile"] == 2
+        actions.remove(teleport)  # equal to the grounded list again
+        assert plan(actions, initial_state(), goal).total_cost == 16
+        assert task_calls["_compile"] == 2
+        del actions[0]
+        assert plan(actions, initial_state(), goal) == plan(list(actions), initial_state(), goal)
+        assert task_calls["_compile"] == 4
+
+    def test_grounding_leaves_no_garbage_cycle(self, corpus_library):
+        # A cycle would keep a request's atom tables alive until a collector
+        # pass, and so make request times depend on when that pass runs.
+        costs = derive_costs(corpus_library)
+        gc.collect()
+        gc.disable()
+        try:
+            actions = ground(corpus_library, planning_objects(), costs)
+            plan(actions, initial_state(), corpus_goals()["red_on_green"])
+            del actions
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSearch:
