@@ -97,7 +97,7 @@ def load_init(path, vocabulary: Vocabulary, types: TypeTable) -> tuple[TypeTable
 
     def decode(payload) -> tuple[TypeTable, State]:
         expect_keys(payload, "init file", "objects", "atoms")
-        table = types.with_instances(types_from_json(payload["objects"]).objects())
+        table = types.with_instances(types_from_json(payload["objects"], {}, []).objects())
         entries = expect(payload["atoms"], list, "'atoms'")
         atoms = [atom_from_list(entry, vocabulary) for entry in entries]
         for atom in atoms:

@@ -374,7 +374,7 @@ def library_from_dict(payload: dict) -> OperatorLibrary:
     expect_keys(payload, "library", "vocabulary", "types", "operators")
     vocabulary = vocabulary_from_json(payload["vocabulary"])
     raw_types = expect(payload["types"], dict, "library 'types'")
-    types = types_from_json([], raw_types.get("parents"), raw_types.get("all"))
+    types = types_from_json([], raw_types.get("parents", {}), raw_types.get("all", []))
 
     library = OperatorLibrary(vocabulary=vocabulary, types=types)
     decode = once_per_entry(lambda entry: literal_from_list(entry, vocabulary))

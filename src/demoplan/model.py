@@ -433,9 +433,9 @@ def objects_to_json(objects: Iterable[ObjectInstance]) -> list[dict]:
     return [{"id": o.id, "type": o.type_id} for o in objects]
 
 
-def types_from_json(objects: Any, parents: Any = None, types: Any = None) -> TypeTable:
-    """A type table from an ``objects`` list of {"id", "type"} entries, an
-    optional ``parents`` map from type to parent type, and extra type names."""
+def types_from_json(objects: Any, parents: Any, types: Any) -> TypeTable:
+    """A type table from an ``objects`` list of {"id", "type"} entries, a
+    ``parents`` map from type to parent type, and a list of extra type names."""
     instance_to_type = {}
     for i, entry in enumerate(expect(objects, list, "'objects'")):
         expect_keys(entry, f"object {i}", "id", "type")
@@ -443,10 +443,10 @@ def types_from_json(objects: Any, parents: Any = None, types: Any = None) -> Typ
         if obj_id in instance_to_type:
             raise ValidationError(f"duplicate object id {obj_id!r}")
         instance_to_type[obj_id] = expect(entry["type"], str, f"object {i} 'type'")
-    parents = expect(parents or {}, dict, "'parents'")
+    parents = expect(parents, dict, "'parents'")
     for child, parent in parents.items():
         expect(parent, str, f"parent of type {child!r}")
-    return TypeTable(instance_to_type, parents, frozenset(_strings(types or [], "type names")))
+    return TypeTable(instance_to_type, parents, frozenset(_strings(types, "type names")))
 
 
 # Every input file is read through read_file, so a file that cannot be read,

@@ -63,7 +63,7 @@ class Fault:
 
 def faults_from_list(raw: object, vocabulary: Vocabulary, types: TypeTable) -> list[Fault]:
     if isinstance(raw, dict):
-        raw = raw.get("faults", [])
+        raw = expect_keys(raw, "fault file", "faults")["faults"]
     faults = []
     for i, entry in enumerate(expect(raw, list, "fault file")):
         with located(f"fault record {i}"):
@@ -147,21 +147,20 @@ def execute(
     initial_plan: Plan,
     sim: WorldSim,
     goal: Sequence[Literal],
-    actions: Sequence[GroundedAction],
+    actions: Iterable[GroundedAction],
     config: MonitorConfig = MonitorConfig(),
 ) -> ExecutionLog:
     """Run a plan to completion, replanning over ``actions`` on any surprise.
 
-    ``actions`` is compiled once, unless the plan's task or the one that
-    grounding left on the list was compiled from an equal list (``compiled``).
+    ``actions`` is compiled once unless it is a Task already (``compiled``).
     A replan keeps the rest of the last searched plan when the whole sensed
-    state is on its predicted path and it was searched on this task, for
-    this goal, under ``config.heuristic``; otherwise, and
-    for a plan built by hand or copied, it searches (``Task.rest_of``). A
-    kept rest expands no states: ``config.node_limit`` bounds searches only.
+    state is on its predicted path and it was searched on equal actions, for
+    this goal, under ``config.heuristic``; otherwise, and for a plan built by
+    hand or copied, it searches (``Task.rest_of``). A kept rest expands no
+    states: ``config.node_limit`` bounds searches only.
     """
     goal = frozenset(goal)
-    task = compiled(actions, initial_plan.proof and initial_plan.proof.task)
+    task = compiled(actions)
     proved, queue = initial_plan, list(initial_plan.actions)
     steps: list[StepRecord] = []
     replans: list[ReplanEvent] = []

@@ -8,8 +8,8 @@ one grounding path. A grounded action set is compiled once to integer
 bitmasks over the atoms its actions mention; a goal literal on any other atom
 is static and is decided against the initial state before searching.
 Grounding compiles as it goes: it numbers each atom when it first builds it,
-once per binding prefix, and the list it returns carries the resulting Task,
-which plan() and the monitor use while the list is the one it was built from.
+once per binding prefix, and returns the resulting Task, which plan() and the
+monitor use as it is; any other action list is compiled on each call.
 Search is uniform-cost (A* with a zero heuristic) over closed-world states,
 with an optional admissible h_max heuristic that never changes the optimum
 cost; among equal-cost plans it may pick a different one than blind search,
@@ -90,7 +90,7 @@ class GroundedAction:
         return f"{self.name}({','.join(self.objects)})"
 
 
-Proof = namedtuple("Proof", "task goal heuristic start")
+Proof = namedtuple("Proof", "actions goal heuristic start")
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,11 @@ class Plan:
             raise ValidationError("plan total_cost does not match its actions")
 
 
-class GroundedActions(list):
-    """A ground action list carrying ``task``, the Task its grounding compiled."""
-
-    task: "Task"
-
-
 def ground_schemas(
     schemas: Sequence[ActionSchema], objects: Iterable[ObjectInstance], types: TypeTable
-) -> GroundedActions:
-    """All type-consistent bindings of distinct objects to the parameters, in
-    (name, objects) order, carrying the Task they compile to.
+) -> Task:
+    """The Task of all type-consistent bindings of distinct objects to the
+    parameters, in (name, objects) order.
 
     Parameters are bound depth first. An atom or literal is looked up by its
     predicate and arguments when the deepest parameter it names is bound,
@@ -129,7 +123,7 @@ def ground_schemas(
     index: dict[GroundAtom, int] = {}
     # predicate, or (predicate, polarity) -> {arguments: (atom or literal, its bit)}
     built: dict[object, dict] = defaultdict(dict)
-    actions, masks = GroundedActions(), []
+    actions, masks = [], []
 
     def extend(level: list, values: tuple, parts: tuple) -> tuple:
         """``parts`` (pre, adds, dels, and the masks of the atoms needed true,
@@ -192,22 +186,22 @@ def ground_schemas(
     if len({s.name for s in schemas}) < len(schemas):  # equal names: restore the tie-break order
         order = sorted(range(len(actions)), key=lambda i: actions[i].sort_key())
         actions[:], masks = [actions[i] for i in order], [masks[i] for i in order]
-    actions.task = Task.__new__(Task)
-    actions.task._compile(tuple(actions), tuple(actions), index, masks)
-    return actions
+    task = Task.__new__(Task)
+    task._compile(tuple(actions), index, masks)
+    return task
 
 
 def ground(
     library: OperatorLibrary,
     objects: Iterable[ObjectInstance],
     cost_model: Optional[CostModel] = None,
-) -> GroundedActions:
+) -> Task:
     """Ground every operator of a library; unit costs if no model is given."""
     costs = None if cost_model is None else cost_model.costs
     return ground_schemas(library.schemas(costs), objects, library.types)
 
 
-def task_from_docs(domain_doc, problem_doc) -> tuple[GroundedActions, State, list[Literal]]:
+def task_from_docs(domain_doc, problem_doc) -> tuple[Task, State, list[Literal]]:
     """Ground a parsed domain against a parsed problem."""
     objects = [ObjectInstance(o, t) for o, t in problem_doc.objects]
     actions = ground_schemas(domain_doc.actions, objects, domain_doc.types)
@@ -253,8 +247,7 @@ class Task:
     """
 
     def __init__(self, actions: Iterable[GroundedAction]):
-        source = tuple(actions)  # as given, to tell which list was compiled
-        ordered = sorted(source, key=GroundedAction.sort_key)
+        ordered = tuple(sorted(actions, key=GroundedAction.sort_key))
         index: dict[GroundAtom, int] = {}
 
         def bits(atoms: Iterable[GroundAtom]) -> int:
@@ -272,13 +265,13 @@ class Task:
             )
             for action in ordered
         ]
-        self._compile(source, ordered, index, masks)
+        self._compile(ordered, index, masks)
 
-    def _compile(self, source: tuple, actions: Sequence, index: dict, masks: list) -> None:
+    def _compile(self, actions: tuple, index: dict, masks: list) -> None:
         """The compile tail that ``Task(actions)`` and grounding share: ``masks``
         holds each action's (atoms needed true, needed false, added, deleted)
         under the atom bits ``index``, in ``actions``' order."""
-        self.source, self.actions, self.index = source, actions, index
+        self.actions, self.index = actions, index
         n = self.n = len(index)
         self.all_atoms = (1 << n) - 1
         # (precondition facts, add, del, cost) per action, and its delete
@@ -308,6 +301,12 @@ class Task:
         self.all_actions = (1 << len(actions)) - 1
         pairs = list(zip(needs, forbids))
         self.blockers = [(shift, _Blockers(pairs[shift : shift + 8])) for shift in range(0, n, 8)]
+
+    def __len__(self) -> int:
+        return len(self.actions)
+
+    def __iter__(self):
+        return iter(self.actions)
 
     def applicable(self, state: int) -> int:
         """The mask of actions whose preconditions hold in ``state``."""
@@ -412,7 +411,7 @@ class Task:
                         steps.append(self.actions[ai])
                     steps.reverse()
                     found = Plan(tuple(steps), g)
-                    object.__setattr__(found, "proof", Proof(self, goal, heuristic, init))
+                    object.__setattr__(found, "proof", Proof(self.actions, goal, heuristic, init))
                     return found
                 expanded += 1
                 if expanded > node_limit:
@@ -439,10 +438,10 @@ class Task:
         return None
 
     def rest_of(self, plan_: Plan, state: State, goal: frozenset, heuristic: str) -> Optional[Plan]:
-        """The rest of ``plan_`` from ``state``, if this task searched it for
-        ``goal`` under ``heuristic`` and ``state`` is on its predicted path,
-        else None. Costs do not depend on the state, so the rest is optimal."""
-        if plan_.proof is None or plan_.proof[:3] != (self, frozenset(goal), heuristic):
+        """The rest of ``plan_`` from ``state`` if it was searched over equal
+        actions, for ``goal`` under ``heuristic``, and ``state`` is on its
+        predicted path, else None. Costs do not depend on the state, so it is optimal."""
+        if plan_.proof is None or plan_.proof[:3] != (self.actions, frozenset(goal), heuristic):
             return None
         path = itertools.accumulate(
             plan_.actions, lambda at, a: apply(at, a.adds, a.dels), initial=plan_.proof.start
@@ -455,7 +454,7 @@ class Task:
 
 
 def plan(
-    actions: Sequence[GroundedAction],
+    actions: Iterable[GroundedAction],
     init: State,
     goal: Iterable[Literal],
     node_limit: int = DEFAULT_NODE_LIMIT,
@@ -470,14 +469,9 @@ def plan(
     return compiled(actions).search(init, goal, node_limit, heuristic)
 
 
-def compiled(actions: Sequence[GroundedAction], *known: Optional[Task]) -> Task:
-    """The first of ``known`` and the task that ``actions`` carries from
-    grounding whose source equals ``actions``, else a new Task of it."""
-    source = tuple(actions)
-    for task in (*known, getattr(actions, "task", None)):
-        if task is not None and task.source == source:
-            return task
-    return Task(source)
+def compiled(actions: Iterable[GroundedAction]) -> Task:
+    """``actions`` if it is already a Task, else a new Task of it."""
+    return actions if isinstance(actions, Task) else Task(actions)
 
 
 @dataclass(frozen=True)

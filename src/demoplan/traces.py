@@ -96,8 +96,8 @@ class Trace:
 def trace_from_dict(payload: dict) -> Trace:
     expect_keys(payload, "trace", "vocabulary", "objects", "frames")
     vocabulary = vocabulary_from_json(payload["vocabulary"])
-    extra = expect(payload.get("types") or {}, dict, "'types'")
-    types = types_from_json(payload["objects"], extra.get("parents"))
+    extra = expect(payload.get("types", {}), dict, "'types'")
+    types = types_from_json(payload["objects"], extra.get("parents", {}), [])
 
     decode = once_per_entry(lambda entry: check_atom_types(atom_from_list(entry, vocabulary), types))
     frames = []
@@ -115,7 +115,7 @@ def trace_from_dict(payload: dict) -> Trace:
             atoms.add(atom)
         frames.append(Frame(float(timestamp), frozenset(atoms)))
 
-    meta = expect(payload.get("meta") or {}, dict, "'meta'")
+    meta = expect(payload.get("meta", {}), dict, "'meta'")
     return Trace(
         vocabulary=vocabulary,
         types=types,

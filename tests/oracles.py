@@ -484,8 +484,8 @@ def trace_from_dict_reference(payload):
     entry of every frame anew."""
     expect_keys(payload, "trace", "vocabulary", "objects", "frames")
     vocabulary = vocabulary_from_json(payload["vocabulary"])
-    extra = expect(payload.get("types") or {}, dict, "'types'")
-    types = types_from_json(payload["objects"], extra.get("parents"))
+    extra = expect(payload.get("types", {}), dict, "'types'")
+    types = types_from_json(payload["objects"], extra.get("parents", {}), [])
     frames = []
     for i, raw in enumerate(expect(payload["frames"], list, "'frames'")):
         expect_keys(raw, f"frame {i}", "t", "atoms")
@@ -501,7 +501,7 @@ def trace_from_dict_reference(payload):
                 raise ValidationError(str(exc), frame=i, atom=repr(entry)) from exc
             atoms.add(atom)
         frames.append(Frame(float(timestamp), frozenset(atoms)))
-    meta = expect(payload.get("meta") or {}, dict, "'meta'")
+    meta = expect(payload.get("meta", {}), dict, "'meta'")
     return Trace(
         vocabulary=vocabulary,
         types=types,
@@ -555,7 +555,8 @@ def library_from_dict_reference(payload):
     """``learning.library_from_dict`` for a well-formed payload: every
     literal entry decoded anew and every entry renamed into canonical form."""
     vocabulary = vocabulary_from_json(payload["vocabulary"])
-    types = types_from_json([], payload["types"].get("parents"), payload["types"].get("all"))
+    raw_types = payload["types"]
+    types = types_from_json([], raw_types.get("parents", {}), raw_types.get("all", []))
     library = OperatorLibrary(vocabulary=vocabulary, types=types)
     for entry in payload["operators"]:
         pre, post = (

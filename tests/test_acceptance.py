@@ -9,6 +9,7 @@ meaningful even if the unit suites are refactored.
 
 import random
 import time
+from pathlib import Path
 
 from demoplan.cli import main
 from demoplan.learning import (
@@ -278,6 +279,17 @@ def test_execution_recovers_from_dropped_effects(corpus_actions):
     assert starved.reason == "replan budget exhausted"
     assert log_to_dict(run(0)) == log_to_dict(starved)
     print("acceptance: a dropped effect costs one replan; a zero budget fails loud")
+
+
+def test_the_readme_library_api_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "\nassert " in example
+    namespace = {}
+    exec(compile(example, "README.md, Library API", "exec"), namespace)  # its asserts must hold
+    assert namespace["result"].total_cost == 16
+    print("acceptance: the README's Library API example runs and its assert holds")
 
 
 def test_library_is_order_invariant_and_additive(corpus_demos, corpus_library):

@@ -525,12 +525,17 @@ def _rules_case(workspace, tmp_path):
                   "--library", str(tmp_path / "library.json")]
 
 
-def _faults_case(workspace, tmp_path):
-    path = tmp_path / "faults.json"
-    path.write_text(json.dumps([{"step": 1, "mode": "perturb", "adds": [{"a": 1}]}]))
-    return path, ["execute", "--library", str(workspace / "library.json"),
-                  "--init", str(workspace / "traces" / "init.json"), "--goal", GOAL,
-                  "--faults", str(path)]
+def _faults_case(payload):
+    """An execute run with ``payload`` as its fault file."""
+
+    def case(workspace, tmp_path):
+        path = tmp_path / "faults.json"
+        path.write_text(json.dumps(payload))
+        return path, ["execute", "--library", str(workspace / "library.json"),
+                      "--init", str(workspace / "traces" / "init.json"), "--goal", GOAL,
+                      "--faults", str(path)]
+
+    return case
 
 
 def _library_directory_case(workspace, tmp_path):
@@ -599,10 +604,15 @@ class TestMalformedInput:
              "frame 0 't' must be a number, got 'abc'"),
             (_trace_case(lambda p: p.update(types="x")), "'types' must be an object, got 'x'"),
             (_trace_case(lambda p: p.update(meta="x")), "'meta' must be an object, got 'x'"),
+            (_trace_case(lambda p: p.update(meta=[])), "'meta' must be an object, got []"),
+            (_trace_case(lambda p: p.update(types=[])), "'types' must be an object, got []"),
             (_trace_case(lambda p: p["objects"].append({"id": "H2", "type": 3})),
              "'type' must be a string, got 3"),
             (_rules_case, "rule 0: 'priority' must be an integer, got 'x'"),
-            (_faults_case, "fault record 0: atom entry must be a list of strings"),
+            (_faults_case([{"step": 1, "mode": "perturb", "adds": [{"a": 1}]}]),
+             "fault record 0: atom entry must be a list of strings"),
+            (_faults_case({"fault": [{"step": 1, "mode": "drop_effects"}]}),
+             "fault file is missing required key 'faults'"),
             (_library_directory_case, "cannot read"),
             (_domain_case("(define (domain learned)\n  (:requirements :strips\n"),
              "unbalanced parenthesis (line 2, column 3)"),
@@ -624,8 +634,9 @@ class TestMalformedInput:
              "problem is for domain 'blocksworld', not 'learned' at 2:12"),
             (_problem_case("  (:domain learned)\n", ""), "problem needs a (:domain learned) section"),
         ],
-        ids=["trace-t", "trace-types", "trace-meta", "trace-object-type", "rules-priority",
-             "faults-adds", "library-directory", "domain-unbalanced", "domain-deep-nesting",
+        ids=["trace-t", "trace-types", "trace-meta", "trace-meta-empty-list",
+             "trace-types-empty-list", "trace-object-type", "rules-priority", "faults-adds",
+             "faults-key", "library-directory", "domain-unbalanced", "domain-deep-nesting",
              "trace-deep-nesting", "trace-without-actor", "domain-cost-underscore",
              "domain-cost-plus", "domain-cost-arabic-indic-digit", "domain-type-cycle",
              "domain-contradictory-precondition", "domain-duplicate-parameter",

@@ -392,10 +392,10 @@ class TestKeepingTheRestOfAPlan:
 
     def test_a_dropped_effect_keeps_the_rest_of_the_plan(self, task_calls):
         first = plan(ACTIONS, State(), BOTH_GOAL)
-        # an equal action list, not the same one, still shares the compiled task
+        # an equal action list, not the same one, is compiled again but keeps the rest
         log = execute(first, WorldSim(State(), [Fault(0, DROP_EFFECTS)]), BOTH_GOAL, list(ACTIONS))
         assert log.succeeded and log.replans[0].plan == first
-        assert task_calls == {"_compile": 1, "search": 1}
+        assert task_calls == {"_compile": 2, "search": 1}
 
     def test_ground_plan_plan_execute_compiles_once(self, corpus_library, task_calls):
         """The task grounding compiled serves both plans and every replan."""

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -220,7 +221,7 @@ class TestGrounding:
         assert len(corpus_actions) == 88
         # grounding is sorted and deterministic
         again = ground(corpus_library, planning_objects(), derive_costs(corpus_library))
-        assert again == corpus_actions
+        assert again.actions == corpus_actions.actions
 
     def test_matches_the_substituting_reference_on_random_schemas(self):
         """Template grounding must give the reference's actions in its order,
@@ -236,8 +237,8 @@ class TestGrounding:
             outcomes["rejected"] += rejected
             args = (schemas, [], table)
             expected = ground_reference(*args)
-            found = ground_schemas(*args)
-            assert found == expected
+            found = ground_schemas(*args).actions
+            assert list(found) == expected
             assert [(a.name, a.objects, a.cost) for a in found] == [
                 (a.name, a.objects, a.cost) for a in expected
             ]
@@ -269,10 +270,9 @@ def _has_dead_prefix(schema: ActionSchema, table: TypeTable) -> bool:
 
 
 class TestCarriedTask:
-    """ground_schemas numbers atoms as it builds them and hands back the Task
-    it compiled; that task must answer every search as compiling the list
-    afresh does, and plan() and execute() must use it only while the list is
-    the one it was compiled from."""
+    """ground_schemas numbers atoms as it builds them and returns the Task it
+    compiled; that task must answer every search as compiling its actions
+    afresh does, and plan() and execute() use it as it is."""
 
     def test_answers_as_a_fresh_compile_on_random_schemas(self, monkeypatch):
         expansions = []
@@ -288,9 +288,9 @@ class TestCarriedTask:
             schemas = _random_schemas(rng)[0]
             objects = [ObjectInstance(*o) for o in pool if rng.random() < 0.5]
             table = TypeTable({}, _PARENTS).with_instances(objects)
-            actions = ground_schemas(schemas, objects, TypeTable({}, _PARENTS))
-            carried, fresh = actions.task, Task(list(actions))
-            assert carried is not fresh and list(carried.actions) == fresh.actions == actions
+            carried = ground_schemas(schemas, objects, TypeTable({}, _PARENTS))
+            fresh = Task(list(carried))
+            assert carried.actions == fresh.actions
             assert set(carried.index) == set(fresh.index)  # no atom of a dead prefix gets a bit
             atoms = [
                 GroundAtom(sig, args)
@@ -324,21 +324,29 @@ class TestCarriedTask:
             seen["goal on an atom no action mentions"] += any(l.atom not in fresh.index for l in goal)
         assert len(seen) == 7 and min(seen.values()) >= 10, seen
 
-    def test_an_edited_list_is_compiled_afresh(self, corpus_library, task_calls):
-        actions = ground(corpus_library, planning_objects(), derive_costs(corpus_library))
+    def test_a_plain_list_is_compiled_on_every_call(self, corpus_library, task_calls):
+        task = ground(corpus_library, planning_objects(), derive_costs(corpus_library))
         goal = corpus_goals()["red_on_green"]
-        assert task_calls["_compile"] == 1 and compiled(actions) is actions.task
+        assert compiled(task) is task
+        assert plan(task, initial_state(), goal).total_cost == 16
+        assert task_calls["_compile"] == 1
         on_green = stacking_vocabulary().atom("onTop", RED, GREEN)
         teleport = GroundedAction("teleport", (RED,), frozenset(), frozenset([on_green]), frozenset())
-        actions.append(teleport)
+        actions = [*task, teleport]
         assert plan(actions, initial_state(), goal).actions == (teleport,)
         assert task_calls["_compile"] == 2
-        actions.remove(teleport)  # equal to the grounded list again
-        assert plan(actions, initial_state(), goal).total_cost == 16
-        assert task_calls["_compile"] == 2
-        del actions[0]
-        assert plan(actions, initial_state(), goal) == plan(list(actions), initial_state(), goal)
+        del actions[0], actions[-1]
+        assert plan(actions, initial_state(), goal) == plan(actions, initial_state(), goal)
         assert task_calls["_compile"] == 4
+
+    def test_a_plan_does_not_keep_its_task_alive(self, corpus_library):
+        # The proof names the actions, so a held plan does not hold the
+        # task's bitmask tables and per-byte memo.
+        actions = ground(corpus_library, planning_objects(), derive_costs(corpus_library))
+        found = plan(actions, initial_state(), corpus_goals()["red_on_green"])
+        task = weakref.ref(compiled(actions))
+        del actions
+        assert task() is None and found.total_cost == 16 and found.proof is not None
 
     def test_grounding_leaves_no_garbage_cycle(self, corpus_library):
         # A cycle would keep a request's atom tables alive until a collector
@@ -511,7 +519,7 @@ class TestHmax:
         assert len(evaluated) > 1000
         for state, (task, value) in evaluated.items():
             atoms = [a for a, bit in task.index.items() if state >> bit & 1]
-            assert value == hmax_reference(corpus_actions, atoms, goal)
+            assert value == hmax_reference(corpus_actions.actions, atoms, goal)
 
 
 class TestSuccessorGenerator:
@@ -719,7 +727,7 @@ class TestDocAdapters:
         doc = parse_domain(emit_domain(corpus_library, costs.costs), name_map=nm)
         assert doc.actions == tuple(corpus_library.schemas(costs.costs))
         objects = planning_objects()
-        assert ground_schemas(doc.actions, objects, doc.types) == corpus_actions
+        assert ground_schemas(doc.actions, objects, doc.types).actions == corpus_actions.actions
 
     def test_schema_adapter_preserves_costs(self, corpus_library):
         costs = derive_costs(corpus_library)
