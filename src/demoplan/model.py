@@ -14,6 +14,7 @@ import os
 import reprlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
@@ -342,6 +343,13 @@ def check_atom_types(atom: GroundAtom, types: TypeTable) -> GroundAtom:
     return atom
 
 
+def check_object_types(objects: Iterable[ObjectInstance], types: TypeTable) -> None:
+    """A ValidationError for the first object whose type ``types`` does not declare."""
+    for obj in objects:
+        if not types.declares(obj.type_id):
+            raise ValidationError(f"object {obj.id!r} has undeclared type {obj.type_id!r}")
+
+
 # JSON codecs shared by every file format in this package. Decoders check the
 # shape of each value before they use it, so malformed JSON raises a ParseError
 # or SchemaError and never a builtin error. Atoms and literals are lists:
@@ -451,15 +459,17 @@ def types_from_json(objects: Any, parents: Any, types: Any) -> TypeTable:
 
 # Every input file is read through read_file, so a file that cannot be read,
 # is not UTF-8 or holds bad content raises an InputError whose message starts
-# with its path, like any other bad input. Every output file is written
-# through write_file, so one that cannot be written is bad input too.
+# with its path, like any other bad input. A leading byte-order mark is
+# skipped, so places in the file count from its first real character. Every
+# output file is written through write_file, so one that cannot be written is
+# bad input too.
 
 
 def read_file(path: str | Path, decode: Callable[[str], T]) -> T:
     """Hand the text of ``path`` to ``decode``. Any InputError from ``decode``
     keeps its class and attributes and gets the path in front of its message."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -497,8 +507,38 @@ def read_json(path: str | Path, decode: Callable[[Any], T]) -> T:
 
 def json_text(payload: Any) -> str:
     """The text of every JSON file the package writes: two-space indent,
-    sorted keys and a final newline, so equal payloads give equal bytes."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    sorted keys and a final newline, so equal payloads give equal bytes.
+    These are the bytes of ``json.dumps(payload, indent=2, sort_keys=True)``
+    and a newline, for a payload whose keys are strings; with an indent,
+    ``json.dumps`` leaves its C encoder for a slower one written in Python."""
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append the text of ``value`` to ``out``; ``newline`` starts a line at its indentation."""
+    if type(value) is str:
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple, dict)) and value:
+        inner = newline + "  "
+        separator = "," + inner
+        if isinstance(value, dict):
+            out.append("{" + inner)
+            for key, item in sorted(value.items()):
+                out.append(encode_basestring_ascii(key) + ": ")
+                _write_json(item, inner, out)
+                out.append(separator)
+            out[-1] = newline + "}"
+            return
+        out.append("[" + inner)
+        for item in value:
+            _write_json(item, inner, out)
+            out.append(separator)
+        out[-1] = newline + "]"
+    else:  # a number, None, a bool or an empty list or dict, as json.dumps writes it
+        out.append(json.dumps(value))
 
 
 def _parse_json(text: str) -> Any:

@@ -19,6 +19,13 @@ exactly like the library it came from. A problem is parsed against its
 domain: predicates, types and argument types all come from there. A problem
 may declare its own :requirements, which are checked as a domain's are. Only
 :types, :predicates and :action sections may repeat; any other is an error.
+
+The reader turns a text into plain lists and str symbols with one regex pass
+and keeps no places. A fault found in that form raises _Unplaced, and the
+parse runs again on the form read by _read_all, whose symbols know their
+offsets, where the same fault raises its error with a line and column; only a
+failing parse pays for places. A domain tables its types and predicates when
+it reads their sections.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 from .errors import EmptyDomain, PddlSyntaxError, UnsupportedFeature, ValidationError
 from .learning import OperatorLibrary, fresh_name
@@ -40,7 +47,10 @@ from .model import (
     TypeTable,
     Vocabulary,
     check_atom_types,
+    check_object_types,
 )
+
+T = TypeVar("T")
 
 REQUIREMENTS = (":strips", ":typing", ":negative-preconditions", ":action-costs")
 
@@ -269,51 +279,72 @@ def emit_problem(
 # Parsing
 
 
-@dataclass(slots=True)
-class _Token:
-    text: str
-    offset: int  # into source, the whole text
-    source: str
+_Tree = Union[str, list]  # a symbol, or a parenthesized list of trees
+
+# A comment, or a parenthesis or a symbol in group 1. Spaces, tabs, carriage
+# returns and newlines only separate tokens; any other character belongs to a
+# symbol.
+_TOKEN = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)")
+
+
+def _read_plain(text: str) -> _Tree:
+    """The one top-level form of ``text`` in plain lists and str symbols, read
+    in one pass with an explicit stack so that deep nesting cannot exhaust the
+    interpreter's recursion limit."""
+    open_lists: list[list] = []
+    items: list = []  # of the innermost open list, or of the top level
+    for token in _TOKEN.findall(text):  # a comment reads as ""
+        if token == "(":
+            open_lists.append(items)
+            items = []
+        elif token == ")":
+            if not open_lists:
+                break  # it closes nothing
+            done, items = items, open_lists.pop()
+            items.append(done)
+        elif token:
+            items.append(token)
+    else:
+        if not open_lists and len(items) == 1:
+            return items[0]
+    return _read_all(text)  # not one form: this raises the error at its token
+
+
+class _Symbol(str):
+    """A symbol that knows its ``offset`` in its ``source`` text."""
 
     def place(self) -> tuple[int, int]:
-        """The line and column, counted only when a message needs them."""
         newline = self.source.rfind("\n", 0, self.offset)
         return self.source.count("\n", 0, self.offset) + 1, self.offset - newline
 
 
 class _List(list):
-    """A parenthesized list; ``paren`` is its opening '(' token."""
+    """A parenthesized list that knows its opening '(' symbol."""
 
     __slots__ = ("paren",)
 
-    def __init__(self, paren: _Token):
+    def __init__(self, paren: _Symbol):
         super().__init__()
         self.paren = paren
 
 
-_Tree = Union[_Token, list]
-
-# A comment, a parenthesis or a symbol. Spaces, tabs, carriage returns and
-# newlines only separate tokens; any other character belongs to a symbol.
-_LEXEME = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")
-
-
 def _read_all(text: str) -> _Tree:
-    """The one top-level form of ``text``, read in one pass with an explicit
-    stack so that deep nesting cannot exhaust the interpreter's recursion limit."""
+    """The form of ``text`` as ``_read_plain`` reads it, but of _Symbol and
+    _List nodes, which a message can place. Only a fault runs this reader: it
+    raises the errors of a text that is not one form."""
     open_lists: list[_List] = []
     top: Optional[_Tree] = None
-    for match in _LEXEME.finditer(text):
-        lexeme = match.group()
-        if lexeme[0] == ";":
+    for match in _TOKEN.finditer(text):
+        if match.group(1) is None:  # a comment
             continue
-        tok = _Token(lexeme, match.start(), text)
+        tok = _Symbol(match.group(1))
+        tok.offset, tok.source = match.start(), text
         if top is not None:
             raise _fail("trailing text after top-level form", tok)
-        if lexeme == "(":
+        if tok == "(":
             open_lists.append(_List(tok))
             continue
-        if lexeme == ")":
+        if tok == ")":
             if not open_lists:
                 raise _fail("unexpected ')'", tok)
             item: _Tree = open_lists.pop()
@@ -330,17 +361,34 @@ def _read_all(text: str) -> _Tree:
     return top
 
 
+class _Unplaced(Exception):
+    """A fault met in a form read without places."""
+
+
+def _parse(text: str, parse: Callable[..., T], *args) -> T:
+    """``parse(form, *args)`` of the form of ``text``. A fault raises
+    _Unplaced in a form of plain lists and symbols, so the parse runs again
+    on the form read with places, where it raises the same fault, placed."""
+    try:
+        return parse(_read_plain(text), *args)
+    except _Unplaced:
+        pass
+    return parse(_read_all(text), *args)
+
+
 def _head(tree: _Tree) -> str:
-    if isinstance(tree, list) and tree and isinstance(tree[0], _Token):
-        return tree[0].text.lower()
+    if isinstance(tree, list) and tree and isinstance(tree[0], str):
+        return tree[0].lower()
     return ""
 
 
 def _where(tree: _Tree) -> tuple[int, int]:
-    """Where the first token of ``tree`` stands, or the '(' of an empty list."""
+    """Where the first symbol of ``tree`` stands, or the '(' of an empty list."""
     node = tree
     while isinstance(node, list):
-        node = node[0] if node else node.paren
+        node = node[0] if node else getattr(node, "paren", None)
+    if not isinstance(node, _Symbol):
+        raise _Unplaced
     return node.place()
 
 
@@ -350,8 +398,8 @@ def _fail(message: str, tree: _Tree) -> PddlSyntaxError:
     return PddlSyntaxError(message, line=line, column=column)
 
 
-def _symbol(tree: _Tree, what: str) -> _Token:
-    if not isinstance(tree, _Token):
+def _symbol(tree: _Tree, what: str) -> str:
+    if not isinstance(tree, str):
         raise _fail(f"expected {what}", tree)
     return tree
 
@@ -370,8 +418,8 @@ def _typed_list(items: Sequence[_Tree], nm: NameMap, what: str) -> list[tuple[st
     i = 0
     while i < len(items):
         tok = _symbol(items[i], f"{what} name")
-        if tok.text != "-":
-            pending.append(nm.orig(tok.text))
+        if tok != "-":
+            pending.append(nm.orig(tok))
             i += 1
             continue
         if not pending:
@@ -381,7 +429,7 @@ def _typed_list(items: Sequence[_Tree], nm: NameMap, what: str) -> list[tuple[st
         type_tok = items[i + 1]
         if isinstance(type_tok, list):
             raise UnsupportedFeature("compound types are not supported (%d:%d)" % _where(type_tok))
-        out.extend((p, nm.orig(type_tok.text)) for p in pending)
+        out.extend((p, nm.orig(type_tok)) for p in pending)
         pending = []
         i += 2
     out.extend((p, "object") for p in pending)
@@ -389,7 +437,7 @@ def _typed_list(items: Sequence[_Tree], nm: NameMap, what: str) -> list[tuple[st
 
 
 def _read(
-    text: str,
+    tree: _Tree,
     kind: str,
     nm: NameMap,
     readers: Mapping[str, Callable[[list], object]],
@@ -398,12 +446,11 @@ def _read(
     """Check ``(define (<kind> <name>) <section>...)`` and hand each section to
     the reader for its head; only :types, :predicates and :action may repeat.
     Returns the name and, per head, what its reader returned."""
-    tree = _read_all(text)
     if _head(tree) != "define":
         raise _fail("expected (define ...)", tree)
     if len(tree) < 2 or _head(tree[1]) != kind or len(tree[1]) != 2:
         raise _fail(f"expected ({kind} <name>)", tree)
-    name = nm.orig(_symbol(tree[1][1], f"{kind} name").text)
+    name = nm.orig(_symbol(tree[1][1], f"{kind} name"))
     found: dict[str, object] = {}
     for section in tree[2:]:
         head = _head(section)
@@ -448,20 +495,19 @@ def _parse_literal(tree: _Tree, scope: _ParseScope) -> Literal:
 
 
 def _parse_atom(tree: _Tree, scope: _ParseScope) -> GroundAtom:
-    head_tok = _symbol(tree[0], "predicate name")
-    name = scope.nm.orig(head_tok.text)
+    name = scope.nm.orig(_symbol(tree[0], "predicate name"))
     if name not in scope.vocabulary:
-        raise ValidationError(f"unknown predicate {name!r} at " + "%d:%d" % head_tok.place())
+        raise ValidationError(f"unknown predicate {name!r} at " + "%d:%d" % _where(tree))
     sig = scope.vocabulary.get(name)
-    args = [scope.nm.orig(_symbol(sub, "argument").text) for sub in tree[1:]]
+    args = [scope.nm.orig(_symbol(sub, "argument")) for sub in tree[1:]]
     if len(args) != sig.arity:
         raise ValidationError(
-            f"predicate {name!r} takes {sig.arity} arguments, got {len(args)} at " + "%d:%d" % head_tok.place()
+            f"predicate {name!r} takes {sig.arity} arguments, got {len(args)} at " + "%d:%d" % _where(tree)
         )
     for arg, expected in zip(args, sig.arg_types):
         actual = scope.arg_types.get(arg)
         if actual is None:
-            raise ValidationError(f"undeclared name {arg!r} at " + "%d:%d" % head_tok.place())
+            raise ValidationError(f"undeclared name {arg!r} at " + "%d:%d" % _where(tree))
         if actual != "object" and not scope.table.is_subtype(actual, expected):  # untyped fits all
             raise ValidationError(
                 f"argument {arg!r} of {name!r} should be a {expected}, is a {actual}"
@@ -478,31 +524,47 @@ def _conjunction(tree: _Tree, scope: _ParseScope) -> list[Literal]:
 def parse_domain(text: str, name_map: NameMap = NameMap(())) -> DomainDoc:
     """Parse a domain file; raises PddlSyntaxError / UnsupportedFeature /
     ValidationError depending on what is wrong."""
-    nm = name_map
+    return _parse(text, _domain, name_map)
+
+
+def _domain(tree: _Tree, nm: NameMap) -> DomainDoc:
+    """The domain of ``tree``. Its types and predicates are tabled when each
+    section is read, so an action sees only those declared before it."""
     types: dict[str, str] = {}  # type -> parent
     predicates: list[PredicateSignature] = []
+    table, vocabulary = TypeTable(), Vocabulary(())
     actions: list[ActionSchema] = []
 
     def read_types(section: list) -> None:
+        nonlocal table
         for t, parent in _typed_list(section[1:], nm, "type"):
             if types.setdefault(t, parent) != parent:
                 raise ValidationError(f"type {t!r} is declared with two parents")
+        table = TypeTable({}, types, frozenset(types))  # a type cycle raises SchemaError here
 
-    domain_name, found = _read(text, "domain", nm, {
+    def read_predicates(section: list) -> None:
+        nonlocal vocabulary
+        predicates.extend(_predicate(p, nm) for p in section[1:])
+        vocabulary = Vocabulary(tuple(predicates))  # so does a repeated predicate
+
+    def read_action(section: list) -> None:
+        actions.append(_parse_action(section, vocabulary, table, nm))
+
+    domain_name, found = _read(tree, "domain", nm, {
         ":requirements": _requirements,
         ":types": read_types,
-        ":predicates": lambda section: predicates.extend(_predicate(p, nm) for p in section[1:]),
+        ":predicates": read_predicates,
         ":functions": _check_functions,
-        ":action": lambda section: actions.append(_parse_action(section, predicates, types, nm)),
+        ":action": read_action,
     }, (":durative-action", ":derived", ":constants", ":axiom"))
 
     names = [a.name for a in actions]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate action names in domain")
-    return DomainDoc(  # a duplicate predicate or a type cycle raises SchemaError here
+    return DomainDoc(
         name=domain_name,
-        types=TypeTable({}, types, frozenset(types)),
-        vocabulary=Vocabulary(tuple(predicates)),
+        types=table,
+        vocabulary=vocabulary,
         actions=tuple(sorted(actions, key=lambda a: a.name)),
         requirements=found.get(":requirements", REQUIREMENTS),
     )
@@ -511,7 +573,7 @@ def parse_domain(text: str, name_map: NameMap = NameMap(())) -> DomainDoc:
 def _requirements(section: list) -> tuple[str, ...]:
     seen = []
     for item in section[1:]:
-        req = _symbol(item, "requirement").text.lower()
+        req = _symbol(item, "requirement").lower()
         if req not in REQUIREMENTS:
             raise UnsupportedFeature(f"requirement {req} is not supported")
         seen.append(req)
@@ -521,7 +583,7 @@ def _requirements(section: list) -> tuple[str, ...]:
 def _predicate(pred: _Tree, nm: NameMap) -> PredicateSignature:
     if not isinstance(pred, list) or not pred:
         raise _fail("malformed predicate declaration", pred)
-    name = nm.orig(_symbol(pred[0], "predicate name").text)
+    name = nm.orig(_symbol(pred[0], "predicate name"))
     params = _typed_list(pred[1:], nm, "parameter")
     if not all(var.startswith("?") for var, _ in params):
         raise _fail("predicate parameters must be variables", pred)
@@ -530,28 +592,22 @@ def _predicate(pred: _Tree, nm: NameMap) -> PredicateSignature:
 
 def _check_functions(section: list) -> None:
     for fn in section[1:]:
-        if isinstance(fn, _Token) and fn.text.lower() in ("-", "number"):
+        if isinstance(fn, str) and fn.lower() in ("-", "number"):
             continue
         if _head(fn) != "total-cost" or len(fn) != 1:
             raise UnsupportedFeature("only the (total-cost) function is supported")
 
 
-def _parse_action(
-    section: list,
-    predicates: Sequence[PredicateSignature],
-    types: Mapping[str, str],
-    nm: NameMap,
-) -> ActionSchema:
+def _parse_action(section: list, vocabulary: Vocabulary, table: TypeTable, nm: NameMap) -> ActionSchema:
+    """The action of ``section``, in the scope of what was declared before it."""
     if len(section) < 2:
         raise _fail("action needs a name", section)
-    name = nm.orig(_symbol(section[1], "action name").text)
-    vocabulary = Vocabulary(tuple(predicates))
-    table = TypeTable({}, types, frozenset(types))
+    name = nm.orig(_symbol(section[1], "action name"))
 
     body: dict[str, _Tree] = {}
     for i in range(2, len(section), 2):
         key_tok = _symbol(section[i], "action keyword")
-        key = key_tok.text.lower()
+        key = key_tok.lower()
         if key not in (":parameters", ":precondition", ":effect"):
             raise UnsupportedFeature(f"action keyword {key} is not supported")
         if i + 1 >= len(section):
@@ -605,11 +661,11 @@ def _parse_cost(tree: list) -> int:
         raise UnsupportedFeature("only (increase (total-cost) n) is supported (%d:%d)" % _where(tree))
     tok = _symbol(tree[2], "cost value")
     # int() would also take 1_0, +3 and non-ASCII digits
-    if not (tok.text.isascii() and tok.text.isdigit()):
+    if not (tok.isascii() and tok.isdigit()):
         raise _fail("cost must be a plain integer", tok)
-    value = int(tok.text)
+    value = int(tok)
     if value < 1:
-        raise ValidationError(f"cost must be positive, got {value} at " + "%d:%d" % tok.place())
+        raise ValidationError(f"cost must be positive, got {value} at " + "%d:%d" % _where(tok))
     return value
 
 
@@ -619,8 +675,11 @@ def parse_problem(
     name_map: NameMap = NameMap(()),
 ) -> ProblemDoc:
     """Parse a problem file for ``domain``, resolving predicates and types against it."""
-    nm = name_map
-    problem_name, found = _read(text, "problem", nm, {
+    return _parse(text, _problem, domain, name_map)
+
+
+def _problem(tree: _Tree, domain: DomainDoc, nm: NameMap) -> ProblemDoc:
+    problem_name, found = _read(tree, "problem", nm, {
         ":requirements": _requirements,
         ":domain": lambda section: _symbol(_only(section, "malformed :domain"), "domain name"),
         ":objects": lambda section: _typed_list(section[1:], nm, "object"),
@@ -632,15 +691,17 @@ def parse_problem(
         raise PddlSyntaxError("problem needs :init and :goal", line=1, column=1)
     if ":domain" not in found:
         raise ValidationError(f"problem needs a (:domain {domain.name}) section")
-    domain_name = nm.orig(found[":domain"].text)
+    domain_name = nm.orig(found[":domain"])
     if domain_name.lower() != domain.name.lower():  # PDDL names ignore case
         raise ValidationError(f"problem is for domain {domain_name!r}, not {domain.name!r} at "
-                              + "%d:%d" % found[":domain"].place())
+                              + "%d:%d" % _where(found[":domain"]))
     objects = found.get(":objects", [])
     if len(set(o for o, _ in objects)) != len(objects):
         raise ValidationError("duplicate object declarations")
+    instances = [ObjectInstance(o, t) for o, t in objects]
+    check_object_types(instances, domain.types)
 
-    table = domain.types.with_instances(ObjectInstance(o, t) for o, t in objects)
+    table = domain.types.with_instances(instances)
     scope = _ParseScope(domain.vocabulary, nm, dict(objects), table)
 
     init_atoms = []
@@ -667,7 +728,7 @@ def parse_problem(
 def _check_metric(section: list) -> None:
     if (
         len(section) != 3
-        or _symbol(section[1], "metric direction").text.lower() != "minimize"
+        or _symbol(section[1], "metric direction").lower() != "minimize"
         or _head(section[2]) != "total-cost"
     ):
         raise UnsupportedFeature("only (:metric minimize (total-cost)) is supported")
@@ -678,5 +739,5 @@ def _check_total_cost_init(item: list) -> None:
         raise UnsupportedFeature(
             "only (= (total-cost) 0) is supported in :init (%d:%d)" % _where(item)
         )
-    if _symbol(item[2], "fluent value").text != "0":
+    if _symbol(item[2], "fluent value") != "0":
         raise UnsupportedFeature("(total-cost) must start at 0")

@@ -10,9 +10,10 @@ public fields the oracles read or that ``ground_reference``,
 references (``trace_from_dict_reference``, ``library_from_dict_reference``)
 also use the package's JSON codecs for the single values they decode, and
 decode every atom and literal entry where it stands;
-``canonical_form_reference`` renames every literal of an operator, and
+``canonical_form_reference`` renames every literal of an operator,
 ``read_all_reference`` counts lines and columns as its scan meets each
-newline. When an oracle and the package disagree, one of them has a bug; the
+newline, and ``json_text_reference`` is the standard library's indented
+encoder. When an oracle and the package disagree, one of them has a bug; the
 oracles are kept simple enough to audit by eye.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import math
 import re
 from collections import Counter
@@ -622,3 +624,8 @@ def read_all_reference(text):
     if top is None:
         raise PddlSyntaxError("empty input", line=1, column=1)
     return top
+
+
+def json_text_reference(payload):
+    """The text of a JSON file the package writes, from ``json.dumps`` itself."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pickle
@@ -6,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from demoplan.errors import InvalidEffect, SchemaError, ValidationError
@@ -24,19 +25,21 @@ from demoplan.model import (
     atom_to_list,
     check_atom_types,
     holds,
+    json_text,
     literal_from_list,
     literal_to_list,
     satisfies,
 )
 
 from demoplan.pddl import emit_domain, emit_problem, library_name_map, parse_domain, parse_problem
+from demoplan.learning import library_to_dict
 from demoplan.planner import derive_costs, ground, task_from_docs
 from demoplan.synth import corpus_goals, initial_state, planning_objects
 from demoplan.traces import load_trace, save_trace
 
 import demoplan
 from helpers import atoms_st, literals_st, states_st, toy_schema
-from oracles import all_typed_atoms, enumerate_atoms
+from oracles import all_typed_atoms, enumerate_atoms, json_text_reference
 
 ON = PredicateSignature("on", ("Block", "Block"))
 CLEAR = PredicateSignature("clear", ("Block",))
@@ -371,3 +374,41 @@ else:
     loaded = pickle.loads(sys.stdin.buffer.read())
     print(sum(value in fresh for value in loaded), len(loaded))
 """
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, 1e16, 5e-324, float("nan"), float("inf"), float("-inf")])
+    | st.text()
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.lists(st.text(), max_size=4)
+        | st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@given(_JSON_VALUES)
+@example({"atoms": [["onTop", "a", "b"], ("!", "\u00fc\x00\n\"")], "empty": [[], {}, ()]})
+@example(["first a string", 1, ["then a list"], None, True, -0.0])
+def test_json_text_writes_the_bytes_of_the_standard_encoder(payload):
+    assert json_text(payload) == json_text_reference(payload)
+
+
+def test_json_text_leaves_no_garbage_cycle(corpus_library):
+    payload = json.loads(json_text_reference(library_to_dict(corpus_library)))
+    gc.collect()
+    gc.disable()
+    try:
+        json_text(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from demoplan.model import (
 from demoplan.pddl import (
     NameMap,
     _read_all,
+    _read_plain,
     domain_to_doc,
     emit_domain,
     emit_problem,
@@ -315,6 +317,19 @@ class TestParsing:
         with pytest.raises(PddlSyntaxError) as err:
             read_file(path, parse_domain)
         assert str(err.value) == f"{path}: unbalanced parenthesis (line 2, column 3)"
+        assert (err.value.line, err.value.column) == (2, 3)
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        domain, problem = tmp_path / "domain.pddl", tmp_path / "problem.pddl"
+        domain.write_bytes(b"\xef\xbb\xbf" + CRANE_DOMAIN.encode())
+        problem.write_bytes(b"\xef\xbb\xbf" + CRANE_PROBLEM.encode())
+        doc = read_file(domain, parse_domain)
+        assert doc == parse_domain(CRANE_DOMAIN)
+        assert read_file(problem, lambda text: parse_problem(text, doc)) == parse_problem(CRANE_PROBLEM, doc)
+        # places count from the first character after the mark
+        domain.write_bytes(b"\xef\xbb\xbf" + b"(define (domain d)\n  (:predicates (p ?x)")
+        with pytest.raises(PddlSyntaxError) as err:
+            read_file(domain, parse_domain)
         assert (err.value.line, err.value.column) == (2, 3)
 
     def test_deep_nesting_is_a_syntax_error(self):
@@ -675,6 +690,48 @@ def test_every_reader_error_is_pinned(parse, text, error, message):
         assert message.endswith(f" (line {caught.value.line}, column {caught.value.column})")
 
 
+def test_an_object_of_an_undeclared_type_is_rejected():
+    domain = parse_domain(CRANE_DOMAIN)
+    with pytest.raises(ValidationError, match="^object 'zz' has undeclared type 'nosuchtype'$"):
+        parse_problem(_restack("c1 c2 - crate", "c1 c2 - crate zz - nosuchtype"), domain)
+    untyped = parse_problem(_restack("c1 c2 - crate", "c1 c2 - crate zz"), domain)
+    assert ("zz", "object") in untyped.objects
+
+
+def test_each_action_checks_the_types_of_its_own_parameters():
+    # The map turns the parameter symbol x_x back into '?x' in both actions;
+    # the second gives it a type that p does not take.
+    text = """(define (domain d)
+      (:types t1 t2 - object)
+      (:predicates (p ?a - t1))
+      (:action good :parameters (x_x - t1) :precondition (p x_x) :effect (not (p x_x)))
+      (:action bad :parameters (x_x - t2) :precondition (p x_x) :effect (not (p x_x))))"""
+    nm = NameMap(()).extended(["?x"])
+    assert nm.pddl("?x") == "x_x"
+    with pytest.raises(ValidationError, match=r"^argument '\?x' of 'p' should be a t1, is a t2$"):
+        parse_domain(text, nm)
+
+
+def test_parsing_leaves_no_garbage_cycle(corpus_library):
+    # A cycle would keep a parse's tree alive until a collector pass; fewer
+    # passes are part of what makes a learn step fast.
+    nm = library_name_map(corpus_library).extended(
+        ["learned", "task"] + [o.id for o in planning_objects()]
+    )
+    domain_text = emit_domain(corpus_library)
+    goal = corpus_goals()["red_on_green"]
+    problem_text = emit_problem(corpus_library, planning_objects(), initial_state(), goal)
+    gc.collect()
+    gc.disable()
+    try:
+        domain = parse_domain(domain_text, name_map=nm)
+        parse_problem(problem_text, domain=domain, name_map=nm)
+        del domain
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestDeclarationOrder:
     """An action is checked against the predicates and types declared before it."""
 
@@ -731,7 +788,7 @@ def _positions(tree):
     """Each token of ``tree`` with its line and column, nested as in the tree."""
     if isinstance(tree, list):
         return ("(", *tree.paren.place(), [_positions(sub) for sub in tree])
-    return (tree.text, *tree.place())
+    return (tree if isinstance(tree, str) else tree.text, *tree.place())
 
 
 def _read_outcome(read, text):
@@ -759,3 +816,18 @@ def test_every_token_keeps_the_line_and_column_the_reference_counts():
             lambda t: not t.endswith("\n") and "\n" in t,
         )
     )
+
+
+def test_the_plain_form_is_the_placed_form():
+    # A parse reads plain symbols and reads the text again with places only
+    # to place a fault, so both readers must build one tree, or fail alike.
+    rng = random.Random(31)
+    for text in [_random_pddl_text(rng) for _ in range(500)]:
+        try:
+            placed = _read_all(text)
+        except PddlSyntaxError as exc:
+            with pytest.raises(PddlSyntaxError) as caught:
+                _read_plain(text)
+            assert (str(caught.value), caught.value.line, caught.value.column) == (str(exc), exc.line, exc.column)
+            continue
+        assert _read_plain(text) == placed, text

@@ -67,6 +67,15 @@ class TestTraceFiles:
         assert loaded.demonstrator == trace.demonstrator
         assert loaded.scenario == trace.scenario
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        trace = random_trace(random.Random(5))
+        path = tmp_path / "t.json"
+        save_trace(trace, path)
+        plain = load_trace(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        loaded = load_trace(path)
+        assert (loaded.frames, loaded.vocabulary, loaded.types) == (plain.frames, plain.vocabulary, plain.types)
+
     @given(traces_st())
     def test_dict_round_trip(self, trace):
         assert trace_from_dict(trace_to_dict(trace)).frames == trace.frames
