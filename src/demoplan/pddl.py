@@ -155,6 +155,7 @@ def problem_to_doc(
     goal: Iterable[Literal],
 ) -> ProblemDoc:
     objects = sorted(objects, key=lambda o: o.id)
+    check_object_types(objects, library.types)
     goal = tuple(sorted(goal, key=Literal.sort_key))
     if not goal:
         raise ValidationError("a problem needs at least one goal literal")

@@ -16,7 +16,9 @@ cost; among equal-cost plans it may pick a different one than blind search,
 always the same one for a task.
 h_max is computed cost level by cost level on one bitmask of the facts (atom
 true, atom false) reachable so far, and lazily: once per state, when it leaves
-the frontier, in the expansion order an eager evaluation would give.
+the frontier, in the expansion order an eager evaluation would give. A level
+finds what it fires, and what that adds, in per-byte tables over the reached
+facts and over 8-action chunks of one cost, built once per Task on first sight.
 Ties between equal-key candidates resolve by generation order, and successors
 are generated in (action name, bound objects) lexicographic order. The
 actions applicable in a state come from per-byte tables: for each 8-atom
@@ -52,6 +54,7 @@ from .model import (
     State,
     TypeTable,
     apply,
+    check_object_types,
     holds,
 )
 
@@ -117,8 +120,10 @@ def ground_schemas(
     once per binding prefix that some action completes. Each distinct one is
     built once per call, shared by every action that mentions it, and given
     its Task bit when it is built. An action's sets and masks are unions of
-    its prefixes' parts.
+    its prefixes' parts. An object of a type ``types`` does not declare raises.
     """
+    objects = list(objects)
+    check_object_types(objects, types)
     instances_of = lru_cache(maxsize=None)(types.with_instances(objects).instances_of)
     index: dict[GroundAtom, int] = {}
     # predicate, or (predicate, polarity) -> {arguments: (atom or literal, its bit)}
@@ -218,19 +223,20 @@ def check_search_options(node_limit: int, heuristic: str) -> None:
 
 
 class _Blockers(dict):
-    """Byte value of one 8-atom chunk of a state -> mask of the actions that
-    value blocks: those needing a true atom that is false there, or a false
-    one that is true. Filled in on first lookup of each value."""
+    """Byte value of one 8-bit chunk of a mask -> the union over its bits j of
+    pairs[j][bit j]; over a state's atoms, the actions that value blocks.
+    Filled in on first lookup of each value."""
 
     def __init__(self, pairs: list[tuple[int, int]]):
         super().__init__()
-        self.pairs = pairs  # (actions needing atom j true, needing it false)
+        self.pairs = pairs  # (the mask for bit j clear, for bit j set)
 
-    def __missing__(self, byte: int) -> int:
-        blocked = 0
-        for j, (need, forbid) in enumerate(self.pairs):
-            blocked |= forbid if byte >> j & 1 else need
-        self[byte] = blocked
+    def __missing__(self, key: int) -> int:
+        blocked, byte = 0, key
+        for pair in self.pairs:
+            blocked |= pair[byte & 1]
+            byte >>= 1
+        self[key] = blocked
         return blocked
 
 
@@ -274,8 +280,7 @@ class Task:
         self.actions, self.index = actions, index
         n = self.n = len(index)
         self.all_atoms = (1 << n) - 1
-        # (precondition facts, add, del, cost) per action, and its delete
-        # relaxation (precondition facts, effect facts, cost) for h_max.
+        # (precondition facts, add, del, cost) per action
         self.ops = []
         for (pos, neg, add, dele), action in zip(masks, actions):
             if add & dele:
@@ -285,22 +290,27 @@ class Task:
             if not isinstance(action.cost, int) or action.cost < 1:
                 raise ValidationError(f"action {action.name!r} needs a positive integer cost")
             self.ops.append((pos | neg << n, add, dele, action.cost))
-        self.relaxed = [(pre, add | dele << n, cost) for pre, add, dele, cost in self.ops]
-        # The actions that need atom i true (needs[i]) and false (forbids[i]).
-        needs, forbids = [0] * n, [0] * n
-        for ai, (pos, neg, _, _) in enumerate(masks):
+        # The actions that need fact i: atom i true, or atom i - n false.
+        needed = [0] * 2 * n
+        for ai, (pre, _, _, _) in enumerate(self.ops):
             bit = 1 << ai
-            while pos:
-                low = pos & -pos
-                needs[low.bit_length() - 1] |= bit
-                pos ^= low
-            while neg:
-                low = neg & -neg
-                forbids[low.bit_length() - 1] |= bit
-                neg ^= low
+            while pre:
+                i = pre.bit_length() - 1
+                needed[i] |= bit
+                pre ^= 1 << i
         self.all_actions = (1 << len(actions)) - 1
-        pairs = list(zip(needs, forbids))
+        pairs = list(zip(needed[:n], needed[n:]))
         self.blockers = [(shift, _Blockers(pairs[shift : shift + 8])) for shift in range(0, n, 8)]
+        # h_max's tables: actions blocked per needed-fact byte, fired effects per chunk
+        self.unreached = [(at, _Blockers([(need, 0) for need in needed[at : at + 8]]))
+                          for at in range(0, 2 * n, 8) if any(needed[at : at + 8])]
+        effects = [(0, add | dele << n) for _, add, dele, _ in self.ops]
+        self.effects, end = [], 0
+        for cost, run in itertools.groupby(op[3] for op in self.ops):
+            start, end = end, end + len(list(run))
+            for at in range(start, end, 8):
+                chunk = effects[at : min(at + 8, end)]
+                self.effects.append((at, (1 << len(chunk)) - 1, cost, _Blockers(chunk)))
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -321,21 +331,25 @@ class Task:
         ``reached`` holds the facts reachable within ``level``. An action
         fires at the first level that reaches all its preconditions and adds
         its effects at level + cost, so the first level that reaches every
-        goal fact is the max over goal facts of their cost.
+        goal fact is the max over goal facts of their cost. A level reads what
+        it fires from per-byte tables and what that adds from tables per
+        8-action chunk of one cost; the Task keeps both for all its calls.
         """
         reached = state | (self.all_atoms ^ state) << self.n  # the facts true in state
         pending: dict[int, int] = {}
-        unfired = self.relaxed
+        unfired = self.all_actions
         level = 0
         while reached & goal != goal:
-            waiting = []
-            for op in unfired:
-                pre, effects, cost = op
-                if reached & pre == pre:
-                    pending[level + cost] = pending.get(level + cost, 0) | effects
-                else:
-                    waiting.append(op)
-            unfired = waiting
+            blocked = 0
+            for shift, table in self.unreached:
+                blocked |= table[reached >> shift & 255]
+            fired = unfired & ~blocked
+            if fired:
+                unfired ^= fired
+                for shift, width, cost, table in self.effects:
+                    chunk = fired >> shift & width
+                    if chunk:
+                        pending[level + cost] = pending.get(level + cost, 0) | table[chunk]
             new = 0
             while not new:  # advance to the next level that reaches a new fact
                 if not pending:

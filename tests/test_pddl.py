@@ -144,6 +144,14 @@ class TestEmission:
         with pytest.raises(ValidationError, match="^signature mismatch for predicate 'handOpen'$"):
             emit_problem(corpus_library, planning_objects(), State.of([odd]), goal)
 
+    def test_problem_rejects_an_object_of_an_undeclared_type(self, corpus_library):
+        """The domain emitted beside it would reject the problem."""
+        retyped = [ObjectInstance(o.id, "Hnd" if o.id == "Left_hand" else o.type_id)
+                   for o in planning_objects()]
+        goal = corpus_goals()["red_on_green"]
+        with pytest.raises(ValidationError, match="^object 'Left_hand' has undeclared type 'Hnd'$"):
+            emit_problem(corpus_library, iter(retyped), initial_state(), goal)
+
     def test_problem_text_shape(self, corpus_library):
         goal = corpus_goals()["red_on_green"]
         text = emit_problem(corpus_library, planning_objects(), initial_state(), goal)

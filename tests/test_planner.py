@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -249,6 +250,16 @@ class TestGrounding:
             outcomes["equal"] += 1
         assert min(outcomes.values()) >= 10, outcomes
 
+    def test_rejects_an_object_of_an_undeclared_type(self, corpus_library):
+        """Such an object would silently take part in no action: typed Hnd,
+        Left_hand would leave 44 of the corpus's 88 actions."""
+        costs = derive_costs(corpus_library)
+        retyped = [ObjectInstance(o.id, "Hnd" if o.id == "Left_hand" else o.type_id)
+                   for o in planning_objects()]
+        with pytest.raises(ValidationError, match="^object 'Left_hand' has undeclared type 'Hnd'$"):
+            ground(corpus_library, iter(retyped), costs)
+        assert len(ground(corpus_library, iter(planning_objects()), costs)) == 88
+
     def test_schemas_from_library_default_to_unit_costs(self, corpus_library):
         schemas = corpus_library.schemas()
         assert sorted(s.name for s in schemas) == [
@@ -288,7 +299,7 @@ class TestCarriedTask:
             schemas = _random_schemas(rng)[0]
             objects = [ObjectInstance(*o) for o in pool if rng.random() < 0.5]
             table = TypeTable({}, _PARENTS).with_instances(objects)
-            carried = ground_schemas(schemas, objects, TypeTable({}, _PARENTS))
+            carried = ground_schemas(schemas, objects, TypeTable({}, _PARENTS, frozenset({"Robot"})))
             fresh = Task(list(carried))
             assert carried.actions == fresh.actions
             assert set(carried.index) == set(fresh.index)  # no atom of a dead prefix gets a bit
@@ -520,6 +531,83 @@ class TestHmax:
         for state, (task, value) in evaluated.items():
             atoms = [a for a, bit in task.index.items() if state >> bit & 1]
             assert value == hmax_reference(corpus_actions.actions, atoms, goal)
+
+
+    @pytest.mark.parametrize("atoms", [0, 1, 7, 8, 9, 16, 17])
+    def test_matches_the_reference_at_the_edges_of_the_tables(self, atoms):
+        """Atom counts around the 8-fact bytes, action counts around the
+        8-action chunks, and runs of equal cost that start and end both
+        inside a chunk and across chunks."""
+        rng = random.Random(900 + atoms)
+        compiled_sizes, runs = set(), Counter()
+        for count in (1, 7, 8, 9, 15, 16, 17, 25):
+            for _ in range(8):
+                drawn, init, goal = random_planning_instance(
+                    rng, atom_count=(atoms, atoms), action_count=(count, count)
+                )
+                costs = [rng.randint(1, 5)]
+                while len(costs) < count:  # runs of 1 to 12 equal costs
+                    cost = rng.choice([c for c in range(1, 6) if c != costs[-1]])
+                    costs += [cost] * rng.randint(1, 12)
+                ordered = sorted(drawn, key=GroundedAction.sort_key)
+                actions = [dataclasses.replace(a, cost=c) for a, c in zip(ordered, costs)]
+                at = 0
+                for _, run in itertools.groupby(costs[:count]):
+                    end = at + len(list(run))
+                    if at // 8 != (end - 1) // 8:
+                        runs["across"] += 1
+                    elif at % 8 and end % 8:
+                        runs["inside"] += 1
+                    at = end
+                task = Task(actions)
+                compiled_sizes.add(task.n)
+                goal = [lit for lit in goal if lit.atom in task.index]
+                pool = sorted(task.index, key=GroundAtom.sort_key)
+                for state in [init.true_atoms] + [
+                    frozenset(a for a in pool if rng.random() < 0.5) for _ in range(4)
+                ]:
+                    expected = hmax_reference(actions, state, goal)
+                    assert task.hmax(*_hmax_masks(task, state, goal)) == expected
+        assert atoms in compiled_sizes
+        assert runs["inside"] > 10 and runs["across"] > 10, runs
+
+    @pytest.mark.parametrize("atoms", [9, 16, 17])
+    def test_an_action_waits_for_its_one_needed_fact_at_every_place_in_a_byte(self, atoms):
+        """The only needed fact of the task, at each bit in turn: an action
+        that needs it stays blocked until the fact is reached."""
+        pool = [_atom(i) for i in range(atoms)]
+        goal = [Literal(pool[-1])]
+        for atom in pool[:-1]:
+            for positive in (True, False):
+                actions = [  # "clear" numbers the other atoms first, in set order
+                    _action("clear", [], [], pool[:-1]),
+                    _action("need", [Literal(atom, positive)], [pool[-1]], cost=3),
+                ]
+                task = Task(actions)
+                for state in (frozenset(), frozenset(pool[:-1])):
+                    expected = hmax_reference(actions, state, goal)
+                    assert task.hmax(*_hmax_masks(task, state, goal)) == expected
+
+    def test_goals_sharing_one_task_do_not_see_each_other(self, corpus_library):
+        """One Task's tables serve every goal and search on it: h_max for two
+        goals, interleaved, with a blind search in between, must each equal
+        the reference on a fresh evaluation."""
+        task = ground(corpus_library, planning_objects(), derive_costs(corpus_library))
+        goals = [corpus_goals()["tower_blue_red_green"], corpus_goals()["red_on_green"]]
+        rng = random.Random(404)
+        pool = sorted(task.index, key=GroundAtom.sort_key)
+        states = [initial_state().true_atoms] + [
+            frozenset(a for a in pool if rng.random() < 0.3) for _ in range(30)
+        ]
+        finite = 0
+        for i, atoms in enumerate(states):
+            if i == len(states) // 2:
+                assert task.search(initial_state(), goals[1]).total_cost == 16
+            for goal in goals if i % 2 else goals[::-1]:
+                expected = hmax_reference(task.actions, atoms, goal)
+                assert task.hmax(*_hmax_masks(task, atoms, goal)) == expected
+                finite += expected not in (0, float("inf"))
+        assert finite > 10
 
 
 class TestSuccessorGenerator:
