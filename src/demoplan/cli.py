@@ -36,7 +36,6 @@ from .model import (
     atom_from_list,
     atom_to_list,
     check_atom_types,
-    check_object_types,
     expect,
     expect_keys,
     json_text,
@@ -98,9 +97,7 @@ def load_init(path, vocabulary: Vocabulary, types: TypeTable) -> tuple[TypeTable
 
     def decode(payload) -> tuple[TypeTable, State]:
         expect_keys(payload, "init file", "objects", "atoms")
-        objects = types_from_json(payload["objects"], {}, []).objects()
-        check_object_types(objects, types)
-        table = types.with_instances(objects)
+        table = types.with_instances(types_from_json(payload["objects"], {}, []).objects())
         entries = expect(payload["atoms"], list, "'atoms'")
         atoms = [atom_from_list(entry, vocabulary) for entry in entries]
         for atom in atoms:

@@ -229,10 +229,11 @@ class OperatorLibrary:
         return sorted(schemas, key=lambda s: s.name)
 
     def absorb_schema(self, vocabulary: Vocabulary, types: TypeTable) -> None:
-        """Extend the library schema; conflicting declarations raise SchemaError
-        and change nothing."""
+        """Extend the library schema, declaring every type ``vocabulary`` names;
+        conflicting declarations raise SchemaError and change nothing."""
         merged = self.vocabulary.merged(vocabulary)
-        self.types = self.types.merged(types)
+        named = TypeTable(types=frozenset(t for sig in vocabulary.signatures for t in sig.arg_types))
+        self.types = self.types.merged(types).merged(named)
         self.vocabulary = merged
 
     def _check_schema(self, op: ActionSchema) -> None:
@@ -376,7 +377,7 @@ def library_from_dict(payload: dict) -> OperatorLibrary:
     raw_types = expect(payload["types"], dict, "library 'types'")
     types = types_from_json([], raw_types.get("parents", {}), raw_types.get("all", []))
 
-    library = OperatorLibrary(vocabulary=vocabulary, types=types)
+    library = OperatorLibrary.empty(vocabulary, types)
     decode = once_per_entry(lambda entry: literal_from_list(entry, vocabulary))
     for i, entry in enumerate(expect(payload["operators"], list, "library 'operators'")):
         with located(f"operator {i}"):

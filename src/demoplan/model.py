@@ -268,12 +268,15 @@ class TypeTable:
         ]
 
     def with_instances(self, objects: Iterable[ObjectInstance]) -> "TypeTable":
-        """A copy of this table with extra instances registered."""
+        """A copy of this table with extra instances registered. An object of a type
+        this table does not declare raises ValidationError; one retyped, SchemaError."""
         merged = dict(self.instance_to_type)
         for obj in objects:
             known = merged.get(obj.id)
             if known is not None and known != obj.type_id:
                 raise SchemaError(f"object {obj.id!r} declared as both {known!r} and {obj.type_id!r}")
+            if not self.declares(obj.type_id):
+                raise ValidationError(f"object {obj.id!r} has undeclared type {obj.type_id!r}")
             merged[obj.id] = obj.type_id
         return TypeTable(merged, self.type_to_parent, self.types)
 
@@ -341,13 +344,6 @@ def check_atom_types(atom: GroundAtom, types: TypeTable) -> GroundAtom:
                 f"{atom!r}: argument {arg!r} has type {actual!r}, expected {expected!r}"
             )
     return atom
-
-
-def check_object_types(objects: Iterable[ObjectInstance], types: TypeTable) -> None:
-    """A ValidationError for the first object whose type ``types`` does not declare."""
-    for obj in objects:
-        if not types.declares(obj.type_id):
-            raise ValidationError(f"object {obj.id!r} has undeclared type {obj.type_id!r}")
 
 
 # JSON codecs shared by every file format in this package. Decoders check the

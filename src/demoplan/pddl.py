@@ -47,7 +47,6 @@ from .model import (
     TypeTable,
     Vocabulary,
     check_atom_types,
-    check_object_types,
 )
 
 T = TypeVar("T")
@@ -129,7 +128,7 @@ class DomainDoc:
 class ProblemDoc:
     name: str
     domain_name: str
-    objects: tuple[tuple[str, str], ...]
+    objects: tuple[ObjectInstance, ...]  # sorted by id
     init: tuple[GroundAtom, ...]
     goal: tuple[Literal, ...]
 
@@ -154,12 +153,11 @@ def problem_to_doc(
     init: State,
     goal: Iterable[Literal],
 ) -> ProblemDoc:
-    objects = sorted(objects, key=lambda o: o.id)
-    check_object_types(objects, library.types)
+    objects = tuple(sorted(objects, key=lambda o: o.id))
+    table = library.types.with_instances(objects)
     goal = tuple(sorted(goal, key=Literal.sort_key))
     if not goal:
         raise ValidationError("a problem needs at least one goal literal")
-    table = library.types.with_instances(objects)
     for atom in [*init.sorted_atoms(), *(literal.atom for literal in goal)]:
         if library.vocabulary.get(atom.name) != atom.predicate:
             raise ValidationError(f"signature mismatch for predicate {atom.name!r}")
@@ -167,7 +165,7 @@ def problem_to_doc(
     return ProblemDoc(
         name=_PROBLEM_NAME,
         domain_name=_DOMAIN_NAME,
-        objects=tuple((o.id, o.type_id) for o in objects),
+        objects=objects,
         init=tuple(init.sorted_atoms()),
         goal=goal,
     )
@@ -244,7 +242,7 @@ def render_problem(doc: ProblemDoc, nm: NameMap) -> str:
     out = [f"(define (problem {nm.pddl(doc.name)})"]
     out.append(f"  (:domain {nm.pddl(doc.domain_name)})")
     out.append("  (:objects")
-    out.extend(_block((f"{nm.pddl(o)} - {_type_text(t, nm)}" for o, t in doc.objects), "    "))
+    out.extend(_block((f"{nm.pddl(o.id)} - {_type_text(o.type_id, nm)}" for o in doc.objects), "    "))
     out.append("  )")
     out.append("  (:init")
     out.extend(_block((_atom_text(a, nm) for a in doc.init), "    "))
@@ -271,7 +269,7 @@ def emit_problem(
 ) -> str:
     doc = problem_to_doc(library, objects, init, goal)
     nm = library_name_map(library).extended(
-        [_PROBLEM_NAME, _DOMAIN_NAME] + [o for o, _ in doc.objects]
+        [_PROBLEM_NAME, _DOMAIN_NAME] + [o.id for o in doc.objects]
     )
     return render_problem(doc, nm)
 
@@ -509,7 +507,7 @@ def _parse_atom(tree: _Tree, scope: _ParseScope) -> GroundAtom:
         actual = scope.arg_types.get(arg)
         if actual is None:
             raise ValidationError(f"undeclared name {arg!r} at " + "%d:%d" % _where(tree))
-        if actual != "object" and not scope.table.is_subtype(actual, expected):  # untyped fits all
+        if not scope.table.is_subtype(actual, expected):
             raise ValidationError(
                 f"argument {arg!r} of {name!r} should be a {expected}, is a {actual}"
             )
@@ -559,6 +557,10 @@ def _domain(tree: _Tree, nm: NameMap) -> DomainDoc:
         ":action": read_action,
     }, (":durative-action", ":derived", ":constants", ":axiom"))
 
+    for sig in vocabulary.signatures:
+        for type_id in sig.arg_types:
+            if not table.declares(type_id):
+                raise ValidationError(f"predicate {sig.name!r} uses undeclared type {type_id!r}")
     names = [a.name for a in actions]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate action names in domain")
@@ -683,7 +685,7 @@ def _problem(tree: _Tree, domain: DomainDoc, nm: NameMap) -> ProblemDoc:
     problem_name, found = _read(tree, "problem", nm, {
         ":requirements": _requirements,
         ":domain": lambda section: _symbol(_only(section, "malformed :domain"), "domain name"),
-        ":objects": lambda section: _typed_list(section[1:], nm, "object"),
+        ":objects": lambda section: [ObjectInstance(*o) for o in _typed_list(section[1:], nm, "object")],
         ":init": lambda section: section[1:],
         ":goal": lambda section: _only(section, ":goal takes one formula"),
         ":metric": _check_metric,
@@ -697,13 +699,10 @@ def _problem(tree: _Tree, domain: DomainDoc, nm: NameMap) -> ProblemDoc:
         raise ValidationError(f"problem is for domain {domain_name!r}, not {domain.name!r} at "
                               + "%d:%d" % _where(found[":domain"]))
     objects = found.get(":objects", [])
-    if len(set(o for o, _ in objects)) != len(objects):
+    if len({o.id for o in objects}) != len(objects):
         raise ValidationError("duplicate object declarations")
-    instances = [ObjectInstance(o, t) for o, t in objects]
-    check_object_types(instances, domain.types)
-
-    table = domain.types.with_instances(instances)
-    scope = _ParseScope(domain.vocabulary, nm, dict(objects), table)
+    table = domain.types.with_instances(objects)
+    scope = _ParseScope(domain.vocabulary, nm, table.instance_to_type, table)
 
     init_atoms = []
     for item in found[":init"]:
@@ -720,7 +719,7 @@ def _problem(tree: _Tree, domain: DomainDoc, nm: NameMap) -> ProblemDoc:
     return ProblemDoc(
         name=problem_name,
         domain_name=domain.name,
-        objects=tuple(sorted(objects)),
+        objects=tuple(sorted(objects, key=lambda o: o.id)),
         init=tuple(sorted(set(init_atoms), key=GroundAtom.sort_key)),
         goal=tuple(sorted(set(goal), key=Literal.sort_key)),
     )

@@ -54,7 +54,6 @@ from .model import (
     State,
     TypeTable,
     apply,
-    check_object_types,
     holds,
 )
 
@@ -122,8 +121,6 @@ def ground_schemas(
     its Task bit when it is built. An action's sets and masks are unions of
     its prefixes' parts. An object of a type ``types`` does not declare raises.
     """
-    objects = list(objects)
-    check_object_types(objects, types)
     instances_of = lru_cache(maxsize=None)(types.with_instances(objects).instances_of)
     index: dict[GroundAtom, int] = {}
     # predicate, or (predicate, polarity) -> {arguments: (atom or literal, its bit)}
@@ -208,8 +205,7 @@ def ground(
 
 def task_from_docs(domain_doc, problem_doc) -> tuple[Task, State, list[Literal]]:
     """Ground a parsed domain against a parsed problem."""
-    objects = [ObjectInstance(o, t) for o, t in problem_doc.objects]
-    actions = ground_schemas(domain_doc.actions, objects, domain_doc.types)
+    actions = ground_schemas(domain_doc.actions, problem_doc.objects, domain_doc.types)
     return actions, State.of(problem_doc.init), list(problem_doc.goal)
 
 

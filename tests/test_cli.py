@@ -732,21 +732,6 @@ class TestMalformedInput:
         assert f"error: {problem}: not valid UTF-8" in capsys.readouterr().err
 
 
-    def test_an_init_object_of_an_undeclared_type_exits_3(self, workspace, capsys, tmp_path):
-        payload = json.loads((workspace / "traces" / "init.json").read_text())
-        for obj in payload["objects"]:
-            if obj["id"] == "Left_hand":
-                obj["type"] = "Hnd"
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps(payload))
-        code = main(
-            ["plan", "--library", str(workspace / "library.json"), "--init", str(init),
-             "--goal", GOAL]
-        )
-        assert code == EXIT_INVALID
-        assert capsys.readouterr().err == f"error: {init}: object 'Left_hand' has undeclared type 'Hnd'\n"
-
-
 class TestUnwritableOutput:
     """An output that cannot be written is a bad command line value: exit 3
     with a message that names it, and no traceback."""

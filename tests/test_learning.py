@@ -30,6 +30,7 @@ from demoplan.model import (
     Vocabulary,
     json_text,
 )
+from demoplan.pddl import emit_domain, library_name_map, parse_domain
 from demoplan.segmentation import DEFAULT_RULES, Segment, segment
 from demoplan.synth import GREEN, RED, RIGHT_HAND, TABLE, inject_flicker, stacking_demo
 from demoplan.traces import DebounceConfig, Frame, Trace, debounce, load_trace
@@ -394,6 +395,21 @@ class TestLibrary:
                 TypeTable({}, {"Block": "Zone"}),
             )
         assert (library.vocabulary, library.types) == before
+
+    def test_a_type_only_the_vocabulary_names_is_declared(self, corpus_demos):
+        """No object is a Lamp, yet glows(Lamp) makes it a type of the library
+        and of its emitted domain, which parses back with it."""
+        glows = PredicateSignature("glows", ("Lamp",))
+        trace = corpus_demos[0].trace
+        trace = replace(trace, vocabulary=trace.vocabulary.merged(Vocabulary((glows,))))
+        library = OperatorLibrary()
+        learn_from_trace(library, trace, DEFAULT_RULES)
+        assert library.types.declares("Lamp") and "Lamp" not in trace.types.types
+        assert library_from_dict(library_to_dict(library)).types == library.types
+        text = emit_domain(library)
+        assert "    lamp - object\n" in text
+        doc = parse_domain(text, library_name_map(library))
+        assert doc.types == library.types and doc.vocabulary.get("glows") == glows
 
 
 def _touching(trace: Trace, objects: int) -> Trace:

@@ -28,11 +28,13 @@ from demoplan.model import (
     json_text,
     literal_from_list,
     literal_to_list,
+    objects_to_json,
     satisfies,
 )
 
+from demoplan.cli import EXIT_INVALID, main
 from demoplan.pddl import emit_domain, emit_problem, library_name_map, parse_domain, parse_problem
-from demoplan.learning import library_to_dict
+from demoplan.learning import library_to_dict, save_library
 from demoplan.planner import derive_costs, ground, task_from_docs
 from demoplan.synth import corpus_goals, initial_state, planning_objects
 from demoplan.traces import load_trace, save_trace
@@ -165,11 +167,17 @@ class TestTypeTable:
             TypeTable({}).type_of("ghost")
 
     def test_with_instances_rejects_retyping(self):
-        table = TypeTable({"c1": "Cube"})
+        table = TypeTable({"c1": "Cube"}, {}, frozenset({"Table"}))
         extended = table.with_instances([ObjectInstance("t1", "Table")])
         assert extended.type_of("t1") == "Table"
         with pytest.raises(SchemaError):
             table.with_instances([ObjectInstance("c1", "Table")])
+
+    def test_with_instances_rejects_an_undeclared_type(self):
+        table = TypeTable({}, {"Cube": "Block"})
+        assert table.with_instances([ObjectInstance("x", "object")]).type_of("x") == "object"
+        with pytest.raises(ValidationError, match="^object 'c1' has undeclared type 'Cub'$"):
+            table.with_instances([ObjectInstance("b1", "Block"), ObjectInstance("c1", "Cub")])
 
     def test_merged_rejects_conflicting_parents(self):
         a = TypeTable({}, {"Cube": "Thing"})
@@ -180,6 +188,38 @@ class TestTypeTable:
         assert merged.instance_to_type == {}
         assert merged.declares("Ball")
         assert merged.is_subtype("Cube", "Thing")
+
+
+@pytest.mark.parametrize("entry", ["ground", "emit_problem", "parse_problem", "load_init"])
+def test_every_entry_rejects_an_object_of_an_undeclared_type_alike(entry, corpus_library, tmp_path, capsys):
+    """Wherever a task takes its objects, TypeTable.with_instances admits them.
+    Typed Hnd, Left_hand would otherwise take part in no action (44 of the
+    corpus's 88 would be left) and sit in a problem its own domain rejects."""
+    retyped = [ObjectInstance(o.id, "Hnd" if o.id == "Left_hand" else o.type_id)
+               for o in planning_objects()]
+    goal = corpus_goals()["red_on_green"]
+    message = "object 'Left_hand' has undeclared type 'Hnd'"
+    if entry == "load_init":  # through plan --library --init
+        save_library(corpus_library, tmp_path / "library.json")
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"objects": objects_to_json(retyped), "atoms": []}))
+        code = main(["plan", "--library", str(tmp_path / "library.json"), "--init", str(init),
+                     "--goal", "onTop(Cube_red1,Cube_green1)"])
+        assert (code, capsys.readouterr().err) == (EXIT_INVALID, f"error: {init}: {message}\n")
+        return
+    with pytest.raises(ValidationError) as caught:
+        if entry == "ground":
+            ground(corpus_library, iter(retyped), derive_costs(corpus_library))
+        elif entry == "emit_problem":
+            emit_problem(corpus_library, iter(retyped), initial_state(), goal)
+        else:
+            nm = library_name_map(corpus_library).extended(
+                ["learned", "task", "Hnd", *(o.id for o in retyped)]
+            )
+            text = emit_problem(corpus_library, planning_objects(), initial_state(), goal)
+            domain = parse_domain(emit_domain(corpus_library), nm)
+            parse_problem(text.replace("left_hand - hand", "left_hand - hnd"), domain, nm)
+    assert type(caught.value) is ValidationError and str(caught.value) == message
 
 
 class TestVocabulary:

@@ -144,14 +144,6 @@ class TestEmission:
         with pytest.raises(ValidationError, match="^signature mismatch for predicate 'handOpen'$"):
             emit_problem(corpus_library, planning_objects(), State.of([odd]), goal)
 
-    def test_problem_rejects_an_object_of_an_undeclared_type(self, corpus_library):
-        """The domain emitted beside it would reject the problem."""
-        retyped = [ObjectInstance(o.id, "Hnd" if o.id == "Left_hand" else o.type_id)
-                   for o in planning_objects()]
-        goal = corpus_goals()["red_on_green"]
-        with pytest.raises(ValidationError, match="^object 'Left_hand' has undeclared type 'Hnd'$"):
-            emit_problem(corpus_library, iter(retyped), initial_state(), goal)
-
     def test_problem_text_shape(self, corpus_library):
         goal = corpus_goals()["red_on_green"]
         text = emit_problem(corpus_library, planning_objects(), initial_state(), goal)
@@ -505,6 +497,10 @@ READER_ERRORS = [
      "duplicate predicate names in vocabulary: ['armfree', 'armfree', 'lifted', 'stacked']"),
     ("duplicate predicate without actions", "domain", "(define (domain d) (:predicates (p) (p ?x)))",
      SchemaError, "duplicate predicate names in vocabulary: ['p', 'p']"),
+    ("predicate type", "domain", _crane("(armfree)\n", "(armfree)\n    (glows ?g - ghost)\n"),
+     ValidationError, "predicate 'glows' uses undeclared type 'ghost'"),
+    ("predicate type without types", "domain", "(define (domain d) (:predicates (q ?x - ghost)))",
+     ValidationError, "predicate 'q' uses undeclared type 'ghost'"),
     ("function", "domain", _crane("(:functions (total-cost)", "(:functions (fuel)"),
      UnsupportedFeature, "only the (total-cost) function is supported"),
     ("function arity", "domain", _crane("(total-cost) - number", "(total-cost ?x)"),
@@ -552,6 +548,8 @@ READER_ERRORS = [
     ("parameter variable before type", "domain",
      _crane(":parameters (?c - crate)", ":parameters (c - pallet)"),
      PddlSyntaxError, "action parameters must be variables (line 11, column 4)"),
+    ("untyped parameter in a typed slot", "domain", _crane(":parameters (?c - crate)", ":parameters (?c)"),
+     ValidationError, "argument '?c' of 'lifted' should be a crate, is a object"),
     ("literal symbol", "domain", _crane(_HOIST_PRE, "(and armfree)"), PddlSyntaxError,
      "expected a literal (line 13, column 24)"),
     ("literal empty", "domain", _crane(_HOIST_PRE, "(and ())"), PddlSyntaxError,
@@ -642,6 +640,9 @@ READER_ERRORS = [
      ValidationError, "negative literals are not allowed in :init"),
     ("init predicate", "problem", _restack("(:init (armfree)", "(:init (levitated c1)"),
      ValidationError, "unknown predicate 'levitated' at 4:11"),
+    ("untyped object in a typed init slot", "problem",
+     _crane("(:init (armfree)", "(:init (lifted c3)", _restack("c1 c2 - crate", "c1 c2 - crate c3")),
+     ValidationError, "argument 'c3' of 'lifted' should be a crate, is a object"),
     ("init fluent", "problem", _restack("(= (total-cost) 0)", "(= (fuel) 0)"), UnsupportedFeature,
      "only (= (total-cost) 0) is supported in :init (4:21)"),
     ("init fluent value", "problem", _restack("(= (total-cost) 0)", "(= (total-cost) (0))"),
@@ -665,6 +666,11 @@ READER_ERRORS = [
     ("requirements repeated", "domain", _crane("(:types", "(:requirements :strips)\n  (:types"),
      PddlSyntaxError, "repeated section ':requirements' (line 3, column 4)"),
 ]
+
+
+def test_a_predicate_may_name_a_type_declared_after_it():
+    doc = parse_domain("(define (domain d) (:predicates (q ?x - ghost)) (:types ghost))")
+    assert doc.vocabulary.get("q").arg_types == ("ghost",) and doc.types.declares("ghost")
 
 
 def test_a_problem_names_its_domain_in_any_case():
@@ -703,7 +709,7 @@ def test_an_object_of_an_undeclared_type_is_rejected():
     with pytest.raises(ValidationError, match="^object 'zz' has undeclared type 'nosuchtype'$"):
         parse_problem(_restack("c1 c2 - crate", "c1 c2 - crate zz - nosuchtype"), domain)
     untyped = parse_problem(_restack("c1 c2 - crate", "c1 c2 - crate zz"), domain)
-    assert ("zz", "object") in untyped.objects
+    assert ObjectInstance("zz", "object") in untyped.objects
 
 
 def test_each_action_checks_the_types_of_its_own_parameters():
