@@ -314,6 +314,19 @@ def _add_planning_options(p: argparse.ArgumentParser) -> None:
                    help="ignore observation counts and give every action cost 1")
 
 
+def _add_learning_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("traces", nargs="+", help="demonstration trace JSON files")
+    p.add_argument("--rules", help="segmentation rule JSON (default: built-in rules)")
+    p.add_argument("--debounce", type=int, default=DebounceConfig.window,
+                   help="debounce window in frames")
+
+
+def _add_execution_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--faults", help="scripted fault JSON file")
+    p.add_argument("--max-replans", type=int, default=MonitorConfig.max_replans,
+                   help="replanning budget")
+
+
 def _add_task_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--library", help="operator library JSON")
     p.add_argument("--init", help="initial state JSON (objects + atoms)")
@@ -329,10 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("learn", help="learn or update an operator library from traces")
-    p.add_argument("traces", nargs="+", help="demonstration trace JSON files")
     p.add_argument("--library", required=True, help="library file to create or update")
-    p.add_argument("--rules", help="segmentation rule JSON (default: built-in rules)")
-    p.add_argument("--debounce", type=int, default=2, help="debounce window in frames")
+    _add_learning_options(p)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("plan", help="find a minimum-cost plan")
@@ -345,21 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("execute", help="execute a plan in a simulated world")
     _add_task_options(p)
-    p.add_argument("--faults", help="scripted fault JSON file")
-    p.add_argument("--max-replans", type=int, default=5, help="replanning budget")
+    _add_execution_options(p)
     p.add_argument("--out", help="also write the execution log JSON here")
     _add_planning_options(p)
     p.set_defaults(func=cmd_execute)
 
     p = sub.add_parser("pipeline", help="learn, emit PDDL, plan, and execute in one go")
-    p.add_argument("traces", nargs="+", help="demonstration trace JSON files")
-    p.add_argument("--rules", help="segmentation rule JSON (default: built-in rules)")
-    p.add_argument("--debounce", type=int, default=2, help="debounce window in frames")
+    _add_learning_options(p)
     p.add_argument("--init", required=True, help="initial state JSON (objects + atoms)")
     p.add_argument("--goal", action="append", default=[], required=True,
                    help="goal literal; repeatable")
-    p.add_argument("--faults", help="scripted fault JSON file")
-    p.add_argument("--max-replans", type=int, default=5, help="replanning budget")
+    _add_execution_options(p)
     p.add_argument("--out", help="artifact directory (default: $DEMOPLAN_OUT or .)")
     _add_planning_options(p)
     p.set_defaults(func=cmd_pipeline)

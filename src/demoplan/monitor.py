@@ -154,10 +154,10 @@ def execute(
 
     ``actions`` is compiled once unless it is a Task already (``compiled``).
     A replan keeps the rest of the last searched plan when the whole sensed
-    state is on its predicted path and it was searched on equal actions, for
-    this goal, under ``config.heuristic``; otherwise, and for a plan built by
-    hand or copied, it searches (``Task.rest_of``). A kept rest expands no
-    states: ``config.node_limit`` bounds searches only.
+    state is on its predicted path and it was searched on a Task of equal
+    ``key``, for this goal, under ``config.heuristic``; otherwise, and for a
+    plan built by hand or copied, it searches (``Task.rest_of``). A kept rest
+    expands no states: ``config.node_limit`` bounds searches only.
     """
     goal = frozenset(goal)
     task = compiled(actions)

@@ -7,9 +7,18 @@ ActionSchema list (OperatorLibrary.schemas, DomainDoc.actions), so there is
 one grounding path. A grounded action set is compiled once to integer
 bitmasks over the atoms its actions mention; a goal literal on any other atom
 is static and is decided against the initial state before searching.
-Grounding compiles as it goes: it numbers each atom when it first builds it,
-once per binding prefix, and returns the resulting Task, which plan() and the
-monitor use as it is; any other action list is compiled on each call.
+Grounding compiles as it goes, to masks only: it numbers each atom when it
+first meets it, once per binding prefix. Objects enter a grounded task only
+through their types in id order, so one compiled core serves every call with
+equal schemas (names and costs included), type hierarchy and object types in
+id order: a small LRU keeps the last CORE_CACHE_SIZE cores, and each call
+returns a new Task that views one under the call's object names. A miss
+compiles the core (no slower than building every ground action was); a hit
+costs the object check and the key. A view builds a GroundedAction only for a
+plan's steps, or for all of them when its ``actions`` are read. plan() and the
+monitor use a Task as it is; any other action list is compiled on each call.
+Sharing never changes an answer: a view answers as a fresh compile does, and
+the tables a core fills in lazily hold values that depend only on its key.
 Search is uniform-cost (A* with a zero heuristic) over closed-world states,
 with an optional admissible h_max heuristic that never changes the optimum
 cost; among equal-cost plans it may pick a different one than blind search,
@@ -40,9 +49,9 @@ import itertools
 from bisect import insort
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InvalidEffect, SearchLimitExceeded, ValidationError
 from .learning import OperatorLibrary
@@ -58,6 +67,7 @@ from .model import (
 )
 
 DEFAULT_NODE_LIMIT = 10_000_000
+CORE_CACHE_SIZE = 8  # compiled cores kept, least recently used dropped first
 INF = float("inf")
 
 
@@ -92,14 +102,14 @@ class GroundedAction:
         return f"{self.name}({','.join(self.objects)})"
 
 
-Proof = namedtuple("Proof", "actions goal heuristic start")
+Proof = namedtuple("Proof", "key goal heuristic start")
 
 
 @dataclass(frozen=True)
 class Plan:
     actions: tuple[GroundedAction, ...]
     total_cost: int
-    # What Task.search found it on, for and from; a built or copied plan has none.
+    # The key of the Task search found it on, for and from; a built or copied plan has none.
     proof: Optional[Proof] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -112,63 +122,74 @@ def ground_schemas(
     schemas: Sequence[ActionSchema], objects: Iterable[ObjectInstance], types: TypeTable
 ) -> Task:
     """The Task of all type-consistent bindings of distinct objects to the
-    parameters, in (name, objects) order.
+    parameters, in (name, objects) order. An object of a type ``types`` does
+    not declare raises, and so does one that ``types`` holds under another type.
 
-    Parameters are bound depth first. An atom or literal is looked up by its
-    predicate and arguments when the deepest parameter it names is bound,
-    once per binding prefix that some action completes. Each distinct one is
-    built once per call, shared by every action that mentions it, and given
-    its Task bit when it is built. An action's sets and masks are unions of
-    its prefixes' parts. An object of a type ``types`` does not declare raises.
+    Objects enter only through their types in id order, so the actions over
+    any objects are those of ``_core`` over their places in that order,
+    renamed; the core is shared by every call with equal schemas (names and
+    costs included), type hierarchy and object types in id order.
     """
-    instances_of = lru_cache(maxsize=None)(types.with_instances(objects).instances_of)
-    index: dict[GroundAtom, int] = {}
-    # predicate, or (predicate, polarity) -> {arguments: (atom or literal, its bit)}
-    built: dict[object, dict] = defaultdict(dict)
-    actions, masks = [], []
+    table = types.with_instances(objects)
+    ids = sorted(table.instance_to_type)
+    layout = tuple([table.instance_to_type[obj] for obj in ids])
+    key = (tuple(schemas), frozenset(table.type_to_parent.items()), layout)
+    return _View(_core(*key), (*key, tuple(ids)))
 
-    def extend(level: list, values: tuple, parts: tuple) -> tuple:
-        """``parts`` (pre, adds, dels, and the masks of the atoms needed true,
-        needed false, added and deleted) joined with ``level``'s."""
+
+@lru_cache(maxsize=CORE_CACHE_SIZE)
+def _core(schemas: tuple, parents: frozenset, layout: tuple[str, ...]) -> Task:
+    """The compiled tables of ``schemas`` over the objects 0, 1, ... whose
+    types ``layout`` lists, under the type hierarchy ``parents``, with each
+    atom as (predicate, object places) and each action as (name, object
+    places, cost); a ``_View`` gives them names.
+
+    Parameters are bound depth first. An atom is looked up by its predicate
+    and arguments when the deepest parameter it names is bound, once per
+    binding prefix that some action completes, and gets its bit when it is
+    first found. An action's masks are unions of its prefixes' parts.
+    """
+    hierarchy = TypeTable(type_to_parent=dict(parents))
+    instances_of = lru_cache(maxsize=None)(
+        lambda type_id: [i for i, t in enumerate(layout) if hierarchy.is_subtype(t, type_id)]
+    )
+    atoms: list[tuple] = []
+    built: dict[object, dict] = defaultdict(dict)  # predicate -> {arguments: its bit}
+    heads, masks = [], []
+
+    def extend(level: list, values: tuple, parts: list) -> list:
+        """``parts``, the masks of the atoms needed true, needed false, added
+        and deleted, joined with ``level``'s."""
         if not level:
             return parts
-        found: tuple[list, ...] = ([], [], [], [])
-        bits = [*parts[3:]]
-        for lookup, get, slot, predicate, picks, positive in level:
+        parts = [*parts]
+        for lookup, get, slot, found, predicate, picks in level:
             key = get(values)
-            hit = lookup(key)
-            if hit is None:
-                hit = built[predicate].get(key)
-                if hit is None:
-                    atom = GroundAtom(predicate, tuple([values[i] for i in picks]))
-                    hit = built[predicate][key] = (atom, 1 << index.setdefault(atom, len(index)))
-                if positive is not None:
-                    hit = built[predicate, positive][key] = (Literal(hit[0], positive), hit[1])
-            found[slot].append(hit[0])
-            bits[slot] |= hit[1]
-        pre, adds, dels = parts[:3]
-        pre = pre.union(found[0], found[1]) if found[0] or found[1] else pre
-        adds = adds.union(found[2]) if found[2] else adds
-        return pre, adds, dels.union(found[3]) if found[3] else dels, *bits
+            bit = lookup(key)
+            if bit is None:
+                bit = found[key] = 1 << len(atoms)
+                atoms.append((predicate, tuple([values[i] for i in picks])))
+            parts[slot] |= bit
+        return parts
 
     for schema in sorted(schemas, key=lambda s: s.name):
         position = {var: i for i, (var, _) in enumerate(schema.params)}
         width = len(position)
         levels: list[list] = [[] for _ in range(width + 1)]  # by 1 + the deepest position named
-        for slot, atom, positive in (
-            *((1 - l.positive, l.atom, l.positive) for l in schema.pre),
-            *((2, a, None) for a in schema.adds),
-            *((3, a, None) for a in schema.dels),
+        for slot, atom in (
+            *((1 - l.positive, l.atom) for l in schema.pre),
+            *((2, a) for a in schema.adds),
+            *((3, a) for a in schema.dels),
         ):
             picks = tuple([position[arg] for arg in atom.args])
             get = itemgetter(*picks) if picks else lambda values: ()
-            lookup = built[atom.predicate if positive is None else (atom.predicate, positive)].get
+            found = built[atom.predicate]
             levels[max(picks, default=-1) + 1].append(
-                (lookup, get, slot, atom.predicate, picks, positive)
+                (found.get, get, slot, found, atom.predicate, picks)
             )
         candidates = [instances_of(type_id) for _, type_id in schema.params]
-        # stack[j + 1]: the parts of the binding prefix of length j, once an action needs them
-        stack = [(frozenset(), frozenset(), frozenset(), 0, 0, 0, 0)]
+        # stack[j + 1]: the masks of the binding prefix of length j, once an action needs them
+        stack = [[0, 0, 0, 0]]
 
         def bind(values: tuple) -> None:
             depth = len(values)
@@ -180,17 +201,18 @@ def ground_schemas(
                 return
             for j in range(len(stack) - 1, width + 1):
                 stack.append(extend(levels[j], values, stack[-1]))
-            actions.append(GroundedAction(schema.name, values, *stack[-1][:3], schema.cost))
-            masks.append(stack[-1][3:])
+            heads.append((schema.name, values, schema.cost))
+            masks.append(stack[-1])
 
         bind(())
         del bind  # bind names itself: end that cycle, or it keeps the tables until a GC pass
     if len({s.name for s in schemas}) < len(schemas):  # equal names: restore the tie-break order
-        order = sorted(range(len(actions)), key=lambda i: actions[i].sort_key())
-        actions[:], masks = [actions[i] for i in order], [masks[i] for i in order]
-    task = Task.__new__(Task)
-    task._compile(tuple(actions), index, masks)
-    return task
+        order = sorted(range(len(heads)), key=lambda i: heads[i][:2])
+        heads, masks = [heads[i] for i in order], [masks[i] for i in order]
+    core = Task.__new__(Task)
+    core._compile(len(atoms), heads, masks)
+    core._atoms, core._bits, core._heads = atoms, {a: i for i, a in enumerate(atoms)}, heads
+    return core
 
 
 def ground(
@@ -241,7 +263,9 @@ class Task:
 
     Actions are kept in (name, objects) order, the tie-break order. Each of
     the n atoms an action mentions gets one bit, in an order that no answer
-    depends on; any other atom is static.
+    depends on; any other atom is static. ``key`` names the action list in
+    a plan's proof: the sorted list for ``Task(actions)``, and the schemas,
+    type hierarchy and objects for a grounded Task, never a Task's tables.
     A fact is a literal: bit i says atom i is true, bit n + i that it is false.
     A set of actions is a mask with bit a for action a. Compiling is the one
     check of an action list: overlapping effects, contradictory preconditions
@@ -250,6 +274,7 @@ class Task:
 
     def __init__(self, actions: Iterable[GroundedAction]):
         ordered = tuple(sorted(actions, key=GroundedAction.sort_key))
+        self.actions = self.key = ordered
         index: dict[GroundAtom, int] = {}
 
         def bits(atoms: Iterable[GroundAtom]) -> int:
@@ -267,25 +292,25 @@ class Task:
             )
             for action in ordered
         ]
-        self._compile(ordered, index, masks)
+        self.index = index
+        self._compile(len(index), [(a.name, a.objects, a.cost) for a in ordered], masks)
 
-    def _compile(self, actions: tuple, index: dict, masks: list) -> None:
+    def _compile(self, n: int, heads: list, masks: list) -> None:
         """The compile tail that ``Task(actions)`` and grounding share: ``masks``
         holds each action's (atoms needed true, needed false, added, deleted)
-        under the atom bits ``index``, in ``actions``' order."""
-        self.actions, self.index = actions, index
-        n = self.n = len(index)
+        over ``n`` atom bits, in the order of ``heads``, its (name, objects, cost)."""
+        self.n = n
         self.all_atoms = (1 << n) - 1
         # (precondition facts, add, del, cost) per action
         self.ops = []
-        for (pos, neg, add, dele), action in zip(masks, actions):
+        for (pos, neg, add, dele), (name, _, cost) in zip(masks, heads):
             if add & dele:
-                raise InvalidEffect(f"action {action.name!r} adds and deletes the same atom")
+                raise InvalidEffect(f"action {name!r} adds and deletes the same atom")
             if pos & neg:
-                raise ValidationError(f"action {action.name!r} has contradictory preconditions")
-            if not isinstance(action.cost, int) or action.cost < 1:
-                raise ValidationError(f"action {action.name!r} needs a positive integer cost")
-            self.ops.append((pos | neg << n, add, dele, action.cost))
+                raise ValidationError(f"action {name!r} has contradictory preconditions")
+            if not isinstance(cost, int) or cost < 1:
+                raise ValidationError(f"action {name!r} needs a positive integer cost")
+            self.ops.append((pos | neg << n, add, dele, cost))
         # The actions that need fact i: atom i true, or atom i - n false.
         needed = [0] * 2 * n
         for ai, (pre, _, _, _) in enumerate(self.ops):
@@ -294,7 +319,7 @@ class Task:
                 i = pre.bit_length() - 1
                 needed[i] |= bit
                 pre ^= 1 << i
-        self.all_actions = (1 << len(actions)) - 1
+        self.all_actions = (1 << len(heads)) - 1
         pairs = list(zip(needed[:n], needed[n:]))
         self.blockers = [(shift, _Blockers(pairs[shift : shift + 8])) for shift in range(0, n, 8)]
         # h_max's tables: actions blocked per needed-fact byte, fired effects per chunk
@@ -309,10 +334,17 @@ class Task:
                 self.effects.append((at, (1 << len(chunk)) - 1, cost, _Blockers(chunk)))
 
     def __len__(self) -> int:
-        return len(self.actions)
+        return len(self.ops)
 
     def __iter__(self):
         return iter(self.actions)
+
+    def _bit(self, atom: GroundAtom) -> Optional[int]:
+        """The bit of ``atom``, or None if no action mentions it."""
+        return self.index.get(atom)
+
+    def _action(self, i: int) -> GroundedAction:
+        return self.actions[i]
 
     def applicable(self, state: int) -> int:
         """The mask of actions whose preconditions hold in ``state``."""
@@ -367,7 +399,7 @@ class Task:
         goal = frozenset(goal)
         goal_pos = goal_neg = 0
         for lit in goal:
-            bit = self.index.get(lit.atom)
+            bit = self._bit(lit.atom)
             if bit is None:  # no action changes this atom
                 if not holds(init, lit):
                     return None
@@ -378,8 +410,9 @@ class Task:
         goal_facts = goal_pos | goal_neg << self.n
         start = 0
         for atom in init.true_atoms:
-            if atom in self.index:
-                start |= 1 << self.index[atom]
+            bit = self._bit(atom)
+            if bit is not None:
+                start |= 1 << bit
 
         known: dict[int, float] = {start: self.hmax(start, goal_facts)}  # h_max seen so far
         if known[start] == INF:  # unreachable even relaxed: no search, blind or not
@@ -418,10 +451,10 @@ class Task:
                     steps = []
                     while state != start:
                         state, ai = parent[state]
-                        steps.append(self.actions[ai])
+                        steps.append(self._action(ai))
                     steps.reverse()
                     found = Plan(tuple(steps), g)
-                    object.__setattr__(found, "proof", Proof(self.actions, goal, heuristic, init))
+                    object.__setattr__(found, "proof", Proof(self.key, goal, heuristic, init))
                     return found
                 expanded += 1
                 if expanded > node_limit:
@@ -448,10 +481,10 @@ class Task:
         return None
 
     def rest_of(self, plan_: Plan, state: State, goal: frozenset, heuristic: str) -> Optional[Plan]:
-        """The rest of ``plan_`` from ``state`` if it was searched over equal
-        actions, for ``goal`` under ``heuristic``, and ``state`` is on its
+        """The rest of ``plan_`` from ``state`` if it was searched on a Task of
+        equal ``key``, for ``goal`` under ``heuristic``, and ``state`` is on its
         predicted path, else None. Costs do not depend on the state, so it is optimal."""
-        if plan_.proof is None or plan_.proof[:3] != (self.actions, frozenset(goal), heuristic):
+        if plan_.proof is None or plan_.proof[:3] != (self.key, frozenset(goal), heuristic):
             return None
         path = itertools.accumulate(
             plan_.actions, lambda at, a: apply(at, a.adds, a.dels), initial=plan_.proof.start
@@ -461,6 +494,62 @@ class Task:
                 rest = plan_.actions[i:]
                 return Plan(rest, sum(a.cost for a in rest))
         return None
+
+
+class _View(Task):
+    """A grounded Task: the tables of a shared ``_core`` under one call's
+    object names. It translates a query's atoms into the core's places, and
+    builds a GroundedAction only when asked for it: a plan's steps, or every
+    action when ``actions`` is first read."""
+
+    def __init__(self, core: Task, key: tuple):
+        self.__dict__.update(core.__dict__)
+        self.key, self._ids = key, key[-1]
+        self._place = {obj: i for i, obj in enumerate(self._ids)}.get
+        self._made: list = [None] * len(self.ops)
+        self._named: list = [None] * self.n
+
+    @cached_property
+    def actions(self) -> tuple[GroundedAction, ...]:
+        return tuple(map(self._action, range(len(self))))
+
+    @cached_property
+    def index(self) -> dict[GroundAtom, int]:
+        return {self._atom(i): i for i in range(self.n)}
+
+    def _bit(self, atom: GroundAtom) -> Optional[int]:
+        return self._bits.get((atom.predicate, tuple(map(self._place, atom.args))))
+
+    def _atom(self, i: int) -> GroundAtom:
+        atom = self._named[i]
+        if atom is None:
+            predicate, places = self._atoms[i]
+            atom = self._named[i] = GroundAtom(predicate, tuple([self._ids[p] for p in places]))
+        return atom
+
+    def _action(self, i: int) -> GroundedAction:
+        action = self._made[i]
+        if action is None:
+            name, places, cost = self._heads[i]
+            facts, add, dele, _ = self.ops[i]
+            n, atom = self.n, self._atom
+            action = self._made[i] = GroundedAction(
+                name,
+                tuple([self._ids[p] for p in places]),
+                frozenset([Literal(atom(b % n), b < n) for b in _members(facts)]),
+                frozenset(map(atom, _members(add))),
+                frozenset(map(atom, _members(dele))),
+                cost,
+            )
+        return action
+
+
+def _members(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def plan(

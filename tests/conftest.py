@@ -13,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 settings.register_profile("ci", derandomize=True, database=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
+from demoplan import planner
 from demoplan.learning import build_library
 from demoplan.planner import Task, derive_costs, ground
 from demoplan.segmentation import DEFAULT_RULES
@@ -24,7 +25,10 @@ FIXTURE_PATH = Path(__file__).parent / "data" / "put_fixture.json"
 @pytest.fixture
 def task_calls(monkeypatch):
     """How often a Task is compiled ("_compile", by ``Task(actions)`` or by
-    grounding) and searched ("search") while the test runs."""
+    grounding) and searched ("search") while the test runs. Grounding's cache
+    of compiled cores starts empty, so a count does not depend on which tests
+    ran before."""
+    planner._core.cache_clear()
     calls = Counter()
     for name in ("_compile", "search"):
         original = getattr(Task, name)

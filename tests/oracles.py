@@ -13,18 +13,22 @@ decode every atom and literal entry where it stands;
 ``canonical_form_reference`` renames every literal of an operator,
 ``read_all_reference`` counts lines and columns as its scan meets each
 newline, and ``json_text_reference`` is the standard library's indented
-encoder. When an oracle and the package disagree, one of them has a bug; the
+encoder. ``ground_eager`` is the exception: it is the package's former
+grounder, kept as it was, because the atom numbering it defines is what the
+grounder that replaced it must reproduce. When an oracle and the package disagree, one of them has a bug; the
 oracles are kept simple enough to audit by eye.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
 import math
+import operator
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 
 from demoplan.errors import (
     InputError,
@@ -80,6 +84,75 @@ def ground_reference(schemas, objects, types):
                 )
             )
     return sorted(actions, key=lambda act: (act.name, act.objects))
+
+
+def ground_eager(schemas, objects, types):
+    """The grounder that built every ground action at once, kept as the
+    reference for the one that compiles masks and shares them across calls:
+    ``(actions, index)``, the actions in (name, objects) order and each
+    atom's bit, numbered when the atom is first built, once per binding
+    prefix, in the order in which ``planner.ground_schemas`` must number it.
+    """
+    instances_of = functools.lru_cache(maxsize=None)(types.with_instances(objects).instances_of)
+    index = {}
+    # predicate, or (predicate, polarity) -> {arguments: (atom or literal, its bit)}
+    built = defaultdict(dict)
+    actions = []
+
+    def extend(level, values, parts):
+        """``parts`` (pre, adds, dels) joined with ``level``'s."""
+        if not level:
+            return parts
+        found = ([], [], [], [])
+        for lookup, get, slot, predicate, picks, positive in level:
+            key = get(values)
+            hit = lookup(key)
+            if hit is None:
+                hit = built[predicate].get(key)
+                if hit is None:
+                    atom = GroundAtom(predicate, tuple([values[i] for i in picks]))
+                    hit = built[predicate][key] = (atom, index.setdefault(atom, len(index)))
+                if positive is not None:
+                    hit = built[predicate, positive][key] = (Literal(hit[0], positive), hit[1])
+            found[slot].append(hit[0])
+        pre, adds, dels = parts
+        pre = pre.union(found[0], found[1]) if found[0] or found[1] else pre
+        adds = adds.union(found[2]) if found[2] else adds
+        return pre, adds, dels.union(found[3]) if found[3] else dels
+
+    for schema in sorted(schemas, key=lambda s: s.name):
+        position = {var: i for i, (var, _) in enumerate(schema.params)}
+        width = len(position)
+        levels = [[] for _ in range(width + 1)]  # by 1 + the deepest position named
+        for slot, atom, positive in (
+            *((1 - l.positive, l.atom, l.positive) for l in schema.pre),
+            *((2, a, None) for a in schema.adds),
+            *((3, a, None) for a in schema.dels),
+        ):
+            picks = tuple([position[arg] for arg in atom.args])
+            get = operator.itemgetter(*picks) if picks else lambda values: ()
+            lookup = built[atom.predicate if positive is None else (atom.predicate, positive)].get
+            levels[max(picks, default=-1) + 1].append(
+                (lookup, get, slot, atom.predicate, picks, positive)
+            )
+        candidates = [instances_of(type_id) for _, type_id in schema.params]
+        # stack[j + 1]: the parts of the binding prefix of length j, once an action needs them
+        stack = [(frozenset(), frozenset(), frozenset())]
+
+        def bind(values):
+            depth = len(values)
+            if depth < width:
+                for obj in candidates[depth]:
+                    if obj not in values:
+                        del stack[depth + 2 :]
+                        bind(values + (obj,))
+                return
+            for j in range(len(stack) - 1, width + 1):
+                stack.append(extend(levels[j], values, stack[-1]))
+            actions.append(GroundedAction(schema.name, values, *stack[-1], schema.cost))
+
+        bind(())
+    return sorted(actions, key=GroundedAction.sort_key), index
 
 
 def dijkstra_plan(actions, init, goal):

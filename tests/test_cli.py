@@ -12,6 +12,7 @@ from demoplan.cli import (
     EXIT_LIMIT,
     EXIT_OK,
     EXIT_UNSOLVABLE,
+    build_parser,
     load_init,
     main,
     parse_literal_text,
@@ -19,10 +20,11 @@ from demoplan.cli import (
 from demoplan.errors import ParseError, SchemaError
 from demoplan.learning import OperatorLibrary, load_library
 from demoplan.model import Literal, ObjectInstance
+from demoplan.monitor import MonitorConfig
 from demoplan.pddl import parse_domain
 from demoplan.segmentation import DEFAULT_RULES
 from demoplan.synth import stacking_types, stacking_vocabulary
-from demoplan.traces import debounce, load_trace
+from demoplan.traces import DebounceConfig, debounce, load_trace
 
 from helpers import rules_to_json
 
@@ -280,6 +282,24 @@ class TestPlan:
         for argv in cases:
             assert main(argv) == EXIT_INVALID
             capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--problem", "p.pddl", "--library", "library.json"],
+             "PDDL planning takes its task from the problem file"),
+            (["--problem", "p.pddl", "--init", "init.json"],
+             "PDDL planning takes its task from the problem file"),
+            (["--problem", "p.pddl", "--goal", GOAL],
+             "PDDL planning takes its task from the problem file"),
+            ([], "--domain and --problem must be given together"),
+        ],
+        ids=["library", "init", "goal", "domain-without-problem"],
+    )
+    def test_a_mode_conflict_exits_3_with_its_message(self, capsys, extra, message):
+        # decided from the command line alone, before any file is read
+        assert main(["plan", "--domain", "d.pddl", *extra]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unit_costs_with_pddl_files_exits_3(self, workspace, capsys):
         artifacts = workspace / "artifacts"
@@ -792,6 +812,42 @@ class TestUnwritableOutput:
         blocker.write_text("")
         assert main(["gen-traces", "--out", str(blocker)]) == EXIT_INVALID
         assert f"error: {blocker}: cannot create directory: " in capsys.readouterr().err
+
+
+def test_exit_codes_keep_their_numbers():
+    # The README and scripts rely on these numbers, not on the names.
+    assert (EXIT_OK, EXIT_UNSOLVABLE, EXIT_INVALID, EXIT_LIMIT, EXIT_EXECUTION) == (0, 2, 3, 4, 5)
+
+
+def test_each_option_default_is_its_dataclass_default():
+    parser = build_parser()
+    task = ["--library", "l.json", "--init", "i.json", "--goal", GOAL]
+    learn = parser.parse_args(["learn", "t.json", "--library", "l.json"])
+    execute = parser.parse_args(["execute", *task])
+    pipeline = parser.parse_args(["pipeline", "t.json", "--init", "i.json", "--goal", GOAL])
+    assert (DebounceConfig().window, MonitorConfig().max_replans) == (2, 5)
+    for args in (learn, pipeline):
+        assert args.debounce == DebounceConfig().window
+    for args in (execute, pipeline):
+        assert args.max_replans == MonitorConfig().max_replans
+        assert args.node_limit == MonitorConfig().node_limit
+        assert args.heuristic == MonitorConfig().heuristic
+
+
+@pytest.mark.parametrize("where", ["read", "write", "create directory"])
+def test_an_os_error_without_strerror_is_named_by_its_text(tmp_path, monkeypatch, capsys, where):
+    def fail(*args, **kwargs):
+        raise OSError("disk on fire")
+
+    if where == "read":
+        monkeypatch.setattr(Path, "read_text", fail)
+        argv = ["learn", str(tmp_path / "trace.json"), "--library", str(tmp_path / "lib.json")]
+    else:
+        monkeypatch.setattr(*((os, "replace") if where == "write" else (Path, "mkdir")), fail)
+        argv = ["gen-traces", "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path}") and err.endswith(f": cannot {where}: disk on fire\n")
 
 
 def test_out_dir_falls_back_to_the_environment(tmp_path, monkeypatch):

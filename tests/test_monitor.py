@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from demoplan import planner
 from demoplan.errors import InvalidEffect, ParseError, SearchLimitExceeded, ValidationError
 from demoplan.model import (
     GroundAtom,
@@ -406,6 +407,32 @@ class TestKeepingTheRestOfAPlan:
         log = execute(first, WorldSim(initial_state(), [Fault(1, DROP_EFFECTS)]), goal, actions)
         assert log.succeeded and log.replans
         assert task_calls == {"_compile": 1, "search": 2}
+
+    def test_a_grounded_task_builds_only_its_plans_steps(
+        self, corpus_library, monkeypatch, task_calls
+    ):
+        """A plan's proof names its grounded task by what it was grounded
+        from, so neither a kept rest nor a searched replan builds the task's
+        other ground actions."""
+        built = []
+
+        def counted(*fields, _build=planner.GroundedAction):
+            built.append(fields[:2])
+            return _build(*fields)
+
+        monkeypatch.setattr(planner, "GroundedAction", counted)
+        actions = ground(corpus_library, planning_objects(), derive_costs(corpus_library))
+        goal = corpus_goals()["tower_blue_red_green"]
+        first = plan(actions, initial_state(), goal)
+        v = stacking_vocabulary()
+        knock_yellow = {v.atom("onTop", YELLOW, TABLE), v.atom("inTouch", YELLOW, TABLE)}
+        faults = [Fault(0, DROP_EFFECTS), Fault(3, PERTURB, dels=frozenset(knock_yellow))]
+        log = execute(first, WorldSim(initial_state(), faults), goal, actions)
+        assert log.succeeded and len(log.replans) == 2
+        assert task_calls["search"] == 2  # the first plan, and the replan off its path
+        steps = {(a.name, a.objects) for p in (first, *(e.plan for e in log.replans))
+                 for a in p.actions}
+        assert sorted(built) == sorted(steps) and len(built) < len(actions) // 4
 
     @pytest.mark.parametrize(
         "case", ["built", "copied", "other goal", "other heuristic", "other actions"]

@@ -9,9 +9,11 @@ import pytest
 
 from demoplan.errors import (
     InvalidEffect,
+    SchemaError,
     SearchLimitExceeded,
     ValidationError,
 )
+from demoplan.learning import build_library, learn_from_trace
 from demoplan.model import (
     ActionSchema,
     GroundAtom,
@@ -42,6 +44,7 @@ from demoplan.planner import (
     task_from_docs,
     validate,
 )
+from demoplan.segmentation import DEFAULT_RULES
 from demoplan.synth import (
     BLUE,
     GREEN,
@@ -270,10 +273,23 @@ def _has_dead_prefix(schema: ActionSchema, table: TypeTable) -> bool:
     return any(injective(depth) - complete for depth in range(len(candidates)))
 
 
+def _searched(task, init, goal, expansions):
+    """Per heuristic, ``task``'s plan (or "node limit") and how many states it expanded."""
+    answers = []
+    for heuristic in ("none", "hmax"):
+        expansions.clear()
+        try:
+            found = task.search(init, goal, node_limit=3000, heuristic=heuristic)
+        except SearchLimitExceeded:
+            found = "node limit"
+        answers.append((found, len(expansions)))
+    return answers
+
+
 class TestCarriedTask:
-    """ground_schemas numbers atoms as it builds them and returns the Task it
-    compiled; that task must answer every search as compiling its actions
-    afresh does, and plan() and execute() use it as it is."""
+    """ground_schemas numbers atoms as it meets them and returns a view of the
+    core it compiled; that task must answer every search as compiling its
+    actions afresh does, and plan() and execute() use it as it is."""
 
     def test_answers_as_a_fresh_compile_on_random_schemas(self, monkeypatch):
         expansions = []
@@ -300,17 +316,9 @@ class TestCarriedTask:
             ]
             init = State.of(a for a in atoms if rng.random() < 0.3)
             goal = [Literal(a, rng.random() < 0.7) for a in rng.sample(atoms, min(len(atoms), 3))]
-            for heuristic in ("none", "hmax"):
-                answers = []
-                for task in (carried, fresh):
-                    expansions.clear()
-                    try:
-                        found = task.search(init, goal, node_limit=3000, heuristic=heuristic)
-                    except SearchLimitExceeded:
-                        found = "node limit"
-                    answers.append((found, len(expansions)))
-                assert answers[0] == answers[1]
-                seen["solved"] += answers[0][0] not in (None, "node limit")
+            answers = _searched(carried, init, goal, expansions)
+            assert answers == _searched(fresh, init, goal, expansions)
+            seen["solved"] += sum(found not in (None, "node limit") for found, _ in answers)
             lifted = [a for s in schemas for a in (*(l.atom for l in s.pre), *s.adds, *s.dels)]
             seen["dead prefix"] += any(_has_dead_prefix(s, table) for s in schemas)
             seen["zero parameters"] += any(not s.params for s in schemas)
@@ -362,6 +370,114 @@ class TestCarriedTask:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestSharedCores:
+    """Grounding compiles one core per (schemas, type hierarchy, object types
+    in id order) and returns a view of it under each call's object names. A
+    view that a cache hit returns must answer as the former eager grounder's
+    actions do when compiled afresh."""
+
+    def test_a_hit_answers_as_a_fresh_compile_on_random_schemas(self, monkeypatch, task_calls):
+        expansions = []
+        applicable = Task.applicable
+        monkeypatch.setattr(
+            Task, "applicable", lambda task, state: expansions.append(state) or applicable(task, state)
+        )
+        rng = random.Random(909)
+        seen = Counter()
+        for _ in range(250):
+            schemas = _random_schemas(rng)[0]
+            # Places k00, k01, ... in id order; a constant keeps its name in
+            # both calls, any other object is k..a in the first and k..b in the second.
+            layout = [rng.choice(["Cube", "Block", "Thing", "Zone", "Robot"])
+                      for _ in range(rng.randint(1, 7))]
+            constant = [rng.random() < 0.25 for _ in layout]
+            base = TypeTable({f"k{k:02d}": t for k, t in enumerate(layout) if constant[k]},
+                             _PARENTS, frozenset({"Robot"}))
+            first, second = (
+                [ObjectInstance(f"k{k:02d}{suffix}", t)
+                 for k, t in enumerate(layout) if not constant[k]]
+                for suffix in "ab"
+            )
+            ground_schemas(schemas, first, base)
+            compiles = task_calls["_compile"]
+            hit = ground_schemas(schemas, second, base)
+            assert task_calls["_compile"] == compiles  # nothing compiled again
+            actions, index = oracles.ground_eager(schemas, second, base)
+            fresh = Task(actions)
+            table = base.with_instances(second)
+            atoms = [
+                GroundAtom(sig, args)
+                for sig in _SIGNATURES
+                for args in itertools.product(*(table.instances_of(t) for t in sig.arg_types))
+            ]
+            init = State.of(a for a in atoms if rng.random() < 0.3)
+            goal = [Literal(a, rng.random() < 0.7) for a in rng.sample(atoms, min(len(atoms), 3))]
+            # searched before anything reads its actions, so its plans build their own steps
+            answers = _searched(hit, init, goal, expansions)
+            assert answers == _searched(fresh, init, goal, expansions)
+            assert len(hit) == len(actions) and hit.actions == tuple(actions)
+            assert hit.index == index
+            seen["solved"] += any(found not in (None, "node limit") for found, _ in answers)
+            seen["equal names"] += len({s.name for s in schemas}) < len(schemas) and bool(actions)
+            seen["constant bound"] += any(
+                obj in base.instance_to_type for a in actions for obj in a.objects
+            )
+            seen["supertype parameter over mixed types"] += bool(actions) and any(
+                len({table.type_of(obj) for obj in table.instances_of(type_id)}) > 1
+                for s in schemas
+                for _, type_id in s.params
+            )
+        assert len(seen) == 4 and min(seen.values()) >= 10, seen
+
+    def test_the_key_holds_the_type_hierarchy_and_the_object_types(self):
+        sig = PredicateSignature("marked", ("Block",))
+        mark = ActionSchema("mark", (("?b", "Block"),), frozenset(),
+                            frozenset([GroundAtom(sig, ("?b",))]), frozenset())
+        flat = TypeTable({}, {}, frozenset({"Cube", "Block", "Zone"}))
+        nested = TypeTable({}, {"Cube": "Block"}, frozenset({"Zone"}))
+        cube, zone = [ObjectInstance("o1", "Cube")], [ObjectInstance("o1", "Zone")]
+        sizes = [len(ground_schemas([mark], objects, table))
+                 for table, objects in ((flat, cube), (nested, cube), (nested, zone))]
+        assert sizes == [0, 1, 0]
+
+    def test_a_bad_object_raises_on_a_hit(self):
+        table = TypeTable({"k1": "Zone"}, _PARENTS, frozenset({"Robot"}))
+        schemas = _random_schemas(random.Random(3))[0]
+        objects = [ObjectInstance("c1", "Cube"), ObjectInstance("r1", "Robot")]
+        ground_schemas(schemas, objects, table)
+        ground_schemas(schemas, [ObjectInstance("c2", "Cube"), ObjectInstance("r2", "Robot")], table)
+        with pytest.raises(ValidationError) as info:
+            ground_schemas(schemas, [*objects, ObjectInstance("g1", "Ghost")], table)
+        assert str(info.value) == "object 'g1' has undeclared type 'Ghost'"
+        with pytest.raises(SchemaError) as info:
+            ground_schemas(schemas, [*objects, ObjectInstance("k1", "Cube")], table)
+        assert str(info.value) == "object 'k1' declared as both 'Zone' and 'Cube'"
+
+    def test_a_library_that_changes_is_grounded_afresh(self, corpus_demos, task_calls):
+        library = build_library([corpus_demos[0].trace], DEFAULT_RULES)
+        objects = planning_objects()
+
+        def grounded_as_the_reference(costs):
+            compiles = task_calls["_compile"]
+            task = ground(library, objects, costs)
+            assert task_calls["_compile"] == compiles + 1
+            expected, _ = oracles.ground_eager(
+                library.schemas(None if costs is None else costs.costs), objects, library.types
+            )
+            assert task.actions == tuple(expected)
+
+        grounded_as_the_reference(None)
+        keys = sorted(library.operators)
+        grounded_as_the_reference(CostModel({key: 1 + i for i, key in enumerate(keys)}))
+        operators = len(library.operators)
+        for demo in corpus_demos[1:]:
+            learn_from_trace(library, demo.trace, DEFAULT_RULES)
+            if len(library.operators) > operators:
+                break
+        assert len(library.operators) > operators
+        grounded_as_the_reference(None)  # one more operator, the same unit costs
 
 
 class TestSearch:
