@@ -30,17 +30,19 @@ finds what it fires, and what that adds, in per-byte tables over the reached
 facts and over 8-action chunks of one cost, built once per Task on first sight.
 Ties between equal-key candidates resolve by generation order, and successors
 are generated in (action name, bound objects) lexicographic order. The
-actions applicable in a state come from per-byte tables: for each 8-atom
-chunk of the state, its byte value maps (memoized on first sight) to the
-actions it blocks, so generating successors costs ceil(atoms / 8) table
-lookups plus one step per applicable action, visited in that same order.
+actions applicable in a state come from tables per 16-atom chunk, whose value
+maps to the actions it blocks; the mask of the rest maps to their records
+(index, ~del, add, cost) in that same order, one per action, shared. Both are
+memoized on first sight and kept by the Task, so a state's successors cost
+ceil(atoms / 16) + 1 lookups and one ``state & ~del | add`` each.
 The frontier is a bucket queue (Dial 1969) rather than a binary heap: every
 action cost is a positive integer, so every key (g, plus h_max's integer
 estimate) is an integer, and each bucket keeps its entries in generation
 order. No state is ever queued under a key below the one being expanded (a
 child's key is at least its parent's, by h_max's consistency when it is on),
 so emptying the lowest bucket before the next takes states in exactly the
-(key, generation) order a heap would.
+(key, generation) order a heap would. Blind search's buckets hold bare
+states, since a bucket's key is g; with h_max an entry is (tie, state, g).
 """
 
 from __future__ import annotations
@@ -241,21 +243,34 @@ def check_search_options(node_limit: int, heuristic: str) -> None:
 
 
 class _Blockers(dict):
-    """Byte value of one 8-bit chunk of a mask -> the union over its bits j of
-    pairs[j][bit j]; over a state's atoms, the actions that value blocks.
-    Filled in on first lookup of each value."""
+    """Value of one chunk of a mask -> the union over its bits j of
+    pairs[j][bit j]; over a chunk of a state's atoms, the actions that value
+    blocks. Filled in on first lookup of each value."""
 
     def __init__(self, pairs: list[tuple[int, int]]):
         super().__init__()
         self.pairs = pairs  # (the mask for bit j clear, for bit j set)
 
     def __missing__(self, key: int) -> int:
-        blocked, byte = 0, key
+        blocked, value = 0, key
         for pair in self.pairs:
-            blocked |= pair[byte & 1]
-            byte >>= 1
+            blocked |= pair[value & 1]
+            value >>= 1
         self[key] = blocked
         return blocked
+
+
+class _Successors(dict):
+    """Mask of applicable actions -> their records (index, ~del, add, cost) in
+    index order, shared by every entry. Filled in on first lookup of each mask."""
+
+    def __init__(self, records: list[tuple[int, int, int, int]]):
+        super().__init__()
+        self.records = records
+
+    def __missing__(self, key: int) -> tuple:
+        found = self[key] = tuple(map(self.records.__getitem__, _members(key)))
+        return found
 
 
 class Task:
@@ -321,7 +336,9 @@ class Task:
                 pre ^= 1 << i
         self.all_actions = (1 << len(heads)) - 1
         pairs = list(zip(needed[:n], needed[n:]))
-        self.blockers = [(shift, _Blockers(pairs[shift : shift + 8])) for shift in range(0, n, 8)]
+        self.blockers = [(shift, _Blockers(pairs[shift : shift + 16])) for shift in range(0, n, 16)]
+        self.successors = _Successors([(ai, ~dele, add, cost)
+                                       for ai, (_, add, dele, cost) in enumerate(self.ops)])
         # h_max's tables: actions blocked per needed-fact byte, fired effects per chunk
         self.unreached = [(at, _Blockers([(need, 0) for need in needed[at : at + 8]]))
                           for at in range(0, 2 * n, 8) if any(needed[at : at + 8])]
@@ -350,7 +367,7 @@ class Task:
         """The mask of actions whose preconditions hold in ``state``."""
         blocked = 0
         for shift, table in self.blockers:
-            blocked |= table[state >> shift & 255]
+            blocked |= table[state >> shift & 0xFFFF]
         return self.all_actions ^ blocked
 
     def hmax(self, state: int, goal: int) -> float:
@@ -417,68 +434,86 @@ class Task:
         known: dict[int, float] = {start: self.hmax(start, goal_facts)}  # h_max seen so far
         if known[start] == INF:  # unreachable even relaxed: no search, blind or not
             return None
+        parent: dict[int, tuple[int, int]] = {}  # state -> (its parent, the action between)
+        order = (self._astar(start, goal_facts, known, parent) if heuristic == "hmax"
+                 else self._blind(start, parent))
+        for expanded, (state, g) in enumerate(order):
+            if state & goal_pos == goal_pos and not state & goal_neg:
+                steps = []
+                while state != start:
+                    state, ai = parent[state]
+                    steps.append(self._action(ai))
+                steps.reverse()
+                found = Plan(tuple(steps), g)
+                object.__setattr__(found, "proof", Proof(self.key, goal, heuristic, init))
+                return found
+            if expanded == node_limit:
+                raise SearchLimitExceeded(f"expanded more than {node_limit} states")
+        return None
 
-        # With h_max, a generated state is queued under g plus a lower bound
-        # on its h: its h if known, else h(parent) - cost, which h_max's
-        # consistency allows. Its h is computed once, when it is popped; if
-        # the key was too low, it goes back under its true key with its
-        # original tie counter, inserted in tie order, or is dropped when h
-        # is infinite. States are therefore expanded in the order eager
-        # evaluation would give.
-        hmax = self.hmax if heuristic == "hmax" else None
-        applicable, ops = self.applicable, self.ops
+    def _blind(self, start: int, parent: dict) -> Iterator[tuple]:
+        """Each state uniform-cost search expands, with its g, in order, expanded
+        when resumed. An entry is stale once its state is reached more cheaply."""
+        applicable, successors = self.applicable, self.successors
         dist: dict[int, int] = {start: 0}
-        parent: dict[int, tuple[int, int]] = {}
+        buckets: dict[int, list[int]] = defaultdict(list)
+        buckets[0].append(start)
+        while buckets:
+            g = min(buckets)
+            for state in buckets[g]:  # entries appended meanwhile included
+                if dist[state] < g:
+                    continue
+                yield state, g
+                for ai, keep, add, cost in successors[applicable(state)]:
+                    successor = state & keep | add
+                    new_g = g + cost
+                    if new_g < dist.get(successor, INF):
+                        dist[successor] = new_g
+                        parent[successor] = (state, ai)
+                        buckets[new_g].append(successor)
+            del buckets[g]
+
+    def _astar(self, start: int, goal_facts: int, known: dict, parent: dict) -> Iterator[tuple]:
+        """As ``_blind``, for A* with h_max, whose values so far ``known`` holds.
+
+        A generated state is queued under g plus a lower bound on its h: its
+        h if known, else h(parent) - cost, which h_max's consistency allows.
+        Its h is computed once, when it is popped; if the key was too low, it
+        goes back under its true key with its original tie counter, inserted
+        in tie order, or is dropped when h is infinite. States are therefore
+        expanded in the order eager evaluation would give.
+        """
+        hmax, applicable, successors = self.hmax, self.applicable, self.successors
+        dist: dict[int, int] = {start: 0}
         # key -> its (tie, state, g) entries in tie order; see the module docstring
         buckets: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
         buckets[0].append((0, start, 0))
         ties = 1
-        expanded = 0
         while buckets:
             key = min(buckets)
             for tie, state, g in buckets[key]:  # entries appended meanwhile included
                 if g > dist[state]:  # stale entry
                     continue
-                if hmax:
-                    h = known.get(state)
-                    if h is None:
-                        h = known[state] = hmax(state, goal_facts)
-                    if g + h > key:
-                        if h != INF:
-                            insort(buckets[g + h], (tie, state, g))
-                        continue
-                if state & goal_pos == goal_pos and not state & goal_neg:
-                    steps = []
-                    while state != start:
-                        state, ai = parent[state]
-                        steps.append(self._action(ai))
-                    steps.reverse()
-                    found = Plan(tuple(steps), g)
-                    object.__setattr__(found, "proof", Proof(self.key, goal, heuristic, init))
-                    return found
-                expanded += 1
-                if expanded > node_limit:
-                    raise SearchLimitExceeded(f"expanded more than {node_limit} states")
-                todo = applicable(state)
-                while todo:  # action indices in increasing order
-                    low = todo & -todo
-                    todo ^= low
-                    ai = low.bit_length() - 1
-                    _, add, dele, cost = ops[ai]
-                    successor = (state & ~dele) | add
+                h = known.get(state)
+                if h is None:
+                    h = known[state] = hmax(state, goal_facts)
+                if g + h > key:
+                    if h != INF:
+                        insort(buckets[g + h], (tie, state, g))
+                    continue
+                yield state, g
+                for ai, keep, add, cost in successors[applicable(state)]:
+                    successor = state & keep | add
                     new_g = g + cost
                     if new_g < dist.get(successor, INF):
-                        bound = 0
-                        if hmax:
-                            bound = known.get(successor, max(h - cost, 0))
-                            if bound == INF:
-                                continue
+                        bound = known.get(successor, max(h - cost, 0))
+                        if bound == INF:
+                            continue
                         dist[successor] = new_g
                         parent[successor] = (state, ai)
                         buckets[new_g + bound].append((ties, successor, new_g))
                         ties += 1
             del buckets[key]
-        return None
 
     def rest_of(self, plan_: Plan, state: State, goal: frozenset, heuristic: str) -> Optional[Plan]:
         """The rest of ``plan_`` from ``state`` if it was searched on a Task of
@@ -508,6 +543,7 @@ class _View(Task):
         self._place = {obj: i for i, obj in enumerate(self._ids)}.get
         self._made: list = [None] * len(self.ops)
         self._named: list = [None] * self.n
+        self._literals: list = [None] * 2 * self.n
 
     @cached_property
     def actions(self) -> tuple[GroundedAction, ...]:
@@ -527,18 +563,23 @@ class _View(Task):
             atom = self._named[i] = GroundAtom(predicate, tuple([self._ids[p] for p in places]))
         return atom
 
+    def _literal(self, fact: int) -> Literal:
+        literal = self._literals[fact]
+        if literal is None:
+            literal = self._literals[fact] = Literal(self._atom(fact % self.n), fact < self.n)
+        return literal
+
     def _action(self, i: int) -> GroundedAction:
         action = self._made[i]
         if action is None:
             name, places, cost = self._heads[i]
             facts, add, dele, _ = self.ops[i]
-            n, atom = self.n, self._atom
             action = self._made[i] = GroundedAction(
                 name,
                 tuple([self._ids[p] for p in places]),
-                frozenset([Literal(atom(b % n), b < n) for b in _members(facts)]),
-                frozenset(map(atom, _members(add))),
-                frozenset(map(atom, _members(dele))),
+                frozenset(map(self._literal, _members(facts))),
+                frozenset(map(self._atom, _members(add))),
+                frozenset(map(self._atom, _members(dele))),
                 cost,
             )
         return action

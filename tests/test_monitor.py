@@ -413,14 +413,20 @@ class TestKeepingTheRestOfAPlan:
     ):
         """A plan's proof names its grounded task by what it was grounded
         from, so neither a kept rest nor a searched replan builds the task's
-        other ground actions."""
-        built = []
+        other ground actions; and the steps build each distinct
+        precondition's Literal once."""
+        built, literals = [], []
 
         def counted(*fields, _build=planner.GroundedAction):
             built.append(fields[:2])
             return _build(*fields)
 
+        def counted_literal(*fields, _build=planner.Literal):
+            literals.append(_build(*fields))
+            return literals[-1]
+
         monkeypatch.setattr(planner, "GroundedAction", counted)
+        monkeypatch.setattr(planner, "Literal", counted_literal)
         actions = ground(corpus_library, planning_objects(), derive_costs(corpus_library))
         goal = corpus_goals()["tower_blue_red_green"]
         first = plan(actions, initial_state(), goal)
@@ -433,6 +439,10 @@ class TestKeepingTheRestOfAPlan:
         steps = {(a.name, a.objects) for p in (first, *(e.plan for e in log.replans))
                  for a in p.actions}
         assert sorted(built) == sorted(steps) and len(built) < len(actions) // 4
+        preconditions = [l for p in (first, *(e.plan for e in log.replans))
+                         for a in p.actions for l in a.pre]
+        assert len(literals) == len(set(literals)) == len(set(preconditions))
+        assert len(set(preconditions)) < len(preconditions)  # steps share preconditions
 
     @pytest.mark.parametrize(
         "case", ["built", "copied", "other goal", "other heuristic", "other actions"]

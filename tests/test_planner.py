@@ -431,6 +431,28 @@ class TestSharedCores:
             )
         assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
+    def test_a_warm_core_searches_as_a_fresh_compile(self, corpus_library, monkeypatch, task_calls):
+        """A later search on a core whose memoized tables earlier searches
+        filled returns the plan, and expands the states, of a cold Task."""
+        expansions = []
+        applicable = Task.applicable
+        monkeypatch.setattr(
+            Task, "applicable", lambda task, state: expansions.append(state) or applicable(task, state)
+        )
+        costs = derive_costs(corpus_library)
+        goals = corpus_goals()
+        for name in sorted(goals):
+            ground(corpus_library, planning_objects(), costs).search(initial_state(), goals[name])
+        for name, heuristic in itertools.product(sorted(goals), ("none", "hmax")):
+            warm = ground(corpus_library, planning_objects(), costs)
+            answers = []
+            for task in (warm, Task(list(warm))):
+                expansions.clear()
+                found = task.search(initial_state(), goals[name], heuristic=heuristic)
+                answers.append((found.actions, found.total_cost, len(expansions)))
+            assert answers[0] == answers[1]
+        assert task_calls["_compile"] == 1 + 2 * len(goals)
+
     def test_the_key_holds_the_type_hierarchy_and_the_object_types(self):
         sig = PredicateSignature("marked", ("Block",))
         mark = ActionSchema("mark", (("?b", "Block"),), frozenset(),
@@ -717,11 +739,12 @@ class TestHmax:
 
 
 class TestSuccessorGenerator:
-    """The per-byte blocker tables must give exactly the actions that testing
-    every action finds applicable, including for tasks whose atoms fill
-    several 8-bit chunks or end exactly on a chunk boundary."""
+    """The blocker tables per 16-bit chunk must give exactly the actions that
+    testing every action finds applicable, including for tasks whose atoms
+    fill several chunks or end exactly on a chunk boundary, and the memoized
+    successor records must be those actions' effects and costs."""
 
-    @pytest.mark.parametrize("atoms", [0, 1, 7, 8, 9, 16, 17, 24])
+    @pytest.mark.parametrize("atoms", [0, 1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33])
     def test_matches_the_scan_on_random_states(self, atoms):
         rng = random.Random(600 + atoms)
         compiled_sizes = set()
@@ -735,6 +758,28 @@ class TestSuccessorGenerator:
                 state = rng.getrandbits(task.n) if task.n else 0
                 assert task.applicable(state) == applicable_reference(task, state)
         assert atoms in compiled_sizes
+
+    @pytest.mark.parametrize("atoms", [1, 16, 33])
+    def test_successor_records_are_the_applicable_actions(self, atoms):
+        rng = random.Random(700 + atoms)
+        for _ in range(20):
+            actions, _, _ = random_planning_instance(
+                rng, atom_count=(atoms, atoms), action_count=(atoms, 3 * atoms + 4)
+            )
+            task = Task(actions)
+
+            def mask(atoms_):
+                return sum(1 << task.index[a] for a in atoms_)
+
+            for _ in range(25):
+                state = rng.getrandbits(task.n) if task.n else 0
+                applicable = applicable_reference(task, state)
+                expected = [(i, mask(a.adds), mask(a.dels), a.cost)
+                            for i, a in enumerate(task.actions) if applicable >> i & 1]
+                records = task.successors[task.applicable(state)]
+                assert [(i, add, ~keep, cost) for i, keep, add, cost in records] == expected
+                # one record per action, shared by every mask's entry
+                assert all(r is task.successors.records[r[0]] for r in records)
 
     def test_matches_the_scan_on_every_state_of_a_tower_search(
         self, corpus_actions, monkeypatch
