@@ -75,7 +75,7 @@ def faults_from_list(raw: object, vocabulary: Vocabulary, types: TypeTable) -> l
             )
             for atom in adds + dels:
                 check_atom_types(atom, types)
-        faults.append(Fault(step, entry["mode"], frozenset(adds), frozenset(dels)))
+            faults.append(Fault(step, entry["mode"], frozenset(adds), frozenset(dels)))
     steps = [f.step for f in faults]
     if len(set(steps)) != len(steps):
         raise ValidationError("multiple faults scripted for the same step")

@@ -613,6 +613,8 @@ def _parse_action(section: list, vocabulary: Vocabulary, table: TypeTable, nm: N
         key = key_tok.lower()
         if key not in (":parameters", ":precondition", ":effect"):
             raise UnsupportedFeature(f"action keyword {key} is not supported")
+        if key in body:
+            raise _fail(f"repeated {key}", key_tok)
         if i + 1 >= len(section):
             raise _fail(f"missing value for {key}", key_tok)
         body[key] = section[i + 1]

@@ -4,21 +4,21 @@ Costs come from observation counts: cost(op) = max_count - count(op) + 1, so
 the most frequently demonstrated operator costs 1 and rarities cost more.
 A learned library and a parsed PDDL domain both reach grounding as the same
 ActionSchema list (OperatorLibrary.schemas, DomainDoc.actions), so there is
-one grounding path. A grounded action set is compiled once to integer
-bitmasks over the atoms its actions mention; a goal literal on any other atom
-is static and is decided against the initial state before searching.
-Grounding compiles as it goes, to masks only: it numbers each atom when it
-first meets it, once per binding prefix. Objects enter a grounded task only
-through their types in id order, so one compiled core serves every call with
-equal schemas (names and costs included), type hierarchy and object types in
-id order: a small LRU keeps the last CORE_CACHE_SIZE cores, and each call
-returns a new Task that views one under the call's object names. A miss
-compiles the core (no slower than building every ground action was); a hit
-costs the object check and the key. A view builds a GroundedAction only for a
-plan's steps, or for all of them when its ``actions`` are read. plan() and the
-monitor use a Task as it is; any other action list is compiled on each call.
-Sharing never changes an answer: a view answers as a fresh compile does, and
-the tables a core fills in lazily hold values that depend only on its key.
+one grounding path. Grounding binds parameters to every tuple of distinct
+objects of their types and numbers each atom, (predicate, object places),
+when it first meets it; Task(actions) numbers a hand-built list's objects and
+atoms by first appearance. Both feed one compile step, to integer bitmasks
+over the atoms the actions mention; a goal literal on any other atom is
+static and is decided against the initial state before searching. Objects
+enter a grounded task only through their types in id order, so one compiled
+core serves every call with equal schemas (names and costs included), type
+hierarchy and object types in id order: a small LRU keeps the last
+CORE_CACHE_SIZE cores, and each call returns a new Task over one under its
+object names. A Task builds a GroundedAction only for a plan's steps, or for
+all of them when its ``actions`` are read; a hand-built one holds the
+caller's own. plan() and the monitor use a Task as it is; any other action
+list is compiled on each call. Sharing never changes an answer: the tables a
+core fills in lazily hold values that depend only on its key.
 Search is uniform-cost (A* with a zero heuristic) over closed-world states,
 with an optional admissible h_max heuristic that never changes the optimum
 cost; among equal-cost plans it may pick a different one than blind search,
@@ -133,88 +133,99 @@ def ground_schemas(
     costs included), type hierarchy and object types in id order.
     """
     table = types.with_instances(objects)
-    ids = sorted(table.instance_to_type)
+    ids = tuple(sorted(table.instance_to_type))
     layout = tuple([table.instance_to_type[obj] for obj in ids])
     key = (tuple(schemas), frozenset(table.type_to_parent.items()), layout)
-    return _View(_core(*key), (*key, tuple(ids)))
+    task = Task.__new__(Task)
+    task._name(_core(*key), ids, (*key, ids))
+    return task
 
 
 @lru_cache(maxsize=CORE_CACHE_SIZE)
-def _core(schemas: tuple, parents: frozenset, layout: tuple[str, ...]) -> Task:
+def _core(schemas: tuple, parents: frozenset, layout: tuple[str, ...]) -> dict:
     """The compiled tables of ``schemas`` over the objects 0, 1, ... whose
-    types ``layout`` lists, under the type hierarchy ``parents``, with each
-    atom as (predicate, object places) and each action as (name, object
-    places, cost); a ``_View`` gives them names.
+    types ``layout`` lists, under the type hierarchy ``parents``: one action
+    per binding of distinct objects, each of a subtype of its parameter's type.
 
-    Parameters are bound depth first. An atom is looked up by its predicate
-    and arguments when the deepest parameter it names is bound, once per
-    binding prefix that some action completes, and gets its bit when it is
-    first found. An action's masks are unions of its prefixes' parts.
+    Bindings are taken in product order. A binding's atoms are looked up in
+    order of the deepest parameter they name, and an atom gets its bit when
+    it is first found.
     """
-    hierarchy = TypeTable(type_to_parent=dict(parents))
-    instances_of = lru_cache(maxsize=None)(
-        lambda type_id: [i for i, t in enumerate(layout) if hierarchy.is_subtype(t, type_id)]
-    )
-    atoms: list[tuple] = []
-    built: dict[object, dict] = defaultdict(dict)  # predicate -> {arguments: its bit}
+    instances_of = TypeTable(dict(enumerate(layout)), dict(parents)).instances_of
+    bits: dict[tuple, int] = {}
     heads, masks = [], []
-
-    def extend(level: list, values: tuple, parts: list) -> list:
-        """``parts``, the masks of the atoms needed true, needed false, added
-        and deleted, joined with ``level``'s."""
-        if not level:
-            return parts
-        parts = [*parts]
-        for lookup, get, slot, found, predicate, picks in level:
-            key = get(values)
-            bit = lookup(key)
-            if bit is None:
-                bit = found[key] = 1 << len(atoms)
-                atoms.append((predicate, tuple([values[i] for i in picks])))
-            parts[slot] |= bit
-        return parts
-
     for schema in sorted(schemas, key=lambda s: s.name):
         position = {var: i for i, (var, _) in enumerate(schema.params)}
-        width = len(position)
-        levels: list[list] = [[] for _ in range(width + 1)]  # by 1 + the deepest position named
+        parts = []  # (the deepest place named, mask slot, predicate, the getter of its places)
         for slot, atom in (
             *((1 - l.positive, l.atom) for l in schema.pre),
             *((2, a) for a in schema.adds),
             *((3, a) for a in schema.dels),
         ):
-            picks = tuple([position[arg] for arg in atom.args])
-            get = itemgetter(*picks) if picks else lambda values: ()
-            found = built[atom.predicate]
-            levels[max(picks, default=-1) + 1].append(
-                (found.get, get, slot, found, atom.predicate, picks)
-            )
-        candidates = [instances_of(type_id) for _, type_id in schema.params]
-        # stack[j + 1]: the masks of the binding prefix of length j, once an action needs them
-        stack = [[0, 0, 0, 0]]
-
-        def bind(values: tuple) -> None:
-            depth = len(values)
-            if depth < width:
-                for obj in candidates[depth]:
-                    if obj not in values:
-                        del stack[depth + 2 :]
-                        bind(values + (obj,))
-                return
-            for j in range(len(stack) - 1, width + 1):
-                stack.append(extend(levels[j], values, stack[-1]))
+            picks = [position[arg] for arg in atom.args]
+            parts.append((max(picks, default=-1), slot, atom.predicate, _getter(picks)))
+        parts.sort(key=itemgetter(0))
+        for values in itertools.product(*[instances_of(type_id) for _, type_id in schema.params]):
+            if len(set(values)) < len(values):
+                continue
+            mask = [0, 0, 0, 0]  # atoms needed true, needed false, added, deleted
+            for _, slot, predicate, get in parts:
+                mask[slot] |= 1 << bits.setdefault((predicate, get(values)), len(bits))
             heads.append((schema.name, values, schema.cost))
-            masks.append(stack[-1])
-
-        bind(())
-        del bind  # bind names itself: end that cycle, or it keeps the tables until a GC pass
+            masks.append(mask)
     if len({s.name for s in schemas}) < len(schemas):  # equal names: restore the tie-break order
         order = sorted(range(len(heads)), key=lambda i: heads[i][:2])
         heads, masks = [heads[i] for i in order], [masks[i] for i in order]
-    core = Task.__new__(Task)
-    core._compile(len(atoms), heads, masks)
-    core._atoms, core._bits, core._heads = atoms, {a: i for i, a in enumerate(atoms)}, heads
-    return core
+    return _compile(bits, heads, masks)
+
+
+def _getter(picks: list[int]) -> itemgetter:
+    """The function of a tuple that returns its items at ``picks``, as a tuple."""
+    if len(picks) > 1:
+        return itemgetter(*picks)
+    return itemgetter(slice(picks[0], picks[0] + 1) if picks else slice(0))
+
+
+def _compile(bits: dict[tuple, int], heads: list, masks: list) -> dict:
+    """The tables every Task over one action list shares. ``bits`` numbers
+    each atom, (predicate, object places), in bit order; ``heads`` holds each
+    action's (name, object places, cost) in (name, objects) order, and
+    ``masks`` its (atoms needed true, needed false, added, deleted)."""
+    n = len(bits)
+    ops = []  # (precondition facts, add, del, cost) per action
+    for (pos, neg, add, dele), (name, _, cost) in zip(masks, heads):
+        if add & dele:
+            raise InvalidEffect(f"action {name!r} adds and deletes the same atom")
+        if pos & neg:
+            raise ValidationError(f"action {name!r} has contradictory preconditions")
+        if not isinstance(cost, int) or cost < 1:
+            raise ValidationError(f"action {name!r} needs a positive integer cost")
+        ops.append((pos | neg << n, add, dele, cost))
+    # The actions that need fact i: atom i true, or atom i - n false.
+    needed = [0] * 2 * n
+    for ai, (pre, _, _, _) in enumerate(ops):
+        bit = 1 << ai
+        while pre:
+            i = pre.bit_length() - 1
+            needed[i] |= bit
+            pre ^= 1 << i
+    pairs = list(zip(needed[:n], needed[n:]))
+    # h_max's tables: actions blocked per needed-fact byte, fired effects per chunk
+    unreached = [(at, _Blockers([(need, 0) for need in needed[at : at + 8]]))
+                 for at in range(0, 2 * n, 8) if any(needed[at : at + 8])]
+    changes = [(0, add | dele << n) for _, add, dele, _ in ops]
+    effects, end = [], 0
+    for cost, run in itertools.groupby(op[3] for op in ops):
+        start, end = end, end + len(list(run))
+        for at in range(start, end, 8):
+            chunk = changes[at : min(at + 8, end)]
+            effects.append((at, (1 << len(chunk)) - 1, cost, _Blockers(chunk)))
+    return dict(
+        n=n, all_atoms=(1 << n) - 1, ops=ops, all_actions=(1 << len(heads)) - 1,
+        blockers=[(shift, _Blockers(pairs[shift : shift + 16])) for shift in range(0, n, 16)],
+        successors=_Successors([(ai, ~dele, add, cost) for ai, (_, add, dele, cost) in enumerate(ops)]),
+        unreached=unreached, effects=effects, _bits=bits, _atoms=list(bits), _heads=heads,
+    )
 
 
 def ground(
@@ -274,7 +285,9 @@ class _Successors(dict):
 
 
 class Task:
-    """A grounded action set compiled to bitmasks once, then searched many times.
+    """A grounded action set compiled to bitmasks once, then searched many times:
+    the tables ``_compile`` made, shared by every Task over the same action
+    list, plus the names of its object places.
 
     Actions are kept in (name, objects) order, the tie-break order. Each of
     the n atoms an action mentions gets one bit, in an order that no answer
@@ -288,67 +301,39 @@ class Task:
     """
 
     def __init__(self, actions: Iterable[GroundedAction]):
+        """The Task of ``actions``; objects and atoms are numbered by first appearance."""
         ordered = tuple(sorted(actions, key=GroundedAction.sort_key))
-        self.actions = self.key = ordered
-        index: dict[GroundAtom, int] = {}
+        place: dict[str, int] = {}
+        bits: dict[tuple, int] = {}
 
-        def bits(atoms: Iterable[GroundAtom]) -> int:
+        def places(objects: Iterable[str]) -> tuple[int, ...]:
+            return tuple([place.setdefault(obj, len(place)) for obj in objects])
+
+        def mask(atoms: Iterable[GroundAtom]) -> int:
             m = 0
             for atom in atoms:
-                m |= 1 << index.setdefault(atom, len(index))
+                m |= 1 << bits.setdefault((atom.predicate, places(atom.args)), len(bits))
             return m
 
-        masks = [
-            (
-                bits(l.atom for l in action.pre if l.positive),
-                bits(l.atom for l in action.pre if not l.positive),
-                bits(action.adds),
-                bits(action.dels),
-            )
-            for action in ordered
-        ]
-        self.index = index
-        self._compile(len(index), [(a.name, a.objects, a.cost) for a in ordered], masks)
+        heads, masks = [], []
+        for action in ordered:
+            heads.append((action.name, places(action.objects), action.cost))
+            masks.append((
+                mask(l.atom for l in action.pre if l.positive),
+                mask(l.atom for l in action.pre if not l.positive),
+                mask(action.adds),
+                mask(action.dels),
+            ))
+        self._name(_compile(bits, heads, masks), tuple(place), ordered)
+        self._made[:] = ordered
 
-    def _compile(self, n: int, heads: list, masks: list) -> None:
-        """The compile tail that ``Task(actions)`` and grounding share: ``masks``
-        holds each action's (atoms needed true, needed false, added, deleted)
-        over ``n`` atom bits, in the order of ``heads``, its (name, objects, cost)."""
-        self.n = n
-        self.all_atoms = (1 << n) - 1
-        # (precondition facts, add, del, cost) per action
-        self.ops = []
-        for (pos, neg, add, dele), (name, _, cost) in zip(masks, heads):
-            if add & dele:
-                raise InvalidEffect(f"action {name!r} adds and deletes the same atom")
-            if pos & neg:
-                raise ValidationError(f"action {name!r} has contradictory preconditions")
-            if not isinstance(cost, int) or cost < 1:
-                raise ValidationError(f"action {name!r} needs a positive integer cost")
-            self.ops.append((pos | neg << n, add, dele, cost))
-        # The actions that need fact i: atom i true, or atom i - n false.
-        needed = [0] * 2 * n
-        for ai, (pre, _, _, _) in enumerate(self.ops):
-            bit = 1 << ai
-            while pre:
-                i = pre.bit_length() - 1
-                needed[i] |= bit
-                pre ^= 1 << i
-        self.all_actions = (1 << len(heads)) - 1
-        pairs = list(zip(needed[:n], needed[n:]))
-        self.blockers = [(shift, _Blockers(pairs[shift : shift + 16])) for shift in range(0, n, 16)]
-        self.successors = _Successors([(ai, ~dele, add, cost)
-                                       for ai, (_, add, dele, cost) in enumerate(self.ops)])
-        # h_max's tables: actions blocked per needed-fact byte, fired effects per chunk
-        self.unreached = [(at, _Blockers([(need, 0) for need in needed[at : at + 8]]))
-                          for at in range(0, 2 * n, 8) if any(needed[at : at + 8])]
-        effects = [(0, add | dele << n) for _, add, dele, _ in self.ops]
-        self.effects, end = [], 0
-        for cost, run in itertools.groupby(op[3] for op in self.ops):
-            start, end = end, end + len(list(run))
-            for at in range(start, end, 8):
-                chunk = effects[at : min(at + 8, end)]
-                self.effects.append((at, (1 << len(chunk)) - 1, cost, _Blockers(chunk)))
+    def _name(self, tables: dict, ids: tuple[str, ...], key: tuple) -> None:
+        """Take the shared ``tables`` under the object names ``ids``, place by place."""
+        vars(self).update(tables)
+        self.key, self._ids = key, ids
+        self._place = {obj: i for i, obj in enumerate(ids)}.get
+        self._made, self._named = [None] * len(self.ops), [None] * self.n
+        self._literals = [None] * 2 * self.n
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -356,12 +341,45 @@ class Task:
     def __iter__(self):
         return iter(self.actions)
 
+    @cached_property
+    def actions(self) -> tuple[GroundedAction, ...]:
+        return tuple(map(self._action, range(len(self))))
+
+    @cached_property
+    def index(self) -> dict[GroundAtom, int]:
+        return {self._atom(i): i for i in range(self.n)}
+
     def _bit(self, atom: GroundAtom) -> Optional[int]:
         """The bit of ``atom``, or None if no action mentions it."""
-        return self.index.get(atom)
+        return self._bits.get((atom.predicate, tuple(map(self._place, atom.args))))
+
+    def _atom(self, i: int) -> GroundAtom:
+        atom = self._named[i]
+        if atom is None:
+            predicate, places = self._atoms[i]
+            atom = self._named[i] = GroundAtom(predicate, tuple([self._ids[p] for p in places]))
+        return atom
+
+    def _literal(self, fact: int) -> Literal:
+        literal = self._literals[fact]
+        if literal is None:
+            literal = self._literals[fact] = Literal(self._atom(fact % self.n), fact < self.n)
+        return literal
 
     def _action(self, i: int) -> GroundedAction:
-        return self.actions[i]
+        action = self._made[i]
+        if action is None:
+            name, places, cost = self._heads[i]
+            facts, add, dele, _ = self.ops[i]
+            action = self._made[i] = GroundedAction(
+                name,
+                tuple([self._ids[p] for p in places]),
+                frozenset(map(self._literal, _members(facts))),
+                frozenset(map(self._atom, _members(add))),
+                frozenset(map(self._atom, _members(dele))),
+                cost,
+            )
+        return action
 
     def applicable(self, state: int) -> int:
         """The mask of actions whose preconditions hold in ``state``."""
@@ -529,60 +547,6 @@ class Task:
                 rest = plan_.actions[i:]
                 return Plan(rest, sum(a.cost for a in rest))
         return None
-
-
-class _View(Task):
-    """A grounded Task: the tables of a shared ``_core`` under one call's
-    object names. It translates a query's atoms into the core's places, and
-    builds a GroundedAction only when asked for it: a plan's steps, or every
-    action when ``actions`` is first read."""
-
-    def __init__(self, core: Task, key: tuple):
-        self.__dict__.update(core.__dict__)
-        self.key, self._ids = key, key[-1]
-        self._place = {obj: i for i, obj in enumerate(self._ids)}.get
-        self._made: list = [None] * len(self.ops)
-        self._named: list = [None] * self.n
-        self._literals: list = [None] * 2 * self.n
-
-    @cached_property
-    def actions(self) -> tuple[GroundedAction, ...]:
-        return tuple(map(self._action, range(len(self))))
-
-    @cached_property
-    def index(self) -> dict[GroundAtom, int]:
-        return {self._atom(i): i for i in range(self.n)}
-
-    def _bit(self, atom: GroundAtom) -> Optional[int]:
-        return self._bits.get((atom.predicate, tuple(map(self._place, atom.args))))
-
-    def _atom(self, i: int) -> GroundAtom:
-        atom = self._named[i]
-        if atom is None:
-            predicate, places = self._atoms[i]
-            atom = self._named[i] = GroundAtom(predicate, tuple([self._ids[p] for p in places]))
-        return atom
-
-    def _literal(self, fact: int) -> Literal:
-        literal = self._literals[fact]
-        if literal is None:
-            literal = self._literals[fact] = Literal(self._atom(fact % self.n), fact < self.n)
-        return literal
-
-    def _action(self, i: int) -> GroundedAction:
-        action = self._made[i]
-        if action is None:
-            name, places, cost = self._heads[i]
-            facts, add, dele, _ = self.ops[i]
-            action = self._made[i] = GroundedAction(
-                name,
-                tuple([self._ids[p] for p in places]),
-                frozenset(map(self._literal, _members(facts))),
-                frozenset(map(self._atom, _members(add))),
-                frozenset(map(self._atom, _members(dele))),
-                cost,
-            )
-        return action
 
 
 def _members(mask: int) -> Iterator[int]:

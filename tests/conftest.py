@@ -24,20 +24,22 @@ FIXTURE_PATH = Path(__file__).parent / "data" / "put_fixture.json"
 
 @pytest.fixture
 def task_calls(monkeypatch):
-    """How often a Task is compiled ("_compile", by ``Task(actions)`` or by
-    grounding) and searched ("search") while the test runs. Grounding's cache
-    of compiled cores starts empty, so a count does not depend on which tests
-    ran before."""
+    """How often an action list is compiled ("_compile", by ``Task(actions)``
+    or by grounding a core) and a Task searched ("search") while the test
+    runs. Grounding's cache of compiled cores starts empty, so a count does
+    not depend on which tests ran before."""
     planner._core.cache_clear()
     calls = Counter()
-    for name in ("_compile", "search"):
-        original = getattr(Task, name)
 
-        def counted(self, *args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(self, *args, **kwargs)
+    def counter(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(Task, name, counted)
+        return counted
+
+    monkeypatch.setattr(planner, "_compile", counter("_compile", planner._compile))
+    monkeypatch.setattr(Task, "search", counter("search", Task.search))
     return calls
 
 

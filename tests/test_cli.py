@@ -633,6 +633,14 @@ class TestMalformedInput:
              "fault record 0: atom entry must be a list of strings"),
             (_faults_case({"fault": [{"step": 1, "mode": "drop_effects"}]}),
              "fault file is missing required key 'faults'"),
+            (_faults_case([{"step": 1, "mode": "explode"}]),
+             "fault record 0: unknown fault mode 'explode'"),
+            (_faults_case([{"step": 1, "mode": "drop_effects", "adds": [["handOpen", "Left_hand"]]}]),
+             "fault record 0: drop_effects faults take no adds or dels"),
+            (_faults_case([{"step": 0, "mode": "drop_effects"},
+                           {"step": 1, "mode": "perturb", "adds": [["handOpen", "Left_hand"]],
+                            "dels": [["handOpen", "Left_hand"]]}]),
+             "fault record 1: fault adds and deletes the same atom"),
             (_library_directory_case, "cannot read"),
             (_domain_case("(define (domain learned)\n  (:requirements :strips\n"),
              "unbalanced parenthesis (line 2, column 3)"),
@@ -649,6 +657,8 @@ class TestMalformedInput:
              "action 'grasp' has contradictory preconditions"),
             (_learned_domain_case("(?h1 - hand ?w1", "(?h1 ?h1 - hand ?w1"),
              "action 'grasp' repeats a parameter"),
+            (_learned_domain_case("    :effect (and\n", "    :effect (inhand ?h1 ?w1)\n    :effect (and\n"),
+             "repeated :effect (line 29, column 5)"),
             (_repeated_init_case, "repeated section ':init' (line 23, column 4)"),
             (_problem_case("(:domain learned)", "(:domain blocksworld)"),
              "problem is for domain 'blocksworld', not 'learned' at 2:12"),
@@ -656,10 +666,12 @@ class TestMalformedInput:
         ],
         ids=["trace-t", "trace-types", "trace-meta", "trace-meta-empty-list",
              "trace-types-empty-list", "trace-object-type", "rules-priority", "faults-adds",
-             "faults-key", "library-directory", "domain-unbalanced", "domain-deep-nesting",
+             "faults-key", "faults-mode", "faults-drop-with-effects", "faults-overlap",
+             "library-directory", "domain-unbalanced", "domain-deep-nesting",
              "trace-deep-nesting", "trace-without-actor", "domain-cost-underscore",
              "domain-cost-plus", "domain-cost-arabic-indic-digit", "domain-type-cycle",
              "domain-contradictory-precondition", "domain-duplicate-parameter",
+             "domain-repeated-effect",
              "problem-repeated-init", "problem-other-domain", "problem-without-domain"],
     )
     def test_bad_file_exits_3_with_its_path(self, workspace, capsys, tmp_path, case, message):
@@ -718,7 +730,7 @@ class TestMalformedInput:
              "--faults", str(faults)]
         )
         assert code == EXIT_INVALID
-        assert f"error: {faults}: fault step must be >= 0" in capsys.readouterr().err
+        assert f"error: {faults}: fault record 0: fault step must be >= 0" in capsys.readouterr().err
 
     def test_truncated_faults_file_exits_3(self, workspace, capsys, tmp_path):
         faults = tmp_path / "faults.json"

@@ -598,6 +598,15 @@ READER_ERRORS = [
      ValidationError, "action 'hoist' has contradictory preconditions"),
     ("action name only", "domain", _crane("(:action drop-onto", "(:action foo)\n  (:action drop-onto"),
      PddlSyntaxError, "action needs :parameters, :precondition and :effect (line 16, column 4)"),
+    ("effect repeated", "domain",
+     _crane(":effect " + _HOIST_EFF, ":effect (lifted ?c) :effect (not (armfree))"),
+     PddlSyntaxError, "repeated :effect (line 14, column 25)"),
+    ("parameters repeated", "domain",
+     _crane(":precondition (and (lifted ?c))", ":precondition (and (lifted ?c)) :parameters (?c - crate)"),
+     PddlSyntaxError, "repeated :parameters (line 18, column 37)"),
+    ("precondition repeated in another case", "domain",
+     _crane(":precondition (and (armfree)", ":precondition (armfree) :PRECONDITION (and (armfree)"),
+     PddlSyntaxError, "repeated :precondition (line 13, column 29)"),
     ("cost fluent", "domain", _crane("(increase (total-cost) 2)", "(increase (fuel) 2)"),
      UnsupportedFeature, "only (increase (total-cost) n) is supported (14:47)"),
     ("cost value", "domain", _crane("(increase (total-cost) 2)", "(increase (total-cost) (2))"),

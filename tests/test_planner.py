@@ -287,8 +287,8 @@ def _searched(task, init, goal, expansions):
 
 
 class TestCarriedTask:
-    """ground_schemas numbers atoms as it meets them and returns a view of the
-    core it compiled; that task must answer every search as compiling its
+    """ground_schemas numbers atoms as it meets them and returns a Task over
+    the core it compiled; that task must answer every search as compiling its
     actions afresh does, and plan() and execute() use it as it is."""
 
     def test_answers_as_a_fresh_compile_on_random_schemas(self, monkeypatch):
@@ -348,6 +348,18 @@ class TestCarriedTask:
         assert plan(actions, initial_state(), goal) == plan(actions, initial_state(), goal)
         assert task_calls["_compile"] == 4
 
+    def test_a_hand_built_task_holds_the_callers_own_actions(self, corpus_library):
+        grounded = ground(corpus_library, planning_objects(), derive_costs(corpus_library))
+        mine = [dataclasses.replace(a) for a in reversed(grounded.actions)]
+        ordered = sorted(mine, key=GroundedAction.sort_key)
+        task = Task(mine)
+        assert len(task.actions) == len(mine)
+        assert all(a is b for a, b in zip(task.actions, ordered))
+        assert all(a is b for a, b in zip(task, ordered))
+        goal = corpus_goals()["tower_blue_red_green"]
+        for found in (task.search(initial_state(), goal), plan(mine, initial_state(), goal)):
+            assert found.actions and all(any(a is b for b in mine) for a in found.actions)
+
     def test_a_plan_does_not_keep_its_task_alive(self, corpus_library):
         # The proof names the actions, so a held plan does not hold the
         # task's bitmask tables and per-byte memo.
@@ -374,8 +386,8 @@ class TestCarriedTask:
 
 class TestSharedCores:
     """Grounding compiles one core per (schemas, type hierarchy, object types
-    in id order) and returns a view of it under each call's object names. A
-    view that a cache hit returns must answer as the former eager grounder's
+    in id order) and returns a Task over it under each call's object names. A
+    Task that a cache hit returns must answer as the former eager grounder's
     actions do when compiled afresh."""
 
     def test_a_hit_answers_as_a_fresh_compile_on_random_schemas(self, monkeypatch, task_calls):
