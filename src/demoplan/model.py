@@ -278,7 +278,10 @@ class TypeTable:
             if not self.declares(obj.type_id):
                 raise ValidationError(f"object {obj.id!r} has undeclared type {obj.type_id!r}")
             merged[obj.id] = obj.type_id
-        return TypeTable(merged, self.type_to_parent, self.types)
+        # only the instances change (to declared types), so skip __post_init__'s checks
+        table = object.__new__(TypeTable)
+        table.__dict__.update(vars(self), instance_to_type=merged)
+        return table
 
     def merged(self, other: "TypeTable") -> "TypeTable":
         """This table with the types and parent links of ``other``, not its instances."""

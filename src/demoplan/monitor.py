@@ -65,6 +65,7 @@ def faults_from_list(raw: object, vocabulary: Vocabulary, types: TypeTable) -> l
     if isinstance(raw, dict):
         raw = expect_keys(raw, "fault file", "faults")["faults"]
     faults = []
+    records: dict[int, int] = {}  # step -> the first record that scripts it
     for i, entry in enumerate(expect(raw, list, "fault file")):
         with located(f"fault record {i}"):
             expect_keys(entry, "entry", "step", "mode")
@@ -76,9 +77,9 @@ def faults_from_list(raw: object, vocabulary: Vocabulary, types: TypeTable) -> l
             for atom in adds + dels:
                 check_atom_types(atom, types)
             faults.append(Fault(step, entry["mode"], frozenset(adds), frozenset(dels)))
-    steps = [f.step for f in faults]
-    if len(set(steps)) != len(steps):
-        raise ValidationError("multiple faults scripted for the same step")
+        first = records.setdefault(step, i)
+        if first != i:
+            raise ValidationError(f"fault records {first} and {i} both script step {step}")
     return faults
 
 

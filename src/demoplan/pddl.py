@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
-from .errors import EmptyDomain, PddlSyntaxError, UnsupportedFeature, ValidationError
+from .errors import EmptyDomain, InputError, PddlSyntaxError, UnsupportedFeature, ValidationError
 from .learning import OperatorLibrary, fresh_name
 from .model import (
     ActionSchema,
@@ -423,7 +423,7 @@ def _typed_list(items: Sequence[_Tree], nm: NameMap, what: str) -> list[tuple[st
             continue
         if not pending:
             raise _fail("dangling '-' in typed list", tok)
-        if i + 1 >= len(items):
+        if i + 1 >= len(items) or items[i + 1] == "-":
             raise _fail("missing type after '-'", tok)
         type_tok = items[i + 1]
         if isinstance(type_tok, list):
@@ -470,11 +470,10 @@ _CONDITION_UNSUPPORTED = {"forall", "exists", "when", "or", "imply", "oneof", "e
 @dataclass
 class _ParseScope:
     """What literals are checked against: known predicates, a name-restoring
-    map, the type of each legal argument, and the domain's subtype relation."""
+    map, and a table of the legal argument names with their types."""
 
     vocabulary: Vocabulary
     nm: NameMap
-    arg_types: Mapping[str, str]
     table: TypeTable
 
 
@@ -494,24 +493,14 @@ def _parse_literal(tree: _Tree, scope: _ParseScope) -> Literal:
 
 
 def _parse_atom(tree: _Tree, scope: _ParseScope) -> GroundAtom:
+    """The atom of ``tree``, typed by the one rule every input follows
+    (``check_atom_types``); a fault is placed at the atom."""
     name = scope.nm.orig(_symbol(tree[0], "predicate name"))
-    if name not in scope.vocabulary:
-        raise ValidationError(f"unknown predicate {name!r} at " + "%d:%d" % _where(tree))
-    sig = scope.vocabulary.get(name)
     args = [scope.nm.orig(_symbol(sub, "argument")) for sub in tree[1:]]
-    if len(args) != sig.arity:
-        raise ValidationError(
-            f"predicate {name!r} takes {sig.arity} arguments, got {len(args)} at " + "%d:%d" % _where(tree)
-        )
-    for arg, expected in zip(args, sig.arg_types):
-        actual = scope.arg_types.get(arg)
-        if actual is None:
-            raise ValidationError(f"undeclared name {arg!r} at " + "%d:%d" % _where(tree))
-        if not scope.table.is_subtype(actual, expected):
-            raise ValidationError(
-                f"argument {arg!r} of {name!r} should be a {expected}, is a {actual}"
-            )
-    return GroundAtom(sig, tuple(args))
+    try:
+        return check_atom_types(scope.vocabulary.atom(name, *args), scope.table)
+    except InputError as exc:
+        raise ValidationError(f"{exc} at " + "%d:%d" % _where(tree)) from exc
 
 
 def _conjunction(tree: _Tree, scope: _ParseScope) -> list[Literal]:
@@ -630,9 +619,10 @@ def _parse_action(section: list, vocabulary: Vocabulary, table: TypeTable, nm: N
         if not table.declares(type_id):
             raise ValidationError(f"action {name!r} uses undeclared type {type_id!r}")
 
-    # Constants are not supported in action bodies: only declared parameters
-    # carry a type, so anything else fails the undeclared-name check.
-    scope = _ParseScope(vocabulary, nm, dict(params), table)
+    # Constants are not supported in action bodies: only the parameters are
+    # instances of the action's table, so anything else is undeclared.
+    instances = [ObjectInstance(*param) for param in dict(params).items()]
+    scope = _ParseScope(vocabulary, nm, table.with_instances(instances))
     pre = _conjunction(body[":precondition"], scope)
     adds, dels, cost = _parse_effect(body[":effect"], scope)
     return ActionSchema(
@@ -704,7 +694,7 @@ def _problem(tree: _Tree, domain: DomainDoc, nm: NameMap) -> ProblemDoc:
     if len({o.id for o in objects}) != len(objects):
         raise ValidationError("duplicate object declarations")
     table = domain.types.with_instances(objects)
-    scope = _ParseScope(domain.vocabulary, nm, table.instance_to_type, table)
+    scope = _ParseScope(domain.vocabulary, nm, table)
 
     init_atoms = []
     for item in found[":init"]:

@@ -120,8 +120,8 @@ def trace_from_dict(payload: dict) -> Trace:
         vocabulary=vocabulary,
         types=types,
         frames=tuple(frames),
-        demonstrator=str(meta.get("demonstrator", "")),
-        scenario=str(meta.get("scenario", "")),
+        demonstrator=expect(meta.get("demonstrator", ""), str, "meta 'demonstrator'"),
+        scenario=expect(meta.get("scenario", ""), str, "meta 'scenario'"),
     )
 
 

@@ -581,8 +581,8 @@ def trace_from_dict_reference(payload):
         vocabulary=vocabulary,
         types=types,
         frames=tuple(frames),
-        demonstrator=str(meta.get("demonstrator", "")),
-        scenario=str(meta.get("scenario", "")),
+        demonstrator=expect(meta.get("demonstrator", ""), str, "meta 'demonstrator'"),
+        scenario=expect(meta.get("scenario", ""), str, "meta 'scenario'"),
     )
 
 

@@ -1,11 +1,13 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import demoplan
 from demoplan.cli import (
     EXIT_EXECUTION,
     EXIT_INVALID,
@@ -27,6 +29,7 @@ from demoplan.synth import stacking_types, stacking_vocabulary
 from demoplan.traces import DebounceConfig, debounce, load_trace
 
 from helpers import rules_to_json
+from oracles import json_text_reference
 
 GOAL = "onTop(Cube_red1,Cube_green1)"
 IMPOSSIBLE_GOAL = "onTop(Cube_red1,Cube_red1)"
@@ -138,8 +141,10 @@ class TestGenTraces:
         for name in files:
             if name.startswith("p"):
                 load_trace(tmp_path / name)
+            text = (tmp_path / name).read_text()
+            assert text == json_text_reference(json.loads(text)), name
 
-    def test_flicker_variant(self, tmp_path):
+    def test_flicker_variant(self, workspace, tmp_path):
         assert main(["gen-traces", "--out", str(tmp_path / "clean")]) == EXIT_OK
         assert main(["gen-traces", "--out", str(tmp_path / "noisy"), "--flicker", "5"]) == EXIT_OK
         noisy_names = sorted(p.name for p in (tmp_path / "noisy").glob("p*.json"))
@@ -152,6 +157,11 @@ class TestGenTraces:
         )
         recovered = debounce(noisy)
         assert [f.true_atoms for f in recovered.frames] == [f.true_atoms for f in clean.frames]
+        # learn debounces by default, so the noisy corpus learns the clean library
+        lib = tmp_path / "noisy.json"
+        assert main(["learn", *(str(tmp_path / "noisy" / n) for n in noisy_names),
+                     "--library", str(lib)]) == EXIT_OK
+        assert lib.read_bytes() == (workspace / "library.json").read_bytes()
 
 
 class TestLearn:
@@ -364,7 +374,9 @@ class TestExecute:
         transcript = capsys.readouterr().out
         assert "replan at step" in transcript
         assert transcript.rstrip().endswith("outcome: success")
-        payload = json.loads(log_file.read_text())
+        text = log_file.read_text()
+        payload = json.loads(text)
+        assert text == json_text_reference(payload)
         assert payload["outcome"] == "success"
         assert len(payload["replans"]) == 1
 
@@ -625,6 +637,10 @@ class TestMalformedInput:
             (_trace_case(lambda p: p.update(types="x")), "'types' must be an object, got 'x'"),
             (_trace_case(lambda p: p.update(meta="x")), "'meta' must be an object, got 'x'"),
             (_trace_case(lambda p: p.update(meta=[])), "'meta' must be an object, got []"),
+            (_trace_case(lambda p: p["meta"].update(demonstrator=["p1"])),
+             "meta 'demonstrator' must be a string, got ['p1']"),
+            (_trace_case(lambda p: p["meta"].update(scenario=None)),
+             "meta 'scenario' must be a string, got None"),
             (_trace_case(lambda p: p.update(types=[])), "'types' must be an object, got []"),
             (_trace_case(lambda p: p["objects"].append({"id": "H2", "type": 3})),
              "'type' must be a string, got 3"),
@@ -641,6 +657,9 @@ class TestMalformedInput:
                            {"step": 1, "mode": "perturb", "adds": [["handOpen", "Left_hand"]],
                             "dels": [["handOpen", "Left_hand"]]}]),
              "fault record 1: fault adds and deletes the same atom"),
+            (_faults_case([{"step": 1, "mode": "drop_effects"}, {"step": 0, "mode": "drop_effects"},
+                           {"step": 1, "mode": "drop_effects"}]),
+             "fault records 0 and 2 both script step 1"),
             (_library_directory_case, "cannot read"),
             (_domain_case("(define (domain learned)\n  (:requirements :strips\n"),
              "unbalanced parenthesis (line 2, column 3)"),
@@ -665,8 +684,10 @@ class TestMalformedInput:
             (_problem_case("  (:domain learned)\n", ""), "problem needs a (:domain learned) section"),
         ],
         ids=["trace-t", "trace-types", "trace-meta", "trace-meta-empty-list",
+             "trace-meta-demonstrator-list", "trace-meta-scenario-null",
              "trace-types-empty-list", "trace-object-type", "rules-priority", "faults-adds",
              "faults-key", "faults-mode", "faults-drop-with-effects", "faults-overlap",
+             "faults-same-step",
              "library-directory", "domain-unbalanced", "domain-deep-nesting",
              "trace-deep-nesting", "trace-without-actor", "domain-cost-underscore",
              "domain-cost-plus", "domain-cost-arabic-indic-digit", "domain-type-cycle",
@@ -875,3 +896,55 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "learn" in proc.stdout and "pipeline" in proc.stdout
+
+
+# Runs each (output file, argv) pair of the JSON list in sys.argv[1] through
+# the CLI, stdout to that file, and prints the exit codes as JSON.
+_RUN_COMMANDS = """
+import contextlib, json, sys
+from demoplan.cli import main
+codes = []
+for name, argv in json.loads(sys.argv[1]):
+    with open(name, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(workspace, tmp_path):
+    """Atom numbering follows set order, which the hash seed changes; no
+    answer may. A process cannot change its own seed, so the commands run in
+    one child process per seed, and every file they write is compared."""
+    shutil.copytree(workspace / "traces", tmp_path / "traces")
+    traces = sorted(f"../traces/{p.name}" for p in (tmp_path / "traces").glob("p*.json"))
+    task = ["--library", "library.json", "--init", "../traces/init.json", "--goal", GOAL]
+    faults = ["--faults", "faults.json"]
+    commands = [
+        ("learn.txt", ["learn", *traces, "--library", "library.json"]),
+        ("pipeline.txt", ["pipeline", *(t for t in traces if "/p1_" in t), *task[2:], "--out", "out"]),
+        ("plan_hmax.json", ["plan", *task, "--goal", "onTop(Cube_blue1,Cube_red1)", "--heuristic", "hmax"]),
+        ("execute.txt", ["execute", *task, *faults, "--out", "execution.json"]),
+        # hmax replans share one Task's tables
+        ("execute_hmax.txt", ["execute", *task, *faults, "--heuristic", "hmax",
+                              "--out", "execution_hmax.json"]),
+    ]
+    package = str(Path(demoplan.__file__).parents[1])
+    for seed in (0, 123):
+        run = tmp_path / f"seed{seed}"
+        run.mkdir()
+        (run / "faults.json").write_text(
+            json.dumps([{"step": 1, "mode": "drop_effects"}, {"step": 4, "mode": "drop_effects"}])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)], cwd=run,
+            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": package},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [EXIT_OK] * len(commands), proc.stderr
+
+    def files(run):
+        return {str(p.relative_to(run)): p.read_bytes() for p in run.rglob("*") if p.is_file()}
+
+    outputs = files(tmp_path / "seed0")
+    assert len(outputs) == 15 and outputs == files(tmp_path / "seed123")

@@ -348,7 +348,7 @@ class TestParsing:
     def test_semantic_validation(self):
         with pytest.raises(ValidationError, match="unknown predicate"):
             parse_domain(CRANE_DOMAIN.replace("(and (lifted ?c))", "(and (levitated ?c))"))
-        with pytest.raises(ValidationError, match="takes 1 argument"):
+        with pytest.raises(ValidationError, match=r"expects 1 argument\(s\), got 2"):
             parse_domain(CRANE_DOMAIN.replace("(and (lifted ?c))", "(and (lifted ?c ?base))"))
         with pytest.raises(ValidationError, match="undeclared type"):
             parse_domain(CRANE_DOMAIN.replace("?c - crate)\n    :precondition (and (armfree)", "?c - pallet)\n    :precondition (and (armfree)"))
@@ -383,7 +383,7 @@ class TestParsing:
             parse_problem(CRANE_PROBLEM.replace("minimize", "maximize"), domain_doc)
         with pytest.raises(UnsupportedFeature):
             parse_problem(CRANE_PROBLEM.replace("(= (total-cost) 0)", "(= (total-cost) 5)"), domain_doc)
-        with pytest.raises(ValidationError, match="undeclared name"):
+        with pytest.raises(ValidationError, match="'c9' is not a declared object"):
             parse_problem(CRANE_PROBLEM.replace("(stacked c1 c2)", "(stacked c1 c9)"), domain_doc)
 
     def test_problem_tolerates_missing_cost_bookkeeping(self):
@@ -470,6 +470,8 @@ READER_ERRORS = [
      PddlSyntaxError, "dangling '-' in typed list (line 3, column 11)"),
     ("missing type", "domain", _crane("(:types crate - object)", "(:types crate -)"),
      PddlSyntaxError, "missing type after '-' (line 3, column 17)"),
+    ("dash for a type", "domain", _crane("(:types crate - object)", "(:types crate - - object)"),
+     PddlSyntaxError, "missing type after '-' (line 3, column 17)"),
     ("compound type", "domain", _crane("crate - object)", "crate - (either a b))"),
      UnsupportedFeature, "compound types are not supported (3:20)"),
     ("two parents", "domain", _crane("crate - object)", "crate - object crate - box box)"),
@@ -538,6 +540,8 @@ READER_ERRORS = [
      PddlSyntaxError, "expected a parameter list (line 12, column 17)"),
     ("parameter name", "domain", _crane(":parameters (?c - crate)", ":parameters ((?c) - crate)"),
      PddlSyntaxError, "expected parameter name (line 12, column 19)"),
+    ("parameter dash for a type", "domain", _crane(":parameters (?c - crate)", ":parameters (?c - - crate)"),
+     PddlSyntaxError, "missing type after '-' (line 12, column 21)"),
     ("parameter variable", "domain", _crane(":parameters (?c - crate)", ":parameters (c - crate)"),
      PddlSyntaxError, "action parameters must be variables (line 11, column 4)"),
     ("parameter type", "domain", _crane(":parameters (?c - crate)", ":parameters (?c - pallet)"),
@@ -549,7 +553,7 @@ READER_ERRORS = [
      _crane(":parameters (?c - crate)", ":parameters (c - pallet)"),
      PddlSyntaxError, "action parameters must be variables (line 11, column 4)"),
     ("untyped parameter in a typed slot", "domain", _crane(":parameters (?c - crate)", ":parameters (?c)"),
-     ValidationError, "argument '?c' of 'lifted' should be a crate, is a object"),
+     ValidationError, "lifted(?c): argument '?c' has type 'object', expected 'crate' at 13:40"),
     ("literal symbol", "domain", _crane(_HOIST_PRE, "(and armfree)"), PddlSyntaxError,
      "expected a literal (line 13, column 24)"),
     ("literal empty", "domain", _crane(_HOIST_PRE, "(and ())"), PddlSyntaxError,
@@ -571,14 +575,14 @@ READER_ERRORS = [
     ("argument symbol", "domain", _crane(_HOIST_PRE, "(lifted (?c))"), PddlSyntaxError,
      "expected argument (line 13, column 28)"),
     ("arity", "domain", _crane(_HOIST_PRE, "(lifted ?c ?c)"), ValidationError,
-     "predicate 'lifted' takes 1 arguments, got 2 at 13:20"),
+     "lifted expects 1 argument(s), got 2: ('?c', '?c') at 13:20"),
     ("arity with a name map", "domain map", _crane(_HOIST_PRE, "(lifted ?c ?c)"), ValidationError,
-     "predicate 'Lifted' takes 1 arguments, got 2 at 13:20"),
+     "Lifted expects 1 argument(s), got 2: ('?c', '?c') at 13:20"),
     ("undeclared name", "domain", _crane(_HOIST_PRE, "(lifted ?z)"), ValidationError,
-     "undeclared name '?z' at 13:20"),
+     "lifted(?z): argument '?z' is not a declared object at 13:20"),
     ("argument type", "domain",
      _crane("crate - object)", "crate pallet - object)").replace("(?c - crate)", "(?c - pallet)"),
-     ValidationError, "argument '?c' of 'lifted' should be a crate, is a pallet"),
+     ValidationError, "lifted(?c): argument '?c' has type 'pallet', expected 'crate' at 13:40"),
     ("duplicate cost", "domain",
      _crane(_HOIST_EFF, "(and (lifted ?c) (increase (total-cost) 2) (increase (total-cost) 3))"),
      PddlSyntaxError, "duplicate cost effect (line 14, column 57)"),
@@ -631,6 +635,8 @@ READER_ERRORS = [
      "expected object name (line 3, column 14)"),
     ("object type missing", "problem", _restack("c1 c2 - crate", "c1 c2 -"), PddlSyntaxError,
      "missing type after '-' (line 3, column 19)"),
+    ("object dash for a type", "problem", _restack("c1 c2 - crate", "c1 c2 - - crate"), PddlSyntaxError,
+     "missing type after '-' (line 3, column 19)"),
     ("goal arity", "problem", _restack("(:goal (and (stacked c1 c2) (armfree)))",
                                        "(:goal (stacked c1 c2) (armfree))"),
      PddlSyntaxError, ":goal takes one formula (line 5, column 4)"),
@@ -651,7 +657,7 @@ READER_ERRORS = [
      ValidationError, "unknown predicate 'levitated' at 4:11"),
     ("untyped object in a typed init slot", "problem",
      _crane("(:init (armfree)", "(:init (lifted c3)", _restack("c1 c2 - crate", "c1 c2 - crate c3")),
-     ValidationError, "argument 'c3' of 'lifted' should be a crate, is a object"),
+     ValidationError, "lifted(c3): argument 'c3' has type 'object', expected 'crate' at 4:11"),
     ("init fluent", "problem", _restack("(= (total-cost) 0)", "(= (fuel) 0)"), UnsupportedFeature,
      "only (= (total-cost) 0) is supported in :init (4:21)"),
     ("init fluent value", "problem", _restack("(= (total-cost) 0)", "(= (total-cost) (0))"),
@@ -667,7 +673,7 @@ READER_ERRORS = [
     ("goal empty", "problem", _restack("(:goal (and (stacked c1 c2) (armfree)))", "(:goal (and))"),
      ValidationError, "goal must contain at least one literal"),
     ("goal name", "problem", _restack("(stacked c1 c2)", "(stacked c1 c9)"), ValidationError,
-     "undeclared name 'c9' at 5:16"),
+     "stacked(c1,c9): argument 'c9' is not a declared object at 5:16"),
     ("init repeated", "problem", _restack("(:goal", "(:init (armfree))\n  (:goal"), PddlSyntaxError,
      "repeated section ':init' (line 5, column 4)"),
     ("goal repeated", "problem", _restack("(:metric", "(:goal (armfree))\n  (:metric"),
@@ -731,7 +737,7 @@ def test_each_action_checks_the_types_of_its_own_parameters():
       (:action bad :parameters (x_x - t2) :precondition (p x_x) :effect (not (p x_x))))"""
     nm = NameMap(()).extended(["?x"])
     assert nm.pddl("?x") == "x_x"
-    with pytest.raises(ValidationError, match=r"^argument '\?x' of 'p' should be a t1, is a t2$"):
+    with pytest.raises(ValidationError, match=r"^p\(\?x\): argument '\?x' has type 't2', expected 't1' at 5:58$"):
         parse_domain(text, nm)
 
 

@@ -136,6 +136,19 @@ class TestTraceFiles:
             with pytest.raises(error, match="frame 1"):
                 trace_from_dict(payload)
 
+    @pytest.mark.parametrize("meta, message", [
+        ({"demonstrator": ["p1"]}, "meta 'demonstrator' must be a string, got ['p1']"),
+        ({"demonstrator": 7}, "meta 'demonstrator' must be a string, got 7"),
+        ({"scenario": None}, "meta 'scenario' must be a string, got None"),
+        ({"scenario": {"name": "s"}}, "meta 'scenario' must be a string, got {'name': 's'}"),
+    ], ids=["demonstrator-list", "demonstrator-number", "scenario-null", "scenario-object"])
+    def test_a_bad_meta_entry_is_a_parse_error(self, meta, message):
+        payload = trace_to_dict(random_trace(random.Random(2)))
+        payload["meta"] = meta
+        with pytest.raises(ParseError) as err:
+            trace_from_dict(payload)
+        assert str(err.value) == message
+
     def test_unreadable_json_is_a_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
