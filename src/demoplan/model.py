@@ -187,7 +187,7 @@ class ActionSchema:
     cost: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.cost, int) or self.cost < 1:
+        if not is_int_at_least(self.cost, 1):
             raise ValidationError(
                 f"cost of action {self.name!r} must be a positive integer, got {self.cost!r}"
             )
@@ -366,6 +366,11 @@ def expect(value: Any, kind: Any, what: str) -> Any:
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ParseError(f"{what} must be {_KINDS[kind]}, got {reprlib.repr(value)}")
     return value
+
+
+def is_int_at_least(value: Any, least: int) -> bool:
+    """Whether ``value`` is an int, never a bool, of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def expect_keys(value: Any, what: str, *keys: str) -> dict:

@@ -30,6 +30,7 @@ from .model import (
     expect,
     expect_keys,
     holds,
+    is_int_at_least,
     read_json,
     satisfies,
 )
@@ -49,7 +50,7 @@ class Fault:
     dels: frozenset[GroundAtom] = frozenset()
 
     def __post_init__(self):
-        if self.step < 0:
+        if not is_int_at_least(self.step, 0):
             raise ValidationError(f"fault step must be >= 0, got {self.step}")
         if self.mode not in (DROP_EFFECTS, PERTURB):
             raise ValidationError(f"unknown fault mode {self.mode!r}")
@@ -111,7 +112,7 @@ class MonitorConfig:
 
     def __post_init__(self):
         budget = self.max_replans
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        if not is_int_at_least(budget, 0):
             raise ValidationError(f"max_replans must be a non-negative integer, got {budget!r}")
         check_search_options(self.node_limit, self.heuristic)
 

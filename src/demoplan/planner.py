@@ -14,11 +14,11 @@ enter a grounded task only through their types in id order, so one compiled
 core serves every call with equal schemas (names and costs included), type
 hierarchy and object types in id order: a small LRU keeps the last
 CORE_CACHE_SIZE cores, and each call returns a new Task over one under its
-object names. A Task builds a GroundedAction only for a plan's steps, or for
-all of them when its ``actions`` are read; a hand-built one holds the
-caller's own. plan() and the monitor use a Task as it is; any other action
-list is compiled on each call. Sharing never changes an answer: the tables a
-core fills in lazily hold values that depend only on its key.
+object names. A Task, grounded or hand-built, builds GroundedActions from
+its tables alone: a plan's steps when it is found, and all of them once when
+``actions`` is read. plan() and the monitor use a Task as it is; any other
+action list is compiled on each call. Sharing never changes an answer: the
+tables a core fills in lazily hold values that depend only on its key.
 Search is uniform-cost (A* with a zero heuristic) over closed-world states,
 with an optional admissible h_max heuristic that never changes the optimum
 cost; among equal-cost plans it may pick a different one than blind search,
@@ -66,6 +66,7 @@ from .model import (
     TypeTable,
     apply,
     holds,
+    is_int_at_least,
 )
 
 DEFAULT_NODE_LIMIT = 10_000_000
@@ -147,29 +148,27 @@ def _core(schemas: tuple, parents: frozenset, layout: tuple[str, ...]) -> dict:
     types ``layout`` lists, under the type hierarchy ``parents``: one action
     per binding of distinct objects, each of a subtype of its parameter's type.
 
-    Bindings are taken in product order. A binding's atoms are looked up in
-    order of the deepest parameter they name, and an atom gets its bit when
-    it is first found.
+    Bindings are taken in product order, and an atom gets its bit when a
+    binding first meets it.
     """
     instances_of = TypeTable(dict(enumerate(layout)), dict(parents)).instances_of
     bits: dict[tuple, int] = {}
     heads, masks = [], []
     for schema in sorted(schemas, key=lambda s: s.name):
         position = {var: i for i, (var, _) in enumerate(schema.params)}
-        parts = []  # (the deepest place named, mask slot, predicate, the getter of its places)
-        for slot, atom in (
-            *((1 - l.positive, l.atom) for l in schema.pre),
-            *((2, a) for a in schema.adds),
-            *((3, a) for a in schema.dels),
-        ):
-            picks = [position[arg] for arg in atom.args]
-            parts.append((max(picks, default=-1), slot, atom.predicate, _getter(picks)))
-        parts.sort(key=itemgetter(0))
+        parts = [  # (mask slot, predicate, the getter of its places)
+            (slot, atom.predicate, _getter([position[arg] for arg in atom.args]))
+            for slot, atom in (
+                *((1 - l.positive, l.atom) for l in schema.pre),
+                *((2, a) for a in schema.adds),
+                *((3, a) for a in schema.dels),
+            )
+        ]
         for values in itertools.product(*[instances_of(type_id) for _, type_id in schema.params]):
             if len(set(values)) < len(values):
                 continue
             mask = [0, 0, 0, 0]  # atoms needed true, needed false, added, deleted
-            for _, slot, predicate, get in parts:
+            for slot, predicate, get in parts:
                 mask[slot] |= 1 << bits.setdefault((predicate, get(values)), len(bits))
             heads.append((schema.name, values, schema.cost))
             masks.append(mask)
@@ -198,17 +197,14 @@ def _compile(bits: dict[tuple, int], heads: list, masks: list) -> dict:
             raise InvalidEffect(f"action {name!r} adds and deletes the same atom")
         if pos & neg:
             raise ValidationError(f"action {name!r} has contradictory preconditions")
-        if not isinstance(cost, int) or cost < 1:
+        if not is_int_at_least(cost, 1):
             raise ValidationError(f"action {name!r} needs a positive integer cost")
         ops.append((pos | neg << n, add, dele, cost))
     # The actions that need fact i: atom i true, or atom i - n false.
     needed = [0] * 2 * n
     for ai, (pre, _, _, _) in enumerate(ops):
-        bit = 1 << ai
-        while pre:
-            i = pre.bit_length() - 1
-            needed[i] |= bit
-            pre ^= 1 << i
+        for i in _members(pre):
+            needed[i] |= 1 << ai
     pairs = list(zip(needed[:n], needed[n:]))
     # h_max's tables: actions blocked per needed-fact byte, fired effects per chunk
     unreached = [(at, _Blockers([(need, 0) for need in needed[at : at + 8]]))
@@ -249,7 +245,7 @@ def check_search_options(node_limit: int, heuristic: str) -> None:
     that is not a non-negative integer."""
     if heuristic not in ("none", "hmax"):
         raise ValidationError(f"unknown heuristic {heuristic!r}")
-    if isinstance(node_limit, bool) or not isinstance(node_limit, int) or node_limit < 0:
+    if not is_int_at_least(node_limit, 0):
         raise ValidationError(f"node limit must be a non-negative integer, got {node_limit!r}")
 
 
@@ -289,7 +285,7 @@ class Task:
     the tables ``_compile`` made, shared by every Task over the same action
     list, plus the names of its object places.
 
-    Actions are kept in (name, objects) order, the tie-break order. Each of
+    Actions are built in (name, objects) order, the tie-break order. Each of
     the n atoms an action mentions gets one bit, in an order that no answer
     depends on; any other atom is static. ``key`` names the action list in
     a plan's proof: the sorted list for ``Task(actions)``, and the schemas,
@@ -325,15 +321,12 @@ class Task:
                 mask(action.dels),
             ))
         self._name(_compile(bits, heads, masks), tuple(place), ordered)
-        self._made[:] = ordered
 
     def _name(self, tables: dict, ids: tuple[str, ...], key: tuple) -> None:
         """Take the shared ``tables`` under the object names ``ids``, place by place."""
         vars(self).update(tables)
         self.key, self._ids = key, ids
         self._place = {obj: i for i, obj in enumerate(ids)}.get
-        self._made, self._named = [None] * len(self.ops), [None] * self.n
-        self._literals = [None] * 2 * self.n
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -343,7 +336,7 @@ class Task:
 
     @cached_property
     def actions(self) -> tuple[GroundedAction, ...]:
-        return tuple(map(self._action, range(len(self))))
+        return self._build(range(len(self)))
 
     @cached_property
     def index(self) -> dict[GroundAtom, int]:
@@ -354,32 +347,25 @@ class Task:
         return self._bits.get((atom.predicate, tuple(map(self._place, atom.args))))
 
     def _atom(self, i: int) -> GroundAtom:
-        atom = self._named[i]
-        if atom is None:
-            predicate, places = self._atoms[i]
-            atom = self._named[i] = GroundAtom(predicate, tuple([self._ids[p] for p in places]))
-        return atom
+        predicate, places = self._atoms[i]
+        return GroundAtom(predicate, tuple([self._ids[p] for p in places]))
 
-    def _literal(self, fact: int) -> Literal:
-        literal = self._literals[fact]
-        if literal is None:
-            literal = self._literals[fact] = Literal(self._atom(fact % self.n), fact < self.n)
-        return literal
-
-    def _action(self, i: int) -> GroundedAction:
-        action = self._made[i]
-        if action is None:
-            name, places, cost = self._heads[i]
-            facts, add, dele, _ = self.ops[i]
-            action = self._made[i] = GroundedAction(
-                name,
-                tuple([self._ids[p] for p in places]),
-                frozenset(map(self._literal, _members(facts))),
-                frozenset(map(self._atom, _members(add))),
-                frozenset(map(self._atom, _members(dele))),
-                cost,
+    def _build(self, picks: Iterable[int]) -> tuple[GroundedAction, ...]:
+        """The actions at ``picks``, from the tables; each atom and literal among them is built once."""
+        n, ids = self.n, self._ids
+        rows = [(*self._heads[i], *self.ops[i]) for i in picks]
+        facts = touched = 0
+        for *_, pre, add, dele, _ in rows:
+            facts, touched = facts | pre, touched | add | dele
+        atom = {i: self._atom(i) for i in _members((facts | facts >> n) & self.all_atoms | touched)}.get
+        literal = {f: Literal(atom(f % n), f < n) for f in _members(facts)}.get
+        return tuple([
+            GroundedAction(
+                name, tuple([ids[p] for p in places]), frozenset(map(literal, _members(pre))),
+                frozenset(map(atom, _members(add))), frozenset(map(atom, _members(dele))), cost,
             )
-        return action
+            for name, places, cost, pre, add, dele, _ in rows
+        ])
 
     def applicable(self, state: int) -> int:
         """The mask of actions whose preconditions hold in ``state``."""
@@ -460,9 +446,8 @@ class Task:
                 steps = []
                 while state != start:
                     state, ai = parent[state]
-                    steps.append(self._action(ai))
-                steps.reverse()
-                found = Plan(tuple(steps), g)
+                    steps.append(ai)
+                found = Plan(self._build(reversed(steps)), g)
                 object.__setattr__(found, "proof", Proof(self.key, goal, heuristic, init))
                 return found
             if expanded == node_limit:

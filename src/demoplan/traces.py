@@ -31,6 +31,7 @@ from .model import (
     check_atom_types,
     expect,
     expect_keys,
+    is_int_at_least,
     json_text,
     objects_to_json,
     once_per_entry,
@@ -57,7 +58,7 @@ class DebounceConfig:
     window: int = 2
 
     def __post_init__(self):
-        if not isinstance(self.window, int) or self.window < 1:
+        if not is_int_at_least(self.window, 1):
             raise ValidationError(f"debounce window must be an integer >= 1, got {self.window!r}")
 
 

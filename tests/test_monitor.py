@@ -61,8 +61,10 @@ ACTIONS = [SWITCH1, SWITCH2]
 class TestFaults:
     def test_mode_and_step_are_validated(self):
         Fault(0, DROP_EFFECTS)
-        with pytest.raises(ValidationError):
-            Fault(-1, DROP_EFFECTS)
+        for step in (-1, True, 1.5):
+            with pytest.raises(ValidationError) as info:
+                Fault(step, DROP_EFFECTS)
+            assert str(info.value) == f"fault step must be >= 0, got {step}"
         with pytest.raises(ValidationError):
             Fault(0, "gremlin")
 
@@ -270,6 +272,7 @@ class TestReporting:
             ("max_replans", 2.5, "max_replans must be a non-negative integer, got 2.5"),
             ("max_replans", True, "max_replans must be a non-negative integer, got True"),
             ("node_limit", 1.0, "node limit must be a non-negative integer, got 1.0"),
+            ("node_limit", True, "node limit must be a non-negative integer, got True"),
         ],
     )
     def test_config_checks_every_field_when_built(self, field, value, message):
@@ -413,9 +416,10 @@ class TestKeepingTheRestOfAPlan:
     ):
         """A plan's proof names its grounded task by what it was grounded
         from, so neither a kept rest nor a searched replan builds the task's
-        other ground actions; and the steps build each distinct
-        precondition's Literal once."""
-        built, literals = [], []
+        other ground actions: each search builds the steps of the plan it
+        returns, and nothing else, and each distinct precondition's Literal
+        once."""
+        built, literals, searched = [], [], []
 
         def counted(*fields, _build=planner.GroundedAction):
             built.append(fields[:2])
@@ -425,8 +429,13 @@ class TestKeepingTheRestOfAPlan:
             literals.append(_build(*fields))
             return literals[-1]
 
+        def search(task, *args, _search=planner.Task.search):
+            searched.append(_search(task, *args))
+            return searched[-1]
+
         monkeypatch.setattr(planner, "GroundedAction", counted)
         monkeypatch.setattr(planner, "Literal", counted_literal)
+        monkeypatch.setattr(planner.Task, "search", search)
         actions = ground(corpus_library, planning_objects(), derive_costs(corpus_library))
         goal = corpus_goals()["tower_blue_red_green"]
         first = plan(actions, initial_state(), goal)
@@ -436,13 +445,12 @@ class TestKeepingTheRestOfAPlan:
         log = execute(first, WorldSim(initial_state(), faults), goal, actions)
         assert log.succeeded and len(log.replans) == 2
         assert task_calls["search"] == 2  # the first plan, and the replan off its path
-        steps = {(a.name, a.objects) for p in (first, *(e.plan for e in log.replans))
-                 for a in p.actions}
+        assert searched[0] is first and any(e.plan is searched[1] for e in log.replans)
+        steps = [(a.name, a.objects) for p in searched for a in p.actions]
         assert sorted(built) == sorted(steps) and len(built) < len(actions) // 4
-        preconditions = [l for p in (first, *(e.plan for e in log.replans))
-                         for a in p.actions for l in a.pre]
-        assert len(literals) == len(set(literals)) == len(set(preconditions))
-        assert len(set(preconditions)) < len(preconditions)  # steps share preconditions
+        preconditions = [{l for a in p.actions for l in a.pre} for p in searched]
+        assert len(literals) == sum(map(len, preconditions))
+        assert sum(map(len, preconditions)) < sum(len(a.pre) for p in searched for a in p.actions)
 
     @pytest.mark.parametrize(
         "case", ["built", "copied", "other goal", "other heuristic", "other actions"]

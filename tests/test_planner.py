@@ -100,7 +100,7 @@ class TestActionInvariants:
         _rejected(bad, ValidationError, "action 'bad' has contradictory preconditions")
 
     def test_cost_is_a_positive_integer(self):
-        for cost in (0, 1.5):
+        for cost in (0, 1.5, True):
             bad = _action("bad", [], [_atom(0)], cost=cost)
             _rejected(bad, ValidationError, "action 'bad' needs a positive integer cost")
 
@@ -113,9 +113,11 @@ class TestActionInvariants:
     def test_cost_model_rejects_nonpositive_entries(self, corpus_library):
         costs = derive_costs(corpus_library).costs
         key = next(k for k, name in corpus_library.variant_names().items() if name == "place_2")
-        with pytest.raises(ValidationError) as info:
-            ground(corpus_library, planning_objects(), CostModel({**costs, key: 0}))
-        assert str(info.value) == "cost of action 'place_2' must be a positive integer, got 0"
+        for cost in (0, 1.5, True):
+            with pytest.raises(ValidationError) as info:
+                ground(corpus_library, planning_objects(), CostModel({**costs, key: cost}))
+            message = f"cost of action 'place_2' must be a positive integer, got {cost!r}"
+            assert str(info.value) == message
 
     def test_a_cost_map_must_price_every_operator(self, corpus_library):
         costs = derive_costs(corpus_library).costs
@@ -353,12 +355,10 @@ class TestCarriedTask:
         mine = [dataclasses.replace(a) for a in reversed(grounded.actions)]
         ordered = sorted(mine, key=GroundedAction.sort_key)
         task = Task(mine)
-        assert len(task.actions) == len(mine)
-        assert all(a is b for a, b in zip(task.actions, ordered))
-        assert all(a is b for a, b in zip(task, ordered))
+        assert task.actions == tuple(ordered) and tuple(task) == tuple(ordered)
         goal = corpus_goals()["tower_blue_red_green"]
         for found in (task.search(initial_state(), goal), plan(mine, initial_state(), goal)):
-            assert found.actions and all(any(a is b for b in mine) for a in found.actions)
+            assert found.actions and all(a in mine for a in found.actions)
 
     def test_a_plan_does_not_keep_its_task_alive(self, corpus_library):
         # The proof names the actions, so a held plan does not hold the
@@ -387,7 +387,7 @@ class TestCarriedTask:
 class TestSharedCores:
     """Grounding compiles one core per (schemas, type hierarchy, object types
     in id order) and returns a Task over it under each call's object names. A
-    Task that a cache hit returns must answer as the former eager grounder's
+    Task that a cache hit returns must answer as the substituting reference's
     actions do when compiled afresh."""
 
     def test_a_hit_answers_as_a_fresh_compile_on_random_schemas(self, monkeypatch, task_calls):
@@ -416,7 +416,7 @@ class TestSharedCores:
             compiles = task_calls["_compile"]
             hit = ground_schemas(schemas, second, base)
             assert task_calls["_compile"] == compiles  # nothing compiled again
-            actions, index = oracles.ground_eager(schemas, second, base)
+            actions = ground_reference(schemas, second, base)
             fresh = Task(actions)
             table = base.with_instances(second)
             atoms = [
@@ -430,7 +430,7 @@ class TestSharedCores:
             answers = _searched(hit, init, goal, expansions)
             assert answers == _searched(fresh, init, goal, expansions)
             assert len(hit) == len(actions) and hit.actions == tuple(actions)
-            assert hit.index == index
+            assert set(hit.index) == set(fresh.index)
             seen["solved"] += any(found not in (None, "node limit") for found, _ in answers)
             seen["equal names"] += len({s.name for s in schemas}) < len(schemas) and bool(actions)
             seen["constant bound"] += any(
@@ -497,7 +497,7 @@ class TestSharedCores:
             compiles = task_calls["_compile"]
             task = ground(library, objects, costs)
             assert task_calls["_compile"] == compiles + 1
-            expected, _ = oracles.ground_eager(
+            expected = ground_reference(
                 library.schemas(None if costs is None else costs.costs), objects, library.types
             )
             assert task.actions == tuple(expected)

@@ -232,10 +232,10 @@ class TestDecodingOncePerFile:
 
 
 def test_debounce_window_must_be_a_positive_integer():
-    with pytest.raises(ValidationError):
-        DebounceConfig(0)
-    with pytest.raises(ValidationError):
-        DebounceConfig(1.5)
+    for window in (0, 1.5, True):
+        with pytest.raises(ValidationError) as info:
+            DebounceConfig(window)
+        assert str(info.value) == f"debounce window must be an integer >= 1, got {window!r}"
 
 
 def test_series_suppresses_single_frame_blips():
